@@ -85,22 +85,9 @@ bool AggregateLowerable(const AggregateOp& spec);
 /// partition-by-hash parallel contract.
 Result<TablePtr> LowerAggregate(const TablePtr& input, const AggregateOp& spec);
 
-/// C = A·B over plus_times as Join⊕: Join on A's column key ⊗-multiplies
-/// matching entries (probe order = A row-major, matches in B row order) and
-/// Reduce over (i,j) ⊕-sums them in k-ascending order — term-for-term the
-/// fold of Gustavson's workspace scatter, so results are bit-identical to
-/// SparseMatrixCSR::SpGEMM. Exposed shape-free: triplets in, triplets out
-/// (row-major, explicit zeros dropped as SpGEMM does).
-Result<std::vector<linalg::Triplet>> SpGEMMViaJoin(
-    const std::vector<linalg::Triplet>& a, const std::vector<linalg::Triplet>& b);
-
-/// y = A·x as Join⊕ with a dense x covering *every* index (explicit zero
-/// terms included), so each y[i] folds exactly the terms — in the same
-/// k-ascending order — as the CSR dot-product loop. Rows with no entries
-/// stay at the ring zero (0.0). Bit-identical to SparseMatrixCSR::SpMV.
-Result<std::vector<double>> SpMVViaJoin(const std::vector<linalg::Triplet>& a,
-                                        int64_t rows,
-                                        const std::vector<double>& x);
+/// Bumps `op`'s counter and algebra.ops_lowered (EXPLAIN ANALYZE's
+/// "algebra:" line): one engine operation ran on the algebra's kernels.
+void CountLowered(const char* op);
 
 }  // namespace algebra
 }  // namespace nexus

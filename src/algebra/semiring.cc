@@ -1,9 +1,6 @@
 #include "algebra/semiring.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/str_util.h"
@@ -32,17 +29,17 @@ const char* MonoidOpName(MonoidOp op) {
 double ApplyF(MonoidOp op, double a, double b) {
   switch (op) {
     case MonoidOp::kAdd:
-      return a + b;
+      return ApplyT<MonoidOp::kAdd>(a, b);
     case MonoidOp::kMul:
-      return a * b;
+      return ApplyT<MonoidOp::kMul>(a, b);
     case MonoidOp::kMin:
-      return std::min(a, b);
+      return ApplyT<MonoidOp::kMin>(a, b);
     case MonoidOp::kMax:
-      return std::max(a, b);
+      return ApplyT<MonoidOp::kMax>(a, b);
     case MonoidOp::kOr:
-      return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
+      return ApplyT<MonoidOp::kOr>(a, b);
     case MonoidOp::kAnd:
-      return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
+      return ApplyT<MonoidOp::kAnd>(a, b);
   }
   return 0.0;
 }
@@ -188,39 +185,6 @@ Status VerifyContracts(const Semiring& s) {
     }
   }
   return Status::OK();
-}
-
-namespace {
-
-// -1 = no override; 0/1 = forced off/on (mirrors core/wire_format.cc).
-std::atomic<int> g_semiring_override{-1};
-
-bool EnvSemiringEnabled() {
-  static const bool from_env = [] {
-    const char* env = std::getenv("NEXUS_SEMIRING");
-    if (env != nullptr &&
-        (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) {
-      return false;
-    }
-    return true;
-  }();
-  return from_env;
-}
-
-}  // namespace
-
-bool SemiringLoweringEnabled() {
-  int o = g_semiring_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return EnvSemiringEnabled();
-}
-
-void SetSemiringLoweringOverride(bool on) {
-  g_semiring_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void ClearSemiringLoweringOverride() {
-  g_semiring_override.store(-1, std::memory_order_relaxed);
 }
 
 }  // namespace algebra

@@ -1,9 +1,10 @@
 // Semi-ring registry — the algebraic heart of the Lara/D4M lowering layer.
 //
 // A semi-ring (⊕, ⊗, 0, 1) parameterizes the three generic kernels in
-// algebra/kernels.h: Join combines matching values with ⊗, Union/Normalize
-// fold duplicate keys with ⊕, and the identities give absent entries their
-// meaning (0 is "not stored"; 1 is what a lifted COUNT entry becomes).
+// algebra/kernels.h and the CSR kernels in algebra/csr.h: Join combines
+// matching values with ⊗, Union/Normalize fold duplicate keys with ⊕, and
+// the identities give absent entries their meaning (0 is "not stored"; 1 is
+// what a lifted COUNT entry becomes).
 // One kernel implementation then serves relational aggregation (+ over
 // groups), sparse matrix multiply (+,× contraction), shortest-path/BFS
 // relaxation (min,+), reliability products (max,×), and boolean reachability
@@ -16,6 +17,7 @@
 #ifndef NEXUS_ALGEBRA_SEMIRING_H_
 #define NEXUS_ALGEBRA_SEMIRING_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,6 +34,18 @@ const char* MonoidOpName(MonoidOp op);
 /// Scalar application. kOr/kAnd treat nonzero as true and return 0/1.
 double ApplyF(MonoidOp op, double a, double b);
 int64_t ApplyI(MonoidOp op, int64_t a, int64_t b);
+
+/// ApplyF with the op fixed at compile time: what the CSR kernels
+/// (algebra/csr.h) instantiate their loops on.
+template <MonoidOp op>
+inline double ApplyT(double a, double b) {
+  if constexpr (op == MonoidOp::kAdd) return a + b;
+  if constexpr (op == MonoidOp::kMul) return a * b;
+  if constexpr (op == MonoidOp::kMin) return std::min(a, b);
+  if constexpr (op == MonoidOp::kMax) return std::max(a, b);
+  if constexpr (op == MonoidOp::kOr) return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
+  if constexpr (op == MonoidOp::kAnd) return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
+}
 
 /// One registered semi-ring. `zero`/`one` are stored explicitly per scalar
 /// domain rather than derived, because a ring may restrict its domain (see
@@ -60,15 +74,6 @@ const Semiring* FindSemiring(const std::string& name);
 /// domain-appropriate samples in both scalar domains. Every registered ring
 /// passes; user-composed rings can be validated before use.
 Status VerifyContracts(const Semiring& s);
-
-/// True when semi-ring lowering is enabled: the programmatic override if
-/// set, else NEXUS_SEMIRING ("off"/"0" disables; default on). Gates the
-/// engine-side routing (relational aggregates, sparse SpMV/SpGEMM, graph
-/// BFS/PageRank steps) and the optimizer's lower_semiring pass — switchable
-/// like NEXUS_FUSION, and byte-identical either way.
-bool SemiringLoweringEnabled();
-void SetSemiringLoweringOverride(bool on);
-void ClearSemiringLoweringOverride();
 
 }  // namespace algebra
 }  // namespace nexus

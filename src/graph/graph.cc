@@ -9,133 +9,11 @@
 #include <unordered_map>
 
 #include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "common/str_util.h"
-#include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
-#include "types/schema.h"
 
 namespace nexus {
 namespace graph {
-
-namespace {
-
-void CountLowered(const char* op) {
-  telemetry::MetricsRegistry::Global().counter(op)->Increment();
-  telemetry::MetricsRegistry::Global().counter("algebra.ops_lowered")->Increment();
-}
-
-// The graph as an associative array: entry (u, v) → 1.0 per directed edge,
-// in CSR adjacency order — Join matches preserve this order, which is what
-// keeps the algebra-routed PageRank fold bit-identical to the native
-// scatter loop (contributions land per target in (u-ascending, adjacency)
-// order, exactly as the scatter visits them).
-Result<algebra::AssocArray> EdgesAssoc(const CsrGraph& g) {
-  std::vector<linalg::Triplet> trips;
-  trips.reserve(static_cast<size_t>(g.num_edges()));
-  for (int64_t u = 0; u < g.num_nodes(); ++u) {
-    for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
-      trips.push_back(linalg::Triplet{u, *v, 1.0});
-    }
-  }
-  return algebra::AssocArray::FromTriplets(trips, "u", "v", "w");
-}
-
-// One PageRank power-iteration step on the semi-ring kernels: the rank
-// propagation is an SpMV over plus_times — Join(shares, edges)⊗ multiplies
-// each share by the edge's 1 and Union⊕ with the dense base vector folds
-// base-first, then contributions — byte-identical to fill(next, base) plus
-// the += scatter below.
-Result<std::vector<double>> PageRankStepViaAlgebra(
-    const CsrGraph& g, const algebra::AssocArray& edges,
-    const std::vector<double>& rank, double base, double damping, int64_t n) {
-  const algebra::Semiring* pt = algebra::FindSemiring("plus_times");
-  std::vector<int64_t> us;
-  std::vector<double> shares;
-  for (int64_t u = 0; u < n; ++u) {
-    int64_t deg = g.out_degree(u);
-    if (deg == 0) continue;
-    us.push_back(u);
-    shares.push_back(damping * rank[static_cast<size_t>(u)] /
-                     static_cast<double>(deg));
-  }
-  NEXUS_ASSIGN_OR_RETURN(
-      SchemaPtr ss, Schema::Make({Field::Attr("u", DataType::kInt64),
-                                  Field::Attr("r", DataType::kFloat64)}));
-  NEXUS_ASSIGN_OR_RETURN(
-      TablePtr st, Table::Make(ss, {Column::FromInt64(std::move(us)),
-                                    Column::FromFloat64(std::move(shares))}));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray share_arr,
-                         algebra::AssocArray::Wrap(std::move(st), 1));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray joined,
-                         algebra::Join(share_arr, edges, *pt));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray contrib,
-                         algebra::ExtProject(joined, {"v"}));
-  NEXUS_ASSIGN_OR_RETURN(
-      algebra::AssocArray base_arr,
-      algebra::AssocArray::FromDenseVector(
-          std::vector<double>(static_cast<size_t>(n), base), "v", "r"));
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray merged,
-                         algebra::Union(base_arr, contrib, *pt));
-  std::vector<double> next(static_cast<size_t>(n), base);
-  const auto& keys = merged.key_column(0).ints();
-  const auto& vals = merged.value_column().doubles();
-  for (int64_t e = 0; e < merged.num_entries(); ++e) {
-    int64_t v = keys[static_cast<size_t>(e)];
-    if (v < 0 || v >= n) return Status::IndexError("PageRank node out of range");
-    next[static_cast<size_t>(v)] = vals[static_cast<size_t>(e)];
-  }
-  return next;
-}
-
-// BFS as iterated (min,+) relaxation: a frontier of levels Joins the edge
-// array (level ⊗ 1 = level + 1 under min_plus) and Reduce⊕ keeps the min
-// candidate per target; already-settled nodes are dropped. Levels are exact
-// small integers, so the result is identical to the native queue BFS.
-Result<std::vector<int64_t>> BfsViaAlgebra(const CsrGraph& g, int64_t source) {
-  std::vector<int64_t> level(static_cast<size_t>(g.num_nodes()), -1);
-  if (source < 0 || source >= g.num_nodes()) return level;
-  CountLowered("algebra.bfs_lowered");
-  const algebra::Semiring* mp = algebra::FindSemiring("min_plus");
-  NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray edges, EdgesAssoc(g));
-  level[static_cast<size_t>(source)] = 0;
-  std::vector<int64_t> frontier_nodes = {source};
-  std::vector<double> frontier_levels = {0.0};
-  while (!frontier_nodes.empty()) {
-    NEXUS_ASSIGN_OR_RETURN(
-        SchemaPtr fs, Schema::Make({Field::Attr("u", DataType::kInt64),
-                                    Field::Attr("lvl", DataType::kFloat64)}));
-    NEXUS_ASSIGN_OR_RETURN(
-        TablePtr ft,
-        Table::Make(fs, {Column::FromInt64(std::move(frontier_nodes)),
-                         Column::FromFloat64(std::move(frontier_levels))}));
-    NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray frontier,
-                           algebra::AssocArray::Wrap(std::move(ft), 1));
-    NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray joined,
-                           algebra::Join(frontier, edges, *mp));
-    frontier_nodes = {};
-    frontier_levels = {};
-    if (joined.num_entries() == 0) break;
-    NEXUS_ASSIGN_OR_RETURN(algebra::AssocArray cand,
-                           algebra::Reduce(joined, {"v"}, *mp));
-    const auto& vs = cand.key_column(0).ints();
-    const auto& lv = cand.value_column().doubles();
-    for (int64_t e = 0; e < cand.num_entries(); ++e) {
-      int64_t v = vs[static_cast<size_t>(e)];
-      if (v < 0 || v >= g.num_nodes()) {
-        return Status::IndexError("BFS node out of range");
-      }
-      if (level[static_cast<size_t>(v)] >= 0) continue;  // settled
-      level[static_cast<size_t>(v)] =
-          static_cast<int64_t>(lv[static_cast<size_t>(e)]);
-      frontier_nodes.push_back(v);
-      frontier_levels.push_back(lv[static_cast<size_t>(e)]);
-    }
-  }
-  return level;
-}
-
-}  // namespace
 
 CsrGraph CsrGraph::FromEdges(const std::vector<int64_t>& src,
                              const std::vector<int64_t>& dst) {
@@ -183,49 +61,28 @@ PageRankResult PageRank(const CsrGraph& g, const PageRankOptions& opts) {
   PageRankResult out;
   int64_t n = g.num_nodes();
   if (n == 0) return out;
+  algebra::CountLowered("algebra.pagerank_lowered");
   out.rank.assign(static_cast<size_t>(n), 1.0 / static_cast<double>(n));
   std::vector<double> next(static_cast<size_t>(n));
-  // Algebra routing: build the edge associative array once; each iteration's
-  // propagation runs as Join⊕/Union⊕ (falls back to the native scatter on
-  // any kernel refusal — results are byte-identical either way).
-  algebra::AssocArray edges_assoc;
-  bool lowered = algebra::SemiringLoweringEnabled();
-  if (lowered) {
-    Result<algebra::AssocArray> ea = EdgesAssoc(g);
-    lowered = ea.ok();
-    if (lowered) {
-      edges_assoc = ea.MoveValue();
-      CountLowered("algebra.pagerank_lowered");
-    }
-  }
+  std::vector<double> share(static_cast<size_t>(n));
   for (int64_t iter = 0; iter < opts.max_iters; ++iter) {
     double dangling = 0.0;
     for (int64_t u = 0; u < n; ++u) {
-      if (g.out_degree(u) == 0) dangling += out.rank[static_cast<size_t>(u)];
+      int64_t deg = g.out_degree(u);
+      double r = out.rank[static_cast<size_t>(u)];
+      if (deg == 0) dangling += r;
+      share[static_cast<size_t>(u)] =
+          deg == 0 ? 0.0 : opts.damping * r / static_cast<double>(deg);
     }
     double base = (1.0 - opts.damping) / static_cast<double>(n) +
                   opts.damping * dangling / static_cast<double>(n);
-    bool stepped = false;
-    if (lowered) {
-      Result<std::vector<double>> via = PageRankStepViaAlgebra(
-          g, edges_assoc, out.rank, base, opts.damping, n);
-      if (via.ok()) {
-        next = via.MoveValue();
-        stepped = true;
-      }
-    }
-    if (!stepped) {
-      std::fill(next.begin(), next.end(), base);
-      for (int64_t u = 0; u < n; ++u) {
-        int64_t deg = g.out_degree(u);
-        if (deg == 0) continue;
-        double share = opts.damping * out.rank[static_cast<size_t>(u)] /
-                       static_cast<double>(deg);
-        for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u);
-             ++v) {
-          next[static_cast<size_t>(*v)] += share;
-        }
-      }
+    // Rank propagation over plus_times: next = base ⊕ shareᵀ·A, pushed in
+    // (source-ascending, adjacency) order onto the base vector.
+    std::fill(next.begin(), next.end(), base);
+    {
+      telemetry::SpanGuard step(telemetry::kCategoryEngine, "alg.VxM");
+      step.AddCounter("entries", g.num_edges());
+      algebra::VxMPush<algebra::PlusTimes>(g.adjacency(), share, &next);
     }
     double delta = 0.0;
     for (int64_t u = 0; u < n; ++u) {
@@ -240,24 +97,22 @@ PageRankResult PageRank(const CsrGraph& g, const PageRankOptions& opts) {
 }
 
 std::vector<int64_t> Bfs(const CsrGraph& g, int64_t source) {
-  if (algebra::SemiringLoweringEnabled()) {
-    Result<std::vector<int64_t>> via = BfsViaAlgebra(g, source);
-    if (via.ok()) return via.MoveValue();
-  }
   std::vector<int64_t> level(static_cast<size_t>(g.num_nodes()), -1);
   if (source < 0 || source >= g.num_nodes()) return level;
-  std::queue<int64_t> frontier;
+  algebra::CountLowered("algebra.bfs_lowered");
+  // Level-synchronous (min,+) relaxation: each step reaches the unsettled
+  // out-neighbors of the frontier at level ⊗ 1 = level + 1.
+  algebra::TraversalMask mask(g.num_nodes());
+  mask.state[static_cast<size_t>(source)] = algebra::TraversalMask::kSettled;
   level[static_cast<size_t>(source)] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    int64_t u = frontier.front();
-    frontier.pop();
-    for (const int64_t* v = g.neighbors_begin(u); v != g.neighbors_end(u); ++v) {
-      if (level[static_cast<size_t>(*v)] < 0) {
-        level[static_cast<size_t>(*v)] = level[static_cast<size_t>(u)] + 1;
-        frontier.push(*v);
-      }
+  algebra::SparseVec frontier{{source}, {0.0}};
+  algebra::SparseVec next;
+  while (!frontier.idx.empty()) {
+    algebra::MaskedVxM<algebra::MinPlus>(g.adjacency(), frontier, &mask, &next);
+    for (size_t i = 0; i < next.idx.size(); ++i) {
+      level[static_cast<size_t>(next.idx[i])] = static_cast<int64_t>(next.val[i]);
     }
+    std::swap(frontier, next);
   }
   return level;
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "algebra/csr.h"
 #include "common/result.h"
 #include "types/table.h"
 
@@ -41,6 +42,13 @@ class CsrGraph {
   }
   int64_t out_degree(int64_t u) const {
     return offsets_[static_cast<size_t>(u) + 1] - offsets_[static_cast<size_t>(u)];
+  }
+
+  /// The adjacency as a pattern matrix (every edge stored as 1.0), the
+  /// operand of the algebra's CSR kernels.
+  algebra::CsrView adjacency() const {
+    return algebra::CsrView{num_nodes(), num_nodes(), offsets_.data(),
+                            adj_.data(), nullptr};
   }
 
   /// Original id of compact node u.

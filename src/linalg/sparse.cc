@@ -2,13 +2,22 @@
 
 #include <algorithm>
 
+#include "algebra/csr.h"
 #include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "common/str_util.h"
 #include "telemetry/telemetry.h"
 
 namespace nexus {
 namespace linalg {
+
+namespace {
+
+algebra::CsrView View(const SparseMatrixCSR& m) {
+  return algebra::CsrView{m.rows(), m.cols(), m.row_ptr().data(),
+                          m.col_idx().data(), m.values().data()};
+}
+
+}  // namespace
 
 Result<SparseMatrixCSR> SparseMatrixCSR::FromTriplets(
     int64_t rows, int64_t cols, std::vector<Triplet> triplets) {
@@ -26,9 +35,8 @@ Result<SparseMatrixCSR> SparseMatrixCSR::FromTriplets(
   });
   // Explicit zeros are *kept*: a 0-valued triplet (and duplicates summing to
   // exactly 0) stays a stored entry. The semi-ring contract only requires
-  // that absent entries behave as the ring zero — stored zeros must flow
-  // through SpMV/SpGEMM like any value (they contribute ±0.0 terms), which
-  // the algebra-routed paths below reproduce term-for-term.
+  // that absent entries behave as the ring zero — stored zeros flow through
+  // SpMV/SpGEMM like any value (they contribute ±0.0 terms).
   SparseMatrixCSR m;
   m.rows_ = rows;
   m.cols_ = cols;
@@ -56,25 +64,10 @@ Result<std::vector<double>> SparseMatrixCSR::SpMV(
   if (static_cast<int64_t>(x.size()) != cols_) {
     return Status::InvalidArgument("SpMV shape mismatch");
   }
-  if (algebra::SemiringLoweringEnabled()) {
-    // Lowered path: y = A·x as Join⊕ over plus_times. Byte-identical to the
-    // CSR loop below (same terms, same k-ascending fold order, zero-seeded
-    // sums; empty rows stay 0.0); any refusal falls back to the native loop.
-    Result<std::vector<double>> via =
-        algebra::SpMVViaJoin(ToTriplets(), rows_, x);
-    if (via.ok()) return via;
-  }
-  std::vector<double> y(static_cast<size_t>(rows_), 0.0);
-  for (int64_t r = 0; r < rows_; ++r) {
-    double s = 0.0;
-    for (int64_t i = row_ptr_[static_cast<size_t>(r)];
-         i < row_ptr_[static_cast<size_t>(r) + 1]; ++i) {
-      s += values_[static_cast<size_t>(i)] *
-           x[static_cast<size_t>(col_idx_[static_cast<size_t>(i)])];
-    }
-    y[static_cast<size_t>(r)] = s;
-  }
-  return y;
+  telemetry::SpanGuard span(telemetry::kCategoryEngine, "alg.SpMV");
+  span.AddCounter("entries", nnz());
+  algebra::CountLowered("algebra.spmv_lowered");
+  return algebra::MxV<algebra::PlusTimes>(View(*this), x);
 }
 
 Result<SparseMatrixCSR> SparseMatrixCSR::SpGEMM(const SparseMatrixCSR& b) const {
@@ -83,38 +76,12 @@ Result<SparseMatrixCSR> SparseMatrixCSR::SpGEMM(const SparseMatrixCSR& b) const 
   if (cols_ != b.rows_) {
     return Status::InvalidArgument("SpGEMM shape mismatch");
   }
-  if (algebra::SemiringLoweringEnabled()) {
-    // Lowered path: C = A·B as Join⊕ over plus_times. Per output cell the
-    // fold runs in the same k-ascending order as the workspace scatter
-    // below, so results are byte-identical (exact-zero outputs dropped by
-    // both); any refusal falls back to the native Gustavson loop.
-    Result<std::vector<Triplet>> via =
-        algebra::SpGEMMViaJoin(ToTriplets(), b.ToTriplets());
-    if (via.ok()) return FromTriplets(rows_, b.cols_, std::move(*via));
-  }
-  // Gustavson: per output row, scatter-accumulate into a dense workspace.
-  std::vector<double> workspace(static_cast<size_t>(b.cols_), 0.0);
-  std::vector<int64_t> touched;
   std::vector<Triplet> out;
-  for (int64_t r = 0; r < rows_; ++r) {
-    touched.clear();
-    for (int64_t i = row_ptr_[static_cast<size_t>(r)];
-         i < row_ptr_[static_cast<size_t>(r) + 1]; ++i) {
-      int64_t k = col_idx_[static_cast<size_t>(i)];
-      double av = values_[static_cast<size_t>(i)];
-      for (int64_t j = b.row_ptr_[static_cast<size_t>(k)];
-           j < b.row_ptr_[static_cast<size_t>(k) + 1]; ++j) {
-        int64_t c = b.col_idx_[static_cast<size_t>(j)];
-        if (workspace[static_cast<size_t>(c)] == 0.0) touched.push_back(c);
-        workspace[static_cast<size_t>(c)] += av * b.values_[static_cast<size_t>(j)];
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (int64_t c : touched) {
-      double v = workspace[static_cast<size_t>(c)];
-      workspace[static_cast<size_t>(c)] = 0.0;
-      if (v != 0.0) out.push_back(Triplet{r, c, v});
-    }
+  {
+    telemetry::SpanGuard kernel(telemetry::kCategoryEngine, "alg.SpGEMM");
+    kernel.AddCounter("entries", nnz() + b.nnz());
+    algebra::CountLowered("algebra.spgemm_lowered");
+    out = algebra::MxM<algebra::PlusTimes>(View(*this), View(b));
   }
   return FromTriplets(rows_, b.cols_, std::move(out));
 }

@@ -1,17 +1,16 @@
 // Semi-ring lowering pass: recognizes the plan operators whose execution
-// can be routed to the one generic kernel implementation in src/algebra —
-// SUM/MIN/MAX/COUNT aggregates (Union⊕ folds), sparse matrix multiply
-// (Join⊕ over plus_times), and PageRank steps (SpMV over plus_times with a
-// Union-normalize) — and counts them into OptimizerStats::ops_lowered.
+// runs on the semi-ring kernels in src/algebra — SUM/MIN/MAX/COUNT
+// aggregates (Union⊕ folds), sparse matrix multiply (Gustavson over
+// plus_times), and PageRank steps (a plus_times push onto the base vector)
+// — and counts them into OptimizerStats::ops_lowered.
 //
 // Like the fusion pass, this header only RECOGNIZES; the lowering itself
-// happens engine-side (relational provider aggregates, sparse SpMV/SpGEMM,
-// graph BFS/PageRank) where the runtime inputs are in hand, gated on the
-// same algebra::SemiringLoweringEnabled() switch so the optimizer's count
-// and the engines' routing always agree. Lowered execution is byte-identical
-// to the native engine paths (algebra/kernels.h documents why), so the pass
-// never changes results — it widens *placement*: any engine can claim a
-// lowered op, which is what gives the cost-based planner more valid plans.
+// happens engine-side (provider aggregates, sparse SpMV/SpGEMM, graph
+// BFS/PageRank) where the runtime inputs are in hand. Lowered execution is
+// byte-identical to the native engine paths (algebra/kernels.h and
+// algebra/csr.h document why), so the pass never changes results — it
+// widens *placement*: any engine can claim a lowered aggregate, which is
+// what gives the cost-based planner more valid plans.
 #ifndef NEXUS_OPTIMIZER_LOWER_SEMIRING_H_
 #define NEXUS_OPTIMIZER_LOWER_SEMIRING_H_
 

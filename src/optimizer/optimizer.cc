@@ -10,7 +10,6 @@
 #include "core/schema_inference.h"
 #include "expr/builder.h"
 #include "optimizer/cardinality.h"
-#include "algebra/semiring.h"
 #include "optimizer/fold.h"
 #include "optimizer/join_order.h"
 #include "optimizer/lower_semiring.h"
@@ -68,8 +67,7 @@ class Optimizer {
     if (options_.recognize_intent) {
       NEXUS_ASSIGN_OR_RETURN(p, RecognizePass(p));
     }
-    if (options_.lower_semiring && algebra::SemiringLoweringEnabled() &&
-        stats_ != nullptr) {
+    if (options_.lower_semiring && stats_ != nullptr) {
       // After intent recognition, so recovered MatMul/PageRank nodes count.
       // Recognition only: the engines do the actual routing at execution.
       stats_->ops_lowered = CountLowerableOps(*p);

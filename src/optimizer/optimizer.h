@@ -28,7 +28,6 @@ struct OptimizerOptions {
   bool reorder_joins = true;
   bool recognize_intent = true;
   /// Recognition of semi-ring-lowerable operators (optimizer/lower_semiring.h).
-  /// Also gated process-wide by algebra::SemiringLoweringEnabled().
   bool lower_semiring = true;
   bool prune_columns = true;
   /// Fixpoint bound for the pushdown pass.

@@ -1,9 +1,8 @@
 // The array provider ("arraydb"): executes dimension-aware operators
-// chunk-natively. Purely relational operators (join, sort, aggregate, …)
-// are not claimed — the planner combines this provider with relstore for
-// mixed plans.
+// chunk-natively. Purely relational operators (join, sort, …) are not
+// claimed — the planner combines this provider with relstore for mixed
+// plans; ⊕-fold aggregates are, via the algebra kernels.
 #include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "arraydb/engine.h"
 #include "exec/reference_executor.h"
 #include "provider/provider.h"
@@ -13,6 +12,37 @@
 namespace nexus {
 
 namespace {
+
+// One execution of a plan on arraydb. Per-call state (the Iterate loop
+// stack) lives here, not on the provider, so concurrent Executes on one
+// server never see each other's loop frames.
+class ArrayExec {
+ public:
+  explicit ArrayExec(const InMemoryCatalog& catalog) : catalog_(catalog) {}
+
+  /// Per-operator tracing shim around ExecNode; recursion re-enters here,
+  /// so every plan node gets a span when tracing is on.
+  Result<Dataset> Exec(const Plan& plan) {
+    if (!telemetry::Enabled()) return ExecNode(plan);
+    telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
+    auto result = ExecNode(plan);
+    if (result.ok() && span.active()) {
+      span.AddCounter("rows", result.ValueOrDie().num_rows());
+      span.AddCounter("bytes", result.ValueOrDie().ByteSize());
+    }
+    return result;
+  }
+
+ private:
+  Result<Dataset> ExecNode(const Plan& plan);
+  Result<NDArrayPtr> ExecA(const Plan& plan) {
+    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan));
+    return d.AsArray();
+  }
+
+  const InMemoryCatalog& catalog_;
+  std::vector<ExecLoopFrame> loop_stack_;
+};
 
 class ArrayProvider : public Provider {
  public:
@@ -38,45 +68,20 @@ class ArrayProvider : public Provider {
       case OpKind::kWindow:
       case OpKind::kElemWise:
       case OpKind::kIterate:
+      case OpKind::kAggregate:  // ⊕-folds run on the algebra kernels
       case OpKind::kExchange:
         return true;
-      case OpKind::kAggregate:
-        // Semi-ring lowering lets arraydb run ⊕-fold aggregates through the
-        // shared algebra kernels — byte-identical on every engine.
-        return algebra::SemiringLoweringEnabled();
       default:
         return false;
     }
   }
 
   Result<Dataset> Execute(const Plan& plan) override {
-    loop_stack_.clear();
-    return Exec(plan);
+    return ArrayExec(catalog_).Exec(plan);
   }
-
- private:
-  /// Per-operator tracing shim around ExecNode; recursion re-enters here,
-  /// so every plan node gets a span when tracing is on.
-  Result<Dataset> Exec(const Plan& plan) {
-    if (!telemetry::Enabled()) return ExecNode(plan);
-    telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
-    auto result = ExecNode(plan);
-    if (result.ok() && span.active()) {
-      span.AddCounter("rows", result.ValueOrDie().num_rows());
-      span.AddCounter("bytes", result.ValueOrDie().ByteSize());
-    }
-    return result;
-  }
-  Result<Dataset> ExecNode(const Plan& plan);
-  Result<NDArrayPtr> ExecA(const Plan& plan) {
-    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan));
-    return d.AsArray();
-  }
-
-  std::vector<ExecLoopFrame> loop_stack_;
 };
 
-Result<Dataset> ArrayProvider::ExecNode(const Plan& plan) {
+Result<Dataset> ArrayExec::ExecNode(const Plan& plan) {
   switch (plan.kind()) {
     case OpKind::kScan:
       return catalog_.Get(plan.As<ScanOp>().table);
@@ -103,8 +108,7 @@ Result<Dataset> ArrayProvider::ExecNode(const Plan& plan) {
       NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
       const auto& spec = plan.As<AggregateOp>();
-      if (algebra::SemiringLoweringEnabled() &&
-          algebra::AggregateLowerable(spec)) {
+      if (algebra::AggregateLowerable(spec)) {
         NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
         return Dataset(out);
       }

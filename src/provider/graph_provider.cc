@@ -2,7 +2,6 @@
 // analytics engine — the provider with a "direct implementation" that
 // Intent Preservation (desideratum 3) exists to reach.
 #include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "graph/graph.h"
 #include "provider/provider.h"
 #include "relational/engine.h"
@@ -25,12 +24,9 @@ class GraphProvider : public Provider {
       case OpKind::kScan:
       case OpKind::kValues:
       case OpKind::kPageRank:
+      case OpKind::kAggregate:  // ⊕-folds run on the algebra kernels
       case OpKind::kExchange:
         return true;
-      case OpKind::kAggregate:
-        // Semi-ring lowering lets graphd run ⊕-fold aggregates through the
-        // shared algebra kernels — byte-identical on every engine.
-        return algebra::SemiringLoweringEnabled();
       default:
         return false;
     }
@@ -67,8 +63,7 @@ class GraphProvider : public Provider {
         NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
         NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
         const auto& spec = plan.As<AggregateOp>();
-        if (algebra::SemiringLoweringEnabled() &&
-            algebra::AggregateLowerable(spec)) {
+        if (algebra::AggregateLowerable(spec)) {
           NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                                  algebra::LowerAggregate(in, spec));
           return Dataset(out);

@@ -2,7 +2,6 @@
 // Transpose natively. MatMul picks a dense blocked GEMM or a sparse SpGEMM
 // by occupancy — the choice a numeric package would make internally.
 #include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "linalg/dense.h"
 #include "linalg/sparse.h"
 #include "provider/provider.h"
@@ -28,12 +27,9 @@ class LinalgProvider : public Provider {
       case OpKind::kMatMul:
       case OpKind::kElemWise:
       case OpKind::kTranspose:
+      case OpKind::kAggregate:  // ⊕-folds run on the algebra kernels
       case OpKind::kExchange:
         return true;
-      case OpKind::kAggregate:
-        // Semi-ring lowering lets linalg run ⊕-fold aggregates through the
-        // shared algebra kernels — byte-identical on every engine.
-        return algebra::SemiringLoweringEnabled();
       default:
         return false;
     }
@@ -180,8 +176,7 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
       NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
       const auto& spec = plan.As<AggregateOp>();
-      if (algebra::SemiringLoweringEnabled() &&
-          algebra::AggregateLowerable(spec)) {
+      if (algebra::AggregateLowerable(spec)) {
         NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
         return Dataset(out);
       }

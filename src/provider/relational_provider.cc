@@ -5,7 +5,6 @@
 // claimed via their relational expansions — the "combination of systems"
 // half of desideratum 2.
 #include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "common/str_util.h"
 #include "core/expansion.h"
 #include "exec/reference_executor.h"
@@ -22,6 +21,37 @@ namespace nexus {
 namespace {
 
 using namespace nexus::exprs;  // NOLINT
+
+// One execution of a plan on relstore. Per-call state (the Iterate loop
+// stack) lives here, not on the provider, so concurrent Executes on one
+// server never see each other's loop frames.
+class RelationalExec {
+ public:
+  explicit RelationalExec(const InMemoryCatalog& catalog) : catalog_(catalog) {}
+
+  /// Per-operator tracing shim around ExecNode; recursion re-enters here,
+  /// so every plan node gets a span when tracing is on.
+  Result<Dataset> Exec(const Plan& plan) {
+    if (!telemetry::Enabled()) return ExecNode(plan);
+    telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
+    auto result = ExecNode(plan);
+    if (result.ok() && span.active()) {
+      span.AddCounter("rows", result.ValueOrDie().num_rows());
+      span.AddCounter("bytes", result.ValueOrDie().ByteSize());
+    }
+    return result;
+  }
+
+ private:
+  Result<Dataset> ExecNode(const Plan& plan);
+  Result<TablePtr> ExecT(const Plan& plan) {
+    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan));
+    return d.AsTable();
+  }
+
+  const InMemoryCatalog& catalog_;
+  std::vector<ExecLoopFrame> loop_stack_;
+};
 
 class RelationalProvider : public Provider {
  public:
@@ -41,30 +71,8 @@ class RelationalProvider : public Provider {
     // Non-owning alias: expansion only reads the tree.
     PlanPtr alias(&plan, [](const Plan*) {});
     NEXUS_ASSIGN_OR_RETURN(PlanPtr expanded, ExpandIntentOps(alias, catalog_));
-    loop_stack_.clear();
-    return Exec(*expanded);
+    return RelationalExec(catalog_).Exec(*expanded);
   }
-
- private:
-  /// Per-operator tracing shim around ExecNode; recursion re-enters here,
-  /// so every plan node gets a span when tracing is on.
-  Result<Dataset> Exec(const Plan& plan) {
-    if (!telemetry::Enabled()) return ExecNode(plan);
-    telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
-    auto result = ExecNode(plan);
-    if (result.ok() && span.active()) {
-      span.AddCounter("rows", result.ValueOrDie().num_rows());
-      span.AddCounter("bytes", result.ValueOrDie().ByteSize());
-    }
-    return result;
-  }
-  Result<Dataset> ExecNode(const Plan& plan);
-  Result<TablePtr> ExecT(const Plan& plan) {
-    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan));
-    return d.AsTable();
-  }
-
-  std::vector<ExecLoopFrame> loop_stack_;
 };
 
 /// Applies a matched-but-refused chain with the per-operator kernels against
@@ -118,7 +126,7 @@ Result<TablePtr> Retag(const TablePtr& t, const std::vector<std::string>& dims) 
   return Table::Make(schema, t->columns());
 }
 
-Result<Dataset> RelationalProvider::ExecNode(const Plan& plan) {
+Result<Dataset> RelationalExec::ExecNode(const Plan& plan) {
   // Operator fusion: a Filter→Extend/Project(→Aggregate) chain rooted here
   // executes as one compiled morsel loop over the chain's source instead of
   // materializing a table per operator. Lowering refuses (kUnsupported)
@@ -182,10 +190,9 @@ Result<Dataset> RelationalProvider::ExecNode(const Plan& plan) {
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
       const auto& spec = plan.As<AggregateOp>();
       // Semi-ring routing: SUM/MIN/MAX/COUNT folds run on the shared
-      // algebra kernel (byte-identical to HashAggregate); AVG and disabled
-      // lowering take the native engine.
-      if (algebra::SemiringLoweringEnabled() &&
-          algebra::AggregateLowerable(spec)) {
+      // algebra kernel (byte-identical to HashAggregate); AVG takes the
+      // native engine.
+      if (algebra::AggregateLowerable(spec)) {
         NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
         return Dataset(out);
       }

@@ -50,8 +50,15 @@ std::chrono::steady_clock::time_point Epoch() {
 
 double SimNowSeconds() {
   if (!g_has_sim_clock.load(std::memory_order_acquire)) return 0.0;
-  std::lock_guard<std::mutex> lock(g_mu);
-  return g_sim_clock ? g_sim_clock() : 0.0;
+  // Copy the clock under g_mu but call it after releasing: the transport's
+  // clock takes the transport lock, and the transport records message
+  // spans (which take g_mu) while holding that lock.
+  std::function<double()> clock;
+  {
+    std::lock_guard<std::mutex> lock(g_mu);
+    clock = g_sim_clock;
+  }
+  return clock ? clock() : 0.0;
 }
 
 void Record(SpanRecord&& rec) {

@@ -4,6 +4,9 @@
 // (linalg, graphd). This is desideratum 2's executable statement.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "common/random.h"
 #include "core/expansion.h"
 #include "core/schema_inference.h"
@@ -268,6 +271,48 @@ TEST_F(ProviderTest, IterateOnRelationalAndArrayProviders) {
   ASSERT_OK_AND_ASSIGN(Dataset d, relstore_->Execute(*it));
   ASSERT_OK_AND_ASSIGN(TablePtr t, d.AsTable());
   EXPECT_EQ(t->At(0, 1), F(8.0));
+}
+
+// Two sessions running Iterates on one server at once: each Execute keeps
+// its own loop frames, so neither sees the other's state (a provider-wide
+// loop stack let one query clear or grow the frames under the other).
+TEST_F(ProviderTest, ConcurrentIteratesKeepTheirOwnLoopFrames) {
+  SchemaPtr s = MakeSchema({Field::Dim("i"), Field::Attr("v", DataType::kFloat64)});
+  std::vector<PlanPtr> plans;
+  for (int q = 0; q < 2; ++q) {
+    std::string name = "loop_state" + std::to_string(q);
+    TablePtr state = MakeTable(s, {{I(0), F(10.0 * (q + 1))}, {I(1), F(1.0 + q)}});
+    for (const ProviderPtr& p : {relstore_, arraydb_}) {
+      ASSERT_OK(p->catalog()->Put(name, Dataset(state)));
+    }
+    IterateOp op;
+    op.body = Plan::Select(Plan::LoopVar(), Ge(Col("v"), Lit(0.0)));
+    op.max_iters = 40;
+    plans.push_back(Plan::Iterate(Plan::Scan(name), op));
+  }
+  for (const ProviderPtr& p : {relstore_, arraydb_}) {
+    ASSERT_TRUE(p->ClaimsTree(*plans[0])) << p->name();
+    std::vector<TablePtr> want;
+    for (const PlanPtr& plan : plans) {
+      ASSERT_OK_AND_ASSIGN(Dataset d, p->Execute(*plan));
+      ASSERT_OK_AND_ASSIGN(TablePtr t, d.AsTable());
+      want.push_back(t);
+    }
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> sessions;
+    for (size_t q = 0; q < plans.size(); ++q) {
+      sessions.emplace_back([&, q] {
+        for (int rep = 0; rep < 100; ++rep) {
+          Result<Dataset> d = p->Execute(*plans[q]);
+          Result<TablePtr> t = d.ok() ? d.ValueOrDie().AsTable()
+                                      : Result<TablePtr>(d.status());
+          if (!t.ok() || !t.ValueOrDie()->Equals(*want[q])) ++mismatches;
+        }
+      });
+    }
+    for (std::thread& t : sessions) t.join();
+    EXPECT_EQ(mismatches.load(), 0) << p->name();
+  }
 }
 
 TEST_F(ProviderTest, UnclaimedPlanFailsCleanly) {

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -338,6 +339,40 @@ TEST(FederatedTraceTest, FaultyMultiServerQueryExportsOneStitchedTrace) {
   EXPECT_NE(json.find("\"linalg\""), std::string::npos);
   ASSERT_OK(telemetry::WriteChromeTrace("telemetry_test_trace.json",
                                         telemetry::Spans(), trace));
+}
+
+// Traced queries whose sibling fragments dispatch concurrently, from
+// several clients on one transport: threads stamp spans with the
+// transport's simulated clock while other threads record message spans
+// under the transport lock. Reading the clock while holding the tracer's
+// lock inverted that lock order and deadlocked.
+TEST(FederatedTraceTest, ConcurrentSiblingDispatchUnderTracingCompletes) {
+  TelemetryGuard guard;
+  Cluster cluster;
+  FillMatMulCluster(&cluster);
+  PlanPtr mm = Plan::MatMul(Plan::Scan("MA"), Plan::Scan("MB"), "c");
+  ASSERT_OK_AND_ASSIGN(Dataset want_ds, Coordinator(&cluster).Execute(mm));
+  ASSERT_OK_AND_ASSIGN(TablePtr want, want_ds.AsTable());
+  telemetry::SetEnabled(true);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      CoordinatorOptions opts;
+      opts.thread_count = 4;
+      opts.temp_namespace = "trace" + std::to_string(c);
+      Coordinator coord(&cluster, opts);
+      for (int q = 0; q < 300; ++q) {
+        Result<Dataset> got = coord.Execute(mm);
+        Result<TablePtr> t = got.ok() ? got.ValueOrDie().AsTable()
+                                      : Result<TablePtr>(got.status());
+        if (!t.ok() || !t.ValueOrDie()->Equals(*want)) ++bad;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(telemetry::SpanCount(), 0);
 }
 
 TEST(FederatedTraceTest, ExplainAnalyzeShowsFragmentsRowsAndServers) {
