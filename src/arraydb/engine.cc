@@ -57,21 +57,6 @@ Result<TablePtr> ChunkTable(const NDArray& in, const ArrayChunk& chunk,
   return Table::Make(in.CombinedSchema(), std::move(cols));
 }
 
-/// Creates an empty chunk matching `like`'s geometry for `schema`.
-ArrayChunk EmptyChunkLike(const ArrayChunk& like, const Schema& attr_schema) {
-  ArrayChunk out;
-  out.grid = like.grid;
-  out.lo = like.lo;
-  out.extent = like.extent;
-  int64_t volume = like.Volume();
-  out.attrs.reserve(static_cast<size_t>(attr_schema.num_fields()));
-  for (const Field& f : attr_schema.fields()) {
-    out.attrs.push_back(Column::Filled(f.type, volume));
-  }
-  out.occupied.assign(static_cast<size_t>(volume), 0);
-  return out;
-}
-
 // Numeric accumulator for regrid/window (non-numeric attrs are dropped by
 // those operators, so numeric-only is sufficient).
 struct NumAcc {
@@ -159,6 +144,8 @@ Result<NDArrayPtr> Slice(const NDArray& in, const std::vector<DimRange>& ranges)
   NEXUS_ASSIGN_OR_RETURN(std::shared_ptr<NDArray> out,
                          NDArray::Make(std::move(dims), in.attr_schema()));
   if (empty) return Finish(std::move(out));
+  NEXUS_RETURN_NOT_OK(in.EnsureAllResident());
+  ChunkCursor cursor(out.get());
   for (const ArrayChunk* chunk : in.chunks()) {
     // Chunk pruning: skip chunks whose box misses the slice box entirely.
     bool overlaps = true;
@@ -171,25 +158,34 @@ Result<NDArrayPtr> Slice(const NDArray& in, const std::vector<DimRange>& ranges)
       }
     }
     if (!overlaps) continue;
-    int64_t volume = chunk->Volume();
-    std::vector<Value> attrs(chunk->attrs.size());
-    for (int64_t off = 0; off < volume; ++off) {
-      if (!chunk->occupied[static_cast<size_t>(off)]) continue;
-      std::vector<int64_t> local = chunk->LocalCoords(off);
-      std::vector<int64_t> coords(local.size());
-      bool inside = true;
-      for (size_t d = 0; d < local.size(); ++d) {
-        coords[d] = chunk->lo[d] + local[d];
-        if (coords[d] < lo[d] || coords[d] >= hi[d]) {
-          inside = false;
-          break;
+    // Odometer over the chunk's intersection with the box, in the chunk's
+    // row-major order; typed values copy straight into the output chunks.
+    const size_t nd = chunk->extent.size();
+    std::vector<int64_t> box_lo(nd), box_hi(nd);
+    for (size_t d = 0; d < nd; ++d) {
+      box_lo[d] = std::max(chunk->lo[d], lo[d]);
+      box_hi[d] = std::min(chunk->lo[d] + chunk->extent[d], hi[d]);
+    }
+    std::vector<int64_t> coords = box_lo;
+    while (true) {
+      int64_t off = 0;
+      for (size_t d = 0; d < nd; ++d) {
+        off = off * chunk->extent[d] + (coords[d] - chunk->lo[d]);
+      }
+      if (chunk->occupied[static_cast<size_t>(off)]) {
+        int64_t out_off = 0;
+        NEXUS_ASSIGN_OR_RETURN(ArrayChunk * dst, cursor.Seek(coords.data(), &out_off));
+        for (size_t a = 0; a < dst->attrs.size(); ++a) {
+          dst->attrs[a].SetFrom(out_off, chunk->attrs[a], off);
         }
+        dst->occupied[static_cast<size_t>(out_off)] = 1;
       }
-      if (!inside) continue;
-      for (size_t a = 0; a < attrs.size(); ++a) {
-        attrs[a] = chunk->attrs[a].GetValue(off);
+      int d = static_cast<int>(nd) - 1;
+      for (; d >= 0; --d) {
+        if (++coords[static_cast<size_t>(d)] < box_hi[static_cast<size_t>(d)]) break;
+        coords[static_cast<size_t>(d)] = box_lo[static_cast<size_t>(d)];
       }
-      NEXUS_RETURN_NOT_OK(out->Set(coords, attrs));
+      if (d < 0) break;
     }
   }
   return Finish(std::move(out));
@@ -250,7 +246,7 @@ Result<NDArrayPtr> Apply(const NDArray& in,
         const ArrayChunk* chunk = chunks[static_cast<size_t>(ci)];
         std::vector<int64_t> offsets;
         NEXUS_ASSIGN_OR_RETURN(TablePtr cells, ChunkTable(in, *chunk, &offsets));
-        ArrayChunk out_chunk = EmptyChunkLike(*chunk, *out_attrs);
+        ArrayChunk out_chunk = out->BlankChunk(chunk->grid);
         out_chunk.occupied = chunk->occupied;
         // Copy existing attributes wholesale.
         for (size_t a = 0; a < chunk->attrs.size(); ++a) {
@@ -303,7 +299,7 @@ Result<NDArrayPtr> FilterCells(const NDArray& in, const Expr& predicate) {
         NEXUS_ASSIGN_OR_RETURN(std::vector<int64_t> sel,
                                EvalPredicate(predicate, *cells));
         if (sel.empty()) return Status::OK();
-        ArrayChunk out_chunk = EmptyChunkLike(*chunk, *in.attr_schema());
+        ArrayChunk out_chunk = out->BlankChunk(chunk->grid);
         for (size_t a = 0; a < chunk->attrs.size(); ++a) {
           out_chunk.attrs[a] = chunk->attrs[a];
         }
@@ -573,7 +569,7 @@ Result<NDArrayPtr> ElemWise(const NDArray& a, const NDArray& b, BinaryOp op) {
         const ArrayChunk* ca = chunks[static_cast<size_t>(ci)];
         const ArrayChunk* cb = b.FindChunk(ca->grid);
         if (cb == nullptr) continue;  // intersection is empty here
-        ArrayChunk oc = EmptyChunkLike(*ca, *schema);
+        ArrayChunk oc = out->BlankChunk(ca->grid);
         const std::vector<double>& av = ca->attrs[0].doubles();
         const std::vector<double>& bv = cb->attrs[0].doubles();
         std::vector<double> ov(av.size(), 0.0);

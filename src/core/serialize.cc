@@ -832,7 +832,7 @@ Result<Column> DecodeInt64Payload(std::string_view payload, uint8_t enc,
     }
     v.resize(n);
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(v.data(), payload.data(), payload.size());
+      if (n > 0) std::memcpy(v.data(), payload.data(), payload.size());
     } else {
       ByteReader pr(payload);
       for (size_t i = 0; i < n; ++i) v[i] = pr.I64().ValueOrDie();
@@ -892,7 +892,7 @@ Result<Column> DecodeFloat64Payload(std::string_view payload, uint8_t enc,
     }
     v.resize(n);
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(v.data(), payload.data(), payload.size());
+      if (n > 0) std::memcpy(v.data(), payload.data(), payload.size());
     } else {
       ByteReader pr(payload);
       for (size_t i = 0; i < n; ++i) v[i] = pr.F64().ValueOrDie();
@@ -1025,6 +1025,43 @@ Result<Column> DecodeColumn(ByteReader* r, DataType type, int64_t n) {
   return out;
 }
 
+// Reboxes a decoded table into the array it was shipped as (both wire
+// forms). Chunk sizes and coordinates come off the wire, so the geometry is
+// bounded before FromTable allocates a chunk: every chunk size must be
+// positive, and one chunk's clipped volume may neither overflow nor exceed
+// kMaxWireRows cells.
+Result<Dataset> ArrayFromWire(const Table& table,
+                              const std::vector<int64_t>& chunk_sizes) {
+  const Schema& schema = *table.schema();
+  std::vector<int> dim_cols = schema.DimensionIndices();
+  if (dim_cols.size() != chunk_sizes.size()) {
+    return Status::SerializationError("chunk list does not match dimensions");
+  }
+  std::vector<std::string> dim_names;
+  uint64_t volume = 1;
+  for (size_t d = 0; d < dim_cols.size(); ++d) {
+    dim_names.push_back(schema.field(dim_cols[d]).name);
+    if (chunk_sizes[d] <= 0) {
+      return Status::SerializationError("array chunk size must be positive");
+    }
+    uint64_t extent = 1;
+    const Column& coords = table.column(dim_cols[d]);
+    if (coords.type() == DataType::kInt64 && table.num_rows() > 0) {
+      auto [lo, hi] = std::minmax_element(coords.ints().begin(), coords.ints().end());
+      // Unsigned difference is exact for any int64 pair.
+      uint64_t span = static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo);
+      uint64_t chunk = static_cast<uint64_t>(chunk_sizes[d]);
+      extent = span < chunk ? span + 1 : chunk;
+    }
+    if (__builtin_mul_overflow(volume, extent, &volume) || volume > kMaxWireRows) {
+      return Status::SerializationError("array chunk volume exceeds sanity bound");
+    }
+  }
+  NEXUS_ASSIGN_OR_RETURN(std::shared_ptr<NDArray> arr,
+                         NDArray::FromTable(table, dim_names, chunk_sizes));
+  return Dataset(NDArrayPtr(std::move(arr)));
+}
+
 Result<Dataset> DecodeNxb1(std::string_view wire) {
   ByteReader r(wire);
   NEXUS_ASSIGN_OR_RETURN(std::string_view magic, r.Bytes(4));
@@ -1086,16 +1123,7 @@ Result<Dataset> DecodeNxb1(std::string_view wire) {
   NEXUS_ASSIGN_OR_RETURN(TablePtr table,
                          Table::Make(schema, std::move(columns)));
   if (!is_array) return Dataset(table);
-  std::vector<std::string> dim_names;
-  for (int i : schema->DimensionIndices()) {
-    dim_names.push_back(schema->field(i).name);
-  }
-  if (dim_names.size() != chunk_sizes.size()) {
-    return Status::SerializationError("chunk list does not match dimensions");
-  }
-  NEXUS_ASSIGN_OR_RETURN(std::shared_ptr<NDArray> arr,
-                         NDArray::FromTable(*table, dim_names, chunk_sizes));
-  return Dataset(NDArrayPtr(std::move(arr)));
+  return ArrayFromWire(*table, chunk_sizes);
 }
 
 // ---------------------------------------------------------------------------
@@ -1227,16 +1255,7 @@ Result<Dataset> DatasetFromSexpr(const Sexpr& s) {
   }
   NEXUS_ASSIGN_OR_RETURN(TablePtr table, builder.Finish());
   if (!is_array) return Dataset(table);
-  std::vector<std::string> dim_names;
-  for (int i : schema->DimensionIndices()) {
-    dim_names.push_back(schema->field(i).name);
-  }
-  if (dim_names.size() != chunk_sizes.size()) {
-    return Status::SerializationError("chunk list does not match dimensions");
-  }
-  NEXUS_ASSIGN_OR_RETURN(std::shared_ptr<NDArray> arr,
-                         NDArray::FromTable(*table, dim_names, chunk_sizes));
-  return Dataset(NDArrayPtr(std::move(arr)));
+  return ArrayFromWire(*table, chunk_sizes);
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ Status Cluster::Replicate(const std::string& table, const std::string& to) {
                          provider(holders[0])->catalog()->Get(table));
   // Real serialization end to end: the copy is encoded in the negotiated
   // link format, metered at its actual wire size, and decoded on arrival.
+  if (d.is_array()) NEXUS_RETURN_NOT_OK(d.array()->EnsureAllResident());
   std::string wire = SerializeDatasetWire(
       d, transport_.NegotiatedFormat(holders[0], to));
   transport_.Send(holders[0], to, static_cast<int64_t>(wire.size()),

@@ -682,7 +682,10 @@ Result<Dataset> Coordinator::SendData(const std::string& from,
                                       const std::string& to,
                                       const Dataset& data) {
   // Real serialization end to end: encoded once in the link's negotiated
-  // format, metered at the actual encoded size, decoded on arrival.
+  // format, metered at the actual encoded size, decoded on arrival. Evicted
+  // chunks page in first, so a failed page-in is an error, not a short
+  // encoding.
+  if (data.is_array()) NEXUS_RETURN_NOT_OK(data.array()->EnsureAllResident());
   std::string wire =
       SerializeDatasetWire(data, cluster_->transport()->NegotiatedFormat(from, to));
   NEXUS_RETURN_NOT_OK(SendWithRetry(from, to, static_cast<int64_t>(wire.size()),
@@ -701,6 +704,7 @@ Status Coordinator::TransferTemp(const std::string& from, const std::string& to,
   NEXUS_ASSIGN_OR_RETURN(Dataset d, cluster_->provider(from)->catalog()->Get(temp));
   // One encode at the source; the relay forwards the same bytes, so both
   // hops meter the identical payload size.
+  if (d.is_array()) NEXUS_RETURN_NOT_OK(d.array()->EnsureAllResident());
   std::string wire = SerializeDatasetWire(
       d, cluster_->transport()->NegotiatedFormat(from, to));
   int64_t bytes = static_cast<int64_t>(wire.size());

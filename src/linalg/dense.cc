@@ -160,17 +160,25 @@ Result<DenseMatrix> FromNDArray(const NDArray& in, int64_t* row_start,
   *row_start = in.dim(0).start;
   *col_start = in.dim(1).start;
   DenseMatrix m(in.dim(0).length, in.dim(1).length);
+  NEXUS_RETURN_NOT_OK(ScatterToDense(in, *row_start, *col_start, &m));
+  return m;
+}
+
+Status ScatterToDense(const NDArray& in, int64_t row_off, int64_t col_off,
+                      DenseMatrix* m) {
+  NEXUS_RETURN_NOT_OK(in.EnsureAllResident());
   for (const ArrayChunk* chunk : in.chunks()) {
-    int64_t volume = chunk->Volume();
     const Column& attr = chunk->attrs[0];
-    for (int64_t off = 0; off < volume; ++off) {
-      if (!chunk->occupied[static_cast<size_t>(off)] || attr.IsNull(off)) continue;
-      std::vector<int64_t> local = chunk->LocalCoords(off);
-      m.Set(chunk->lo[0] + local[0] - *row_start,
-            chunk->lo[1] + local[1] - *col_start, attr.NumericAt(off));
+    const int64_t r0 = chunk->lo[0] - row_off, c0 = chunk->lo[1] - col_off;
+    int64_t off = 0;
+    for (int64_t r = 0; r < chunk->extent[0]; ++r) {
+      for (int64_t c = 0; c < chunk->extent[1]; ++c, ++off) {
+        if (!chunk->occupied[static_cast<size_t>(off)] || attr.IsNull(off)) continue;
+        m->Set(r0 + r, c0 + c, attr.NumericAt(off));
+      }
     }
   }
-  return m;
+  return Status::OK();
 }
 
 Result<NDArrayPtr> ToNDArray(const DenseMatrix& m, const std::string& row_name,
@@ -187,12 +195,26 @@ Result<NDArrayPtr> ToNDArray(const DenseMatrix& m, const std::string& row_name,
       NDArray::Make({DimensionSpec{row_name, row_start, m.rows(), chunk_size},
                      DimensionSpec{col_name, col_start, m.cols(), chunk_size}},
                     attrs));
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    for (int64_t c = 0; c < m.cols(); ++c) {
-      double v = m.At(r, c);
-      if (drop_zeros && v == 0.0) continue;
-      NEXUS_RETURN_NOT_OK(
-          out->Set({row_start + r, col_start + c}, {Value::Float64(v)}));
+  // Whole chunks at a time, in grid order. A dropped zero leaves its cell
+  // unoccupied holding +0.0, and a chunk with no entry left is never
+  // created.
+  const int64_t cs = out->dim(0).chunk_size;
+  for (int64_t gr = 0; gr * cs < m.rows(); ++gr) {
+    for (int64_t gc = 0; gc * cs < m.cols(); ++gc) {
+      ArrayChunk chunk = out->BlankChunk({gr, gc});
+      Column& attr = chunk.attrs[0];
+      bool any = false;
+      int64_t off = 0;
+      for (int64_t r = gr * cs; r < gr * cs + chunk.extent[0]; ++r) {
+        for (int64_t c = gc * cs; c < gc * cs + chunk.extent[1]; ++c, ++off) {
+          double v = m.At(r, c);
+          if (drop_zeros && v == 0.0) continue;
+          attr.SetFloat64(off, v);
+          chunk.occupied[static_cast<size_t>(off)] = 1;
+          any = true;
+        }
+      }
+      if (any) NEXUS_RETURN_NOT_OK(out->PutChunk(std::move(chunk)));
     }
   }
   return NDArrayPtr(std::move(out));

@@ -80,6 +80,12 @@ Result<std::vector<double>> MatVec(const DenseMatrix& a,
 Result<DenseMatrix> FromNDArray(const NDArray& in, int64_t* row_start,
                                 int64_t* col_start);
 
+/// Writes every occupied, non-null cell of a 2-d array with one numeric
+/// attribute into `m` at (row - row_off, col - col_off), leaving the other
+/// entries as they are. Every such cell must land inside `m`.
+Status ScatterToDense(const NDArray& in, int64_t row_off, int64_t col_off,
+                      DenseMatrix* m);
+
 /// Inverse of FromNDArray: emits every entry (including zeros) as cells of
 /// a fresh array with dims named `row_name`/`col_name` and one float64
 /// attribute `attr`. `drop_zeros` emits only nonzero entries (sparse use).

@@ -66,20 +66,51 @@ double Occupancy(const NDArray& a) {
 // Extracts absolute-coordinate triplets from a 2-d single-attribute array.
 Result<std::vector<linalg::Triplet>> ToTriplets(const NDArray& a,
                                                 int64_t row_off, int64_t col_off) {
+  NEXUS_RETURN_NOT_OK(a.EnsureAllResident());
   std::vector<linalg::Triplet> out;
   out.reserve(static_cast<size_t>(a.NumCellsOccupied()));
   for (const ArrayChunk* chunk : a.chunks()) {
-    int64_t volume = chunk->Volume();
     const Column& attr = chunk->attrs[0];
-    for (int64_t off = 0; off < volume; ++off) {
-      if (!chunk->occupied[static_cast<size_t>(off)] || attr.IsNull(off)) continue;
-      std::vector<int64_t> local = chunk->LocalCoords(off);
-      out.push_back(linalg::Triplet{chunk->lo[0] + local[0] - row_off,
-                                    chunk->lo[1] + local[1] - col_off,
-                                    attr.NumericAt(off)});
+    const int64_t r0 = chunk->lo[0] - row_off, c0 = chunk->lo[1] - col_off;
+    int64_t off = 0;
+    for (int64_t r = 0; r < chunk->extent[0]; ++r) {
+      for (int64_t c = 0; c < chunk->extent[1]; ++c, ++off) {
+        if (!chunk->occupied[static_cast<size_t>(off)] || attr.IsNull(off)) continue;
+        out.push_back(linalg::Triplet{r0 + r, c0 + c, attr.NumericAt(off)});
+      }
     }
   }
   return out;
+}
+
+// Places row-major triplets (coordinates relative to `out`'s dimension
+// starts) as float64 cells of `out`, building one row band of chunks at a
+// time and handing each chunk that received a triplet to PutChunk.
+Status PutTriplets(const std::vector<linalg::Triplet>& triplets, NDArray* out) {
+  const int64_t rcs = out->dim(0).chunk_size, ccs = out->dim(1).chunk_size;
+  std::vector<ArrayChunk> band(
+      static_cast<size_t>((out->dim(1).length + ccs - 1) / ccs));
+  int64_t band_row = -1;
+  auto flush = [&]() -> Status {
+    for (ArrayChunk& chunk : band) {
+      if (chunk.grid.empty()) continue;
+      NEXUS_RETURN_NOT_OK(out->PutChunk(std::move(chunk)));
+      chunk = ArrayChunk();
+    }
+    return Status::OK();
+  };
+  for (const linalg::Triplet& t : triplets) {
+    if (t.row / rcs != band_row) {
+      NEXUS_RETURN_NOT_OK(flush());
+      band_row = t.row / rcs;
+    }
+    ArrayChunk& chunk = band[static_cast<size_t>(t.col / ccs)];
+    if (chunk.grid.empty()) chunk = out->BlankChunk({band_row, t.col / ccs});
+    int64_t off = (t.row % rcs) * chunk.extent[1] + t.col % ccs;
+    chunk.attrs[0].SetFloat64(off, t.value);
+    chunk.occupied[static_cast<size_t>(off)] = 1;
+  }
+  return flush();
 }
 
 Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
@@ -136,10 +167,8 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
       if (occ > 0.5 && rows * k_len < (1 << 22) && k_len * cols < (1 << 22)) {
         // Dense blocked GEMM.
         linalg::DenseMatrix da(rows, k_len), db(k_len, cols);
-        NEXUS_ASSIGN_OR_RETURN(auto ta, ToTriplets(*a, row_off, k_off));
-        NEXUS_ASSIGN_OR_RETURN(auto tb, ToTriplets(*b, k_off, col_off));
-        for (const auto& t : ta) da.Set(t.row, t.col, t.value);
-        for (const auto& t : tb) db.Set(t.row, t.col, t.value);
+        NEXUS_RETURN_NOT_OK(linalg::ScatterToDense(*a, row_off, k_off, &da));
+        NEXUS_RETURN_NOT_OK(linalg::ScatterToDense(*b, k_off, col_off, &db));
         NEXUS_ASSIGN_OR_RETURN(linalg::DenseMatrix dc,
                                linalg::MatMulBlocked(da, db));
         NEXUS_ASSIGN_OR_RETURN(
@@ -166,10 +195,7 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
                          DimensionSpec{col_name, col_off, cols,
                                        b->dim(1).chunk_size}},
                         attrs));
-      for (const linalg::Triplet& t : sc.ToTriplets()) {
-        NEXUS_RETURN_NOT_OK(out->Set({t.row + row_off, t.col + col_off},
-                                     {Value::Float64(t.value)}));
-      }
+      NEXUS_RETURN_NOT_OK(PutTriplets(sc.ToTriplets(), out.get()));
       return Dataset(NDArrayPtr(std::move(out)));
     }
     case OpKind::kAggregate: {

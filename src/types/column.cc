@@ -1,6 +1,5 @@
 #include "types/column.h"
 
-#include "common/logging.h"
 #include "common/str_util.h"
 
 namespace nexus {
@@ -159,15 +158,37 @@ void Column::SetNull(int64_t i) {
   v = 0;
 }
 
-void Column::Reserve(int64_t n) {
-  std::visit([n](auto& v) { v.reserve(static_cast<size_t>(n)); }, data_);
+void Column::AppendRows(const Column& src, const std::vector<int64_t>& rows) {
+  const bool nulls = src.has_nulls();
+  auto gather = [&](auto& dst, const auto& vals, auto canonical) {
+    for (int64_t r : rows) {
+      if (nulls && src.IsNull(r)) {
+        AppendNull();
+      } else {
+        dst.push_back(canonical(vals[static_cast<size_t>(r)]));
+        NoteAppended();
+      }
+    }
+  };
+  auto same = [](const auto& v) { return v; };
+  switch (type_) {
+    case DataType::kBool:
+      gather(Bools(), src.bools(), [](uint8_t b) -> uint8_t { return b != 0; });
+      break;
+    case DataType::kInt64:
+      gather(Ints(), src.ints(), same);
+      break;
+    case DataType::kFloat64:
+      gather(Doubles(), src.doubles(), same);
+      break;
+    case DataType::kString:
+      gather(Strings(), src.strings(), same);
+      break;
+  }
 }
 
-double Column::NumericAt(int64_t i) const {
-  size_t idx = static_cast<size_t>(i);
-  if (type_ == DataType::kInt64) return static_cast<double>(ints()[idx]);
-  NEXUS_CHECK(type_ == DataType::kFloat64) << "NumericAt on non-numeric column";
-  return doubles()[idx];
+void Column::Reserve(int64_t n) {
+  std::visit([n](auto& v) { v.reserve(static_cast<size_t>(n)); }, data_);
 }
 
 Column Column::Slice(int64_t offset, int64_t length) const {

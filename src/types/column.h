@@ -79,6 +79,35 @@ class Column {
     MarkValid(i);
   }
 
+  /// Overwrites row i with row j of `src`, null included, without boxing.
+  /// Precondition: `src` has this column's type.
+  void SetFrom(int64_t i, const Column& src, int64_t j) {
+    if (src.IsNull(j)) {
+      SetNull(i);
+      return;
+    }
+    size_t idx = static_cast<size_t>(j);
+    switch (type_) {
+      case DataType::kBool:
+        SetBool(i, src.bools()[idx] != 0);
+        break;
+      case DataType::kInt64:
+        SetInt64(i, src.ints()[idx]);
+        break;
+      case DataType::kFloat64:
+        SetFloat64(i, src.doubles()[idx]);
+        break;
+      case DataType::kString:
+        SetString(i, src.strings()[idx]);
+        break;
+    }
+  }
+
+  /// Appends rows `rows` of `src` (same type required), with the null
+  /// handling of per-row Append: a null row appends a canonical null, and
+  /// the validity mask is allocated only once a null actually lands.
+  void AppendRows(const Column& src, const std::vector<int64_t>& rows);
+
   /// Typed read access. Precondition: type() matches.
   const std::vector<int64_t>& ints() const { return std::get<std::vector<int64_t>>(data_); }
   const std::vector<double>& doubles() const { return std::get<std::vector<double>>(data_); }
@@ -92,8 +121,13 @@ class Column {
   /// first — the mask may be allocated yet all-ones.
   const std::vector<uint8_t>& validity() const { return validity_; }
 
-  /// Numeric read widened to double (works for int64 and float64 columns).
-  double NumericAt(int64_t i) const;
+  /// Numeric read widened to double (works for int64 and float64 columns;
+  /// any other type throws std::bad_variant_access).
+  double NumericAt(int64_t i) const {
+    size_t idx = static_cast<size_t>(i);
+    return type_ == DataType::kInt64 ? static_cast<double>(ints()[idx])
+                                     : doubles()[idx];
+  }
 
   /// New column containing rows [offset, offset+length).
   Column Slice(int64_t offset, int64_t length) const;

@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "common/memory.h"
-#include "common/parallel.h"
 #include "common/str_util.h"
 
 namespace nexus {
@@ -28,6 +27,11 @@ void ChargeChunk(const ArrayChunk& chunk) {
   int64_t bytes = static_cast<int64_t>(chunk.occupied.size());
   for (const Column& c : chunk.attrs) bytes += c.ByteSize();
   ChargeAllocation(bytes);
+}
+
+/// Chunks along one dimension: ceil(length / chunk_size), overflow-free.
+int64_t ChunksAlong(const DimensionSpec& d) {
+  return d.length / d.chunk_size + (d.length % d.chunk_size != 0);
 }
 
 int64_t ChunkBytes(const ArrayChunk& chunk) {
@@ -65,18 +69,27 @@ NDArray::NDArray(std::vector<DimensionSpec> dims, SchemaPtr attr_schema)
     : dims_(std::move(dims)), attr_schema_(std::move(attr_schema)) {
   grid_extent_.reserve(dims_.size());
   for (const DimensionSpec& d : dims_) {
-    grid_extent_.push_back((d.length + d.chunk_size - 1) / d.chunk_size);
+    grid_extent_.push_back(ChunksAlong(d));
   }
 }
 
 Result<std::shared_ptr<NDArray>> NDArray::Make(std::vector<DimensionSpec> dims,
                                                SchemaPtr attr_schema) {
   if (dims.empty()) return Status::InvalidArgument("NDArray needs >=1 dimension");
+  int64_t grid_cells = 1;
   for (const DimensionSpec& d : dims) {
     if (d.name.empty()) return Status::InvalidArgument("dimension with empty name");
     if (d.length <= 0 || d.chunk_size <= 0) {
       return Status::InvalidArgument(
           StrCat("dimension ", d.name, " must have positive length and chunk size"));
+    }
+    // Grid keys and exclusive ends are int64 arithmetic; refuse geometry
+    // that would overflow them.
+    int64_t end = 0;
+    if (__builtin_add_overflow(d.start, d.length, &end) ||
+        __builtin_mul_overflow(grid_cells, ChunksAlong(d), &grid_cells)) {
+      return Status::InvalidArgument(
+          StrCat("dimension ", d.name, " overflows the int64 coordinate space"));
     }
   }
   if (attr_schema == nullptr) {
@@ -235,36 +248,56 @@ int64_t NDArray::ResidentBytes() const {
 Result<ArrayChunk*> NDArray::ChunkFor(const std::vector<int64_t>& coords,
                                       int64_t* local_offset) {
   NEXUS_RETURN_NOT_OK(CheckBounds(coords));
-  std::vector<int64_t> grid(coords.size()), local(coords.size());
+  int64_t key = 0;
   for (size_t d = 0; d < coords.size(); ++d) {
-    int64_t rel = coords[d] - dims_[d].start;
-    grid[d] = rel / dims_[d].chunk_size;
-    local[d] = rel % dims_[d].chunk_size;
+    key = key * grid_extent_[d] + (coords[d] - dims_[d].start) / dims_[d].chunk_size;
   }
-  int64_t key = GridKey(grid);
   NEXUS_RETURN_NOT_OK(EnsureResident(key));
   auto it = chunks_.find(key);
   if (it == chunks_.end()) {
-    ArrayChunk chunk;
-    chunk.grid = grid;
-    chunk.lo.resize(coords.size());
-    chunk.extent.resize(coords.size());
+    std::vector<int64_t> grid(coords.size());
     for (size_t d = 0; d < coords.size(); ++d) {
-      chunk.lo[d] = dims_[d].start + grid[d] * dims_[d].chunk_size;
-      chunk.extent[d] =
-          std::min(dims_[d].chunk_size, dims_[d].end() - chunk.lo[d]);
+      grid[d] = (coords[d] - dims_[d].start) / dims_[d].chunk_size;
     }
-    int64_t volume = chunk.Volume();
-    chunk.attrs.reserve(static_cast<size_t>(attr_schema_->num_fields()));
-    for (const Field& f : attr_schema_->fields()) {
-      chunk.attrs.push_back(Column::Filled(f.type, volume));
-    }
-    chunk.occupied.assign(static_cast<size_t>(volume), 0);
+    ArrayChunk chunk = BlankChunk(grid);
     ChargeChunk(chunk);
     it = chunks_.emplace(key, std::move(chunk)).first;
   }
-  *local_offset = it->second.LocalOffset(local);
+  const ArrayChunk& chunk = it->second;
+  int64_t off = 0;
+  for (size_t d = 0; d < coords.size(); ++d) {
+    off = off * chunk.extent[d] + (coords[d] - chunk.lo[d]);
+  }
+  *local_offset = off;
   return &it->second;
+}
+
+ArrayChunk NDArray::BlankChunk(const std::vector<int64_t>& grid) const {
+  ArrayChunk chunk;
+  chunk.grid = grid;
+  chunk.lo.resize(grid.size());
+  chunk.extent.resize(grid.size());
+  for (size_t d = 0; d < grid.size(); ++d) {
+    chunk.lo[d] = dims_[d].start + grid[d] * dims_[d].chunk_size;
+    chunk.extent[d] = std::min(dims_[d].chunk_size, dims_[d].end() - chunk.lo[d]);
+  }
+  int64_t volume = chunk.Volume();
+  chunk.attrs.reserve(static_cast<size_t>(attr_schema_->num_fields()));
+  for (const Field& f : attr_schema_->fields()) {
+    chunk.attrs.push_back(Column::Filled(f.type, volume));
+  }
+  chunk.occupied.assign(static_cast<size_t>(volume), 0);
+  return chunk;
+}
+
+ChunkCursor::ChunkCursor(NDArray* array)
+    : array_(array), coords_(static_cast<size_t>(array->num_dims())) {}
+
+Result<ArrayChunk*> ChunkCursor::SeekChunk(const int64_t* coords, int64_t* offset) {
+  coords_.assign(coords, coords + coords_.size());
+  chunk_ = nullptr;
+  NEXUS_ASSIGN_OR_RETURN(chunk_, array_->ChunkFor(coords_, offset));
+  return chunk_;
 }
 
 Status NDArray::PutChunk(ArrayChunk chunk) {
@@ -432,19 +465,73 @@ void NDArray::ForEachCell(
 }
 
 Result<TablePtr> NDArray::ToTable() const {
-  TableBuilder builder(CombinedSchema());
-  builder.Reserve(NumCellsOccupied());
-  Status st = Status::OK();
-  ForEachCell([&](const std::vector<int64_t>& coords, std::vector<Value> attrs) {
-    if (!st.ok()) return;
-    std::vector<Value> row;
-    row.reserve(coords.size() + attrs.size());
-    for (int64_t c : coords) row.push_back(Value::Int64(c));
-    for (Value& v : attrs) row.push_back(std::move(v));
-    st = builder.AppendRow(row);
-  });
-  NEXUS_RETURN_NOT_OK(st);
-  return builder.Finish();
+  NEXUS_RETURN_NOT_OK(EnsureAllResident());
+  // One pass per chunk over the occupancy mask, a row of the last dimension
+  // at a time, with an odometer over the leading dimensions. It emits the
+  // dimension columns and records the occupied offsets, which then gather
+  // each attribute column in bulk.
+  const size_t ndims = dims_.size();
+  const size_t last = ndims - 1;  // Make guarantees >= 1 dimension
+  std::vector<int64_t> counts;
+  counts.reserve(chunks_.size());
+  int64_t rows = 0;
+  for (const auto& [key, chunk] : chunks_) {
+    counts.push_back(chunk.OccupiedCount());
+    rows += counts.back();
+  }
+  // Every cell is written at the next output slot, which advances only when
+  // the cell is occupied (branch-free on sparse masks), so each buffer
+  // carries one spare slot until the end.
+  std::vector<std::vector<int64_t>> occupied(chunks_.size());
+  std::vector<std::vector<int64_t>> coord_cols(
+      ndims, std::vector<int64_t>(static_cast<size_t>(rows) + 1));
+  std::vector<int64_t*> next_coord;  // per dimension, the next output slot
+  for (std::vector<int64_t>& c : coord_cols) next_coord.push_back(c.data());
+  size_t ci = 0;
+  for (const auto& [key, chunk] : chunks_) {
+    std::vector<int64_t>& offs = occupied[ci];
+    offs.resize(static_cast<size_t>(counts[ci++]) + 1);
+    int64_t* next_off = offs.data();
+    const uint8_t* occ = chunk.occupied.data();
+    const int64_t volume = chunk.Volume(), inner = chunk.extent[last];
+    std::vector<int64_t> row = chunk.lo;  // global coordinates of the row start
+    for (int64_t base = 0; base < volume; base += inner) {
+      const int64_t row_last = row[last];
+      int64_t* last_col = next_coord[last];
+      for (int64_t j = 0; j < inner; ++j) {
+        const int64_t hit = occ[base + j] != 0;
+        *next_off = base + j;
+        next_off += hit;
+        *last_col = row_last + j;
+        last_col += hit;
+      }
+      // The leading coordinates are constant along the row.
+      const int64_t hits = last_col - next_coord[last];
+      next_coord[last] = last_col;
+      for (size_t d = 0; d < last; ++d) {
+        next_coord[d] = std::fill_n(next_coord[d], hits, row[d]);
+      }
+      for (size_t d = last; d-- > 0;) {
+        if (++row[d] < chunk.lo[d] + chunk.extent[d]) break;
+        row[d] = chunk.lo[d];
+      }
+    }
+    offs.pop_back();
+  }
+  for (std::vector<int64_t>& c : coord_cols) c.pop_back();
+  std::vector<Column> cols;
+  cols.reserve(ndims + static_cast<size_t>(attr_schema_->num_fields()));
+  for (std::vector<int64_t>& c : coord_cols) cols.push_back(Column::FromInt64(std::move(c)));
+  for (int a = 0; a < attr_schema_->num_fields(); ++a) {
+    Column col(attr_schema_->field(a).type);
+    col.Reserve(rows);
+    ci = 0;
+    for (const auto& [key, chunk] : chunks_) {
+      col.AppendRows(chunk.attrs[static_cast<size_t>(a)], occupied[ci++]);
+    }
+    cols.push_back(std::move(col));
+  }
+  return Table::Make(CombinedSchema(), std::move(cols));
 }
 
 Result<std::shared_ptr<NDArray>> NDArray::FromTable(
@@ -474,33 +561,19 @@ Result<std::shared_ptr<NDArray>> NDArray::FromTable(
     }
     int64_t lo = 0, hi = 0;
     if (table.num_rows() > 0) {
-      // Morsel-parallel min/max: each morsel reduces its slot, the final
-      // reduction is over the (order-insensitive) per-morsel extremes.
-      const std::vector<int64_t>& vals = c.ints();
-      const int64_t n = static_cast<int64_t>(vals.size());
-      const size_t morsels =
-          static_cast<size_t>((n + kMorselRows - 1) / kMorselRows);
-      std::vector<int64_t> los(morsels), his(morsels);
-      ParallelFor(n, kMorselRows, [&](int64_t b, int64_t e) {
-        int64_t mlo = vals[static_cast<size_t>(b)], mhi = mlo;
-        for (int64_t r = b + 1; r < e; ++r) {
-          mlo = std::min(mlo, vals[static_cast<size_t>(r)]);
-          mhi = std::max(mhi, vals[static_cast<size_t>(r)]);
-        }
-        los[static_cast<size_t>(b / kMorselRows)] = mlo;
-        his[static_cast<size_t>(b / kMorselRows)] = mhi;
-      });
-      lo = los[0];
-      hi = his[0];
-      for (size_t m = 1; m < morsels; ++m) {
-        lo = std::min(lo, los[m]);
-        hi = std::max(hi, his[m]);
-      }
+      auto [mn, mx] = std::minmax_element(c.ints().begin(), c.ints().end());
+      lo = *mn;
+      hi = *mx;
     }
     DimensionSpec spec;
     spec.name = dim_names[d];
     spec.start = lo;
-    spec.length = table.num_rows() > 0 ? hi - lo + 1 : 1;
+    spec.length = 1;
+    if (__builtin_sub_overflow(hi, lo, &spec.length) ||
+        __builtin_add_overflow(spec.length, 1, &spec.length)) {
+      return Status::InvalidArgument(
+          StrCat("dimension column ", dim_names[d], " spans more than int64"));
+    }
     spec.chunk_size = chunk_sizes[d] > 0 ? chunk_sizes[d] : spec.length;
     dims.push_back(spec);
   }
@@ -517,20 +590,25 @@ Result<std::shared_ptr<NDArray>> NDArray::FromTable(
   NEXUS_ASSIGN_OR_RETURN(SchemaPtr attr_schema, Schema::Make(std::move(attr_fields)));
   NEXUS_ASSIGN_OR_RETURN(std::shared_ptr<NDArray> array,
                          NDArray::Make(std::move(dims), std::move(attr_schema)));
+  // One pass over the rows, writing typed values straight from the source
+  // columns into the chunk each row lands in.
+  std::vector<const int64_t*> coord_data;
+  for (int c : dim_cols) coord_data.push_back(table.column(c).ints().data());
   std::vector<int64_t> coords(dim_cols.size());
-  std::vector<Value> attrs(attr_cols.size());
+  ChunkCursor cursor(array.get());
   for (int64_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t d = 0; d < dim_cols.size(); ++d) {
-      coords[d] = table.column(dim_cols[d]).ints()[static_cast<size_t>(r)];
-    }
-    if (array->Has(coords)) {
+    for (size_t d = 0; d < coords.size(); ++d) coords[d] = coord_data[d][r];
+    int64_t off = 0;
+    NEXUS_ASSIGN_OR_RETURN(ArrayChunk * chunk, cursor.Seek(coords.data(), &off));
+    uint8_t& occupied = chunk->occupied[static_cast<size_t>(off)];
+    if (occupied) {
       return Status::InvalidArgument(
           StrCat("FromTable: duplicate coordinates at row ", r));
     }
     for (size_t a = 0; a < attr_cols.size(); ++a) {
-      attrs[a] = table.At(r, attr_cols[a]);
+      chunk->attrs[a].SetFrom(off, table.column(attr_cols[a]), r);
     }
-    NEXUS_RETURN_NOT_OK(array->Set(coords, attrs));
+    occupied = 1;
   }
   return array;
 }

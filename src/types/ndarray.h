@@ -134,6 +134,11 @@ class NDArray {
   /// offset within it. Errors when out of bounds.
   Result<ArrayChunk*> ChunkFor(const std::vector<int64_t>& coords, int64_t* local_offset);
 
+  /// A chunk with no cell occupied at grid position `grid` (which must be
+  /// in range), shaped and typed for this array but not inserted. Bulk
+  /// builders fill it and hand it to PutChunk.
+  ArrayChunk BlankChunk(const std::vector<int64_t>& grid) const;
+
   /// Inserts a fully-formed chunk at its grid position, replacing any
   /// existing chunk there. The chunk's grid/lo/extent must agree with this
   /// array's geometry (checked); attribute columns must match the attribute
@@ -146,12 +151,15 @@ class NDArray {
       const std::function<void(const std::vector<int64_t>&, std::vector<Value>)>& fn) const;
 
   /// Flattens into a table: dimension columns (tagged) then attributes, one
-  /// row per occupied cell, deterministic order.
+  /// row per occupied cell, deterministic order. Built a chunk at a time
+  /// from the occupancy masks; errors when an evicted chunk cannot be
+  /// paged back in.
   Result<TablePtr> ToTable() const;
 
   /// Reboxes a table into an array. `dim_names` selects the coordinate
-  /// columns (must be int64, non-null); bounds are inferred from the data
-  /// unless `dims` overrides them. Duplicate coordinates error.
+  /// columns (must be int64, non-null); bounds are inferred from the data.
+  /// A chunk size <= 0 spans the whole dimension. Duplicate coordinates
+  /// error, naming the first repeated row.
   static Result<std::shared_ptr<NDArray>> FromTable(
       const Table& table, const std::vector<std::string>& dim_names,
       const std::vector<int64_t>& chunk_sizes);
@@ -212,6 +220,48 @@ class NDArray {
   mutable std::mutex page_mu_;          // serializes fault-in
   mutable std::set<int64_t> evicted_;   // guarded by page_mu_
   mutable std::atomic<int64_t> evicted_count_{0};
+};
+
+/// Bulk cell writer for builders that visit cells in (mostly) chunk order.
+/// While consecutive cells stay in one chunk the cursor reuses the chunk
+/// pointer and computes the local offset arithmetically; any other cell
+/// goes through ChunkFor, so chunks are created (and memory-metered) exactly
+/// as per-cell Set would. The array must not evict chunks while a cursor is
+/// live.
+class ChunkCursor {
+ public:
+  explicit ChunkCursor(NDArray* array);
+
+  /// Locates the cell at global `coords` (num_dims() values), creating its
+  /// chunk on demand, and sets `*offset` to its local offset. Errors when
+  /// out of bounds.
+  Result<ArrayChunk*> Seek(const int64_t* coords, int64_t* offset) {
+    if (chunk_ != nullptr) {
+      // Still inside the previous cell's chunk: the local offset is plain
+      // arithmetic on the chunk's box, no division and no lookup.
+      int64_t off = 0;
+      size_t d = 0;
+      for (; d < coords_.size(); ++d) {
+        uint64_t local =
+            static_cast<uint64_t>(coords[d]) - static_cast<uint64_t>(chunk_->lo[d]);
+        if (local >= static_cast<uint64_t>(chunk_->extent[d])) break;
+        off = off * chunk_->extent[d] + static_cast<int64_t>(local);
+      }
+      if (d == coords_.size()) {
+        *offset = off;
+        return chunk_;
+      }
+    }
+    return SeekChunk(coords, offset);
+  }
+
+ private:
+  // Seek's path for a cell outside the previous cell's chunk.
+  Result<ArrayChunk*> SeekChunk(const int64_t* coords, int64_t* offset);
+
+  NDArray* array_;
+  ArrayChunk* chunk_ = nullptr;   // chunk of the previous cell
+  std::vector<int64_t> coords_;  // scratch for ChunkFor
 };
 
 }  // namespace nexus

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "core/serialize.h"
+#include "core/wire_format.h"
 #include "expr/builder.h"
 #include "frontend/bdl.h"
 #include "tests/test_util.h"
@@ -92,6 +93,76 @@ TEST_P(ParserFuzzTest, MutatedWirePlansFailCleanlyOrStayValid) {
       EXPECT_TRUE(parsed.ValueOrDie()->Equals(*reparsed.ValueOrDie()));
     }
   }
+}
+
+// Array datasets in both wire forms. The decoders rebox through
+// NDArray::FromTable, so corrupted geometry must be refused before any
+// chunk is allocated; whatever still decodes must round-trip.
+TEST_P(ParserFuzzTest, MutatedArrayDatasetsFailCleanlyOrRoundTrip) {
+  SchemaPtr s = Schema::Make({Field::Dim("i"), Field::Dim("j"),
+                              Field::Attr("v", DataType::kFloat64),
+                              Field::Attr("tag", DataType::kString)})
+                    .ValueOrDie();
+  TableBuilder b(s);
+  for (int64_t i = -3; i < 5; ++i) {
+    for (int64_t j = 0; j < 6; j += 1 + (i & 1)) {
+      Value v = (i + j) % 5 == 0 ? Value::Null() : Value::Float64(i * 0.5 - j);
+      EXPECT_OK(b.AppendRow({Value::Int64(i), Value::Int64(j), v,
+                             Value::String(j % 2 == 0 ? "even" : "odd")}));
+    }
+  }
+  Dataset array(Dataset(b.Finish().ValueOrDie()).AsArray(4).ValueOrDie());
+  for (WireFormat format : {WireFormat::kText, WireFormat::kBinary}) {
+    std::string wire = SerializeDatasetWire(array, format);
+    for (int trial = 0; trial < 150; ++trial) {
+      auto parsed = ParseDatasetWire(Mutate(&rng_, wire));
+      if (!parsed.ok()) continue;  // clean rejection
+      const Dataset& got = parsed.ValueOrDie();
+      auto reparsed = ParseDatasetWire(SerializeDatasetWire(got, format));
+      ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+      EXPECT_TRUE(got.LogicallyEquals(reparsed.ValueOrDie()));
+    }
+  }
+}
+
+// Two cells 2^40 apart shipped with chunk size 0: decoded naively this is
+// one 2^40-cell chunk (std::bad_alloc). Both wire forms must refuse it.
+TEST(ParserFuzzRegressionTest, NonPositiveWireChunkSizeIsRejected) {
+  SchemaPtr s = Schema::Make({Field::Dim("i"), Field::Attr("v", DataType::kFloat64)})
+                    .ValueOrDie();
+  TableBuilder b(s);
+  EXPECT_OK(b.AppendRow({Value::Int64(0), Value::Float64(1.0)}));
+  EXPECT_OK(b.AppendRow({Value::Int64(int64_t{1} << 40), Value::Float64(2.0)}));
+  Dataset sparse(Dataset(b.Finish().ValueOrDie()).AsArray(1).ValueOrDie());
+
+  std::string text = SerializeDatasetWire(sparse, WireFormat::kText);
+  size_t at = text.find("(chunks 1)");
+  ASSERT_NE(at, std::string::npos) << text;
+  for (const char* chunk : {"(chunks 0)", "(chunks -4)"}) {
+    std::string bad = text;
+    bad.replace(at, 10, chunk);
+    auto parsed = ParseDatasetWire(bad);
+    ASSERT_FALSE(parsed.ok()) << chunk;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kSerializationError);
+  }
+
+  // NXB1: magic, u16 version, u8 flags, u16 nfields, per field
+  // {u8 type, u8 is_dim, u16 name_len, name}, u16 ndims, then the u64
+  // chunk size.
+  std::string binary = SerializeDatasetWire(sparse, WireFormat::kBinary);
+  size_t chunk_at = 4 + 2 + 1 + 2 + (4 + 1) * 2 + 2;
+  ASSERT_EQ(binary[chunk_at], 1);
+  binary[chunk_at] = 0;
+  auto parsed = ParseDatasetWire(binary);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kSerializationError);
+
+  // A positive chunk size whose clipped chunk (here 2^40 cells) exceeds the
+  // wire row bound is refused the same way.
+  binary[chunk_at + 5] = 1;
+  parsed = ParseDatasetWire(binary);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kSerializationError);
 }
 
 TEST_P(ParserFuzzTest, MutatedBdlFailsCleanlyOrParses) {

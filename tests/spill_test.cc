@@ -15,9 +15,11 @@
 #include "arraydb/engine.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "exec/spill/chunk_pager.h"
 #include "exec/spill/spill.h"
 #include "expr/builder.h"
+#include "federation/coordinator.h"
 #include "relational/engine.h"
 #include "tests/test_util.h"
 #include "types/ndarray.h"
@@ -484,6 +486,46 @@ TEST(ChunkEvictionTest, ArrayOpsShedResultsUnderBudgetAndStayIdentical) {
   spill::ClearSpillBudgetOverride();
   // Equals faulted everything back in; no scratch survives the reads.
   EXPECT_EQ(SpillManager::Global().live_files(), 0);
+}
+
+/// Parks chunk payloads but can never bring one back: the scratch store
+/// went away underneath the array.
+class LostScratchPager : public ChunkPager {
+ public:
+  Status PageOut(int64_t, ArrayChunk) override { return Status::OK(); }
+  Result<ArrayChunk> PageIn(int64_t key) override {
+    return Status::IOError(StrCat("scratch chunk ", key, " is gone"));
+  }
+  void Drop(int64_t) override {}
+  int64_t paged_bytes() const override { return 0; }
+};
+
+TEST(ChunkEvictionTest, FailedPageInIsAnErrorNotATruncatedArray) {
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<NDArray> a,
+      NDArray::Make({DimensionSpec{"i", 0, 8, 4}},
+                    MakeSchema({Field::Attr("v", DataType::kFloat64)})));
+  for (int64_t i = 0; i < 8; ++i) ASSERT_OK(a->Set({i}, {F(static_cast<double>(i))}));
+  Cluster cluster;
+  ASSERT_OK(cluster.AddServer("arraydb", MakeArrayProvider()));
+  ASSERT_OK(cluster.AddServer("relstore", MakeRelationalProvider()));
+  ASSERT_OK(cluster.PutData("arraydb", "A", Dataset(NDArrayPtr(a))));
+
+  a->SetPager(std::make_shared<LostScratchPager>());
+  ASSERT_OK(a->EvictChunk({1}));
+  // Flattening must report the lost chunk, not return the 4 resident rows.
+  auto flat = a->ToTable();
+  ASSERT_FALSE(flat.ok()) << "got " << flat.ValueOrDie()->num_rows() << " rows";
+  EXPECT_EQ(flat.status().code(), StatusCode::kIOError);
+
+  // Shipping the array — to the client or to another server — surfaces the
+  // same error instead of encoding a short table.
+  Coordinator coord(&cluster);
+  auto fetched = coord.Execute(Plan::Scan("A"));
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_EQ(fetched.status().code(), StatusCode::kIOError);
+  Status replicated = cluster.Replicate("A", "relstore");
+  EXPECT_EQ(replicated.code(), StatusCode::kIOError);
 }
 
 // ---------------------------------------------------------------------------
