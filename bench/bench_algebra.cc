@@ -14,12 +14,12 @@
 //     VxMPush kernel); bitwise-equal ranks.
 //   e17_bfs_native / e17_bfs_algebra: BFS over 65,536 nodes, frozen queue
 //     loop vs graph::Bfs (the min_plus MaskedVxM kernel); equal levels.
-//   e17_agg_<engine>: one SUM/MIN/MAX/COUNT aggregate-as-Union⊕ plan
+//   e17_agg_<engine>: one SUM/MIN/MAX/COUNT/AVG aggregate-as-Union⊕ plan
 //     executed by every provider — reference, relstore, arraydb, linalg,
 //     graphd. Gate: all byte-identical to reference — recorded as
 //     e17_agg_engines_identical (rows = agreeing engines).
-//   e17_lower_offon_identical: LowerAggregate vs relational::HashAggregate
-//     on the same input, byte-identical (rows=1).
+//   e17_agg_threads_identical: the grouped fold (LowerAggregate) at 1 and
+//     at 4 threads on the same input, byte-identical (rows=1).
 //   e17_ops_lowered: a coordinator run; the lower_semiring pass must count
 //     the aggregate (last_optimizer_stats().ops_lowered > 0) and
 //     ExplainAnalyze must carry the "algebra:" summary line.
@@ -45,7 +45,6 @@
 #include "graph/graph.h"
 #include "linalg/sparse.h"
 #include "provider/provider.h"
-#include "relational/engine.h"
 
 using namespace nexus;         // NOLINT
 using namespace nexus::exprs;  // NOLINT
@@ -311,7 +310,8 @@ PlanPtr AggPlan() {
                           AggSpec{AggFunc::kSum, Col("c"), "sc"},
                           AggSpec{AggFunc::kMin, Col("v"), "lo"},
                           AggSpec{AggFunc::kMax, Col("c"), "hi"},
-                          AggSpec{AggFunc::kCount, nullptr, "n"}});
+                          AggSpec{AggFunc::kCount, nullptr, "n"},
+                          AggSpec{AggFunc::kAvg, Col("v"), "mean"}});
 }
 
 void RunEngineArms(benchjson::Recorder* json) {
@@ -330,7 +330,7 @@ void RunEngineArms(benchjson::Recorder* json) {
     NEXUS_CHECK(e.provider->catalog()->Put("fact17", Dataset(fact)).ok());
   }
 
-  std::printf("\nSUM/MIN/MAX/COUNT aggregate over %lld rows\n",
+  std::printf("\nSUM/MIN/MAX/COUNT/AVG aggregate over %lld rows\n",
               static_cast<long long>(kAggRows));
   TablePtr baseline;
   int identical = 0;
@@ -353,14 +353,18 @@ void RunEngineArms(benchjson::Recorder* json) {
   json->Record("e17_agg_engines_identical", identical, 0.0);
   std::printf("  all %d engines byte-identical to reference\n", identical);
 
-  // The algebra's aggregate against the relational engine's on the same
-  // input: not a single byte may differ.
-  TablePtr lowered = algebra::LowerAggregate(fact, plan->As<AggregateOp>()).ValueOrDie();
-  TablePtr hashed =
-      relational::HashAggregate(fact, plan->As<AggregateOp>()).ValueOrDie();
-  NEXUS_CHECK(lowered->Equals(*hashed));
-  json->Record("e17_lower_offon_identical", 1, 0.0);
-  std::printf("  LowerAggregate vs HashAggregate: byte-identical\n");
+  // The one grouped fold at 1 and at 4 threads: the partition-by-hash
+  // path must not change a single byte.
+  const int saved_threads = GetThreadCount();
+  SetThreadCount(1);
+  TablePtr one = algebra::LowerAggregate(fact, plan->As<AggregateOp>()).ValueOrDie();
+  SetThreadCount(4);
+  TablePtr four = algebra::LowerAggregate(fact, plan->As<AggregateOp>()).ValueOrDie();
+  SetThreadCount(saved_threads);
+  NEXUS_CHECK(one->Equals(*four));
+  NEXUS_CHECK(one->Equals(*baseline));
+  json->Record("e17_agg_threads_identical", 1, 0.0);
+  std::printf("  LowerAggregate at 1 vs 4 threads: byte-identical\n");
 
   // Planner visibility: the lower_semiring pass counts the aggregate and
   // ExplainAnalyze carries the algebra summary line.

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 
+#include "algebra/kernels.h"
 #include "arraydb/engine.h"
 #include "bench_json.h"
 #include "common/logging.h"
@@ -85,20 +86,20 @@ void BM_RelationalHashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_RelationalHashJoin)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 17);
 
-void BM_RelationalHashAggregate(benchmark::State& state) {
+void BM_LowerAggregate(benchmark::State& state) {
   TablePtr t = MakeFactTable(state.range(0), 4);
   AggregateOp op;
   op.group_by = {"k"};
   op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
              AggSpec{AggFunc::kCount, nullptr, "n"}};
   for (auto _ : state) {
-    auto r = relational::HashAggregate(t, op);
+    auto r = algebra::LowerAggregate(t, op);
     NEXUS_CHECK(r.ok());
     benchmark::DoNotOptimize(r.ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_RelationalHashAggregate)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
+BENCHMARK(BM_LowerAggregate)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
 void BM_RelationalSort(benchmark::State& state) {
   TablePtr t = MakeFactTable(state.range(0), 5);

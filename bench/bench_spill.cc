@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "algebra/kernels.h"
 #include "bench_json.h"
 #include "common/logging.h"
 #include "common/memory.h"
@@ -137,7 +138,7 @@ int main() {
       return relational::HashJoin(left, right, join).ValueOrDie();
     });
     agg_mem = Run([&] {
-      return relational::HashAggregate(left, agg).ValueOrDie();
+      return algebra::LowerAggregate(left, agg).ValueOrDie();
     });
   }
   const int64_t peak = probe.peak();
@@ -156,7 +157,7 @@ int main() {
     return relational::HashJoin(left, right, join).ValueOrDie();
   });
   Arm agg_spill = Run([&] {
-    return relational::HashAggregate(left, agg).ValueOrDie();
+    return algebra::LowerAggregate(left, agg).ValueOrDie();
   });
   spill::ClearSpillOverride();
   spill::ClearSpillBudgetOverride();

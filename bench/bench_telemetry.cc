@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "algebra/kernels.h"
 #include "bench_json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -138,7 +139,7 @@ int main() {
     op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
                AggSpec{AggFunc::kCount, nullptr, "n"}};
     compare("aggregate", kRows, [&] {
-      return relational::HashAggregate(t, op).ValueOrDie();
+      return algebra::LowerAggregate(t, op).ValueOrDie();
     });
   }
   {

@@ -67,110 +67,13 @@ bool PairKeysEqual(const Table& a, int64_t ar, const std::vector<int>& ac,
   return true;
 }
 
-// Group-key equality with SQL semantics (nulls equal each other), matching
-// relational::HashAggregate so LowerAggregate groups identically. Over
-// associative arrays keys are never null, so this degrades to plain equality.
-bool GroupKeysEqual(const Table& t, int64_t ar, int64_t br,
-                    const std::vector<int>& cols) {
-  for (int c : cols) {
-    const Column& col = t.column(c);
-    bool na = col.IsNull(ar), nb = col.IsNull(br);
-    if (na != nb) return false;
-    if (na) continue;
-    if (col.GetValue(ar) != col.GetValue(br)) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // The shared ⊕-fold core. Normalize/Union/Reduce and LowerAggregate all run
 // on this one implementation — the "write it once, not four times" payoff.
 // ---------------------------------------------------------------------------
 
-/// Per-(group, fold) accumulator. `+`-folds accumulate from the ring zero
-/// (bit-identical to the engines' `acc = 0; acc += v` loops); min/max/or
-/// folds seed from the first value (the engines' has-extreme seeding).
-struct MonoidState {
-  int64_t count = 0;  ///< non-null contributions (count_star: all rows)
-  int64_t iacc = 0;
-  double facc = 0.0;
-  std::string sacc;
-  bool seen = false;
-};
-
-/// One ⊕-fold over one input column.
-struct FoldSpec {
-  MonoidOp op = MonoidOp::kAdd;
-  bool lift = false;        ///< fold ring-one per entry (COUNT-style rings)
-  bool count_star = false;  ///< count every row, ignoring the input column
-  int64_t one_i = 1;
-  double one_f = 1.0;
-};
-
-Status FoldRow(const FoldSpec& f, const Column& c, int64_t r, MonoidState* st) {
-  if (f.count_star) {
-    ++st->count;
-    return Status::OK();
-  }
-  if (c.IsNull(r)) return Status::OK();
-  if (c.type() == DataType::kBool) {
-    return Status::TypeError("cannot aggregate bool input");
-  }
-  ++st->count;
-  if (f.lift) {
-    if (f.op == MonoidOp::kAdd) {
-      st->iacc += f.one_i;
-      st->facc += f.one_f;
-    } else {
-      st->iacc = st->seen ? ApplyI(f.op, st->iacc, f.one_i) : f.one_i;
-      st->facc = st->seen ? ApplyF(f.op, st->facc, f.one_f) : f.one_f;
-    }
-    st->seen = true;
-    return Status::OK();
-  }
-  switch (c.type()) {
-    case DataType::kInt64: {
-      int64_t v = c.ints()[static_cast<size_t>(r)];
-      if (f.op == MonoidOp::kAdd) {
-        st->iacc += v;
-        st->facc += static_cast<double>(v);  // engines track both sums
-      } else {
-        st->iacc = st->seen ? ApplyI(f.op, st->iacc, v) : v;
-        st->facc = st->seen ? ApplyF(f.op, st->facc, static_cast<double>(v))
-                            : static_cast<double>(v);
-      }
-      break;
-    }
-    case DataType::kFloat64: {
-      double v = c.doubles()[static_cast<size_t>(r)];
-      if (f.op == MonoidOp::kAdd) {
-        st->facc += v;
-      } else {
-        st->facc = st->seen ? ApplyF(f.op, st->facc, v) : v;
-      }
-      break;
-    }
-    case DataType::kString: {
-      const std::string& s = c.strings()[static_cast<size_t>(r)];
-      // Strings extend the fold as an ordered monoid under min/max only;
-      // other ops contribute count alone (matching the engine, whose
-      // numeric sums simply stay zero for string inputs).
-      if (f.op == MonoidOp::kMin) {
-        if (!st->seen || s < st->sacc) st->sacc = s;
-      } else if (f.op == MonoidOp::kMax) {
-        if (!st->seen || s > st->sacc) st->sacc = s;
-      }
-      break;
-    }
-    case DataType::kBool:
-      break;  // unreachable (checked above)
-  }
-  st->seen = true;
-  return Status::OK();
-}
-
 /// One hash partition's fold state (the sequential path uses a single
-/// partition covering every hash) — the shape of relational's AggPartition.
+/// partition covering every hash).
 struct FoldPartition {
   std::unordered_map<uint64_t, std::vector<size_t>> buckets;
   std::vector<int64_t> rep_row;
@@ -192,7 +95,7 @@ Status AccumulateFold(const Table& input, const std::vector<int>& group_cols,
     std::vector<size_t>& bucket = part->buckets[h];
     size_t group = SIZE_MAX;
     for (size_t g : bucket) {
-      if (GroupKeysEqual(input, part->rep_row[g], r, group_cols)) {
+      if (relational::GroupKeysEqual(input, part->rep_row[g], r, group_cols)) {
         group = g;
         break;
       }
@@ -216,17 +119,18 @@ struct GroupFoldOut {
   std::vector<std::vector<MonoidState>> states;
 };
 
-// Out-of-core grouped ⊕-fold, the algebra twin of relational's spilled
-// aggregation: Grace-partition a (keys + fold inputs) working table by group
-// hash, fold each loaded partition with the ordinary sequential pass, and
-// sort the merged groups by their global rep row. A group's rows share one
-// hash, so one partition folds them all in ascending original-row order —
-// the sequential ⊕ order — and the merge restores first-seen group order.
+// Out-of-core grouped ⊕-fold: Grace-partition a (keys + fold inputs)
+// working table by group hash, fold each loaded partition with the ordinary
+// sequential pass, and sort the merged groups by their global rep row. A
+// group's rows share one hash, so one partition folds them all in ascending
+// original-row order — the sequential ⊕ order — and the merge restores
+// first-seen group order.
 Result<GroupFoldOut> SpillGroupFold(const Table& input,
                                     const std::vector<int>& group_cols,
                                     const std::vector<FoldSpec>& folds,
                                     const std::vector<Column>& fold_inputs,
-                                    const std::vector<uint64_t>& hashes) {
+                                    const std::vector<uint64_t>& hashes,
+                                    telemetry::SpanGuard* span) {
   std::vector<Field> wfields;
   std::vector<Column> wcols;
   std::vector<int> wgroup_cols;
@@ -292,84 +196,96 @@ Result<GroupFoldOut> SpillGroupFold(const Table& input,
     out.states.push_back(std::move(gs));
   }
   Count("algebra.spilled_folds");
+  span->AddCounter("spill_partitions", spiller.stats().partitions);
+  span->AddCounter("spill_bytes", spiller.stats().bytes_spilled);
   return out;
 }
 
-/// The full grouped ⊕-fold with relational::HashAggregate's exact parallel
-/// skeleton: same hashes, same sequential-path condition, same pow-2
-/// partition count, and the same rep_row sort restoring first-seen group
-/// order — so anything built on this fold is byte-identical at any thread
-/// count, and LowerAggregate is byte-identical to the engine it replaces.
+/// The full grouped ⊕-fold: one pass over the rows in ascending order, or
+/// — with several threads and enough rows — one pass per pow-2 hash
+/// partition, merged by sorting groups on their first row, which restores
+/// the sequential first-seen group order. Anything built on this fold is
+/// therefore byte-identical at any thread count. The group states are
+/// charged to `working_set` (the caller keeps them until it has finished).
 Result<GroupFoldOut> GroupFold(const Table& input,
                                const std::vector<int>& group_cols,
                                const std::vector<FoldSpec>& folds,
-                               const std::vector<Column>& fold_inputs) {
+                               const std::vector<Column>& fold_inputs,
+                               ScopedCharge* working_set,
+                               telemetry::SpanGuard* span) {
   NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> hashes,
                          relational::HashRows(input, group_cols));
   GroupFoldOut out;
   const int64_t n = input.num_rows();
-  // Out-of-core path (mirrors relational::HashAggregate's spill branch).
+  // Out-of-core path: partition the (keys + fold inputs) working table to
+  // disk when it would cross the query's budget.
+  bool spill = false;
   if (!group_cols.empty() && n > 0) {
     int64_t working_bytes = 0;
     for (int c : group_cols) working_bytes += input.column(c).ByteSize();
     for (const Column& c : fold_inputs) working_bytes += c.ByteSize();
-    if (spill::ShouldSpill(working_bytes)) {
-      return SpillGroupFold(input, group_cols, folds, fold_inputs, hashes);
-    }
+    spill = spill::ShouldSpill(working_bytes);
   }
-  if (GetThreadCount() == 1 || group_cols.empty() || n < 2 * kMorselRows) {
+  if (spill) {
+    NEXUS_ASSIGN_OR_RETURN(out, SpillGroupFold(input, group_cols, folds,
+                                               fold_inputs, hashes, span));
+  } else if (GetThreadCount() == 1 || group_cols.empty() ||
+             n < 2 * kMorselRows) {
     FoldPartition all;
     NEXUS_RETURN_NOT_OK(AccumulateFold(input, group_cols, folds, fold_inputs,
                                        hashes, 0, 0, &all));
     out.rep_row = std::move(all.rep_row);
     out.states = std::move(all.states);
-    return out;
-  }
-  int parts = 1;
-  while (parts < GetThreadCount() && parts < 64) parts *= 2;
-  const uint64_t mask = static_cast<uint64_t>(parts - 1);
-  std::vector<FoldPartition> partitions(static_cast<size_t>(parts));
-  std::vector<Status> statuses(static_cast<size_t>(parts), Status::OK());
-  ParallelFor(parts, 1, [&](int64_t pb, int64_t pe) {
-    for (int64_t p = pb; p < pe; ++p) {
-      statuses[static_cast<size_t>(p)] =
-          AccumulateFold(input, group_cols, folds, fold_inputs, hashes, mask,
-                         static_cast<uint64_t>(p),
-                         &partitions[static_cast<size_t>(p)]);
+  } else {
+    int parts = 1;
+    while (parts < GetThreadCount() && parts < 64) parts *= 2;
+    const uint64_t mask = static_cast<uint64_t>(parts - 1);
+    std::vector<FoldPartition> partitions(static_cast<size_t>(parts));
+    std::vector<Status> statuses(static_cast<size_t>(parts), Status::OK());
+    ParallelFor(parts, 1, [&](int64_t pb, int64_t pe) {
+      for (int64_t p = pb; p < pe; ++p) {
+        statuses[static_cast<size_t>(p)] =
+            AccumulateFold(input, group_cols, folds, fold_inputs, hashes, mask,
+                           static_cast<uint64_t>(p),
+                           &partitions[static_cast<size_t>(p)]);
+      }
+    });
+    for (const Status& s : statuses) NEXUS_RETURN_NOT_OK(s);
+    struct GroupRef {
+      int64_t row;
+      int part;
+      size_t idx;
+    };
+    std::vector<GroupRef> order;
+    size_t total = 0;
+    for (const FoldPartition& p : partitions) total += p.states.size();
+    order.reserve(total);
+    for (int p = 0; p < parts; ++p) {
+      const FoldPartition& part = partitions[static_cast<size_t>(p)];
+      for (size_t g = 0; g < part.states.size(); ++g) {
+        order.push_back({part.rep_row[g], p, g});
+      }
     }
-  });
-  for (const Status& s : statuses) NEXUS_RETURN_NOT_OK(s);
-  struct GroupRef {
-    int64_t row;
-    int part;
-    size_t idx;
-  };
-  std::vector<GroupRef> order;
-  size_t total = 0;
-  for (const FoldPartition& p : partitions) total += p.states.size();
-  order.reserve(total);
-  for (int p = 0; p < parts; ++p) {
-    const FoldPartition& part = partitions[static_cast<size_t>(p)];
-    for (size_t g = 0; g < part.states.size(); ++g) {
-      order.push_back({part.rep_row[g], p, g});
+    std::sort(order.begin(), order.end(),
+              [](const GroupRef& a, const GroupRef& b) { return a.row < b.row; });
+    out.rep_row.reserve(total);
+    out.states.reserve(total);
+    for (const GroupRef& gr : order) {
+      out.rep_row.push_back(gr.row);
+      out.states.push_back(
+          std::move(partitions[static_cast<size_t>(gr.part)].states[gr.idx]));
     }
   }
-  std::sort(order.begin(), order.end(),
-            [](const GroupRef& a, const GroupRef& b) { return a.row < b.row; });
-  out.rep_row.reserve(total);
-  out.states.reserve(total);
-  for (const GroupRef& gr : order) {
-    out.rep_row.push_back(gr.row);
-    out.states.push_back(
-        std::move(partitions[static_cast<size_t>(gr.part)].states[gr.idx]));
-  }
+  // The group states are an operator working set the type layer cannot see.
+  working_set->Add(static_cast<int64_t>(out.states.size()) *
+                   static_cast<int64_t>(folds.size() * sizeof(MonoidState) + 64));
   return out;
 }
 
-// Out-of-core ⊗-join pair computation — the algebra twin of relational's
-// spilled HashJoin: partition both sides by key hash, build/probe each
-// partition in memory, and sort the merged pairs of original entry indices
-// by (a, b). The in-memory probe emits pairs in exactly that lexicographic
+// Out-of-core ⊗-join pair computation, as in relational's spilled
+// HashJoin: partition both sides by key hash, build/probe each partition
+// in memory, and sort the merged pairs of original entry indices by
+// (a, b). The in-memory probe emits pairs in exactly that lexicographic
 // order (a-entries ascending, each probing one ascending bucket chain), so
 // the sorted pairs — and everything gathered from them — are bit-identical.
 Status SpillJoinPairs(const TablePtr& ta_ptr, const TablePtr& tb_ptr,
@@ -692,8 +608,10 @@ Result<AssocArray> Normalize(const AssocArray& a, const Semiring& sr) {
   folds[0].one_i = sr.one_i;
   folds[0].one_f = sr.one_f;
   std::vector<Column> inputs = {a.value_column()};
+  ScopedCharge working_set;  // released when Normalize returns
   NEXUS_ASSIGN_OR_RETURN(GroupFoldOut folded,
-                         GroupFold(*a.table(), group_cols, folds, inputs));
+                         GroupFold(*a.table(), group_cols, folds, inputs,
+                                   &working_set, &span));
   std::vector<Column> out_cols;
   for (int c : group_cols) {
     out_cols.push_back(a.table()->column(c).Take(folded.rep_row));
@@ -752,22 +670,56 @@ Result<AssocArray> Reduce(const AssocArray& a,
 }
 
 // ---------------------------------------------------------------------------
-// Lowering: relational aggregation
+// Lowering: the aggregate fold
 // ---------------------------------------------------------------------------
 
-bool AggregateLowerable(const AggregateOp& spec) {
-  for (const AggSpec& a : spec.aggs) {
-    switch (a.func) {
-      case AggFunc::kSum:
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-      case AggFunc::kCount:
-        break;
-      case AggFunc::kAvg:
-        return false;  // a quotient of folds, not a single monoid fold
-    }
+FoldSpec AggFold(AggFunc func) {
+  FoldSpec f;
+  switch (func) {
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      f.op = MonoidOp::kAdd;
+      break;
+    case AggFunc::kMin:
+      f.op = MonoidOp::kMin;
+      break;
+    case AggFunc::kMax:
+      f.op = MonoidOp::kMax;
+      break;
+    case AggFunc::kCount:
+      f.op = MonoidOp::kAdd;
+      f.lift = true;
+      break;
   }
-  return true;
+  return f;
+}
+
+Result<FoldSpec> AggFold(const AggSpec& agg) {
+  FoldSpec f = AggFold(agg.func);
+  if (agg.input == nullptr) {
+    if (agg.func != AggFunc::kCount) {
+      return Status::PlanError("only count may omit its input expression");
+    }
+    f.count_star = true;
+  }
+  return f;
+}
+
+Value FinishAgg(const MonoidState& st, AggFunc func, DataType in) {
+  if (func == AggFunc::kCount) return Value::Int64(st.count);
+  if (st.count == 0) return Value::Null();
+  switch (func) {
+    case AggFunc::kAvg:
+      return Value::Float64(st.facc / static_cast<double>(st.count));
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      if (in == DataType::kString) return Value::String(st.sacc);
+      break;
+    default:
+      break;
+  }
+  return in == DataType::kInt64 ? Value::Int64(st.iacc)
+                                : Value::Float64(st.facc);
 }
 
 Result<TablePtr> LowerAggregate(const TablePtr& input,
@@ -780,47 +732,26 @@ Result<TablePtr> LowerAggregate(const TablePtr& input,
     NEXUS_ASSIGN_OR_RETURN(int i, input->schema()->FindFieldOrError(g));
     group_cols.push_back(i);
   }
-  // Pre-evaluate aggregate inputs (identical to the engine's).
+  // Pre-evaluate aggregate inputs; count(*) reads no column.
   std::vector<Column> agg_inputs;
   std::vector<DataType> agg_types;
   std::vector<FoldSpec> folds;
   for (const AggSpec& a : spec.aggs) {
-    FoldSpec f;
-    switch (a.func) {
-      case AggFunc::kSum:
-        f.op = MonoidOp::kAdd;
-        break;
-      case AggFunc::kMin:
-        f.op = MonoidOp::kMin;
-        break;
-      case AggFunc::kMax:
-        f.op = MonoidOp::kMax;
-        break;
-      case AggFunc::kCount:
-        // COUNT is the lifted ring: ⊕-fold ring-one per non-null entry
-        // (count(*): per row).
-        f.op = MonoidOp::kAdd;
-        f.lift = true;
-        break;
-      case AggFunc::kAvg:
-        return Status::PlanError("avg is not semi-ring lowerable");
-    }
-    if (a.input != nullptr) {
-      NEXUS_ASSIGN_OR_RETURN(Column c, EvalExprVector(*a.input, *input));
-      agg_types.push_back(c.type());
-      agg_inputs.push_back(std::move(c));
-    } else {
-      if (a.func != AggFunc::kCount) {
-        return Status::PlanError("only count may omit its input expression");
-      }
-      f.count_star = true;
+    NEXUS_ASSIGN_OR_RETURN(FoldSpec f, AggFold(a));
+    folds.push_back(f);
+    if (f.count_star) {
       agg_types.push_back(DataType::kInt64);
       agg_inputs.emplace_back(DataType::kInt64);
+      continue;
     }
-    folds.push_back(f);
+    NEXUS_ASSIGN_OR_RETURN(Column c, EvalExprVector(*a.input, *input));
+    agg_types.push_back(c.type());
+    agg_inputs.push_back(std::move(c));
   }
+  ScopedCharge working_set;  // released when the aggregate returns
   NEXUS_ASSIGN_OR_RETURN(GroupFoldOut folded,
-                         GroupFold(*input, group_cols, folds, agg_inputs));
+                         GroupFold(*input, group_cols, folds, agg_inputs,
+                                   &working_set, &span));
   std::vector<int64_t> rep_row = std::move(folded.rep_row);
   std::vector<std::vector<MonoidState>> states = std::move(folded.states);
   // SQL semantics: a global aggregate over empty input yields one row.
@@ -841,33 +772,9 @@ Result<TablePtr> LowerAggregate(const TablePtr& input,
   for (size_t a = 0; a < spec.aggs.size(); ++a) {
     Column col(schema->field(static_cast<int>(group_cols.size() + a)).type);
     col.Reserve(static_cast<int64_t>(states.size()));
-    const DataType in = agg_types[a];
     for (const auto& gs : states) {
-      const MonoidState& st = gs[a];
-      Value v = Value::Null();
-      switch (spec.aggs[a].func) {
-        case AggFunc::kCount:
-          v = Value::Int64(st.count);
-          break;
-        case AggFunc::kSum:
-          if (st.count == 0) break;
-          v = in == DataType::kInt64 ? Value::Int64(st.iacc)
-                                     : Value::Float64(st.facc);
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          if (st.count == 0) break;
-          if (in == DataType::kString) {
-            v = Value::String(st.sacc);
-          } else {
-            v = in == DataType::kInt64 ? Value::Int64(st.iacc)
-                                       : Value::Float64(st.facc);
-          }
-          break;
-        case AggFunc::kAvg:
-          return Status::Internal("unreachable: avg not lowerable");
-      }
-      NEXUS_RETURN_NOT_OK(col.Append(v));
+      NEXUS_RETURN_NOT_OK(
+          col.Append(FinishAgg(gs[a], spec.aggs[a].func, agg_types[a])));
     }
     out_cols.push_back(std::move(col));
   }

@@ -8,11 +8,11 @@
 // Determinism contract (PR 2): every kernel is byte-identical for any
 // thread count. Join hashes with relational::HashRows, builds partitioned
 // (pow-of-2 parts, ascending bucket chains) and probes in morsel order;
-// Normalize folds with the same partition-by-hash + first-seen-order merge
-// as relational::HashAggregate. ⊕ folds with op `+` are seeded from the
-// ring zero and applied in ascending row order — bit-identical to the
-// engines' `acc = 0; acc += v` loops — while min/max/or folds seed from the
-// first value, matching the engines' has-extreme seeding.
+// Normalize folds partition-by-hash and merges groups back into first-seen
+// order. ⊕ folds with op `+` are seeded from the ring zero and applied in
+// ascending row order — bit-identical to the reference executor's
+// `acc = 0; acc += v` loop — while min/max/or folds seed from the first
+// value, matching its has-extreme seeding.
 #ifndef NEXUS_ALGEBRA_KERNELS_H_
 #define NEXUS_ALGEBRA_KERNELS_H_
 
@@ -69,20 +69,115 @@ Result<AssocArray> Reduce(const AssocArray& a,
                           const Semiring& sr);
 
 // ---------------------------------------------------------------------------
-// Lowering entry points: existing engine ops expressed on the kernels.
+// The grouped ⊕-fold: the one grouped aggregation every engine runs.
 // ---------------------------------------------------------------------------
 
-/// True when every aggregate in `spec` is a ⊕-fold the algebra covers:
-/// SUM/MIN/MAX/COUNT (AVG is a quotient, not a monoid fold — not lowered).
-bool AggregateLowerable(const AggregateOp& spec);
+/// Per-(group, fold) accumulator. `+`-folds accumulate from the ring zero
+/// (bit-identical to the reference executor's `acc = 0; acc += v` loop);
+/// min/max/or folds seed from the first value (its has-extreme seeding).
+struct MonoidState {
+  int64_t count = 0;  ///< non-null contributions (count_star: all rows)
+  int64_t iacc = 0;
+  double facc = 0.0;  ///< under `+`, int64 inputs also sum here as doubles
+  std::string sacc;
+  bool seen = false;
+};
+
+/// One ⊕-fold over one input column.
+struct FoldSpec {
+  MonoidOp op = MonoidOp::kAdd;
+  bool lift = false;        ///< fold ring-one per entry (COUNT-style rings)
+  bool count_star = false;  ///< count every row, ignoring the input column
+  int64_t one_i = 1;
+  double one_f = 1.0;
+};
+
+/// The fold an aggregate function runs over a column: SUM and AVG fold
+/// with `+` (AVG is that (sum, count) pair finished by a division),
+/// MIN/MAX with the tropical ⊕s, COUNT with the lifted ring — per non-null
+/// value of any type.
+FoldSpec AggFold(AggFunc func);
+
+/// AggFold for one aggregate of a plan; count(*) (no input) folds every row.
+Result<FoldSpec> AggFold(const AggSpec& agg);
+
+/// Folds row `r` of `c` into `st`; null inputs contribute nothing. Inline:
+/// every grouped fold's per-row loop runs it, and it must inline there.
+inline Status FoldRow(const FoldSpec& f, const Column& c, int64_t r,
+                      MonoidState* st) {
+  if (f.count_star) {
+    ++st->count;
+    return Status::OK();
+  }
+  if (c.IsNull(r)) return Status::OK();
+  if (f.lift) {
+    // Lifted rings fold ring-one per non-null value, whatever its type.
+    ++st->count;
+    if (f.op == MonoidOp::kAdd) {
+      st->iacc += f.one_i;
+      st->facc += f.one_f;
+    } else {
+      st->iacc = st->seen ? ApplyI(f.op, st->iacc, f.one_i) : f.one_i;
+      st->facc = st->seen ? ApplyF(f.op, st->facc, f.one_f) : f.one_f;
+    }
+    st->seen = true;
+    return Status::OK();
+  }
+  if (c.type() == DataType::kBool) {
+    return Status::TypeError("cannot aggregate bool input");
+  }
+  ++st->count;
+  switch (c.type()) {
+    case DataType::kInt64: {
+      int64_t v = c.ints()[static_cast<size_t>(r)];
+      if (f.op == MonoidOp::kAdd) {
+        st->iacc += v;
+        st->facc += static_cast<double>(v);  // AVG finishes from it
+      } else {
+        st->iacc = st->seen ? ApplyI(f.op, st->iacc, v) : v;
+        st->facc = st->seen ? ApplyF(f.op, st->facc, static_cast<double>(v))
+                            : static_cast<double>(v);
+      }
+      break;
+    }
+    case DataType::kFloat64: {
+      double v = c.doubles()[static_cast<size_t>(r)];
+      if (f.op == MonoidOp::kAdd) {
+        st->facc += v;
+      } else {
+        st->facc = st->seen ? ApplyF(f.op, st->facc, v) : v;
+      }
+      break;
+    }
+    case DataType::kString: {
+      const std::string& s = c.strings()[static_cast<size_t>(r)];
+      // Strings extend the fold as an ordered monoid under min/max only;
+      // other ops contribute count alone.
+      if (f.op == MonoidOp::kMin) {
+        if (!st->seen || s < st->sacc) st->sacc = s;
+      } else if (f.op == MonoidOp::kMax) {
+        if (!st->seen || s > st->sacc) st->sacc = s;
+      }
+      break;
+    }
+    case DataType::kBool:
+      break;  // unreachable (checked above)
+  }
+  st->seen = true;
+  return Status::OK();
+}
+
+/// Finishes an aggregate's fold state over input type `in` into its SQL
+/// value: empty SUM/AVG/MIN/MAX → NULL, AVG → facc / count.
+Value FinishAgg(const MonoidState& st, AggFunc func, DataType in);
 
 /// Grouped aggregation as Reduce: group keys index an associative array
-/// whose per-aggregate values fold with the aggregate's monoid (SUM → ⊕ of
-/// plus_times, MIN/MAX → tropical ⊕s, COUNT → the lifted ring). Replicates
-/// relational::HashAggregate byte-for-byte, including SQL's null handling
-/// (null group keys match each other, null inputs are skipped, empty SUM/
-/// MIN/MAX → NULL, a global aggregate over no rows yields one row) and its
-/// partition-by-hash parallel contract.
+/// whose per-aggregate values fold with the aggregate's monoid (AggFold).
+/// SQL's null handling: null group keys match each other, null inputs are
+/// skipped, a global aggregate over no rows yields one row. Groups come out
+/// in first-seen order, byte-identical at any thread count or spill budget
+/// (partition-by-hash folds, Grace-partitioned out of core). The group
+/// states are charged to the query's MemoryMeter while they live.
 Result<TablePtr> LowerAggregate(const TablePtr& input, const AggregateOp& spec);
 
 /// Bumps `op`'s counter and algebra.ops_lowered (EXPLAIN ANALYZE's

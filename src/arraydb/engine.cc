@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "algebra/kernels.h"
 #include "common/parallel.h"
 #include "common/str_util.h"
 #include "core/schema_inference.h"
@@ -56,52 +57,6 @@ Result<TablePtr> ChunkTable(const NDArray& in, const ArrayChunk& chunk,
   }
   return Table::Make(in.CombinedSchema(), std::move(cols));
 }
-
-// Numeric accumulator for regrid/window (non-numeric attrs are dropped by
-// those operators, so numeric-only is sufficient).
-struct NumAcc {
-  int64_t count = 0;
-  int64_t isum = 0;
-  double fsum = 0.0;
-  int64_t imin = 0, imax = 0;
-  double fmin = 0.0, fmax = 0.0;
-
-  void Add(double f, int64_t i) {
-    if (count == 0) {
-      imin = imax = i;
-      fmin = fmax = f;
-    } else {
-      imin = std::min(imin, i);
-      imax = std::max(imax, i);
-      fmin = std::min(fmin, f);
-      fmax = std::max(fmax, f);
-    }
-    ++count;
-    isum += i;
-    fsum += f;
-  }
-
-  Value Finish(AggFunc func, DataType in_type) const {
-    bool is_int = in_type == DataType::kInt64;
-    switch (func) {
-      case AggFunc::kCount:
-        return Value::Int64(count);
-      case AggFunc::kSum:
-        if (count == 0) return Value::Null();
-        return is_int ? Value::Int64(isum) : Value::Float64(fsum);
-      case AggFunc::kAvg:
-        if (count == 0) return Value::Null();
-        return Value::Float64(fsum / static_cast<double>(count));
-      case AggFunc::kMin:
-        if (count == 0) return Value::Null();
-        return is_int ? Value::Int64(imin) : Value::Float64(fmin);
-      case AggFunc::kMax:
-        if (count == 0) return Value::Null();
-        return is_int ? Value::Int64(imax) : Value::Float64(fmax);
-    }
-    return Value::Null();
-  }
-};
 
 /// Hands a freshly built result to the spill policy: when out-of-core
 /// execution is on and the array exceeds the query's budget, the tail
@@ -385,8 +340,9 @@ Result<NDArrayPtr> Regrid(
   NEXUS_ASSIGN_OR_RETURN(SchemaPtr out_schema, Schema::Make(std::move(out_fields)));
   NEXUS_ASSIGN_OR_RETURN(std::shared_ptr<NDArray> out,
                          NDArray::Make(std::move(dims), out_schema));
-  // Accumulate per output cell.
-  std::map<std::vector<int64_t>, std::vector<NumAcc>> acc;
+  // Fold per output cell.
+  const algebra::FoldSpec fold = algebra::AggFold(func);
+  std::map<std::vector<int64_t>, std::vector<algebra::MonoidState>> acc;
   for (const ArrayChunk* chunk : in.chunks()) {
     int64_t volume = chunk->Volume();
     for (int64_t off = 0; off < volume; ++off) {
@@ -399,21 +355,17 @@ Result<NDArrayPtr> Regrid(
       auto [it, inserted] = acc.try_emplace(std::move(target));
       if (inserted) it->second.resize(num_attrs.size());
       for (size_t a = 0; a < num_attrs.size(); ++a) {
-        const Column& col = chunk->attrs[static_cast<size_t>(num_attrs[a])];
-        if (col.IsNull(off)) continue;
-        double f = col.NumericAt(off);
-        int64_t i = col.type() == DataType::kInt64
-                        ? col.ints()[static_cast<size_t>(off)]
-                        : 0;
-        it->second[a].Add(f, i);
+        NEXUS_RETURN_NOT_OK(algebra::FoldRow(
+            fold, chunk->attrs[static_cast<size_t>(num_attrs[a])], off,
+            &it->second[a]));
       }
     }
   }
   std::vector<Value> attrs(num_attrs.size());
   for (const auto& [coords, states] : acc) {
     for (size_t a = 0; a < num_attrs.size(); ++a) {
-      attrs[a] = states[a].Finish(
-          func, in.attr_schema()->field(num_attrs[a]).type);
+      attrs[a] = algebra::FinishAgg(
+          states[a], func, in.attr_schema()->field(num_attrs[a]).type);
     }
     NEXUS_RETURN_NOT_OK(out->Set(coords, attrs));
   }
@@ -446,6 +398,7 @@ Result<NDArrayPtr> Window(
   NEXUS_ASSIGN_OR_RETURN(SchemaPtr out_schema, Schema::Make(std::move(out_fields)));
   NEXUS_ASSIGN_OR_RETURN(std::shared_ptr<NDArray> out,
                          NDArray::Make(in.dims(), out_schema));
+  const algebra::FoldSpec fold = algebra::AggFold(func);
   std::vector<Value> attrs(num_attrs.size());
   std::vector<int64_t> probe(static_cast<size_t>(in.num_dims()));
   std::vector<int64_t> offset(static_cast<size_t>(in.num_dims()));
@@ -456,7 +409,7 @@ Result<NDArrayPtr> Window(
       std::vector<int64_t> local = chunk->LocalCoords(off);
       std::vector<int64_t> coords(local.size());
       for (size_t d = 0; d < local.size(); ++d) coords[d] = chunk->lo[d] + local[d];
-      std::vector<NumAcc> states(num_attrs.size());
+      std::vector<algebra::MonoidState> states(num_attrs.size());
       for (size_t d = 0; d < offset.size(); ++d) offset[d] = -radius[d];
       while (true) {
         for (size_t d = 0; d < probe.size(); ++d) probe[d] = coords[d] + offset[d];
@@ -464,13 +417,9 @@ Result<NDArrayPtr> Window(
         int64_t nb_off = 0;
         if (in.FindCell(probe, &nb_chunk, &nb_off)) {
           for (size_t a = 0; a < num_attrs.size(); ++a) {
-            const Column& col = nb_chunk->attrs[static_cast<size_t>(num_attrs[a])];
-            if (col.IsNull(nb_off)) continue;
-            double f = col.NumericAt(nb_off);
-            int64_t i = col.type() == DataType::kInt64
-                            ? col.ints()[static_cast<size_t>(nb_off)]
-                            : 0;
-            states[a].Add(f, i);
+            NEXUS_RETURN_NOT_OK(algebra::FoldRow(
+                fold, nb_chunk->attrs[static_cast<size_t>(num_attrs[a])],
+                nb_off, &states[a]));
           }
         }
         size_t d = 0;
@@ -484,8 +433,8 @@ Result<NDArrayPtr> Window(
         if (d == offset.size()) break;
       }
       for (size_t a = 0; a < num_attrs.size(); ++a) {
-        attrs[a] = states[a].Finish(func,
-                                    in.attr_schema()->field(num_attrs[a]).type);
+        attrs[a] = algebra::FinishAgg(
+            states[a], func, in.attr_schema()->field(num_attrs[a]).type);
       }
       NEXUS_RETURN_NOT_OK(out->Set(coords, attrs));
     }

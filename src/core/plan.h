@@ -284,6 +284,14 @@ class Plan {
   std::vector<PlanPtr> children_;
 };
 
+/// Deepest nesting the text parsers accept: s-expression lists on the wire
+/// (ParsePlan / ParseExpr / ParseDataset) and BDL expression nesting
+/// (ParseBdl / ParseBdlExpr). Deeper input is refused with the parser's
+/// error Status instead of overflowing the stack. Measured: the deepest
+/// plan any test, bench, example or nexbench workload serializes nests 16
+/// lists, and their deepest BDL expression 2 levels.
+inline constexpr int kMaxParseDepth = 256;
+
 }  // namespace nexus
 
 #endif  // NEXUS_CORE_PLAN_H_

@@ -146,7 +146,15 @@ class SexprParser {
     }
     char c = input_[pos_];
     if (c == '(') {
+      // Bounded so hostile input fails here rather than overflowing the
+      // stack (in this recursion, in the tree walks and in ~Sexpr).
+      if (depth_ == kMaxParseDepth) {
+        return Status::SerializationError(
+            StrCat("lists nested deeper than ", kMaxParseDepth, " at offset ",
+                   pos_));
+      }
       ++pos_;
+      ++depth_;
       std::vector<Sexpr> items;
       while (true) {
         SkipSpace();
@@ -155,6 +163,7 @@ class SexprParser {
         }
         if (input_[pos_] == ')') {
           ++pos_;
+          --depth_;
           return Sexpr::List(std::move(items));
         }
         NEXUS_ASSIGN_OR_RETURN(Sexpr item, ParseOne());
@@ -250,6 +259,7 @@ class SexprParser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 Status Expect(const Sexpr& s, size_t min_items, const char* what) {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/kernels.h"
 #include "common/memory.h"
 #include "common/str_util.h"
 #include "core/schema_inference.h"
@@ -560,86 +561,26 @@ Result<DeltaBatch> Pull(RtNode* node, const InMemoryCatalog& catalog) {
 }
 
 // ---------------------------------------------------------------------------
-// Root Reduce⊕ state: per-group accumulators with the exact semantics of
-// relational::HashAggregate's TypedAggState, plus the scratch-order bookkeeping
-// (first_key for group output order, max_key for the order-sensitivity guard).
+// Root Reduce⊕ state: per-group fold states of the one grouped fold
+// (algebra::FoldRow / FinishAgg, the same arithmetic as LowerAggregate),
+// plus the scratch-order bookkeeping (first_key for group output order,
+// max_key for the order-sensitivity guard). Float SUM/MIN/MAX and AVG of
+// any input type are order-sensitive — fp addition is non-associative and
+// min/max keep the accumulator on NaN and ±0.0 ties — which is exactly why
+// out-of-order delta rows refuse below.
 // ---------------------------------------------------------------------------
-
-// Mirror of the engine's typed accumulator (relational/engine.cc). The float
-// members make Sum/Min/Max over float64 order-sensitive — fp addition is
-// non-associative, std::min/std::max keep the accumulator on NaN and ±0.0
-// ties — which is exactly why out-of-order delta rows refuse below.
-struct TypedAggState {
-  int64_t count = 0;
-  int64_t isum = 0;
-  double fsum = 0.0;
-  bool has_extreme = false;
-  double fmin = 0.0, fmax = 0.0;
-  int64_t imin = 0, imax = 0;
-  std::string smin, smax;
-
-  void UpdateNumeric(double v, int64_t iv, bool is_int) {
-    ++count;
-    if (is_int) isum += iv;
-    fsum += v;
-    if (!has_extreme) {
-      fmin = fmax = v;
-      imin = imax = iv;
-      has_extreme = true;
-    } else {
-      fmin = std::min(fmin, v);
-      fmax = std::max(fmax, v);
-      imin = std::min(imin, iv);
-      imax = std::max(imax, iv);
-    }
-  }
-  void UpdateString(const std::string& s) {
-    ++count;
-    if (!has_extreme) {
-      smin = smax = s;
-      has_extreme = true;
-    } else {
-      if (s < smin) smin = s;
-      if (s > smax) smax = s;
-    }
-  }
-};
-
-Result<Value> FinishTyped(const TypedAggState& st, AggFunc func, DataType in) {
-  switch (func) {
-    case AggFunc::kCount:
-      return Value::Int64(st.count);
-    case AggFunc::kSum:
-      if (st.count == 0) return Value::Null();
-      return in == DataType::kInt64 ? Value::Int64(st.isum)
-                                    : Value::Float64(st.fsum);
-    case AggFunc::kAvg:
-      if (st.count == 0) return Value::Null();
-      return Value::Float64(st.fsum / static_cast<double>(st.count));
-    case AggFunc::kMin:
-      if (!st.has_extreme) return Value::Null();
-      if (in == DataType::kString) return Value::String(st.smin);
-      return in == DataType::kInt64 ? Value::Int64(st.imin)
-                                    : Value::Float64(st.fmin);
-    case AggFunc::kMax:
-      if (!st.has_extreme) return Value::Null();
-      if (in == DataType::kString) return Value::String(st.smax);
-      return in == DataType::kInt64 ? Value::Int64(st.imax)
-                                    : Value::Float64(st.fmax);
-  }
-  return Status::Internal("unhandled aggregate");
-}
 
 struct Group {
   std::vector<Value> rep;  // group-by values of the group's first row
   Key first_key;           // output order = ascending first_key
   Key max_key;             // guard: order-sensitive folds refuse below this
-  std::vector<TypedAggState> states;
+  std::vector<algebra::MonoidState> states;
 };
 
 struct AggState {
   bool init = false;
   std::vector<int> group_cols;
+  std::vector<algebra::FoldSpec> folds;
   std::vector<DataType> agg_types;
   bool order_sensitive = false;
   SchemaPtr child_schema;
@@ -649,13 +590,15 @@ struct AggState {
 
   int64_t bytes() const {
     int64_t per_group = static_cast<int64_t>(
-        agg_types.size() * sizeof(TypedAggState) + group_cols.size() * 32 + 96);
+        folds.size() * sizeof(algebra::MonoidState) + group_cols.size() * 32 +
+        96);
     return static_cast<int64_t>(groups.size()) * per_group;
   }
 
   void Reset() {
     init = false;
     group_cols.clear();
+    folds.clear();
     agg_types.clear();
     order_sensitive = false;
     child_schema.reset();
@@ -665,7 +608,7 @@ struct AggState {
   }
 };
 
-// Mirror of the engine's GroupKeysEqual against a stored representative row.
+// relational::GroupKeysEqual against a stored representative row.
 bool RepEquals(const std::vector<Value>& rep, const Table& t, int64_t r,
                const std::vector<int>& cols) {
   for (size_t i = 0; i < cols.size(); ++i) {
@@ -688,14 +631,15 @@ Status InitAgg(AggState* agg, const AggregateOp& spec,
   std::vector<Field> fields;
   for (int c : agg->group_cols) fields.push_back(child_schema->field(c));
   for (const AggSpec& a : spec.aggs) {
+    NEXUS_ASSIGN_OR_RETURN(algebra::FoldSpec f, algebra::AggFold(a));
+    agg->folds.push_back(f);
     DataType in = DataType::kInt64;
-    if (a.input != nullptr) {
+    if (!f.count_star) {
       NEXUS_ASSIGN_OR_RETURN(in, InferExprType(*a.input, *child_schema));
-    } else if (a.func != AggFunc::kCount) {
-      return Status::PlanError("only count may omit its input expression");
     }
     agg->agg_types.push_back(in);
-    if (in == DataType::kFloat64 && a.func != AggFunc::kCount) {
+    if (a.func == AggFunc::kAvg ||
+        (in == DataType::kFloat64 && a.func != AggFunc::kCount)) {
       agg->order_sensitive = true;
     }
     NEXUS_ASSIGN_OR_RETURN(DataType out, AggResultType(a.func, in));
@@ -748,7 +692,7 @@ Status FoldAgg(AggState* agg, const AggregateOp& spec, const DeltaBatch& batch) 
       Group& gr = agg->groups[gi];
       if (agg->order_sensitive && key < gr.max_key) {
         return Refuse(
-            "order-sensitive float ⊕-fold received an out-of-order delta row");
+            "order-sensitive ⊕-fold received an out-of-order delta row");
       }
       if (key < gr.first_key) {
         // This row is now the group's first in full-recompute order: it
@@ -759,29 +703,10 @@ Status FoldAgg(AggState* agg, const AggregateOp& spec, const DeltaBatch& batch) 
       }
       if (gr.max_key < key) gr.max_key = key;
     }
-    std::vector<TypedAggState>& gs = agg->groups[gi].states;
-    for (size_t a = 0; a < spec.aggs.size(); ++a) {
-      if (spec.aggs[a].input == nullptr) {
-        ++gs[a].count;
-        continue;
-      }
-      const Column& c = agg_inputs[a];
-      if (c.IsNull(r)) continue;
-      switch (c.type()) {
-        case DataType::kInt64:
-          gs[a].UpdateNumeric(
-              static_cast<double>(c.ints()[static_cast<size_t>(r)]),
-              c.ints()[static_cast<size_t>(r)], true);
-          break;
-        case DataType::kFloat64:
-          gs[a].UpdateNumeric(c.doubles()[static_cast<size_t>(r)], 0, false);
-          break;
-        case DataType::kString:
-          gs[a].UpdateString(c.strings()[static_cast<size_t>(r)]);
-          break;
-        case DataType::kBool:
-          return Status::TypeError("cannot aggregate bool input");
-      }
+    std::vector<algebra::MonoidState>& gs = agg->groups[gi].states;
+    for (size_t a = 0; a < agg->folds.size(); ++a) {
+      NEXUS_RETURN_NOT_OK(
+          algebra::FoldRow(agg->folds[a], agg_inputs[a], r, &gs[a]));
     }
   }
   return Status::OK();
@@ -804,21 +729,17 @@ Result<TablePtr> BuildAggOutput(const AggState& agg, const AggregateOp& spec) {
     }
     cols.push_back(std::move(col));
   }
-  const TypedAggState empty_state;
   for (size_t a = 0; a < spec.aggs.size(); ++a) {
     Column col(
         agg.out_schema->field(static_cast<int>(agg.group_cols.size() + a)).type);
     col.Reserve(static_cast<int64_t>(order.size()) + (synth_empty ? 1 : 0));
     for (size_t g : order) {
-      NEXUS_ASSIGN_OR_RETURN(
-          Value v, FinishTyped(agg.groups[g].states[a], spec.aggs[a].func,
-                               agg.agg_types[a]));
-      NEXUS_RETURN_NOT_OK(col.Append(v));
+      NEXUS_RETURN_NOT_OK(col.Append(algebra::FinishAgg(
+          agg.groups[g].states[a], spec.aggs[a].func, agg.agg_types[a])));
     }
     if (synth_empty) {
-      NEXUS_ASSIGN_OR_RETURN(
-          Value v, FinishTyped(empty_state, spec.aggs[a].func, agg.agg_types[a]));
-      NEXUS_RETURN_NOT_OK(col.Append(v));
+      NEXUS_RETURN_NOT_OK(col.Append(algebra::FinishAgg(
+          algebra::MonoidState{}, spec.aggs[a].func, agg.agg_types[a])));
     }
     cols.push_back(std::move(col));
   }
@@ -872,7 +793,7 @@ Result<TablePtr> ExecuteViewPlan(const Plan& plan,
     }
     case OpKind::kAggregate: {
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, child(0));
-      return relational::HashAggregate(in, plan.As<AggregateOp>());
+      return algebra::LowerAggregate(in, plan.As<AggregateOp>());
     }
     case OpKind::kSort: {
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, child(0));

@@ -6,8 +6,8 @@
 // view's delta form (optimizer/incremental.h), and folds the result into
 // retained operator state: join nodes keep both build sides and probe only
 // the delta (Δ(R⋈S) = ΔR⋈S_old ∪ R_new⋈ΔS), a root Reduce⊕ folds the delta
-// into per-group accumulators with the exact TypedAggState semantics of
-// relational::HashAggregate.
+// into per-group states with the grouped fold of algebra::LowerAggregate
+// (algebra::FoldRow, finished by algebra::FinishAgg).
 //
 // Byte-identity-or-refuse: every refresh returns exactly the bytes a full
 // recompute would, at any thread count, budget, and append schedule. The
@@ -17,9 +17,10 @@
 // that land mid-stream are merged back into full-recompute order. Plans the
 // rewrite cannot maintain bit-exactly are refused statically (RewriteToDelta)
 // and served by full recompute; conditions only visible at refresh time — a
-// table replaced under the view (generation bump), an order-sensitive float
-// ⊕-fold receiving an out-of-order delta row — refuse at runtime and fall
-// back to a full rebuild through the same delta pipeline.
+// table replaced under the view (generation bump), an order-sensitive
+// ⊕-fold (float SUM/MIN/MAX, AVG) receiving an out-of-order delta row —
+// refuse at runtime and fall back to a full rebuild through the same delta
+// pipeline.
 //
 // Retained state is charged to the calling thread's MemoryMeter and, when
 // the spill policy asks (exec/spill), join build sides are parked in

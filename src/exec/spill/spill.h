@@ -24,11 +24,11 @@
 //     meter's ask-to-spill flag instead of killing.
 //
 // Determinism contract: spilling may never change results. Consumers
-// (relational::HashJoin / HashAggregate, algebra::Join / Normalize) carry
-// original row indices and key hashes through the partitions and restore
-// the exact in-memory order on merge, so output is byte-identical for any
-// thread count, any budget, and any recursion depth — asserted by property
-// test P9 and the E18 bench.
+// (relational::HashJoin, algebra::Join and the grouped fold under
+// algebra::Normalize / LowerAggregate) carry original row indices and key
+// hashes through the partitions and restore the exact in-memory order on
+// merge, so output is byte-identical for any thread count, any budget, and
+// any recursion depth — asserted by property test P9 and the E18 bench.
 #ifndef NEXUS_EXEC_SPILL_SPILL_H_
 #define NEXUS_EXEC_SPILL_SPILL_H_
 

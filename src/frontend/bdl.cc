@@ -225,7 +225,24 @@ class Parser {
   }
 
   // --- expressions (precedence climbing) ---
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    return Deeper([this] { return ParseOr(); });
+  }
+
+  // Each recursive step of the grammar — a parenthesis or call argument
+  // (ParseExpr), a prefix `not` or `-` — runs one level deeper; past
+  // kMaxParseDepth levels the parse fails instead of overflowing the stack.
+  template <typename ParseFn>
+  Result<ExprPtr> Deeper(ParseFn parse) {
+    if (depth_ == kMaxParseDepth) {
+      return Status::InvalidArgument(
+          StrCat("expression nested deeper than ", kMaxParseDepth));
+    }
+    ++depth_;
+    Result<ExprPtr> e = parse();
+    --depth_;
+    return e;
+  }
 
   Result<ExprPtr> ParseOr() {
     NEXUS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
@@ -250,7 +267,7 @@ class Parser {
   Result<ExprPtr> ParseNot() {
     if (PeekIdent("not")) {
       Advance();
-      NEXUS_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
+      NEXUS_ASSIGN_OR_RETURN(ExprPtr e, Deeper([this] { return ParseNot(); }));
       return Not(std::move(e));
     }
     return ParseComparison();
@@ -296,7 +313,8 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (EatPunct("-")) {
-      NEXUS_ASSIGN_OR_RETURN(ExprPtr e, ParseUnary());
+      NEXUS_ASSIGN_OR_RETURN(ExprPtr e,
+                             Deeper([this] { return ParseUnary(); }));
       return Neg(std::move(e));
     }
     return ParsePrimary();
@@ -651,6 +669,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -100,15 +100,6 @@ std::unique_ptr<DeltaNode> Rewrite(const PlanPtr& plan, bool at_root,
             "append";
         return nullptr;
       }
-      const auto& op = plan->As<AggregateOp>();
-      for (const AggSpec& a : op.aggs) {
-        if (a.func == AggFunc::kAvg) {
-          *refusal =
-              "AVG is not a single ⊕-fold (mirrors algebra::"
-              "AggregateLowerable)";
-          return nullptr;
-        }
-      }
       auto c = child(0);
       if (c == nullptr) return nullptr;
       auto node = make(DeltaKind::kAggregate);

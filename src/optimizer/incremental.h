@@ -7,14 +7,18 @@
 //   Δ(R ⋈ S)         = ΔR ⋈ S_old  ∪  R_new ⋈ ΔS  (build-side state retained)
 //   Δ(R ∪ S)         = ΔR ∪ ΔS
 //   Reduce⊕ at root  = fold Δ into retained per-group accumulators
+//                      (every aggregate; AVG is the `+` fold's (sum, count)
+//                      pair finished by a division)
 //
 // Refusal table (mirrors the PR 7 byte-identity-or-refuse contract — a plan
 // that cannot be maintained bit-exactly is not maintained at all):
 //   outer/semi/anti join   unmatched rows need retraction when a match lands
 //   keys-free (cross) join delta of |L|·|R| is not proportional to |Δ|
-//   AVG                    not a single ⊕-fold (algebra::AggregateLowerable)
 //   aggregate below root   its output changes by update, not by append
 //   Sort/Limit/Distinct/…  appends land mid-order: output is not append-only
+// and, at refresh time only: an out-of-order delta row reaching an
+// order-sensitive fold — float SUM/MIN/MAX, and AVG over any input type,
+// whose double sum depends on the order of its terms.
 #ifndef NEXUS_OPTIMIZER_INCREMENTAL_H_
 #define NEXUS_OPTIMIZER_INCREMENTAL_H_
 
@@ -58,7 +62,7 @@ struct DeltaForm {
 
 /// Rewrites `plan` into its insert-only delta form. Purely structural — no
 /// catalog access; runtime conditions (a table replaced under the view, an
-/// order-sensitive float fold receiving an out-of-order delta row) are
+/// order-sensitive fold receiving an out-of-order delta row) are
 /// refused at refresh time instead, with a full-recompute fallback.
 DeltaForm RewriteToDelta(const PlanPtr& plan);
 

@@ -1,13 +1,10 @@
 #include "optimizer/lower_semiring.h"
 
-#include "algebra/kernels.h"
-
 namespace nexus {
 
 bool SemiringLowerable(const Plan& node) {
   switch (node.kind()) {
     case OpKind::kAggregate:
-      return algebra::AggregateLowerable(node.As<AggregateOp>());
     case OpKind::kMatMul:
     case OpKind::kPageRank:
       return true;

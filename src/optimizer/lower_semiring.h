@@ -1,8 +1,9 @@
 // Semi-ring lowering pass: recognizes the plan operators whose execution
-// runs on the semi-ring kernels in src/algebra — SUM/MIN/MAX/COUNT
-// aggregates (Union⊕ folds), sparse matrix multiply (Gustavson over
-// plus_times), and PageRank steps (a plus_times push onto the base vector)
-// — and counts them into OptimizerStats::ops_lowered.
+// runs on the semi-ring kernels in src/algebra — every aggregate (Union⊕
+// folds; AVG is the `+` fold's (sum, count) pair finished by a division),
+// sparse matrix multiply (Gustavson over plus_times), and PageRank steps (a
+// plus_times push onto the base vector) — and counts them into
+// OptimizerStats::ops_lowered.
 //
 // Like the fusion pass, this header only RECOGNIZES; the lowering itself
 // happens engine-side (provider aggregates, sparse SpMV/SpGEMM, graph
@@ -18,8 +19,8 @@
 
 namespace nexus {
 
-/// True when the operator at `node` is semi-ring lowerable: a kAggregate
-/// whose aggregates are all monoid folds, a kMatMul, or a kPageRank.
+/// True when the operator at `node` is semi-ring lowerable: a kAggregate,
+/// a kMatMul, or a kPageRank.
 bool SemiringLowerable(const Plan& node);
 
 /// Counts lowerable operators in the plan tree (including Iterate bodies).

@@ -6,7 +6,6 @@
 #include "arraydb/engine.h"
 #include "exec/reference_executor.h"
 #include "provider/provider.h"
-#include "relational/engine.h"
 #include "telemetry/telemetry.h"
 
 namespace nexus {
@@ -108,11 +107,7 @@ Result<Dataset> ArrayExec::ExecNode(const Plan& plan) {
       NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
       const auto& spec = plan.As<AggregateOp>();
-      if (algebra::AggregateLowerable(spec)) {
-        NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
-        return Dataset(out);
-      }
-      NEXUS_ASSIGN_OR_RETURN(TablePtr out, relational::HashAggregate(in, spec));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
       return Dataset(out);
     }
     case OpKind::kRebox: {

@@ -4,7 +4,6 @@
 #include "algebra/kernels.h"
 #include "graph/graph.h"
 #include "provider/provider.h"
-#include "relational/engine.h"
 #include "telemetry/telemetry.h"
 
 namespace nexus {
@@ -63,13 +62,8 @@ class GraphProvider : public Provider {
         NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
         NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
         const auto& spec = plan.As<AggregateOp>();
-        if (algebra::AggregateLowerable(spec)) {
-          NEXUS_ASSIGN_OR_RETURN(TablePtr out,
-                                 algebra::LowerAggregate(in, spec));
-          return Dataset(out);
-        }
         NEXUS_ASSIGN_OR_RETURN(TablePtr out,
-                               relational::HashAggregate(in, spec));
+                               algebra::LowerAggregate(in, spec));
         return Dataset(out);
       }
       case OpKind::kPageRank: {

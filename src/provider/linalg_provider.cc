@@ -5,7 +5,6 @@
 #include "linalg/dense.h"
 #include "linalg/sparse.h"
 #include "provider/provider.h"
-#include "relational/engine.h"
 #include "telemetry/telemetry.h"
 
 namespace nexus {
@@ -202,11 +201,7 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
       NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
       const auto& spec = plan.As<AggregateOp>();
-      if (algebra::AggregateLowerable(spec)) {
-        NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
-        return Dataset(out);
-      }
-      NEXUS_ASSIGN_OR_RETURN(TablePtr out, relational::HashAggregate(in, spec));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
       return Dataset(out);
     }
     case OpKind::kElemWise: {

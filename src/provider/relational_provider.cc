@@ -98,7 +98,7 @@ Result<TablePtr> ApplyChainUnfused(const std::vector<const Plan*>& ops,
       }
       case OpKind::kAggregate: {
         NEXUS_ASSIGN_OR_RETURN(
-            t, relational::HashAggregate(t, op->As<AggregateOp>()));
+            t, algebra::LowerAggregate(t, op->As<AggregateOp>()));
         break;
       }
       default:
@@ -189,14 +189,7 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan) {
     case OpKind::kAggregate: {
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
       const auto& spec = plan.As<AggregateOp>();
-      // Semi-ring routing: SUM/MIN/MAX/COUNT folds run on the shared
-      // algebra kernel (byte-identical to HashAggregate); AVG takes the
-      // native engine.
-      if (algebra::AggregateLowerable(spec)) {
-        NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
-        return Dataset(out);
-      }
-      NEXUS_ASSIGN_OR_RETURN(TablePtr out, relational::HashAggregate(in, spec));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
       return Dataset(out);
     }
     case OpKind::kSort: {
@@ -295,7 +288,7 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan) {
         agg.aggs.push_back(AggSpec{op.func, Col(f.name), f.name});
       }
       NEXUS_ASSIGN_OR_RETURN(TablePtr grouped,
-                             relational::HashAggregate(binned, agg));
+                             algebra::LowerAggregate(binned, agg));
       std::vector<std::pair<std::string, std::string>> back;
       for (size_t i = 0; i < bin_names.size(); ++i) {
         back.emplace_back(bin_names[i], dim_names[i]);

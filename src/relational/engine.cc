@@ -6,8 +6,6 @@
 #include "common/hash.h"
 #include "common/memory.h"
 #include "common/parallel.h"
-#include "common/str_util.h"
-#include "core/schema_inference.h"
 #include "exec/spill/spill.h"
 #include "expr/eval.h"
 #include "telemetry/telemetry.h"
@@ -54,19 +52,6 @@ bool KeysEqual(const Table& a, int64_t ar, const std::vector<int>& ac,
     } else if (ca.GetValue(ar) != cb.GetValue(br)) {
       return false;
     }
-  }
-  return true;
-}
-
-// Group-key equality treats nulls as equal to each other (SQL GROUP BY).
-bool GroupKeysEqual(const Table& t, int64_t ar, int64_t br,
-                    const std::vector<int>& cols) {
-  for (int c : cols) {
-    const Column& col = t.column(c);
-    bool na = col.IsNull(ar), nb = col.IsNull(br);
-    if (na != nb) return false;
-    if (na) continue;
-    if (col.GetValue(ar) != col.GetValue(br)) return false;
   }
   return true;
 }
@@ -463,366 +448,6 @@ Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
         for (size_t i = 0; i < unmatched.size(); ++i) col.AppendNull();
       }
     }
-  }
-  return Table::Make(schema, std::move(out_cols));
-}
-
-namespace {
-
-// Typed accumulator mirroring the algebra's aggregate semantics.
-struct TypedAggState {
-  int64_t count = 0;
-  int64_t isum = 0;
-  double fsum = 0.0;
-  bool has_extreme = false;
-  double fmin = 0.0, fmax = 0.0;
-  int64_t imin = 0, imax = 0;  // exact int64 extremes
-  std::string smin, smax;
-
-  void UpdateNumeric(double v, int64_t iv, bool is_int) {
-    ++count;
-    if (is_int) isum += iv;
-    fsum += v;
-    if (!has_extreme) {
-      fmin = fmax = v;
-      imin = imax = iv;
-      has_extreme = true;
-    } else {
-      fmin = std::min(fmin, v);
-      fmax = std::max(fmax, v);
-      imin = std::min(imin, iv);
-      imax = std::max(imax, iv);
-    }
-  }
-  void UpdateString(const std::string& s) {
-    ++count;
-    if (!has_extreme) {
-      smin = smax = s;
-      has_extreme = true;
-    } else {
-      if (s < smin) smin = s;
-      if (s > smax) smax = s;
-    }
-  }
-};
-
-/// One hash partition's aggregation state (the sequential path uses a single
-/// partition covering every hash).
-struct AggPartition {
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  std::vector<int64_t> rep_row;
-  std::vector<std::vector<TypedAggState>> states;
-};
-
-/// Accumulates every row whose group hash satisfies (h & mask) == want into
-/// `part`, scanning rows in ascending order. With mask == 0 this is exactly
-/// the single-pass sequential aggregation. With a partition mask, a group —
-/// whose rows all share one hash — is accumulated entirely by one partition
-/// in the same ascending row order as the sequential pass, so per-group
-/// state (including the order-sensitive float sums) is bit-identical for any
-/// partition or thread count.
-Status AccumulateGroups(const Table& input, const AggregateOp& spec,
-                        const std::vector<int>& group_cols,
-                        const std::vector<Column>& agg_inputs,
-                        const std::vector<uint64_t>& hashes, uint64_t mask,
-                        uint64_t want, AggPartition* part) {
-  for (int64_t r = 0; r < input.num_rows(); ++r) {
-    uint64_t h = hashes[static_cast<size_t>(r)];
-    if ((h & mask) != want) continue;
-    std::vector<size_t>& bucket = part->buckets[h];
-    size_t group = SIZE_MAX;
-    for (size_t g : bucket) {
-      if (GroupKeysEqual(input, part->rep_row[g], r, group_cols)) {
-        group = g;
-        break;
-      }
-    }
-    if (group == SIZE_MAX) {
-      group = part->states.size();
-      bucket.push_back(group);
-      part->rep_row.push_back(r);
-      part->states.emplace_back(spec.aggs.size());
-    }
-    std::vector<TypedAggState>& gs = part->states[group];
-    for (size_t a = 0; a < spec.aggs.size(); ++a) {
-      if (spec.aggs[a].input == nullptr) {
-        ++gs[a].count;
-        continue;
-      }
-      const Column& c = agg_inputs[a];
-      if (c.IsNull(r)) continue;
-      switch (c.type()) {
-        case DataType::kInt64:
-          gs[a].UpdateNumeric(static_cast<double>(c.ints()[static_cast<size_t>(r)]),
-                              c.ints()[static_cast<size_t>(r)], true);
-          break;
-        case DataType::kFloat64:
-          gs[a].UpdateNumeric(c.doubles()[static_cast<size_t>(r)], 0, false);
-          break;
-        case DataType::kString:
-          gs[a].UpdateString(c.strings()[static_cast<size_t>(r)]);
-          break;
-        case DataType::kBool:
-          return Status::TypeError("cannot aggregate bool input");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<Value> FinishTyped(const TypedAggState& st, AggFunc func, DataType in) {
-  switch (func) {
-    case AggFunc::kCount:
-      return Value::Int64(st.count);
-    case AggFunc::kSum:
-      if (st.count == 0) return Value::Null();
-      return in == DataType::kInt64 ? Value::Int64(st.isum)
-                                    : Value::Float64(st.fsum);
-    case AggFunc::kAvg:
-      if (st.count == 0) return Value::Null();
-      return Value::Float64(st.fsum / static_cast<double>(st.count));
-    case AggFunc::kMin:
-      if (!st.has_extreme) return Value::Null();
-      if (in == DataType::kString) return Value::String(st.smin);
-      return in == DataType::kInt64 ? Value::Int64(st.imin)
-                                    : Value::Float64(st.fmin);
-    case AggFunc::kMax:
-      if (!st.has_extreme) return Value::Null();
-      if (in == DataType::kString) return Value::String(st.smax);
-      return in == DataType::kInt64 ? Value::Int64(st.imax)
-                                    : Value::Float64(st.fmax);
-  }
-  return Status::Internal("unhandled aggregate");
-}
-
-/// First-seen group order plus its accumulated states, ready for the shared
-/// finish tail of HashAggregate.
-struct GroupedStates {
-  std::vector<int64_t> rep_row;
-  std::vector<std::vector<TypedAggState>> states;
-};
-
-// Out-of-core aggregation: materialize a working table of the group keys
-// and evaluated aggregate inputs, Grace-partition it by group hash, and run
-// the ordinary single-pass accumulation per loaded partition. Identity
-// argument: all rows of one group share a hash, so a group lives entirely
-// in one partition and is accumulated in ascending original-row order —
-// exactly the sequential pass's per-group order (bit-identical float sums).
-// Each group's rep row is its globally first row, so sorting the merged
-// groups by rep row restores the first-seen group order of the in-memory
-// path.
-Result<GroupedStates> SpillAggregate(const TablePtr& input,
-                                     const AggregateOp& spec,
-                                     const std::vector<int>& group_cols,
-                                     const std::vector<Column>& agg_inputs,
-                                     const std::vector<uint64_t>& hashes,
-                                     telemetry::SpanGuard* span) {
-  // Working table: group keys, then the evaluated input of each aggregate
-  // that has one (count-only aggregates carry no column; the leaf rebuilds
-  // their placeholder). Dimension tags drop — this is a plain scratch table.
-  std::vector<Field> wfields;
-  std::vector<Column> wcols;
-  std::vector<int> wgroup_cols;
-  for (size_t g = 0; g < group_cols.size(); ++g) {
-    Field f = input->schema()->field(group_cols[g]);
-    f.is_dimension = false;
-    wfields.push_back(std::move(f));
-    wcols.push_back(input->column(group_cols[g]));
-    wgroup_cols.push_back(static_cast<int>(g));
-  }
-  std::vector<int> agg_slot(spec.aggs.size(), -1);
-  for (size_t a = 0; a < spec.aggs.size(); ++a) {
-    if (spec.aggs[a].input == nullptr) continue;
-    agg_slot[a] = static_cast<int>(wcols.size());
-    wfields.push_back(Field::Attr(StrCat("__agg_", static_cast<int64_t>(a)),
-                                  agg_inputs[a].type()));
-    wcols.push_back(agg_inputs[a]);
-  }
-  NEXUS_ASSIGN_OR_RETURN(SchemaPtr wschema, Schema::Make(std::move(wfields)));
-  NEXUS_ASSIGN_OR_RETURN(TablePtr working,
-                         Table::Make(wschema, std::move(wcols)));
-
-  spill::PartitionedSpiller::Options opts;
-  opts.budget_bytes = spill::SpillBudgetBytes();
-  opts.tag = "agg";
-  // The working table exists solely to be partitioned; shed its charge the
-  // moment level 0 is on disk.
-  opts.release_inputs = true;
-  spill::PartitionedSpiller spiller(&spill::SpillManager::Global(), opts);
-
-  std::vector<std::pair<int64_t, std::vector<TypedAggState>>> groups;
-  Status st = spiller.Run(
-      {{working, &hashes}},
-      [&](const std::vector<TablePtr>& parts) -> Status {
-        const Table& wp = *parts[0];
-        const auto& rows = wp.column(wp.num_columns() - 2).ints();
-        const auto& hbits = wp.column(wp.num_columns() - 1).ints();
-        std::vector<uint64_t> local_hashes;
-        local_hashes.reserve(hbits.size());
-        for (int64_t h : hbits) local_hashes.push_back(static_cast<uint64_t>(h));
-        std::vector<Column> local_inputs;
-        for (size_t a = 0; a < spec.aggs.size(); ++a) {
-          local_inputs.push_back(agg_slot[a] < 0 ? Column(DataType::kInt64)
-                                                 : wp.column(agg_slot[a]));
-        }
-        AggPartition part;
-        NEXUS_RETURN_NOT_OK(AccumulateGroups(wp, spec, wgroup_cols,
-                                             local_inputs, local_hashes, 0, 0,
-                                             &part));
-        for (size_t g = 0; g < part.states.size(); ++g) {
-          groups.emplace_back(rows[static_cast<size_t>(part.rep_row[g])],
-                              std::move(part.states[g]));
-        }
-        return Status::OK();
-      });
-  working.reset();
-  NEXUS_RETURN_NOT_OK(st);
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  GroupedStates out;
-  out.rep_row.reserve(groups.size());
-  out.states.reserve(groups.size());
-  for (auto& [row, gs] : groups) {
-    out.rep_row.push_back(row);
-    out.states.push_back(std::move(gs));
-  }
-  span->AddCounter("spill_partitions", spiller.stats().partitions);
-  span->AddCounter("spill_bytes", spiller.stats().bytes_spilled);
-  return out;
-}
-
-}  // namespace
-
-Result<TablePtr> HashAggregate(const TablePtr& input, const AggregateOp& spec) {
-  telemetry::SpanGuard span(telemetry::kCategoryEngine, "rel.HashAgg");
-  span.AddCounter("rows_in", input->num_rows());
-  std::vector<int> group_cols;
-  for (const std::string& g : spec.group_by) {
-    NEXUS_ASSIGN_OR_RETURN(int i, input->schema()->FindFieldOrError(g));
-    group_cols.push_back(i);
-  }
-  // Pre-evaluate aggregate inputs.
-  std::vector<Column> agg_inputs;
-  std::vector<DataType> agg_types;
-  for (const AggSpec& a : spec.aggs) {
-    if (a.input != nullptr) {
-      NEXUS_ASSIGN_OR_RETURN(Column c, EvalExprVector(*a.input, *input));
-      agg_types.push_back(c.type());
-      agg_inputs.push_back(std::move(c));
-    } else {
-      if (a.func != AggFunc::kCount) {
-        return Status::PlanError("only count may omit its input expression");
-      }
-      agg_types.push_back(DataType::kInt64);
-      agg_inputs.emplace_back(DataType::kInt64);
-    }
-  }
-  NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> hashes, HashRows(*input, group_cols));
-  std::vector<int64_t> rep_row;
-  std::vector<std::vector<TypedAggState>> states;
-  ScopedCharge working_set;  // released when the aggregate returns
-  const int64_t n = input->num_rows();
-  // Out-of-core path: partition the (keys + aggregate inputs) working table
-  // to disk when it would cross the query's budget; grouping a partition at
-  // a time preserves the first-seen order and per-group accumulation order.
-  bool spilled = false;
-  if (!group_cols.empty() && n > 0) {
-    int64_t working_bytes = 0;
-    for (int c : group_cols) working_bytes += input->column(c).ByteSize();
-    for (const Column& c : agg_inputs) working_bytes += c.ByteSize();
-    if (spill::ShouldSpill(working_bytes)) {
-      NEXUS_ASSIGN_OR_RETURN(
-          GroupedStates grouped,
-          SpillAggregate(input, spec, group_cols, agg_inputs, hashes, &span));
-      rep_row = std::move(grouped.rep_row);
-      states = std::move(grouped.states);
-      spilled = true;
-    }
-  }
-  if (spilled) {
-    // Grouped out of core above.
-  } else if (GetThreadCount() == 1 || group_cols.empty() || n < 2 * kMorselRows) {
-    // Sequential single-pass aggregation (mask 0 admits every row).
-    AggPartition all;
-    NEXUS_RETURN_NOT_OK(AccumulateGroups(*input, spec, group_cols, agg_inputs,
-                                         hashes, 0, 0, &all));
-    rep_row = std::move(all.rep_row);
-    states = std::move(all.states);
-  } else {
-    // Partition-by-hash: each partition accumulates its share of the groups
-    // independently; the merge below restores first-occurrence order.
-    int parts = 1;
-    while (parts < GetThreadCount() && parts < 64) parts *= 2;
-    const uint64_t mask = static_cast<uint64_t>(parts - 1);
-    std::vector<AggPartition> partitions(static_cast<size_t>(parts));
-    std::vector<Status> statuses(static_cast<size_t>(parts), Status::OK());
-    ParallelFor(parts, 1, [&](int64_t pb, int64_t pe) {
-      for (int64_t p = pb; p < pe; ++p) {
-        statuses[static_cast<size_t>(p)] =
-            AccumulateGroups(*input, spec, group_cols, agg_inputs, hashes,
-                             mask, static_cast<uint64_t>(p),
-                             &partitions[static_cast<size_t>(p)]);
-      }
-    });
-    for (const Status& s : statuses) NEXUS_RETURN_NOT_OK(s);
-    // A group's rep_row is its globally first occurrence (its partition saw
-    // all of its rows, in order), so sorting by rep_row reproduces the
-    // sequential first-seen group order exactly.
-    struct GroupRef {
-      int64_t row;
-      int part;
-      size_t idx;
-    };
-    std::vector<GroupRef> order;
-    size_t total = 0;
-    for (const AggPartition& p : partitions) total += p.states.size();
-    order.reserve(total);
-    for (int p = 0; p < parts; ++p) {
-      const AggPartition& part = partitions[static_cast<size_t>(p)];
-      for (size_t g = 0; g < part.states.size(); ++g) {
-        order.push_back({part.rep_row[g], p, g});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [](const GroupRef& a, const GroupRef& b) { return a.row < b.row; });
-    rep_row.reserve(total);
-    states.reserve(total);
-    for (const GroupRef& gr : order) {
-      rep_row.push_back(gr.row);
-      states.push_back(
-          std::move(partitions[static_cast<size_t>(gr.part)].states[gr.idx]));
-    }
-  }
-  // The accumulated group states are an operator working set the type layer
-  // cannot see; meter them while the finish loop runs.
-  working_set.Add(static_cast<int64_t>(states.size()) *
-                  static_cast<int64_t>(spec.aggs.size() * sizeof(TypedAggState) + 64));
-  // SQL semantics: a global aggregate over empty input yields one row.
-  if (group_cols.empty() && states.empty()) {
-    rep_row.push_back(0);  // unused: no group columns to gather
-    states.emplace_back(spec.aggs.size());
-  }
-  // Output schema.
-  std::vector<Field> fields;
-  for (int c : group_cols) fields.push_back(input->schema()->field(c));
-  for (size_t a = 0; a < spec.aggs.size(); ++a) {
-    NEXUS_ASSIGN_OR_RETURN(DataType t,
-                           AggResultType(spec.aggs[a].func, agg_types[a]));
-    fields.push_back(Field::Attr(spec.aggs[a].output_name, t));
-  }
-  NEXUS_ASSIGN_OR_RETURN(SchemaPtr schema, Schema::Make(std::move(fields)));
-  // Group key columns: gather representative rows.
-  std::vector<Column> out_cols;
-  for (int c : group_cols) out_cols.push_back(input->column(c).Take(rep_row));
-  for (size_t a = 0; a < spec.aggs.size(); ++a) {
-    Column col(schema->field(static_cast<int>(group_cols.size() + a)).type);
-    col.Reserve(static_cast<int64_t>(states.size()));
-    for (const auto& gs : states) {
-      NEXUS_ASSIGN_OR_RETURN(Value v,
-                             FinishTyped(gs[a], spec.aggs[a].func, agg_types[a]));
-      NEXUS_RETURN_NOT_OK(col.Append(v));
-    }
-    out_cols.push_back(std::move(col));
   }
   return Table::Make(schema, std::move(out_cols));
 }

@@ -35,9 +35,6 @@ Result<TablePtr> Extend(
 Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
                           const JoinOp& spec);
 
-/// Grouped hash aggregation (first-seen group order).
-Result<TablePtr> HashAggregate(const TablePtr& input, const AggregateOp& spec);
-
 /// Multi-key stable sort.
 Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys);
 
@@ -59,6 +56,21 @@ Result<TablePtr> Rename(
 /// Exposed for tests and the aggregate/join internals.
 Result<std::vector<uint64_t>> HashRows(const Table& input,
                                        const std::vector<int>& key_cols);
+
+/// Group-key equality of rows `ar` and `br` on `cols`, with SQL GROUP BY's
+/// null handling: nulls equal each other. Distinct and the grouped fold
+/// (algebra::LowerAggregate) group by it; inline, for their per-row loops.
+inline bool GroupKeysEqual(const Table& t, int64_t ar, int64_t br,
+                           const std::vector<int>& cols) {
+  for (int c : cols) {
+    const Column& col = t.column(c);
+    bool na = col.IsNull(ar), nb = col.IsNull(br);
+    if (na != nb) return false;
+    if (na) continue;
+    if (col.GetValue(ar) != col.GetValue(br)) return false;
+  }
+  return true;
+}
 
 }  // namespace relational
 }  // namespace nexus

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "algebra/kernels.h"
 #include "common/parallel.h"
 #include "common/str_util.h"
 #include "core/schema_inference.h"
@@ -271,8 +272,8 @@ Result<TablePtr> ExecuteFused(const FusedPipeline& fp, const TablePtr& source) {
                          Table::Make(fp.out_schema, std::move(cols)));
   span.AddCounter("rows", pre->num_rows());
   if (!fp.has_agg) return pre;
-  // The narrow aggregate runs as a nested rel.HashAgg span.
-  return HashAggregate(pre, fp.agg_spec);
+  // The narrow aggregate runs as a nested alg.Agg span.
+  return algebra::LowerAggregate(pre, fp.agg_spec);
 }
 
 }  // namespace relational

@@ -11,7 +11,7 @@
 // compiled together — common subtrees between predicates and outputs compile
 // once (bytecode.h CSE). An Aggregate at the top of the chain is lowered to
 // a narrow table (group columns + precomputed aggregate inputs) fed to the
-// regular relational::HashAggregate.
+// regular grouped fold, algebra::LowerAggregate.
 //
 // Byte-identity with the per-operator path:
 //   - expression values are row-local and the compiled program is
@@ -22,7 +22,7 @@
 //     subtree's runtime type equals its static type (same contract), which
 //     is exactly the type Extend's materialized column would have;
 //   - the narrow aggregate input sees the same row count, values, group
-//     hashes, and first-seen order as the unfused HashAggregate, so its
+//     hashes, and first-seen order as the unfused aggregate, so its
 //     sequential/parallel threshold and float accumulation order agree.
 // Lowering REFUSES (kUnsupported) anything it cannot prove — the caller
 // falls back to the per-operator path, which also owns error reporting for

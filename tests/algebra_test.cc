@@ -1,10 +1,11 @@
 // Tests for the semi-ring kernel subsystem: registry contracts, the
 // associative-array bridge, the Ext/Join/Union kernels, the CSR kernels
-// under every registered ring, and the lowering entry points' byte-identity
-// to the engines they replace.
+// under every registered ring, and the grouped fold (LowerAggregate) against
+// the reference executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -14,13 +15,14 @@
 #include "algebra/csr.h"
 #include "algebra/kernels.h"
 #include "algebra/semiring.h"
+#include "common/memory.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "exec/reference_executor.h"
 #include "expr/builder.h"
 #include "graph/graph.h"
 #include "linalg/sparse.h"
 #include "optimizer/lower_semiring.h"
-#include "relational/engine.h"
 #include "tests/test_util.h"
 
 namespace nexus {
@@ -243,7 +245,7 @@ TEST(KernelTest, OrAndReachabilityStep) {
 }
 
 // ---------------------------------------------------------------------------
-// LowerAggregate ≡ HashAggregate.
+// LowerAggregate, the one grouped fold, against the reference executor.
 // ---------------------------------------------------------------------------
 
 TablePtr RandomSales(int64_t n, uint64_t seed) {
@@ -253,21 +255,30 @@ TablePtr RandomSales(int64_t n, uint64_t seed) {
   TableBuilder b(s);
   Rng rng(seed);
   for (int64_t i = 0; i < n; ++i) {
+    Value g = rng.NextInt(0, 49) == 0 ? Value::Null() : I(rng.NextInt(0, 11));
     Value v = rng.NextInt(0, 9) == 0 ? Value::Null()
                                      : F(rng.NextDouble(-100, 100));
-    EXPECT_OK(b.AppendRow({I(rng.NextInt(0, 11)), v, I(rng.NextInt(-5, 5))}));
+    Value c = rng.NextInt(0, 19) == 0 ? Value::Null() : I(rng.NextInt(-5, 5));
+    EXPECT_OK(b.AppendRow({g, v, c}));
   }
   return b.Finish().ValueOrDie();
 }
 
-void ExpectLoweredMatchesEngine(const TablePtr& t, const AggregateOp& op) {
-  ASSERT_TRUE(algebra::AggregateLowerable(op));
-  ASSERT_OK_AND_ASSIGN(TablePtr want, relational::HashAggregate(t, op));
+void ExpectLoweredMatchesReference(const TablePtr& t, const AggregateOp& op) {
+  ReferenceExecutor ref(nullptr);
+  ASSERT_OK_AND_ASSIGN(
+      Dataset want_ds,
+      ref.Execute(*Plan::Aggregate(Plan::Values(Dataset(t)), op.group_by,
+                                   op.aggs)));
+  TablePtr want = want_ds.table();
+  ASSERT_NE(want, nullptr);
   ThreadGuard guard;
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
     ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(t, op));
-    EXPECT_TRUE(got->Equals(*want)) << "threads=" << threads;
+    EXPECT_TRUE(got->Equals(*want)) << "threads=" << threads << "\ngot:\n"
+                                    << got->ToString() << "want:\n"
+                                    << want->ToString();
     EXPECT_TRUE(got->schema()->Equals(*want->schema()));
   }
 }
@@ -282,26 +293,93 @@ TEST(LowerAggregateTest, GroupedFoldsMatchHashAggregate) {
              AggSpec{AggFunc::kMax, Col("c"), "hi"},
              AggSpec{AggFunc::kCount, Col("v"), "nv"},
              AggSpec{AggFunc::kCount, nullptr, "n"}};
-  ExpectLoweredMatchesEngine(t, op);
+  ExpectLoweredMatchesReference(t, op);
 }
 
 TEST(LowerAggregateTest, GlobalAndEmptyInputsMatchHashAggregate) {
   AggregateOp global;
   global.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
                  AggSpec{AggFunc::kMin, Col("v"), "lo"},
+                 AggSpec{AggFunc::kAvg, Col("c"), "mc"},
                  AggSpec{AggFunc::kCount, nullptr, "n"}};
-  ExpectLoweredMatchesEngine(RandomSales(500, 3), global);
+  ExpectLoweredMatchesReference(RandomSales(500, 3), global);
   // Empty input: global aggregates yield one all-null/zero row.
-  ExpectLoweredMatchesEngine(RandomSales(0, 3), global);
+  ExpectLoweredMatchesReference(RandomSales(0, 3), global);
   AggregateOp grouped = global;
   grouped.group_by = {"g"};
-  ExpectLoweredMatchesEngine(RandomSales(0, 3), grouped);
+  ExpectLoweredMatchesReference(RandomSales(0, 3), grouped);
 }
 
-TEST(LowerAggregateTest, AvgIsNotLowerable) {
+TEST(LowerAggregateTest, AvgIsTheSumCountFoldOverNulls) {
+  // AVG over float64 and int64 inputs with null inputs and a null group key,
+  // on the sequential path and on the partitioned 4-thread path.
+  TablePtr t = RandomSales(40000, 29);
   AggregateOp op;
-  op.aggs = {AggSpec{AggFunc::kAvg, Col("v"), "m"}};
-  EXPECT_FALSE(algebra::AggregateLowerable(op));
+  op.group_by = {"g"};
+  op.aggs = {AggSpec{AggFunc::kAvg, Col("v"), "mv"},
+             AggSpec{AggFunc::kAvg, Col("c"), "mc"},
+             AggSpec{AggFunc::kSum, Col("v"), "sv"},
+             AggSpec{AggFunc::kCount, Col("c"), "nc"}};
+  ExpectLoweredMatchesReference(t, op);
+  // A group whose inputs are all null averages to NULL.
+  TablePtr nulls = MakeTable(MakeSchema({Field::Attr("g", DataType::kInt64),
+                                         Field::Attr("v", DataType::kFloat64),
+                                         Field::Attr("c", DataType::kInt64)}),
+                             {{I(1), N(), N()}, {I(2), F(0.5), I(3)},
+                              {I(1), N(), N()}});
+  ExpectLoweredMatchesReference(nulls, op);
+}
+
+TEST(LowerAggregateTest, CountOfBoolCountsNonNullValues) {
+  TablePtr t = MakeTable(MakeSchema({Field::Attr("g", DataType::kInt64),
+                                     Field::Attr("b", DataType::kBool)}),
+                         {{I(1), Value::Bool(true)},
+                          {I(1), N()},
+                          {I(2), Value::Bool(false)}});
+  AggregateOp op;
+  op.group_by = {"g"};
+  op.aggs = {AggSpec{AggFunc::kCount, Col("b"), "nb"}};
+  ExpectLoweredMatchesReference(t, op);
+  ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(t, op));
+  EXPECT_EQ(got->At(0, 1), I(1));
+  EXPECT_EQ(got->At(1, 1), I(1));
+  // Folds other than COUNT still refuse bool input.
+  op.aggs = {AggSpec{AggFunc::kSum, Col("b"), "sb"}};
+  EXPECT_FALSE(algebra::LowerAggregate(t, op).ok());
+}
+
+TEST(LowerAggregateTest, GroupStatesAreChargedToTheQueryMeter) {
+  struct CountingMeter : MemoryMeter {
+    std::atomic<int64_t> charged{0};
+    std::atomic<int64_t> released{0};
+    void Charge(int64_t bytes) override { charged += bytes; }
+    void Release(int64_t bytes) override { released += bytes; }
+  } meter;
+  constexpr int64_t kGroups = 20000;
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 2 * kGroups; ++i) {
+    rows.push_back({I(i % kGroups), F(static_cast<double>(i))});
+  }
+  TablePtr t = MakeTable(MakeSchema({Field::Attr("g", DataType::kInt64),
+                                     Field::Attr("v", DataType::kFloat64)}),
+                         rows);
+  AggregateOp op;
+  op.group_by = {"g"};
+  op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
+             AggSpec{AggFunc::kCount, nullptr, "n"}};
+  TaskContext ctx;
+  ctx.meter = &meter;
+  {
+    ScopedTaskContext scope(&ctx);
+    ASSERT_OK_AND_ASSIGN(TablePtr out, algebra::LowerAggregate(t, op));
+    EXPECT_EQ(out->num_rows(), kGroups);
+  }
+  // The group states' working set is charged while they live and released
+  // when the aggregate returns.
+  const int64_t states =
+      kGroups * static_cast<int64_t>(2 * sizeof(algebra::MonoidState) + 64);
+  EXPECT_EQ(meter.released.load(), states);
+  EXPECT_GE(meter.charged.load(), states);
 }
 
 // ---------------------------------------------------------------------------
@@ -775,7 +853,8 @@ TEST(LowerSemiringPassTest, CountsLowerableOps) {
   EXPECT_EQ(CountLowerableOps(*agg), 1);
   PlanPtr avg = Plan::Aggregate(Plan::Scan("t"), {"g"},
                                 {AggSpec{AggFunc::kAvg, Col("v"), "m"}});
-  EXPECT_FALSE(SemiringLowerable(*avg));
+  EXPECT_TRUE(SemiringLowerable(*avg));  // the (sum, count) `+` fold
+  EXPECT_EQ(CountLowerableOps(*avg), 1);
   PlanPtr mm = Plan::MatMul(Plan::Scan("a"), Plan::Scan("b"));
   EXPECT_TRUE(SemiringLowerable(*mm));
   // Nested: Aggregate over MatMul counts both.

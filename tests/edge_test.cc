@@ -3,6 +3,7 @@
 // break first.
 #include <gtest/gtest.h>
 
+#include "algebra/kernels.h"
 #include "core/schema_inference.h"
 #include "exec/reference_executor.h"
 #include "expr/builder.h"
@@ -85,7 +86,7 @@ TEST_F(EmptyInputTest, GlobalAggregateOverEmptyYieldsOneRow) {
   spec.aggs = {AggSpec{AggFunc::kCount, nullptr, "n"},
                AggSpec{AggFunc::kSum, Col("v"), "s"}};
   ASSERT_OK_AND_ASSIGN(
-      TablePtr vt, relational::HashAggregate(Table::Empty(MakeSchema(
+      TablePtr vt, algebra::LowerAggregate(Table::Empty(MakeSchema(
                                                  {Field::Attr("k", DataType::kInt64),
                                                   Field::Attr("v", DataType::kFloat64)})),
                                              spec));

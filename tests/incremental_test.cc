@@ -28,6 +28,7 @@ using testing::F;
 using testing::I;
 using testing::MakeSchema;
 using testing::MakeTable;
+using testing::N;
 using testing::S;
 
 SchemaPtr BaseSchema() {
@@ -132,7 +133,8 @@ PlanPtr FilterJoinAggPlan() {
 }
 
 TEST(DeltaFormTest, SupportsFilterJoinAggregateSpine) {
-  auto form = RewriteToDelta(FilterJoinAggPlan());
+  PlanPtr plan = FilterJoinAggPlan();  // the delta form points into it
+  auto form = RewriteToDelta(plan);
   ASSERT_TRUE(form.supported()) << form.refusal;
   std::string desc = DescribeDeltaForm(form);
   EXPECT_NE(desc.find("Δreduce⊕"), std::string::npos);
@@ -156,11 +158,10 @@ TEST(DeltaFormTest, RefusalTable) {
                                          Plan::Scan("side"), JoinType::kInner,
                                          {}, {}));
   EXPECT_FALSE(cross.supported());
-  // AVG is not a single ⊕-fold.
+  // AVG is the `+` fold's (sum, count) pair: maintained, not refused.
   AggSpec avg{AggFunc::kAvg, Col("v"), "a"};
   auto with_avg = RewriteToDelta(Plan::Aggregate(scan, {}, {avg}));
-  EXPECT_FALSE(with_avg.supported());
-  EXPECT_NE(with_avg.refusal.find("AVG"), std::string::npos);
+  EXPECT_TRUE(with_avg.supported()) << with_avg.refusal;
   // Aggregate below the root changes by update, not by append.
   AggSpec cnt{AggFunc::kCount, nullptr, "n"};
   auto nested = RewriteToDelta(
@@ -351,6 +352,54 @@ TEST(ViewRegistryTest, OutOfOrderFloatFoldRefusesAndFallsBack) {
   ExpectRefreshMatchesFull(&reg, "iu", *iplan, cat, &info);
   EXPECT_TRUE(info.incremental);
   EXPECT_FALSE(info.fell_back);
+}
+
+TEST(ViewRegistryTest, AvgViewFoldsSumAndCount) {
+  // AVG over int64 and over float64, with a null input, refreshed
+  // incrementally in key order: byte-identical to a full recompute.
+  InMemoryCatalog cat;
+  SchemaPtr s = BaseSchema();
+  ASSERT_OK(cat.Put("base", Dataset(Rows(s, {{I(1), I(0), F(0.1)},
+                                             {I(2), I(1), F(0.2)}}))));
+  AggSpec iavg{AggFunc::kAvg, Col("k"), "ak"};
+  AggSpec favg{AggFunc::kAvg, Col("v"), "av"};
+  PlanPtr plan = Plan::Aggregate(Plan::Scan("base"), {"g"}, {iavg, favg});
+  ViewRegistry reg(&cat);
+  ASSERT_OK(reg.Register("avg", plan));
+  ExpectRefreshMatchesFull(&reg, "avg", *plan, cat);
+
+  ASSERT_OK(cat.Append("base", Dataset(Rows(s, {{I(7), I(1), F(0.3)},
+                                                {I(4), I(0), N()},
+                                                {I(9), I(2), F(0.7)}}))));
+  RefreshInfo info;
+  ExpectRefreshMatchesFull(&reg, "avg", *plan, cat, &info);
+  EXPECT_TRUE(info.incremental);
+  EXPECT_FALSE(info.fell_back);
+  ASSERT_OK(cat.Append("base", Dataset(Rows(s, {{I(3), I(0), F(0.6)}}))));
+  ExpectRefreshMatchesFull(&reg, "avg", *plan, cat, &info);
+  EXPECT_TRUE(info.incremental);
+}
+
+TEST(ViewRegistryTest, OutOfOrderAvgRefusesAndFallsBack) {
+  // AVG sums in double even over int64 input, so unlike an int64 SUM it is
+  // order-sensitive: a left-branch append after the right branch
+  // contributed refuses and rebuilds.
+  InMemoryCatalog cat;
+  SchemaPtr s = BaseSchema();
+  ASSERT_OK(cat.Put("a", Dataset(Rows(s, {{I(1), I(0), F(0.1)}}))));
+  ASSERT_OK(cat.Put("b", Dataset(Rows(s, {{I(2), I(0), F(0.2)}}))));
+  AggSpec iavg{AggFunc::kAvg, Col("k"), "ak"};
+  PlanPtr plan = Plan::Aggregate(
+      Plan::Union(Plan::Scan("a"), Plan::Scan("b")), {"g"}, {iavg});
+  ViewRegistry reg(&cat);
+  ASSERT_OK(reg.Register("u", plan));
+  ExpectRefreshMatchesFull(&reg, "u", *plan, cat);
+
+  ASSERT_OK(cat.Append("a", Dataset(Rows(s, {{I(3), I(0), F(0.3)}}))));
+  RefreshInfo info;
+  ExpectRefreshMatchesFull(&reg, "u", *plan, cat, &info);
+  EXPECT_TRUE(info.fell_back);
+  EXPECT_NE(info.refusal.find("order"), std::string::npos);
 }
 
 TEST(ViewRegistryTest, StateIsChargedAndSheddable) {

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <vector>
 
+#include "algebra/kernels.h"
 #include "common/random.h"
 #include "expr/builder.h"
 #include "linalg/dense.h"
@@ -203,10 +204,10 @@ TEST(EngineParallelTest, HashAggregateByteIdenticalAcrossThreadCounts) {
              AggSpec{AggFunc::kMin, Col("v"), "mn"},
              AggSpec{AggFunc::kCount, nullptr, "n"}};
   SetThreadCount(1);
-  TablePtr want = relational::HashAggregate(t, op).ValueOrDie();
+  TablePtr want = algebra::LowerAggregate(t, op).ValueOrDie();
   for (int threads : {2, 4, 8}) {
     SetThreadCount(threads);
-    TablePtr got = relational::HashAggregate(t, op).ValueOrDie();
+    TablePtr got = algebra::LowerAggregate(t, op).ValueOrDie();
     EXPECT_TRUE(got->Equals(*want)) << "threads=" << threads;
   }
 }

@@ -204,5 +204,52 @@ TEST_P(ParserFuzzTest, DeepNestingIsHandled) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest, ::testing::Range(0, 6));
 
+bool RefusedAsTooDeep(const Status& st) {
+  return !st.ok() && st.message().find("nested deeper than") != std::string::npos;
+}
+
+TEST(ParserFuzzRegressionTest, HundredThousandDeepNestingIsRefused) {
+  // About 200 KB of nested parens: each recursive parser must refuse it
+  // with its error Status rather than overflow the stack.
+  constexpr size_t kDepth = 100000;
+  const std::string open(kDepth, '(');
+  const std::string close(kDepth, ')');
+  EXPECT_TRUE(RefusedAsTooDeep(ParsePlan(open + "scan \"t\"" + close).status()));
+  EXPECT_TRUE(RefusedAsTooDeep(ParseExpr(open + "col \"x\"" + close).status()));
+  EXPECT_TRUE(RefusedAsTooDeep(ParseDataset(open + close).status()));
+  EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(open + "x" + close).status()));
+  EXPECT_TRUE(
+      RefusedAsTooDeep(ParseBdl("from t | where " + open + "x" + close).status()));
+  // BDL's prefix operators recurse as well.
+  std::string nots, negs;
+  for (size_t i = 0; i < kDepth; ++i) {
+    nots += "not ";
+    negs += "- ";
+  }
+  EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(nots + "x").status()));
+  EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(negs + "x").status()));
+}
+
+TEST(ParserFuzzRegressionTest, NestingUpToTheLimitStillParses) {
+  // BDL: the top-level expression is one level, each parenthesis another.
+  const size_t parens = static_cast<size_t>(kMaxParseDepth) - 1;
+  EXPECT_OK(ParseBdlExpr(std::string(parens, '(') + "x" +
+                         std::string(parens, ')'))
+                .status());
+  EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(std::string(parens + 1, '(') + "x" +
+                                            std::string(parens + 1, ')'))
+                                   .status()));
+  // S-expressions: kMaxParseDepth nested lists get past the reader (and are
+  // then rejected as a malformed plan); one more is refused by the reader.
+  const size_t lists = static_cast<size_t>(kMaxParseDepth);
+  Status at_limit =
+      ParsePlan(std::string(lists, '(') + std::string(lists, ')')).status();
+  EXPECT_FALSE(at_limit.ok());
+  EXPECT_FALSE(RefusedAsTooDeep(at_limit)) << at_limit;
+  EXPECT_TRUE(RefusedAsTooDeep(
+      ParsePlan(std::string(lists + 1, '(') + std::string(lists + 1, ')'))
+          .status()));
+}
+
 }  // namespace
 }  // namespace nexus

@@ -759,7 +759,7 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
   spill::SetSpillOverride(false);
   SetThreadCount(1);
   ASSERT_OK_AND_ASSIGN(TablePtr join_want, relational::HashJoin(left, right, join));
-  ASSERT_OK_AND_ASSIGN(TablePtr agg_want, relational::HashAggregate(left, agg));
+  ASSERT_OK_AND_ASSIGN(TablePtr agg_want, algebra::LowerAggregate(left, agg));
   ASSERT_OK_AND_ASSIGN(algebra::AssocArray red_want,
                        algebra::Reduce(arr, {"g"}, ring));
 
@@ -773,7 +773,7 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
     ASSERT_OK_AND_ASSIGN(TablePtr join_got, relational::HashJoin(left, right, join));
     EXPECT_TRUE(join_got->Equals(*join_want))
         << "join, budget=" << budget << " threads=" << threads;
-    ASSERT_OK_AND_ASSIGN(TablePtr agg_got, relational::HashAggregate(left, agg));
+    ASSERT_OK_AND_ASSIGN(TablePtr agg_got, algebra::LowerAggregate(left, agg));
     EXPECT_TRUE(agg_got->Equals(*agg_want))
         << "aggregate, budget=" << budget << " threads=" << threads;
     ASSERT_OK_AND_ASSIGN(algebra::AssocArray red_got,

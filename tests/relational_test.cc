@@ -2,6 +2,7 @@
 // against the reference executor on randomized workloads.
 #include <gtest/gtest.h>
 
+#include "algebra/kernels.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "exec/reference_executor.h"
@@ -127,7 +128,7 @@ TEST(RelationalAggregateTest, GroupedSums) {
              AggSpec{AggFunc::kMin, Col("salary"), "lo"},
              AggSpec{AggFunc::kMax, Col("salary"), "hi"},
              AggSpec{AggFunc::kAvg, Col("salary"), "mean"}};
-  ASSERT_OK_AND_ASSIGN(TablePtr t, relational::HashAggregate(Employees(), op));
+  ASSERT_OK_AND_ASSIGN(TablePtr t, algebra::LowerAggregate(Employees(), op));
   EXPECT_EQ(t->num_rows(), 3);  // 10, 20, null
   EXPECT_EQ(t->At(0, 0), I(10));
   EXPECT_EQ(t->At(0, 1), F(160.0));
@@ -144,7 +145,7 @@ TEST(RelationalAggregateTest, IntMinMaxStayExact) {
   AggregateOp op;
   op.aggs = {AggSpec{AggFunc::kMax, Col("x"), "hi"},
              AggSpec{AggFunc::kMin, Col("x"), "lo"}};
-  ASSERT_OK_AND_ASSIGN(TablePtr out, relational::HashAggregate(t, op));
+  ASSERT_OK_AND_ASSIGN(TablePtr out, algebra::LowerAggregate(t, op));
   EXPECT_EQ(out->At(0, 0), I(big));
   EXPECT_EQ(out->At(0, 1), I(big - 1));
 }
@@ -253,7 +254,7 @@ TEST_P(RelationalDifferentialTest, AgreesWithReferenceExecutor) {
   agg.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
               AggSpec{AggFunc::kCount, nullptr, "n"},
               AggSpec{AggFunc::kAvg, Col("v"), "av"}};
-  ASSERT_OK_AND_ASSIGN(TablePtr a, relational::HashAggregate(left, agg));
+  ASSERT_OK_AND_ASSIGN(TablePtr a, algebra::LowerAggregate(left, agg));
   // Compare sums with tolerance by sorting both sides identically instead of
   // exact row equality (float addition order differs).
   ASSERT_OK_AND_ASSIGN(Dataset want, ref.Execute(*Plan::Aggregate(
@@ -333,7 +334,7 @@ Result<TablePtr> ApplyUnfused(const std::vector<const Plan*>& ops, TablePtr t) {
       }
       case OpKind::kAggregate: {
         NEXUS_ASSIGN_OR_RETURN(
-            t, relational::HashAggregate(t, op->As<AggregateOp>()));
+            t, algebra::LowerAggregate(t, op->As<AggregateOp>()));
         break;
       }
       default:

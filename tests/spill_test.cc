@@ -317,14 +317,14 @@ TEST(SpillIdentityTest, HashAggregateMatchesFirstSeenGroupOrder) {
 
   spill::SetSpillOverride(false);
   SetThreadCount(1);
-  ASSERT_OK_AND_ASSIGN(TablePtr expect, relational::HashAggregate(input, op));
+  ASSERT_OK_AND_ASSIGN(TablePtr expect, algebra::LowerAggregate(input, op));
 
   for (int threads : {1, 4}) {
-    for (int64_t budget : {int64_t{1}, int64_t{2048}}) {
+    for (int64_t budget : {int64_t{1}, int64_t{512}, int64_t{2048}}) {
       SetThreadCount(threads);
       spill::SetSpillOverride(true);
       spill::SetSpillBudgetOverride(budget);
-      ASSERT_OK_AND_ASSIGN(TablePtr got, relational::HashAggregate(input, op));
+      ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(input, op));
       EXPECT_TRUE(got->Equals(*expect))
           << "threads " << threads << " budget " << budget;
       spill::ClearSpillOverride();
@@ -341,10 +341,10 @@ TEST(SpillIdentityTest, UngroupedAggregateIgnoresSpillPolicy) {
   op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
              AggSpec{AggFunc::kCount, nullptr, "n"}};
 
-  ASSERT_OK_AND_ASSIGN(TablePtr expect, relational::HashAggregate(input, op));
+  ASSERT_OK_AND_ASSIGN(TablePtr expect, algebra::LowerAggregate(input, op));
   spill::SetSpillOverride(true);
   spill::SetSpillBudgetOverride(1);
-  ASSERT_OK_AND_ASSIGN(TablePtr got, relational::HashAggregate(input, op));
+  ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(input, op));
   EXPECT_TRUE(got->Equals(*expect));
 }
 
@@ -388,29 +388,6 @@ TEST(SpillIdentityTest, AlgebraJoinAndReduceMatchInMemory) {
         << "threads " << threads;
     spill::ClearSpillOverride();
     spill::ClearSpillBudgetOverride();
-  }
-  EXPECT_EQ(SpillManager::Global().live_files(), 0);
-}
-
-TEST(SpillIdentityTest, LoweredAggregateSpillsThroughGroupFold) {
-  SpillGuard guard;
-  TablePtr input = RandomTable(61, 500, 32);
-  AggregateOp op;
-  op.group_by = {"k"};
-  op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
-             AggSpec{AggFunc::kCount, nullptr, "n"},
-             AggSpec{AggFunc::kMax, Col("v"), "hi"}};
-
-  spill::SetSpillOverride(false);
-  SetThreadCount(1);
-  ASSERT_OK_AND_ASSIGN(TablePtr expect, algebra::LowerAggregate(input, op));
-
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(512);
-  for (int threads : {1, 4}) {
-    SetThreadCount(threads);
-    ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(input, op));
-    EXPECT_TRUE(got->Equals(*expect)) << "threads " << threads;
   }
   EXPECT_EQ(SpillManager::Global().live_files(), 0);
 }
