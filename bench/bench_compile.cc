@@ -4,28 +4,34 @@
 //
 // Arms:
 //   e16_expr_interp / e16_expr_compiled: one expression-heavy scan (nulls,
-//     conditionals, math builtins — off the legacy fast path) evaluated by
-//     the row-at-a-time interpreter vs the compiled VM. Gate: >= 5x, and
-//     byte-identical output columns.
+//     conditionals, math builtins) evaluated by the boxed row interpreter
+//     (EvalExprInterpreted) vs the compiled VM (EvalExprVector). Gate: >= 5x,
+//     and byte-identical output columns.
 //   e16_pipe_interp / e16_pipe_compiled / e16_pipe_fused: a
-//     filter→extend→aggregate pipeline through the relational provider with
-//     compilation off, compilation on, and compilation+fusion on.
+//     filter→extend→aggregate pipeline run by the boxed ReferenceExecutor,
+//     by the per-operator kernels called directly (relational::Filter →
+//     relational::Extend → algebra::LowerAggregate, each compiled but
+//     materializing a table per operator), and through the relational
+//     provider, which fuses the chain into one compiled morsel loop.
 //     Gate: byte-identical tables across all three arms.
 //   e16_cache_cold / e16_cache_warm: the same plan executed twice; the warm
 //     run must compile zero programs and hit the program cache.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
+#include "algebra/kernels.h"
 #include "bench_json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "exec/reference_executor.h"
 #include "expr/builder.h"
 #include "expr/bytecode.h"
 #include "expr/eval.h"
-#include "optimizer/fusion.h"
 #include "provider/provider.h"
+#include "relational/engine.h"
 #include "telemetry/metrics.h"
 
 using namespace nexus;         // NOLINT
@@ -75,15 +81,12 @@ void RunExprArm(benchjson::Recorder* json) {
                                      Lit(0.0)}),
                    Lit(50.0)}));
 
-  SetExprCompileOverride(false);
-  Column interp = EvalExprVector(*e, *t).ValueOrDie();
+  Column interp = EvalExprInterpreted(*e, *t).ValueOrDie();
   double ms_interp =
-      MinMillis([&] { EvalExprVector(*e, *t).ValueOrDie(); });
-  SetExprCompileOverride(true);
+      MinMillis([&] { EvalExprInterpreted(*e, *t).ValueOrDie(); });
   Column compiled = EvalExprVector(*e, *t).ValueOrDie();
   double ms_compiled =
       MinMillis([&] { EvalExprVector(*e, *t).ValueOrDie(); });
-  ClearExprCompileOverride();
 
   NEXUS_CHECK(compiled.Equals(interp));  // byte-identical, not just close
   json->Record("e16_expr_interp", kExprRows, ms_interp);
@@ -110,6 +113,17 @@ PlanPtr PipelinePlan() {
        AggSpec{AggFunc::kCount, nullptr, "n"}});
 }
 
+// The plan's operators run one by one on the relational kernels: every
+// expression compiles, but each operator materializes its output table.
+TablePtr RunPerOperator(const Plan& plan, const TablePtr& fact) {
+  const Plan& extend = *plan.child(0);
+  const Plan& select = *extend.child(0);
+  TablePtr t =
+      relational::Filter(fact, *select.As<SelectOp>().predicate).ValueOrDie();
+  t = relational::Extend(t, extend.As<ExtendOp>().defs).ValueOrDie();
+  return algebra::LowerAggregate(t, plan.As<AggregateOp>()).ValueOrDie();
+}
+
 void RunPipelineArm(benchjson::Recorder* json) {
   SchemaPtr s = Schema::Make({Field::Attr("k", DataType::kInt64),
                               Field::Attr("g", DataType::kInt64),
@@ -129,23 +143,23 @@ void RunPipelineArm(benchjson::Recorder* json) {
                                  rng.NextInt(-10, 10)))})
                     .ok());
   }
+  TablePtr fact = b.Finish().ValueOrDie();
   ProviderPtr relstore = MakeRelationalProvider();
-  NEXUS_CHECK(relstore->catalog()->Put("fact", Dataset(b.Finish().ValueOrDie()))
-                  .ok());
+  NEXUS_CHECK(relstore->catalog()->Put("fact", Dataset(fact)).ok());
   PlanPtr plan = PipelinePlan();
 
-  auto run_arm = [&](bool compile, bool fuse) {
-    SetExprCompileOverride(compile);
-    SetPipelineFusionOverride(fuse);
-    Dataset out = relstore->Execute(*plan).ValueOrDie();
-    double ms = MinMillis([&] { relstore->Execute(*plan).ValueOrDie(); });
-    return std::make_pair(ms, out.table());
+  auto run_arm = [](const std::function<TablePtr()>& run) {
+    TablePtr out = run();
+    double ms = MinMillis([&] { run(); });
+    return std::make_pair(ms, out);
   };
-  auto [ms_interp, t_interp] = run_arm(false, false);
-  auto [ms_compiled, t_compiled] = run_arm(true, false);
-  auto [ms_fused, t_fused] = run_arm(true, true);
-  ClearExprCompileOverride();
-  ClearPipelineFusionOverride();
+  ReferenceExecutor reference(relstore->catalog());
+  auto [ms_interp, t_interp] = run_arm(
+      [&] { return reference.Execute(*plan).ValueOrDie().table(); });
+  auto [ms_compiled, t_compiled] =
+      run_arm([&] { return RunPerOperator(*plan, fact); });
+  auto [ms_fused, t_fused] = run_arm(
+      [&] { return relstore->Execute(*plan).ValueOrDie().table(); });
 
   NEXUS_CHECK(t_compiled->Equals(*t_interp));
   NEXUS_CHECK(t_fused->Equals(*t_interp));
@@ -154,8 +168,8 @@ void RunPipelineArm(benchjson::Recorder* json) {
   json->Record("e16_pipe_fused", kPipeRows, ms_fused);
   std::printf("\nfilter->extend->aggregate pipeline over %lld rows\n",
               static_cast<long long>(kPipeRows));
-  std::printf("  interpreter        %9.2f ms\n", ms_interp);
-  std::printf("  compiled           %9.2f ms   (%.2fx)\n", ms_compiled,
+  std::printf("  reference executor %9.2f ms\n", ms_interp);
+  std::printf("  per-operator       %9.2f ms   (%.2fx)\n", ms_compiled,
               ms_interp / ms_compiled);
   std::printf("  compiled + fused   %9.2f ms   (%.2fx)\n", ms_fused,
               ms_interp / ms_fused);

@@ -24,49 +24,6 @@ void Count(const char* name) {
   telemetry::MetricsRegistry::Global().counter(name)->Increment();
 }
 
-// Typed key equality across two tables (no nulls in associative-array keys,
-// but kept null-aware so the logic is identical to relational::HashJoin's).
-bool PairKeysEqual(const Table& a, int64_t ar, const std::vector<int>& ac,
-                   const Table& b, int64_t br, const std::vector<int>& bc) {
-  for (size_t k = 0; k < ac.size(); ++k) {
-    const Column& ca = a.column(ac[k]);
-    const Column& cb = b.column(bc[k]);
-    bool na = ca.IsNull(ar), nb = cb.IsNull(br);
-    if (na || nb) return false;
-    if (ca.type() == cb.type()) {
-      switch (ca.type()) {
-        case DataType::kInt64:
-          if (ca.ints()[static_cast<size_t>(ar)] !=
-              cb.ints()[static_cast<size_t>(br)]) {
-            return false;
-          }
-          break;
-        case DataType::kFloat64:
-          if (ca.doubles()[static_cast<size_t>(ar)] !=
-              cb.doubles()[static_cast<size_t>(br)]) {
-            return false;
-          }
-          break;
-        case DataType::kBool:
-          if (ca.bools()[static_cast<size_t>(ar)] !=
-              cb.bools()[static_cast<size_t>(br)]) {
-            return false;
-          }
-          break;
-        case DataType::kString:
-          if (ca.strings()[static_cast<size_t>(ar)] !=
-              cb.strings()[static_cast<size_t>(br)]) {
-            return false;
-          }
-          break;
-      }
-    } else if (ca.GetValue(ar) != cb.GetValue(br)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // The shared ⊕-fold core. Normalize/Union/Reduce and LowerAggregate all run
 // on this one implementation — the "write it once, not four times" payoff.
@@ -282,68 +239,6 @@ Result<GroupFoldOut> GroupFold(const Table& input,
   return out;
 }
 
-// Out-of-core ⊗-join pair computation, as in relational's spilled
-// HashJoin: partition both sides by key hash, build/probe each partition
-// in memory, and sort the merged pairs of original entry indices by
-// (a, b). The in-memory probe emits pairs in exactly that lexicographic
-// order (a-entries ascending, each probing one ascending bucket chain), so
-// the sorted pairs — and everything gathered from them — are bit-identical.
-Status SpillJoinPairs(const TablePtr& ta_ptr, const TablePtr& tb_ptr,
-                      const std::vector<uint64_t>& ah,
-                      const std::vector<uint64_t>& bh,
-                      const std::vector<int>& ak, const std::vector<int>& bk,
-                      std::vector<int64_t>* li, std::vector<int64_t>* ri,
-                      telemetry::SpanGuard* span) {
-  spill::PartitionedSpiller::Options opts;
-  opts.budget_bytes = spill::SpillBudgetBytes();
-  opts.tag = "alg-join";
-  spill::PartitionedSpiller spiller(&spill::SpillManager::Global(), opts);
-  std::vector<std::pair<int64_t, int64_t>> pairs;
-  ScopedCharge pair_charge;
-  Status st = spiller.Run(
-      {{ta_ptr, &ah}, {tb_ptr, &bh}},
-      [&](const std::vector<TablePtr>& parts) -> Status {
-        const Table& ap = *parts[0];
-        const Table& bp = *parts[1];
-        const auto& arows = ap.column(ap.num_columns() - 2).ints();
-        const auto& ahash = ap.column(ap.num_columns() - 1).ints();
-        const auto& brows = bp.column(bp.num_columns() - 2).ints();
-        const auto& bhash = bp.column(bp.num_columns() - 1).ints();
-        ScopedCharge build_charge;
-        build_charge.Add(bp.num_rows() * 48);
-        std::unordered_map<uint64_t, std::vector<int64_t>> table;
-        table.reserve(static_cast<size_t>(bp.num_rows()) + 1);
-        for (int64_t r = 0; r < bp.num_rows(); ++r) {
-          table[static_cast<uint64_t>(bhash[static_cast<size_t>(r)])].push_back(r);
-        }
-        size_t before = pairs.size();
-        for (int64_t l = 0; l < ap.num_rows(); ++l) {
-          auto it = table.find(static_cast<uint64_t>(ahash[static_cast<size_t>(l)]));
-          if (it == table.end()) continue;
-          for (int64_t r : it->second) {
-            if (PairKeysEqual(ap, l, ak, bp, r, bk)) {
-              pairs.emplace_back(arows[static_cast<size_t>(l)],
-                                 brows[static_cast<size_t>(r)]);
-            }
-          }
-        }
-        pair_charge.Add(static_cast<int64_t>(pairs.size() - before) * 16);
-        return Status::OK();
-      });
-  NEXUS_RETURN_NOT_OK(st);
-  std::sort(pairs.begin(), pairs.end());
-  li->reserve(pairs.size());
-  ri->reserve(pairs.size());
-  for (const auto& [l, r] : pairs) {
-    li->push_back(l);
-    ri->push_back(r);
-  }
-  Count("algebra.spilled_joins");
-  span->AddCounter("spill_partitions", spiller.stats().partitions);
-  span->AddCounter("spill_bytes", spiller.stats().bytes_spilled);
-  return Status::OK();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -456,70 +351,15 @@ Result<AssocArray> Join(const AssocArray& a, const AssocArray& b,
 
   const Table& ta = *a.table();
   const Table& tb = *b.table();
-  NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> ah, relational::HashRows(ta, ak));
-  NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> bh, relational::HashRows(tb, bk));
-  const int64_t na = ta.num_rows();
-  const int64_t nb = tb.num_rows();
-
   std::vector<int64_t> li, ri;
   ScopedCharge working_set;  // released when the join returns
+  // Pair order is a-entry order with matches in b-entry order, independent
+  // of the thread count; spills when the build side crosses the budget.
+  NEXUS_ASSIGN_OR_RETURN(
+      bool spilled, relational::HashJoinPairs(a.table(), b.table(), ak, bk,
+                                              &working_set, &span, &li, &ri));
+  if (spilled) Count("algebra.spilled_joins");
   const int64_t grain = kMorselRows;
-  // Out-of-core path: Grace-partition both sides when the build-side
-  // working set would cross the query's budget.
-  if (nb > 0 && spill::ShouldSpill(ta.ByteSize() + tb.ByteSize() + nb * 48)) {
-    NEXUS_RETURN_NOT_OK(
-        SpillJoinPairs(a.table(), b.table(), ah, bh, ak, bk, &li, &ri, &span));
-  } else {
-    // Partitioned build on b (ascending bucket chains), morsel-order probe of
-    // a — the HashJoin determinism recipe: pair order is a-entry order with
-    // matches in b-entry order, independent of the thread count.
-    int parts = 1;
-    while (parts < GetThreadCount() && parts < 64) parts *= 2;
-    const uint64_t mask = static_cast<uint64_t>(parts - 1);
-    working_set.Add(nb * 48);
-    std::vector<std::unordered_map<uint64_t, std::vector<int64_t>>> tables(
-        static_cast<size_t>(parts));
-    ParallelFor(parts, 1, [&](int64_t pb, int64_t pe) {
-      for (int64_t p = pb; p < pe; ++p) {
-        auto& table = tables[static_cast<size_t>(p)];
-        table.reserve(static_cast<size_t>(nb / parts + 1));
-        for (int64_t r = 0; r < nb; ++r) {
-          uint64_t h = bh[static_cast<size_t>(r)];
-          if ((h & mask) != static_cast<uint64_t>(p)) continue;
-          table[h].push_back(r);
-        }
-      }
-    });
-
-    const size_t morsels = static_cast<size_t>((na + grain - 1) / grain);
-    std::vector<std::vector<int64_t>> lparts(std::max<size_t>(morsels, 1));
-    std::vector<std::vector<int64_t>> rparts(std::max<size_t>(morsels, 1));
-    ParallelFor(na, grain, [&](int64_t bgn, int64_t end) {
-      std::vector<int64_t>& lo = lparts[static_cast<size_t>(bgn / grain)];
-      std::vector<int64_t>& ro = rparts[static_cast<size_t>(bgn / grain)];
-      for (int64_t l = bgn; l < end; ++l) {
-        uint64_t h = ah[static_cast<size_t>(l)];
-        const auto& table = tables[static_cast<size_t>(h & mask)];
-        auto it = table.find(h);
-        if (it == table.end()) continue;
-        for (int64_t r : it->second) {
-          if (PairKeysEqual(ta, l, ak, tb, r, bk)) {
-            lo.push_back(l);
-            ro.push_back(r);
-          }
-        }
-      }
-    });
-    size_t total = 0;
-    for (const auto& p : lparts) total += p.size();
-    working_set.Add(static_cast<int64_t>(total) * 16);
-    li.reserve(total);
-    ri.reserve(total);
-    for (size_t m = 0; m < lparts.size(); ++m) {
-      li.insert(li.end(), lparts[m].begin(), lparts[m].end());
-      ri.insert(ri.end(), rparts[m].begin(), rparts[m].end());
-    }
-  }
 
   // Output schema: a's keys, b's non-shared keys, then the ⊗ value.
   std::vector<Field> fields;

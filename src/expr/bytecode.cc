@@ -1,8 +1,5 @@
 #include "expr/bytecode.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <unordered_map>
@@ -503,43 +500,6 @@ Result<ExprProgram> CompileExprs(const std::vector<ExprPtr>& exprs,
 
 Result<ExprProgram> CompileExpr(const ExprPtr& expr, const Schema& input) {
   return CompileExprs({expr}, input);
-}
-
-// ---------------------------------------------------------------------------
-// Compile switch.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// -1 = no override; 0 = off; 1 = on.
-std::atomic<int> g_compile_override{-1};
-
-bool EnvExprCompile() {
-  static const bool from_env = [] {
-    const char* env = std::getenv("NEXUS_EXPR_COMPILE");
-    if (env != nullptr &&
-        (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) {
-      return false;
-    }
-    return true;
-  }();
-  return from_env;
-}
-
-}  // namespace
-
-bool ExprCompileEnabled() {
-  int o = g_compile_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return EnvExprCompile();
-}
-
-void SetExprCompileOverride(bool on) {
-  g_compile_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void ClearExprCompileOverride() {
-  g_compile_override.store(-1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@
 // row interpreter promotes dynamically (int64 ∨ float64 → float64). Mixed
 // int64/float64 comparisons compare in double — exactly Value::Compare's
 // rule — while comparisons whose operands are statically int64 use exact
-// int64 opcodes, closing the legacy fast path's 2^53 precision hole.
+// int64 opcodes, so they stay exact beyond 2^53.
+//
+// The VM is the only vectorized expression tier: EvalExprVector runs every
+// program that compiles, and only a refused expression reaches the boxed row
+// interpreter (EvalExprInterpreted in expr/eval.h).
 //
 // Byte-identity contract: a program either compiles and then produces
 // bit-identical results to the row interpreter for every input, or
@@ -157,18 +161,6 @@ using ExprProgramPtr = std::shared_ptr<const ExprProgram>;
 Result<ExprProgram> CompileExprs(const std::vector<ExprPtr>& exprs,
                                  const Schema& input);
 Result<ExprProgram> CompileExpr(const ExprPtr& expr, const Schema& input);
-
-// ---------------------------------------------------------------------------
-// Process-wide compile switch (mirrors NEXUS_WIRE in core/wire_format.h).
-// ---------------------------------------------------------------------------
-
-/// True when expression compilation is enabled: the programmatic override if
-/// set, else NEXUS_EXPR_COMPILE ("off"/"0" disables; default on).
-bool ExprCompileEnabled();
-/// Overrides ExprCompileEnabled for this process (benches run
-/// compiled-vs-interpreter ablations through this).
-void SetExprCompileOverride(bool on);
-void ClearExprCompileOverride();
 
 // ---------------------------------------------------------------------------
 // Program cache: compile once per (expression list, schema) process-wide.

@@ -235,230 +235,6 @@ Result<Value> EvalExprRow(const Expr& expr, const Schema& schema,
 
 namespace {
 
-// True when `expr` is exact integer arithmetic over null-free int64 data:
-// int64 literals/columns combined with neg/add/sub/mul. Comparisons between
-// two such subtrees run in exact int64 loops instead of the double fast path
-// (doubles lose integer precision above 2^53). Callers must already have
-// checked FastPathEligible on the tree.
-bool Int64Pure(const Expr& expr, const Table& table) {
-  switch (expr.kind()) {
-    case ExprKind::kLiteral:
-      return expr.literal().is_int64();
-    case ExprKind::kColumnRef: {
-      int i = table.schema()->FindField(expr.column_name());
-      return i >= 0 && table.column(i).type() == DataType::kInt64;
-    }
-    case ExprKind::kUnary:
-      return expr.unary_op() == UnaryOp::kNeg &&
-             Int64Pure(*expr.child(0), table);
-    case ExprKind::kBinary: {
-      BinaryOp op = expr.binary_op();
-      if (op != BinaryOp::kAdd && op != BinaryOp::kSub &&
-          op != BinaryOp::kMul) {
-        return false;
-      }
-      return Int64Pure(*expr.child(0), table) &&
-             Int64Pure(*expr.child(1), table);
-    }
-    default:
-      return false;
-  }
-}
-
-// Evaluates an Int64Pure expression over rows [begin, end) into `out`.
-void EvalFastInt(const Expr& expr, const Table& table, int64_t begin,
-                 int64_t end, int64_t* out) {
-  size_t len = static_cast<size_t>(end - begin);
-  switch (expr.kind()) {
-    case ExprKind::kLiteral:
-      std::fill(out, out + len, expr.literal().AsInt64());
-      return;
-    case ExprKind::kColumnRef: {
-      const auto& src =
-          table.column(table.schema()->FindField(expr.column_name())).ints();
-      std::copy(src.begin() + begin, src.begin() + end, out);
-      return;
-    }
-    case ExprKind::kUnary:
-      EvalFastInt(*expr.child(0), table, begin, end, out);
-      for (size_t i = 0; i < len; ++i) out[i] = -out[i];
-      return;
-    case ExprKind::kBinary: {
-      std::vector<int64_t> rhs(len);
-      EvalFastInt(*expr.child(0), table, begin, end, out);
-      EvalFastInt(*expr.child(1), table, begin, end, rhs.data());
-      switch (expr.binary_op()) {
-        case BinaryOp::kAdd:
-          for (size_t i = 0; i < len; ++i) out[i] += rhs[i];
-          return;
-        case BinaryOp::kSub:
-          for (size_t i = 0; i < len; ++i) out[i] -= rhs[i];
-          return;
-        default:
-          for (size_t i = 0; i < len; ++i) out[i] *= rhs[i];
-          return;
-      }
-    }
-    default:
-      return;  // excluded by Int64Pure
-  }
-}
-
-// True when `expr` only touches null-free numeric/bool columns, so the typed
-// double-based fast path is exact. String ops, casts, and functions beyond
-// simple math are excluded.
-bool FastPathEligible(const Expr& expr, const Table& table) {
-  switch (expr.kind()) {
-    case ExprKind::kLiteral:
-      return expr.literal().is_numeric() || expr.literal().is_bool();
-    case ExprKind::kColumnRef: {
-      int i = table.schema()->FindField(expr.column_name());
-      if (i < 0) return false;
-      const Column& c = table.column(i);
-      return (IsNumeric(c.type()) || c.type() == DataType::kBool) && !c.has_nulls();
-    }
-    case ExprKind::kUnary:
-      return FastPathEligible(*expr.child(0), table);
-    case ExprKind::kBinary: {
-      if (expr.binary_op() == BinaryOp::kDiv || expr.binary_op() == BinaryOp::kMod) {
-        return false;  // null-on-zero semantics need the boxed path
-      }
-      return FastPathEligible(*expr.child(0), table) &&
-             FastPathEligible(*expr.child(1), table);
-    }
-    default:
-      return false;
-  }
-}
-
-// Evaluates eligible expressions over rows [begin, end) into `out`, where
-// out[i] holds row begin+i (bools as 0/1). Range-oriented so morsels of one
-// table can evaluate concurrently; each output slot depends only on its own
-// row, so any morsel decomposition yields byte-identical results.
-void EvalFast(const Expr& expr, const Table& table, int64_t begin, int64_t end,
-              double* out) {
-  size_t len = static_cast<size_t>(end - begin);
-  switch (expr.kind()) {
-    case ExprKind::kLiteral: {
-      double v = expr.literal().is_bool() ? (expr.literal().AsBool() ? 1.0 : 0.0)
-                                          : expr.literal().AsDouble();
-      std::fill(out, out + len, v);
-      return;
-    }
-    case ExprKind::kColumnRef: {
-      const Column& c =
-          table.column(table.schema()->FindField(expr.column_name()));
-      if (c.type() == DataType::kInt64) {
-        const auto& src = c.ints();
-        for (size_t i = 0; i < len; ++i) {
-          out[i] = static_cast<double>(src[static_cast<size_t>(begin) + i]);
-        }
-      } else if (c.type() == DataType::kFloat64) {
-        const auto& src = c.doubles();
-        std::copy(src.begin() + begin, src.begin() + end, out);
-      } else {
-        const auto& src = c.bools();
-        for (size_t i = 0; i < len; ++i) {
-          out[i] = src[static_cast<size_t>(begin) + i] ? 1.0 : 0.0;
-        }
-      }
-      return;
-    }
-    case ExprKind::kUnary: {
-      EvalFast(*expr.child(0), table, begin, end, out);
-      if (expr.unary_op() == UnaryOp::kNeg) {
-        for (size_t i = 0; i < len; ++i) out[i] = -out[i];
-      } else {
-        for (size_t i = 0; i < len; ++i) out[i] = (out[i] != 0.0) ? 0.0 : 1.0;
-      }
-      return;
-    }
-    case ExprKind::kBinary: {
-      if (IsComparison(expr.binary_op()) && Int64Pure(*expr.child(0), table) &&
-          Int64Pure(*expr.child(1), table)) {
-        // Exact int64 comparison loop: the double loops below would collapse
-        // distinct integers above 2^53.
-        std::vector<int64_t> li(len), ri(len);
-        EvalFastInt(*expr.child(0), table, begin, end, li.data());
-        EvalFastInt(*expr.child(1), table, begin, end, ri.data());
-        switch (expr.binary_op()) {
-          case BinaryOp::kEq:
-            for (size_t i = 0; i < len; ++i) out[i] = li[i] == ri[i] ? 1.0 : 0.0;
-            return;
-          case BinaryOp::kNe:
-            for (size_t i = 0; i < len; ++i) out[i] = li[i] != ri[i] ? 1.0 : 0.0;
-            return;
-          case BinaryOp::kLt:
-            for (size_t i = 0; i < len; ++i) out[i] = li[i] < ri[i] ? 1.0 : 0.0;
-            return;
-          case BinaryOp::kLe:
-            for (size_t i = 0; i < len; ++i) out[i] = li[i] <= ri[i] ? 1.0 : 0.0;
-            return;
-          case BinaryOp::kGt:
-            for (size_t i = 0; i < len; ++i) out[i] = li[i] > ri[i] ? 1.0 : 0.0;
-            return;
-          default:
-            for (size_t i = 0; i < len; ++i) out[i] = li[i] >= ri[i] ? 1.0 : 0.0;
-            return;
-        }
-      }
-      std::vector<double> rhs(len);
-      EvalFast(*expr.child(0), table, begin, end, out);
-      EvalFast(*expr.child(1), table, begin, end, rhs.data());
-      double* a = out;
-      const double* b = rhs.data();
-      size_t sz = len;
-      switch (expr.binary_op()) {
-        case BinaryOp::kAdd:
-          for (size_t i = 0; i < sz; ++i) a[i] += b[i];
-          return;
-        case BinaryOp::kSub:
-          for (size_t i = 0; i < sz; ++i) a[i] -= b[i];
-          return;
-        case BinaryOp::kMul:
-          for (size_t i = 0; i < sz; ++i) a[i] *= b[i];
-          return;
-        case BinaryOp::kEq:
-          for (size_t i = 0; i < sz; ++i) a[i] = a[i] == b[i] ? 1.0 : 0.0;
-          return;
-        case BinaryOp::kNe:
-          for (size_t i = 0; i < sz; ++i) a[i] = a[i] != b[i] ? 1.0 : 0.0;
-          return;
-        case BinaryOp::kLt:
-          for (size_t i = 0; i < sz; ++i) a[i] = a[i] < b[i] ? 1.0 : 0.0;
-          return;
-        case BinaryOp::kLe:
-          for (size_t i = 0; i < sz; ++i) a[i] = a[i] <= b[i] ? 1.0 : 0.0;
-          return;
-        case BinaryOp::kGt:
-          for (size_t i = 0; i < sz; ++i) a[i] = a[i] > b[i] ? 1.0 : 0.0;
-          return;
-        case BinaryOp::kGe:
-          for (size_t i = 0; i < sz; ++i) a[i] = a[i] >= b[i] ? 1.0 : 0.0;
-          return;
-        case BinaryOp::kAnd:
-          for (size_t i = 0; i < sz; ++i) {
-            a[i] = (a[i] != 0.0 && b[i] != 0.0) ? 1.0 : 0.0;
-          }
-          return;
-        case BinaryOp::kOr:
-          for (size_t i = 0; i < sz; ++i) {
-            a[i] = (a[i] != 0.0 || b[i] != 0.0) ? 1.0 : 0.0;
-          }
-          return;
-        default:
-          return;  // excluded by FastPathEligible
-      }
-    }
-    default:
-      return;  // excluded by FastPathEligible
-  }
-}
-
-}  // namespace
-
-namespace {
-
 // Compiled evaluation: runs the cached bytecode program morsel-at-a-time.
 // Sequential executions reuse one VM (constants materialize once); parallel
 // executions evaluate per-morsel pieces stitched in morsel order, which is
@@ -497,8 +273,7 @@ Result<Column> EvalCompiled(const ExprProgramPtr& prog, const Table& table,
   return out;
 }
 
-// Boxed evaluation of rows [begin, end) into a fresh column piece; the
-// parallel driver concatenates pieces in morsel order.
+// Boxed evaluation of rows [begin, end) into a fresh column piece.
 Result<Column> EvalBoxedRange(const Expr& expr, const Table& table,
                               DataType out_type, int64_t begin, int64_t end) {
   Column out(out_type);
@@ -516,45 +291,11 @@ Result<Column> EvalBoxedRange(const Expr& expr, const Table& table,
   return out;
 }
 
-}  // namespace
-
-Result<Column> EvalExprVector(const Expr& expr, const Table& table) {
-  NEXUS_ASSIGN_OR_RETURN(DataType out_type,
-                         InferExprType(expr, *table.schema()));
+// Boxed evaluation: morsels evaluate into per-morsel column pieces, stitched
+// back together in morsel order (identical to one sequential pass).
+Result<Column> EvalBoxed(const Expr& expr, const Table& table,
+                         DataType out_type) {
   int64_t n = table.num_rows();
-  // Compiled path: lower to register bytecode (cached process-wide) and run
-  // the vectorized VM. Falls through to the interpreter paths when the
-  // expression does not fit the ISA (bytecode.h documents the contract: a
-  // program that compiles is byte-identical to the interpreter).
-  if (ExprCompileEnabled()) {
-    Result<ExprProgramPtr> prog = GetOrCompileProgram(expr, *table.schema());
-    if (prog.ok()) {
-      const ExprProgramPtr& p = prog.ValueOrDie();
-      if (p->out_types[0] == out_type) {
-        return EvalCompiled(p, table, out_type);
-      }
-    } else if (!prog.status().IsUnsupported()) {
-      return prog.status();
-    }
-  }
-  // The fast path computes in double; int64 outputs take the boxed path so
-  // integer arithmetic stays exact beyond 2^53.
-  if (out_type != DataType::kInt64 && FastPathEligible(expr, table)) {
-    std::vector<double> buf(static_cast<size_t>(n));
-    ParallelFor(n, kMorselRows, [&](int64_t begin, int64_t end) {
-      EvalFast(expr, table, begin, end, buf.data() + begin);
-    });
-    if (out_type == DataType::kFloat64) {
-      return Column::FromFloat64(std::move(buf));
-    }
-    if (out_type == DataType::kBool) {
-      std::vector<uint8_t> bools(buf.size());
-      for (size_t i = 0; i < buf.size(); ++i) bools[i] = buf[i] != 0.0 ? 1 : 0;
-      return Column::FromBool(std::move(bools));
-    }
-  }
-  // Boxed path: evaluate morsels into per-morsel column pieces, then stitch
-  // them back together in morsel order (identical to one sequential pass).
   const int64_t grain = kMorselRows;
   int64_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
   if (morsels <= 1 || GetThreadCount() == 1) {
@@ -573,6 +314,31 @@ Result<Column> EvalExprVector(const Expr& expr, const Table& table) {
     NEXUS_RETURN_NOT_OK(out.AppendColumn(part.ValueOrDie()));
   }
   return out;
+}
+
+}  // namespace
+
+Result<Column> EvalExprInterpreted(const Expr& expr, const Table& table) {
+  NEXUS_ASSIGN_OR_RETURN(DataType out_type,
+                         InferExprType(expr, *table.schema()));
+  return EvalBoxed(expr, table, out_type);
+}
+
+Result<Column> EvalExprVector(const Expr& expr, const Table& table) {
+  NEXUS_ASSIGN_OR_RETURN(DataType out_type,
+                         InferExprType(expr, *table.schema()));
+  // Lower to register bytecode (cached process-wide) and run the vectorized
+  // VM. Expressions the compiler refuses take the boxed interpreter
+  // (bytecode.h documents the contract: a program that compiles is
+  // byte-identical to the interpreter).
+  Result<ExprProgramPtr> prog = GetOrCompileProgram(expr, *table.schema());
+  if (prog.ok()) {
+    const ExprProgramPtr& p = prog.ValueOrDie();
+    if (p->out_types[0] == out_type) return EvalCompiled(p, table, out_type);
+  } else if (!prog.status().IsUnsupported()) {
+    return prog.status();
+  }
+  return EvalBoxed(expr, table, out_type);
 }
 
 Result<std::vector<int64_t>> EvalPredicate(const Expr& expr, const Table& table) {

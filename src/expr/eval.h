@@ -1,5 +1,5 @@
 // Expression evaluation: a definitional row-at-a-time interpreter plus a
-// vectorized evaluator with typed fast paths for null-free numeric data.
+// vectorized evaluator that runs the compiled bytecode VM (expr/bytecode.h).
 //
 // Null semantics are SQL-like: any null operand yields null, except the
 // three-valued logical connectives and the null-aware functions coalesce,
@@ -20,14 +20,16 @@ Result<Value> EvalExprRow(const Expr& expr, const Schema& schema,
                           const std::vector<Value>& row);
 
 /// Evaluates `expr` over every row of `table`, producing a column of the
-/// inferred type. Prefers the compiled bytecode VM (expr/bytecode.h; exact
-/// typed opcodes, byte-identical to the interpreter, switchable via
-/// NEXUS_EXPR_COMPILE); expressions outside the ISA use typed double loops
-/// when all referenced columns are null-free numerics, else the row
-/// interpreter. Comparisons whose operands are pure int64 arithmetic run in
-/// exact int64 loops on every path, so they stay exact beyond 2^53;
-/// int64-valued outputs never round-trip through double.
+/// inferred type. Runs the compiled bytecode VM (exact typed opcodes,
+/// byte-identical to the interpreter); expressions the compiler refuses,
+/// such as string-parsing casts, fall back to EvalExprInterpreted.
 Result<Column> EvalExprVector(const Expr& expr, const Table& table);
+
+/// Evaluates `expr` over every row of `table` with the boxed row
+/// interpreter (EvalExprRow per row, morsel-parallel). This is the fallback
+/// for expressions the compiler refuses and the reference the compiled tier
+/// is tested and benchmarked against.
+Result<Column> EvalExprInterpreted(const Expr& expr, const Table& table);
 
 /// Convenience: evaluates a boolean predicate to a selection vector of row
 /// indices where it holds (nulls are treated as false, as in SQL WHERE).

@@ -230,37 +230,52 @@ class Parser {
   }
 
   // Each recursive step of the grammar — a parenthesis or call argument
-  // (ParseExpr), a prefix `not` or `-` — runs one level deeper; past
-  // kMaxParseDepth levels the parse fails instead of overflowing the stack.
-  template <typename ParseFn>
-  Result<ExprPtr> Deeper(ParseFn parse) {
+  // (ParseExpr), a prefix `not` or `-`, a comparison's right operand — runs
+  // one level deeper, and so does each operator of a flat `a + b + c` or
+  // `p and q` chain, which grows its left-deep tree one level per operator.
+  // Past kMaxParseDepth levels the parse fails instead of building a tree
+  // whose recursive walks overflow the stack. An error ends the whole parse,
+  // so only successful steps restore depth_.
+  Status Descend() {
     if (depth_ == kMaxParseDepth) {
       return Status::InvalidArgument(
           StrCat("expression nested deeper than ", kMaxParseDepth));
     }
     ++depth_;
-    Result<ExprPtr> e = parse();
+    return Status::OK();
+  }
+
+  template <typename ParseFn>
+  Result<ExprPtr> Deeper(ParseFn parse) {
+    NEXUS_RETURN_NOT_OK(Descend());
+    NEXUS_ASSIGN_OR_RETURN(ExprPtr e, parse());
     --depth_;
     return e;
   }
 
   Result<ExprPtr> ParseOr() {
+    const int depth = depth_;
     NEXUS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (PeekIdent("or")) {
       Advance();
+      NEXUS_RETURN_NOT_OK(Descend());
       NEXUS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
       lhs = Or(std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
   Result<ExprPtr> ParseAnd() {
+    const int depth = depth_;
     NEXUS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (PeekIdent("and")) {
       Advance();
+      NEXUS_RETURN_NOT_OK(Descend());
       NEXUS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
       lhs = And(std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
@@ -282,7 +297,8 @@ class Parser {
     for (const auto& [sym, op] : kCmp) {
       if (PeekPunct(sym)) {
         Advance();
-        NEXUS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAddSub());
+        NEXUS_ASSIGN_OR_RETURN(ExprPtr rhs,
+                               Deeper([this] { return ParseAddSub(); }));
         return Expr::Binary(op, std::move(lhs), std::move(rhs));
       }
     }
@@ -290,24 +306,30 @@ class Parser {
   }
 
   Result<ExprPtr> ParseAddSub() {
+    const int depth = depth_;
     NEXUS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMulDiv());
     while (PeekPunct("+") || PeekPunct("-")) {
       BinaryOp op = Advance().text == "+" ? BinaryOp::kAdd : BinaryOp::kSub;
+      NEXUS_RETURN_NOT_OK(Descend());
       NEXUS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMulDiv());
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
   Result<ExprPtr> ParseMulDiv() {
+    const int depth = depth_;
     NEXUS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     while (PeekPunct("*") || PeekPunct("/") || PeekPunct("%")) {
       std::string sym = Advance().text;
       BinaryOp op = sym == "*" ? BinaryOp::kMul
                                : (sym == "/" ? BinaryOp::kDiv : BinaryOp::kMod);
+      NEXUS_RETURN_NOT_OK(Descend());
       NEXUS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 

@@ -1,30 +1,11 @@
 #include "optimizer/fusion.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace nexus {
 
 namespace {
 
 bool IsRowLocal(OpKind k) {
   return k == OpKind::kSelect || k == OpKind::kProject || k == OpKind::kExtend;
-}
-
-// -1 = no override; 0 = off; 1 = on.
-std::atomic<int> g_fusion_override{-1};
-
-bool EnvFusion() {
-  static const bool from_env = [] {
-    const char* env = std::getenv("NEXUS_FUSION");
-    if (env != nullptr &&
-        (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) {
-      return false;
-    }
-    return true;
-  }();
-  return from_env;
 }
 
 }  // namespace
@@ -46,20 +27,6 @@ std::optional<FusedChain> MatchFusedChain(const Plan& root) {
   chain.source = cur;
   chain.ops.assign(down.rbegin(), down.rend());
   return chain;
-}
-
-bool PipelineFusionEnabled() {
-  int o = g_fusion_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return EnvFusion();
-}
-
-void SetPipelineFusionOverride(bool on) {
-  g_fusion_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void ClearPipelineFusionOverride() {
-  g_fusion_override.store(-1, std::memory_order_relaxed);
 }
 
 }  // namespace nexus

@@ -5,12 +5,10 @@
 // compile-once/run-many half of the paper's Performance desideratum).
 //
 // This header only MATCHES chains; lowering and execution live in
-// relational/fused.h. The pass is switchable like the optimizer's
-// `reorder_joins`: programmatically via SetPipelineFusionOverride, or with
-// NEXUS_FUSION=off in the environment. Fusion never changes results — the
-// fused executor is byte-identical to running the operators one-by-one
-// (relational/fused.h documents why) and falls back to the per-operator
-// path whenever lowering refuses.
+// relational/fused.h. Every matched chain is tried fused; fusion never
+// changes results — the fused executor is byte-identical to running the
+// operators one-by-one (relational/fused.h documents why) and falls back to
+// the per-operator path whenever lowering refuses.
 #ifndef NEXUS_OPTIMIZER_FUSION_H_
 #define NEXUS_OPTIMIZER_FUSION_H_
 
@@ -35,12 +33,6 @@ struct FusedChain {
 /// the root only). Returns nullopt when fewer than two operators would fuse
 /// — a single operator gains nothing over the normal path.
 std::optional<FusedChain> MatchFusedChain(const Plan& root);
-
-/// True when pipeline fusion is enabled: the programmatic override if set,
-/// else NEXUS_FUSION ("off"/"0" disables; default on).
-bool PipelineFusionEnabled();
-void SetPipelineFusionOverride(bool on);
-void ClearPipelineFusionOverride();
 
 }  // namespace nexus
 

@@ -9,7 +9,6 @@
 #include "core/expansion.h"
 #include "exec/reference_executor.h"
 #include "expr/builder.h"
-#include "expr/bytecode.h"
 #include "optimizer/fusion.h"
 #include "provider/provider.h"
 #include "relational/engine.h"
@@ -132,22 +131,20 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan) {
   // materializing a table per operator. Lowering refuses (kUnsupported)
   // whenever byte-identity cannot be proven; then the chain runs through the
   // regular per-operator kernels below on the already-executed source.
-  if (PipelineFusionEnabled() && ExprCompileEnabled()) {
-    std::optional<FusedChain> chain = MatchFusedChain(plan);
-    if (chain.has_value()) {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr src, ExecT(*chain->source));
-      Result<relational::FusedPipeline> fp =
-          relational::CompileFusedPipeline(chain->ops, src->schema());
-      if (fp.ok()) {
-        NEXUS_ASSIGN_OR_RETURN(TablePtr out,
-                               relational::ExecuteFused(fp.ValueOrDie(), src));
-        return Dataset(out);
-      }
-      if (!fp.status().IsUnsupported()) return fp.status();
+  std::optional<FusedChain> chain = MatchFusedChain(plan);
+  if (chain.has_value()) {
+    NEXUS_ASSIGN_OR_RETURN(TablePtr src, ExecT(*chain->source));
+    Result<relational::FusedPipeline> fp =
+        relational::CompileFusedPipeline(chain->ops, src->schema());
+    if (fp.ok()) {
       NEXUS_ASSIGN_OR_RETURN(TablePtr out,
-                             ApplyChainUnfused(chain->ops, std::move(src)));
+                             relational::ExecuteFused(fp.ValueOrDie(), src));
       return Dataset(out);
     }
+    if (!fp.status().IsUnsupported()) return fp.status();
+    NEXUS_ASSIGN_OR_RETURN(TablePtr out,
+                           ApplyChainUnfused(chain->ops, std::move(src)));
+    return Dataset(out);
   }
   switch (plan.kind()) {
     case OpKind::kScan:

@@ -78,8 +78,7 @@ constexpr int64_t kBytesPerPair = 2 * static_cast<int64_t>(sizeof(int64_t));
 // left row matches within exactly one bucket whose chain holds right rows
 // ascending — and equal keys share a full hash, so every bucket lands
 // intact in exactly one partition. Sorting the merged per-partition pairs
-// by (l, r) therefore reproduces the in-memory pair order exactly, and the
-// unchanged residual/semi/anti/left/gather tail does the rest.
+// by (l, r) therefore reproduces the in-memory pair order exactly.
 Status SpillJoinPairs(const TablePtr& left, const TablePtr& right,
                       const std::vector<uint64_t>& lh,
                       const std::vector<uint64_t>& rh,
@@ -204,6 +203,83 @@ Result<std::vector<uint64_t>> HashRows(const Table& input,
   return hashes;
 }
 
+Result<bool> HashJoinPairs(const TablePtr& left, const TablePtr& right,
+                           const std::vector<int>& lk,
+                           const std::vector<int>& rk,
+                           ScopedCharge* working_set,
+                           telemetry::SpanGuard* span,
+                           std::vector<int64_t>* li, std::vector<int64_t>* ri) {
+  NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> lh, HashRows(*left, lk));
+  NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> rh, HashRows(*right, rk));
+  const int64_t nl = left->num_rows();
+  const int64_t nr = right->num_rows();
+  // Out-of-core path: when the estimated working set crosses the query's
+  // budget (or the governor asked this query to shed memory), compute the
+  // candidate pairs via Grace partitioning instead of one big build.
+  if (nr > 0 && spill::ShouldSpill(left->ByteSize() + right->ByteSize() +
+                                   nr * kBuildBytesPerRow)) {
+    NEXUS_RETURN_NOT_OK(
+        SpillJoinPairs(left, right, lh, rh, lk, rk, li, ri, span));
+    return true;
+  }
+  // Partitioned build: partition p owns every hash h with (h & mask) == p
+  // and builds its chained-bucket table independently. A bucket lives in
+  // exactly one partition and receives its rows in ascending row order, so
+  // bucket chains are identical to the old single-threaded build.
+  int parts = 1;
+  while (parts < GetThreadCount() && parts < 64) parts *= 2;
+  const uint64_t mask = static_cast<uint64_t>(parts - 1);
+  working_set->Add(nr * kBuildBytesPerRow);
+  std::vector<std::unordered_map<uint64_t, std::vector<int64_t>>> tables(
+      static_cast<size_t>(parts));
+  ParallelFor(parts, 1, [&](int64_t pb, int64_t pe) {
+    for (int64_t p = pb; p < pe; ++p) {
+      auto& table = tables[static_cast<size_t>(p)];
+      table.reserve(static_cast<size_t>(nr / parts + 1));
+      for (int64_t r = 0; r < nr; ++r) {
+        uint64_t h = rh[static_cast<size_t>(r)];
+        if ((h & mask) != static_cast<uint64_t>(p)) continue;
+        if (RowHasNullKey(*right, r, rk)) continue;
+        table[h].push_back(r);
+      }
+    }
+  });
+
+  // Probe: each morsel of left rows collects matches into its own pair
+  // vectors; concatenating them in morsel order reproduces the sequential
+  // (left-ascending, bucket-chain) pair order exactly.
+  const int64_t grain = kMorselRows;
+  const size_t morsels = static_cast<size_t>((nl + grain - 1) / grain);
+  std::vector<std::vector<int64_t>> lparts(morsels), rparts(morsels);
+  ParallelFor(nl, grain, [&](int64_t b, int64_t e) {
+    std::vector<int64_t>& lo = lparts[static_cast<size_t>(b / grain)];
+    std::vector<int64_t>& ro = rparts[static_cast<size_t>(b / grain)];
+    for (int64_t l = b; l < e; ++l) {
+      if (RowHasNullKey(*left, l, lk)) continue;
+      uint64_t h = lh[static_cast<size_t>(l)];
+      const auto& table = tables[static_cast<size_t>(h & mask)];
+      auto it = table.find(h);
+      if (it == table.end()) continue;
+      for (int64_t r : it->second) {
+        if (KeysEqual(*left, l, lk, *right, r, rk)) {
+          lo.push_back(l);
+          ro.push_back(r);
+        }
+      }
+    }
+  });
+  size_t total = 0;
+  for (const auto& p : lparts) total += p.size();
+  working_set->Add(static_cast<int64_t>(total) * kBytesPerPair);
+  li->reserve(total);
+  ri->reserve(total);
+  for (size_t m = 0; m < morsels; ++m) {
+    li->insert(li->end(), lparts[m].begin(), lparts[m].end());
+    ri->insert(ri->end(), rparts[m].begin(), rparts[m].end());
+  }
+  return false;
+}
+
 Result<TablePtr> Filter(const TablePtr& input, const Expr& predicate) {
   // Kernel names stay short (SSO) so a disabled-tracing span costs only the
   // one atomic load inside SpanGuard — no allocation.
@@ -258,29 +334,15 @@ Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
     NEXUS_ASSIGN_OR_RETURN(int i, right->schema()->FindFieldOrError(k));
     rk.push_back(i);
   }
-  NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> lh, HashRows(*left, lk));
-  NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> rh, HashRows(*right, rk));
-
   const int64_t nl = left->num_rows();
   const int64_t nr = right->num_rows();
 
   std::vector<int64_t> li, ri;
   ScopedCharge working_set;  // released when the join returns
-  bool cross = lk.empty();  // keys-free join (residual-only): cross product
-  // Out-of-core path: when the estimated working set crosses the query's
-  // budget (or the governor asked this query to shed memory), compute the
-  // candidate pairs via Grace partitioning instead of one big build.
-  bool spilled =
-      !cross && nr > 0 &&
-      spill::ShouldSpill(left->ByteSize() + right->ByteSize() +
-                         nr * kBuildBytesPerRow);
-  if (spilled) {
-    NEXUS_RETURN_NOT_OK(
-        SpillJoinPairs(left, right, lh, rh, lk, rk, &li, &ri, &span));
-  } else if (cross) {
-    // Pair (l, r) owns slot l*nr + r: exact-size allocation up front instead
-    // of the old push_back assembly that reallocated O(log n) times on an
-    // |L|·|R| output, and each left-row morsel fills disjoint slots.
+  if (lk.empty()) {
+    // Keys-free join (residual-only): cross product. Pair (l, r) owns slot
+    // l*nr + r: exact-size allocation up front, and each left-row morsel
+    // fills disjoint slots.
     li.resize(static_cast<size_t>(nl * nr));
     ri.resize(static_cast<size_t>(nl * nr));
     int64_t rows_per_morsel =
@@ -295,61 +357,9 @@ Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
       }
     });
   } else {
-    // Partitioned build: partition p owns every hash h with (h & mask) == p
-    // and builds its chained-bucket table independently. A bucket lives in
-    // exactly one partition and receives its rows in ascending row order, so
-    // bucket chains are identical to the old single-threaded build.
-    int parts = 1;
-    while (parts < GetThreadCount() && parts < 64) parts *= 2;
-    const uint64_t mask = static_cast<uint64_t>(parts - 1);
-    working_set.Add(nr * kBuildBytesPerRow);
-    std::vector<std::unordered_map<uint64_t, std::vector<int64_t>>> tables(
-        static_cast<size_t>(parts));
-    ParallelFor(parts, 1, [&](int64_t pb, int64_t pe) {
-      for (int64_t p = pb; p < pe; ++p) {
-        auto& table = tables[static_cast<size_t>(p)];
-        table.reserve(static_cast<size_t>(nr / parts + 1));
-        for (int64_t r = 0; r < nr; ++r) {
-          uint64_t h = rh[static_cast<size_t>(r)];
-          if ((h & mask) != static_cast<uint64_t>(p)) continue;
-          if (RowHasNullKey(*right, r, rk)) continue;
-          table[h].push_back(r);
-        }
-      }
-    });
-
-    // Probe: each morsel of left rows collects matches into its own pair
-    // vectors; concatenating them in morsel order reproduces the sequential
-    // (left-ascending, bucket-chain) pair order exactly.
-    const int64_t grain = kMorselRows;
-    const size_t morsels = static_cast<size_t>((nl + grain - 1) / grain);
-    std::vector<std::vector<int64_t>> lparts(morsels), rparts(morsels);
-    ParallelFor(nl, grain, [&](int64_t b, int64_t e) {
-      std::vector<int64_t>& lo = lparts[static_cast<size_t>(b / grain)];
-      std::vector<int64_t>& ro = rparts[static_cast<size_t>(b / grain)];
-      for (int64_t l = b; l < e; ++l) {
-        if (RowHasNullKey(*left, l, lk)) continue;
-        uint64_t h = lh[static_cast<size_t>(l)];
-        const auto& table = tables[static_cast<size_t>(h & mask)];
-        auto it = table.find(h);
-        if (it == table.end()) continue;
-        for (int64_t r : it->second) {
-          if (KeysEqual(*left, l, lk, *right, r, rk)) {
-            lo.push_back(l);
-            ro.push_back(r);
-          }
-        }
-      }
-    });
-    size_t total = 0;
-    for (const auto& p : lparts) total += p.size();
-    working_set.Add(static_cast<int64_t>(total) * kBytesPerPair);
-    li.reserve(total);
-    ri.reserve(total);
-    for (size_t m = 0; m < morsels; ++m) {
-      li.insert(li.end(), lparts[m].begin(), lparts[m].end());
-      ri.insert(ri.end(), rparts[m].begin(), rparts[m].end());
-    }
+    NEXUS_RETURN_NOT_OK(
+        HashJoinPairs(left, right, lk, rk, &working_set, &span, &li, &ri)
+            .status());
   }
 
   // Residual filtering over the candidate pairs (vectorized).

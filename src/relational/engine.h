@@ -16,6 +16,12 @@
 #include "types/table.h"
 
 namespace nexus {
+
+class ScopedCharge;
+namespace telemetry {
+class SpanGuard;
+}  // namespace telemetry
+
 namespace relational {
 
 /// Filters rows by a boolean predicate (vectorized evaluation; null → drop).
@@ -34,6 +40,23 @@ Result<TablePtr> Extend(
 /// the algebra's join rule: left fields then right non-key fields.
 Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
                           const JoinOp& spec);
+
+/// Candidate pairs of a hash equi-join of `left` and `right` on the key
+/// columns `lk`/`rk` (non-empty, same length; null keys never match).
+/// Appends to `li`/`ri` the (left row, right row) pairs in lexicographic
+/// order — left rows ascending, each left row's matches in right-row order —
+/// independent of the thread count. The in-memory build and pair vectors
+/// are charged to `working_set`; when that working set would cross the
+/// query's spill budget the pairs are computed out of core (Grace
+/// partitioning, same order) and `span` gets spill counters. Returns true
+/// when the pairs were computed out of core. HashJoin and algebra::Join
+/// share it.
+Result<bool> HashJoinPairs(const TablePtr& left, const TablePtr& right,
+                           const std::vector<int>& lk,
+                           const std::vector<int>& rk,
+                           ScopedCharge* working_set,
+                           telemetry::SpanGuard* span,
+                           std::vector<int64_t>* li, std::vector<int64_t>* ri);
 
 /// Multi-key stable sort.
 Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys);

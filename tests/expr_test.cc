@@ -404,7 +404,7 @@ TEST(BytecodeTest, DisassemblyNamesEveryInstruction) {
 
 TEST(BytecodeTest, Int64ComparisonsAreExactBeyond2Pow53) {
   // 2^53 is the first integer double cannot distinguish from its successor;
-  // both the compiled path and the legacy vectorized path must compare
+  // both the compiled VM and the boxed interpreter must compare
   // statically-int64 operands exactly.
   constexpr int64_t kBig = int64_t{1} << 53;
   SchemaPtr s = MakeSchema({Field::Attr("x", DataType::kInt64),
@@ -424,17 +424,18 @@ TEST(BytecodeTest, Int64ComparisonsAreExactBeyond2Pow53) {
   cases.push_back({Ge(Col("x"), Col("y")), {false, true, false, true}});
   cases.push_back(
       {Eq(Add(Col("x"), Lit(1)), Col("y")), {true, false, true, false}});
-  for (bool compile : {true, false}) {
-    SetExprCompileOverride(compile);
-    for (const Case& c : cases) {
-      ASSERT_OK_AND_ASSIGN(Column got, EvalExprVector(*c.e, *t));
-      for (int64_t r = 0; r < t->num_rows(); ++r) {
-        EXPECT_EQ(got.GetValue(r), B(c.want[static_cast<size_t>(r)]))
-            << c.e->ToString() << " row " << r << " compile=" << compile;
-      }
+  for (const Case& c : cases) {
+    // The VM runs these: every case compiles.
+    ASSERT_TRUE(GetOrCompileProgram(*c.e, *s).ok()) << c.e->ToString();
+    ASSERT_OK_AND_ASSIGN(Column vm, EvalExprVector(*c.e, *t));
+    ASSERT_OK_AND_ASSIGN(Column interp, EvalExprInterpreted(*c.e, *t));
+    for (int64_t r = 0; r < t->num_rows(); ++r) {
+      EXPECT_EQ(vm.GetValue(r), B(c.want[static_cast<size_t>(r)]))
+          << c.e->ToString() << " row " << r << " (vm)";
+      EXPECT_EQ(interp.GetValue(r), B(c.want[static_cast<size_t>(r)]))
+          << c.e->ToString() << " row " << r << " (interpreter)";
     }
   }
-  ClearExprCompileOverride();
 }
 
 TEST(BytecodeTest, ProgramCacheReturnsSameProgram) {
@@ -448,14 +449,6 @@ TEST(BytecodeTest, ProgramCacheReturnsSameProgram) {
   ExprPtr bad = Cast(DataType::kInt64, Col("s"));
   EXPECT_TRUE(GetOrCompileProgram(*bad, *s).status().IsUnsupported());
   EXPECT_TRUE(GetOrCompileProgram(*bad, *s).status().IsUnsupported());
-}
-
-TEST(BytecodeTest, CompileSwitchDisablesTheVM) {
-  SetExprCompileOverride(false);
-  EXPECT_FALSE(ExprCompileEnabled());
-  SetExprCompileOverride(true);
-  EXPECT_TRUE(ExprCompileEnabled());
-  ClearExprCompileOverride();
 }
 
 }  // namespace

@@ -230,6 +230,33 @@ TEST(ParserFuzzRegressionTest, HundredThousandDeepNestingIsRefused) {
   EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(negs + "x").status()));
 }
 
+TEST(ParserFuzzRegressionTest, MillionTermOperatorChainsAreRefused) {
+  // A flat chain builds a left-deep tree one level per operator; a million
+  // terms would give recursive walks and a destructor a million frames.
+  constexpr size_t kTerms = 1000000;
+  std::string sum = "x", conj = "x";
+  sum.reserve(kTerms * 4);
+  conj.reserve(kTerms * 6);
+  for (size_t i = 1; i < kTerms; ++i) {
+    sum += " + x";
+    conj += " and x";
+  }
+  EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(sum).status()));
+  EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(conj).status()));
+  EXPECT_TRUE(RefusedAsTooDeep(ParseBdl("from t | where " + conj).status()));
+}
+
+TEST(ParserFuzzRegressionTest, OperatorChainsUpToTheLimitStillParse) {
+  // The top-level expression is one level, each chained operator another.
+  const size_t ops = static_cast<size_t>(kMaxParseDepth) - 1;
+  for (const std::string op : {" + ", " * ", " or ", " and "}) {
+    std::string chain = "x";
+    for (size_t i = 0; i < ops; ++i) chain += op + "x";
+    EXPECT_OK(ParseBdlExpr(chain).status());
+    EXPECT_TRUE(RefusedAsTooDeep(ParseBdlExpr(chain + op + "x").status())) << op;
+  }
+}
+
 TEST(ParserFuzzRegressionTest, NestingUpToTheLimitStillParses) {
   // BDL: the top-level expression is one level, each parenthesis another.
   const size_t parens = static_cast<size_t>(kMaxParseDepth) - 1;

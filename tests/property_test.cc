@@ -11,7 +11,7 @@
 //   P6  cost-model soundness:  Optimize under arbitrary (even forged)
 //                              statistics ≡ Exec(p) — stats steer join
 //                              order, never results
-//   P7  compile equivalence:   bytecode VM ≡ vectorized interpreter ≡ row
+//   P7  compile equivalence:   bytecode VM ≡ boxed interpreter ≡ row
 //                              interpreter on random expressions (nulls,
 //                              3VL, conditionals, strings), byte-identical
 //   P8  algebra equivalence:   random associative-array programs on the
@@ -423,8 +423,9 @@ TEST_P(ReboxPropertyTest, SerializedArrayKeepsGeometryAndCells) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ReboxPropertyTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
-// P7: the bytecode VM is byte-identical to both interpreters on random
-// typed expression trees over nullable data.
+// P7: the bytecode VM is byte-identical to the boxed interpreter, and both to
+// the row interpreter on every row, for random typed expression trees over
+// nullable data.
 // ---------------------------------------------------------------------------
 
 TablePtr RandomNullableTable(Rng* rng, int64_t rows) {
@@ -569,20 +570,15 @@ TEST_P(ExprCompileTest, CompiledAndInterpretedAreByteIdentical) {
   TablePtr t = RandomNullableTable(&rng, 160);
   const DataType kTypes[] = {DataType::kInt64, DataType::kFloat64,
                              DataType::kString, DataType::kBool};
-  struct Guard {
-    ~Guard() { ClearExprCompileOverride(); }
-  } guard;
   for (int trial = 0; trial < 25; ++trial) {
     ExprPtr e = RandomTypedExpr(&rng, kTypes[trial % 4], 4);
     if (!InferExprType(*e, *t->schema()).ok()) continue;
-    SetExprCompileOverride(false);
-    ASSERT_OK_AND_ASSIGN(Column interp, EvalExprVector(*e, *t));
-    SetExprCompileOverride(true);
+    ASSERT_OK_AND_ASSIGN(Column interp, EvalExprInterpreted(*e, *t));
     ASSERT_OK_AND_ASSIGN(Column compiled, EvalExprVector(*e, *t));
     EXPECT_TRUE(compiled.Equals(interp)) << e->ToString();
-    // Spot-check both against the row interpreter (ground truth).
+    // Check the VM against the row interpreter (ground truth) on every row.
     ASSERT_OK_AND_ASSIGN(DataType out_t, InferExprType(*e, *t->schema()));
-    for (int64_t r = 0; r < t->num_rows(); r += 17) {
+    for (int64_t r = 0; r < t->num_rows(); ++r) {
       ASSERT_OK_AND_ASSIGN(Value row_v,
                            EvalExprRow(*e, *t->schema(), t->Row(r)));
       if (row_v.is_null()) {

@@ -7,16 +7,20 @@
 #include <atomic>
 #include <thread>
 
+#include "common/parallel.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "core/expansion.h"
 #include "core/schema_inference.h"
-#include "expr/builder.h"
 #include "core/serialize.h"
 #include "core/wire_format.h"
+#include "exec/reference_executor.h"
+#include "expr/builder.h"
 #include "expr/bytecode.h"
-#include "optimizer/fusion.h"
 #include "provider/provider.h"
+#include "relational/engine.h"
 #include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 #include "tests/test_util.h"
 
 namespace nexus {
@@ -27,6 +31,8 @@ using testing::F;
 using testing::I;
 using testing::MakeSchema;
 using testing::MakeTable;
+using testing::N;
+using testing::S;
 
 // Random sparse matrix as a dimension-tagged table.
 TablePtr RandomMatrixTable(Rng* rng, int64_t rows, int64_t cols, double density,
@@ -481,42 +487,121 @@ TEST(ExprProgramCacheTest, SecondExecuteCompilesNothing) {
   EXPECT_TRUE(second.table()->Equals(*first.table()));
 }
 
-TEST(ExprProgramCacheTest, FusionAndCompileTogglesAreByteIdentical) {
+/// Restores the process-wide thread count on exit.
+struct ThreadGuard {
+  int saved_threads = GetThreadCount();
+  ~ThreadGuard() { SetThreadCount(saved_threads); }
+};
+
+/// Enables tracing for one scope and clears the recorded spans around it.
+struct TraceGuard {
+  TraceGuard() {
+    telemetry::ClearSpans();
+    telemetry::SetEnabled(true);
+  }
+  ~TraceGuard() {
+    telemetry::SetEnabled(false);
+    telemetry::ClearSpans();
+  }
+};
+
+bool SawSpan(const std::string& name) {
+  for (const telemetry::SpanRecord& s : telemetry::Spans()) {
+    if (s.name == name) return true;
+  }
+  return false;
+}
+
+TEST(ExprProgramCacheTest, FusedMatchesReferenceAndPerOperatorKernels) {
   ClearProgramCacheForTest();
   ProviderPtr relstore = MakeRelationalProvider();
   SchemaPtr s = MakeSchema({Field::Attr("k", DataType::kInt64),
                             Field::Attr("v", DataType::kFloat64)});
   TableBuilder b(s);
   Rng rng(5);
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < 40000; ++i) {
     ASSERT_OK(b.AppendRow({I(rng.NextInt(0, 50)),
                            F(static_cast<double>(rng.NextInt(-9, 9)))}));
   }
-  ASSERT_OK(relstore->catalog()->Put("t", Dataset(b.Finish().ValueOrDie())));
+  TablePtr t = b.Finish().ValueOrDie();
+  ASSERT_OK(relstore->catalog()->Put("t", Dataset(t)));
+  ExprPtr pred = Gt(Col("k"), Lit(7));
+  std::vector<std::pair<std::string, ExprPtr>> defs = {
+      {"z", Add(Mul(Col("v"), Lit(2.0)), Col("v"))}};
   PlanPtr plan = Plan::Project(
-      Plan::Extend(Plan::Select(Plan::Scan("t"), Gt(Col("k"), Lit(7))),
-                   {{"z", Add(Mul(Col("v"), Lit(2.0)), Col("v"))}}),
-      {"z", "k"});
+      Plan::Extend(Plan::Select(Plan::Scan("t"), pred), defs), {"z", "k"});
 
-  struct Guard {
-    ~Guard() {
-      ClearExprCompileOverride();
-      ClearPipelineFusionOverride();
-    }
-  } guard;
-  TablePtr want;
-  for (bool compile : {true, false}) {
-    for (bool fuse : {true, false}) {
-      SetExprCompileOverride(compile);
-      SetPipelineFusionOverride(fuse);
-      ASSERT_OK_AND_ASSIGN(Dataset got, relstore->Execute(*plan));
-      if (want == nullptr) {
-        want = got.table();
-      } else {
-        EXPECT_TRUE(got.table()->Equals(*want))
-            << "compile=" << compile << " fuse=" << fuse;
-      }
-    }
+  ReferenceExecutor ref(relstore->catalog());
+  ASSERT_OK_AND_ASSIGN(Dataset want, ref.Execute(*plan));
+  ASSERT_OK_AND_ASSIGN(TablePtr filtered, relational::Filter(t, *pred));
+  ASSERT_OK_AND_ASSIGN(TablePtr extended, relational::Extend(filtered, defs));
+  ASSERT_OK_AND_ASSIGN(TablePtr per_op,
+                       relational::Project(extended, {"z", "k"}));
+  EXPECT_TRUE(per_op->Equals(*want.table()));
+
+  ThreadGuard threads;
+  for (int n : {1, 4}) {
+    SetThreadCount(n);
+    TraceGuard trace;
+    ASSERT_OK_AND_ASSIGN(Dataset got, relstore->Execute(*plan));
+    EXPECT_TRUE(SawSpan("rel.Fused")) << "threads=" << n;
+    EXPECT_TRUE(got.table()->Equals(*want.table())) << "threads=" << n;
+  }
+}
+
+// The two fallbacks of the compiled tier: a string-parsing cast makes the
+// fused lowering refuse, so the chain runs on the per-operator kernels, and
+// the compiler refuses the cast itself, so Extend evaluates it on the boxed
+// interpreter.
+TEST(ExprProgramCacheTest, RefusedChainRunsUnfusedAndMatchesReference) {
+  ClearProgramCacheForTest();
+  ProviderPtr relstore = MakeRelationalProvider();
+  SchemaPtr s = MakeSchema({Field::Attr("k", DataType::kInt64),
+                            Field::Attr("s", DataType::kString)});
+  TableBuilder b(s);
+  Rng rng(11);
+  for (int i = 0; i < 40000; ++i) {
+    int64_t k = rng.NextInt(0, 20);
+    // Rows with k < 3 hold unparsable strings; the filter drops them.
+    Value str = k < 3 ? S(i % 2 == 0 ? "x7" : "")
+                      : (rng.NextBool(0.1) ? N()
+                                           : S(StrCat(rng.NextInt(-99, 99))));
+    ASSERT_OK(b.AppendRow({I(k), str}));
+  }
+  ASSERT_OK(relstore->catalog()->Put("t", Dataset(b.Finish().ValueOrDie())));
+  ExprPtr cast = Cast(DataType::kInt64, Col("s"));
+  auto chain = [&](ExprPtr pred) {
+    return Plan::Aggregate(
+        Plan::Extend(Plan::Select(Plan::Scan("t"), std::move(pred)),
+                     {{"n", cast}}),
+        {"k"},
+        {AggSpec{AggFunc::kSum, Col("n"), "total"},
+         AggSpec{AggFunc::kCount, Col("n"), "cnt"}});
+  };
+  PlanPtr plan = chain(Ge(Col("k"), Lit(3)));
+  EXPECT_TRUE(GetOrCompileProgram(*cast, *s).status().IsUnsupported());
+
+  ReferenceExecutor ref(relstore->catalog());
+  ASSERT_OK_AND_ASSIGN(Dataset want, ref.Execute(*plan));
+  ThreadGuard threads;
+  for (int n : {1, 4}) {
+    SetThreadCount(n);
+    TraceGuard trace;
+    ASSERT_OK_AND_ASSIGN(Dataset got, relstore->Execute(*plan));
+    EXPECT_FALSE(SawSpan("rel.Fused")) << "threads=" << n;
+    EXPECT_TRUE(SawSpan("rel.Filter")) << "threads=" << n;
+    EXPECT_TRUE(got.table()->Equals(*want.table())) << "threads=" << n;
+  }
+
+  // Without the filter the unparsable strings reach the cast: both engines
+  // report the same type error.
+  PlanPtr bad = chain(Ge(Col("k"), Lit(0)));
+  Status ref_st = ref.Execute(*bad).status();
+  EXPECT_EQ(ref_st.code(), StatusCode::kTypeError) << ref_st.ToString();
+  for (int n : {1, 4}) {
+    SetThreadCount(n);
+    Status st = relstore->Execute(*bad).status();
+    EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
   }
 }
 

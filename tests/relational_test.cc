@@ -426,13 +426,5 @@ TEST(FusedPipelineTest, SingleOperatorDoesNotMatch) {
   EXPECT_FALSE(MatchFusedChain(*Plan::Values(Dataset(t))).has_value());
 }
 
-TEST(FusedPipelineTest, FusionSwitchToggles) {
-  SetPipelineFusionOverride(false);
-  EXPECT_FALSE(PipelineFusionEnabled());
-  SetPipelineFusionOverride(true);
-  EXPECT_TRUE(PipelineFusionEnabled());
-  ClearPipelineFusionOverride();
-}
-
 }  // namespace
 }  // namespace nexus
