@@ -2,9 +2,9 @@
 // kernel, operator, fragment dispatch, and morsel, so their cost decides
 // whether tracing can stay compiled in. Measure the E11 workloads (1M-row
 // hash join, 1M-row hash aggregate, blocked GEMM) with tracing off and on;
-// the off arm must price a disabled hook at one relaxed atomic load, and
-// the on arm's overhead stays small because spans are recorded per morsel
-// and kernel, not per row.
+// the off arm must price a disabled hook at one relaxed atomic load plus a
+// look at the thread's TaskContext, and the on arm's overhead stays small
+// because spans are recorded per morsel and kernel, not per row.
 //
 // A second section runs a federated query on a lossy transport with
 // tracing enabled and exports the stitched Chrome trace to E12_trace.json
@@ -205,8 +205,9 @@ int main() {
   SetThreadCount(restore);
   std::printf(
       "\nshape expectation: the off arms match a build without telemetry (a\n"
-      "disabled hook is one relaxed atomic load) and the on arms stay within\n"
-      "single-digit percent — spans are per kernel/morsel, never per row.\n"
+      "disabled hook is one relaxed atomic load plus a look at the thread's\n"
+      "TaskContext) and the on arms stay within single-digit percent — spans\n"
+      "are per kernel/morsel, never per row.\n"
       "worst overhead this run: %+.1f%% (target < 5%%, noise permitting)\n",
       worst_overhead);
   return 0;

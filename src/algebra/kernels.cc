@@ -24,6 +24,11 @@ void Count(const char* name) {
   telemetry::MetricsRegistry::Global().counter(name)->Increment();
 }
 
+/// Same, for the counters a query's profile also keeps.
+void Count(const char* name, QueryStat stat) {
+  telemetry::Count(telemetry::MetricsRegistry::Global().counter(name), stat);
+}
+
 // ---------------------------------------------------------------------------
 // The shared ⊕-fold core. Normalize/Union/Reduce and LowerAggregate all run
 // on this one implementation — the "write it once, not four times" payoff.
@@ -330,7 +335,7 @@ Result<AssocArray> Join(const AssocArray& a, const AssocArray& b,
   telemetry::SpanGuard span(telemetry::kCategoryEngine, "alg.Join");
   span.AddCounter("entries_left", a.num_entries());
   span.AddCounter("entries_right", b.num_entries());
-  Count("algebra.join");
+  Count("algebra.join", QueryStat::kAlgebraJoins);
 
   // Shared keys, in a's key order; b's remaining keys pass through.
   std::vector<int> ak, bk;
@@ -475,7 +480,7 @@ Result<AssocArray> Normalize(const AssocArray& a, const Semiring& sr) {
 Result<AssocArray> Union(const AssocArray& a, const AssocArray& b,
                          const Semiring& sr) {
   telemetry::SpanGuard span(telemetry::kCategoryEngine, "alg.Union");
-  Count("algebra.union");
+  Count("algebra.union", QueryStat::kAlgebraUnions);
   if (a.num_keys() != b.num_keys()) {
     return Status::TypeError("Union key-arity mismatch");
   }
@@ -623,7 +628,7 @@ Result<TablePtr> LowerAggregate(const TablePtr& input,
 
 void CountLowered(const char* op) {
   Count(op);
-  Count("algebra.ops_lowered");
+  Count("algebra.ops_lowered", QueryStat::kOpsLowered);
 }
 
 }  // namespace algebra

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/query_profile.h"
+
 namespace nexus {
 
 namespace {
@@ -25,14 +27,14 @@ struct RegionScope {
     if (hooks != nullptr) token = hooks->region_begin();
   }
   ~RegionScope() {
-    if (hooks != nullptr) hooks->region_end(token);
+    if (hooks != nullptr && token != 0) hooks->region_end(token);
   }
   RegionScope(const RegionScope&) = delete;
   RegionScope& operator=(const RegionScope&) = delete;
 
   template <typename Fn>
   void RunMorsel(int64_t index, Fn&& body) const {
-    if (hooks == nullptr) {
+    if (hooks == nullptr || token == 0) {
       body();
       return;
     }
@@ -44,6 +46,13 @@ struct RegionScope {
   const ParallelHooks* hooks;
   uint64_t token = 0;
 };
+
+/// Counts one executed morsel, process-wide and for the query whose
+/// context is installed on the calling thread.
+void CountMorsel() {
+  g_morsels.fetch_add(1, std::memory_order_relaxed);
+  CountForQuery(QueryStat::kMorsels);
+}
 
 int ClampThreads(int n) { return std::clamp(n, 1, kMaxThreads); }
 
@@ -154,7 +163,7 @@ class Pool {
           std::lock_guard<std::mutex> lock(mu_);
           if (!group->error) group->error = std::current_exception();
         }
-        g_morsels.fetch_add(1, std::memory_order_relaxed);
+        CountMorsel();
       }
       if (group->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           group->total) {
@@ -271,7 +280,7 @@ void ParallelFor(int64_t n, int64_t grain,
   if (budget == 1 || morsels == 1) {
     if (!CallerCancelled()) {
       region.RunMorsel(0, [&] { body(0, n); });
-      g_morsels.fetch_add(1, std::memory_order_relaxed);
+      CountMorsel();
     }
     return;
   }
@@ -294,7 +303,7 @@ void ParallelRun(const std::vector<std::function<void()>>& tasks,
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (CallerCancelled()) return;
       region.RunMorsel(static_cast<int64_t>(i), [&] { tasks[i](); });
-      g_morsels.fetch_add(1, std::memory_order_relaxed);
+      CountMorsel();
     }
     return;
   }

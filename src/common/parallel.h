@@ -28,7 +28,8 @@
 
 namespace nexus {
 
-class MemoryMeter;  // common/memory.h
+class MemoryMeter;   // common/memory.h
+class QueryProfile;  // common/query_profile.h
 
 /// Hard ceiling on pool workers (a safety valve, not a tuning knob).
 inline constexpr int kMaxThreads = 64;
@@ -47,8 +48,8 @@ int GetThreadCount();
 /// std::thread::hardware_concurrency, clamped to [1, kMaxThreads].
 int HardwareThreads();
 
-/// Cumulative process-wide counters, snapshot-and-delta'd by callers that
-/// want per-operation accounting (e.g. the federation ExecutionMetrics).
+/// Cumulative process-wide counters (whole-run dashboards). Per-query
+/// morsel counts come from the query's QueryProfile instead.
 struct ParallelStats {
   int64_t morsels = 0;  ///< morsels executed (1 per serial region)
   int64_t regions = 0;  ///< parallel regions that actually used helpers
@@ -83,13 +84,20 @@ void ParallelRun(const std::vector<std::function<void()>>& tasks,
 ///     region with the lowest claimed-morsels/weight ratio, a deficit
 ///     discipline that keeps one heavy tenant from starving light ones;
 ///   - `meter`: collection allocations on worker threads charge the
-///     submitting query's memory meter (see common/memory.h).
+///     submitting query's memory meter (see common/memory.h);
+///   - `profile`: counters and morsels on worker threads count into the
+///     submitting query's QueryProfile (see common/query_profile.h);
+///   - `trace`: spans are recorded for this work even while process-wide
+///     tracing is off (see telemetry::Enabled), so EXPLAIN ANALYZE traces
+///     its own query and no other.
 /// With no context installed (all single-query uses) behavior is exactly
 /// the legacy pool: FIFO region pick, weight 1, no cancellation, no meter.
 struct TaskContext {
   const CancelToken* cancel = nullptr;  ///< not owned; may be null
   int weight = 1;                       ///< scheduling-class weight (>= 1)
   MemoryMeter* meter = nullptr;         ///< not owned; may be null
+  QueryProfile* profile = nullptr;      ///< not owned; may be null
+  bool trace = false;
 };
 
 /// The calling thread's context, or nullptr.
@@ -109,9 +117,9 @@ class ScopedTaskContext {
 };
 
 /// Observer hooks for per-morsel telemetry. The pool stays telemetry-
-/// agnostic: a hook table is installed by the telemetry layer (while
-/// tracing is enabled) and every callback is gated on one atomic pointer
-/// load, so the uninstrumented path costs a single branch per region.
+/// agnostic: a hook table is installed by the telemetry layer, and a
+/// region whose `region_begin` returns 0 (untraced work) fires no morsel
+/// hook, so the uninstrumented path costs one call per region.
 ///
 /// Lifecycle per parallel region: `region_begin` runs on the submitting
 /// thread before any morsel and returns an opaque token (0 = don't

@@ -993,15 +993,15 @@ Result<TablePtr> ViewRegistry::RefreshLocked(const std::string& name,
   RefreshInfo local;
   if (info == nullptr) info = &local;
   *info = RefreshInfo{};
-  RefreshesCounter()->Increment();
+  telemetry::Count(RefreshesCounter(), QueryStat::kViewRefreshes);
   if (!v->form.supported()) {
-    FallbacksCounter()->Increment();
+    telemetry::Count(FallbacksCounter(), QueryStat::kViewFallbacks);
     info->refusal = v->form.refusal;
     NEXUS_ASSIGN_OR_RETURN(v->result, ExecuteViewPlan(*v->plan, *catalog_));
   } else {
     Status st = v->ProcessOnce(*catalog_, info);
     if (IsRefusal(st)) {
-      FallbacksCounter()->Increment();
+      telemetry::Count(FallbacksCounter(), QueryStat::kViewFallbacks);
       info->fell_back = true;
       info->refusal = RefusalReason(st);
       info->delta_rows = 0;
@@ -1010,7 +1010,8 @@ Result<TablePtr> ViewRegistry::RefreshLocked(const std::string& name,
       NEXUS_RETURN_NOT_OK(st);
       info->incremental = true;
     }
-    DeltaRowsCounter()->Add(info->delta_rows);
+    telemetry::Count(DeltaRowsCounter(), QueryStat::kViewDeltaRows,
+                     info->delta_rows);
   }
   // Re-account retained state: release the previous charge, charge the new
   // footprint, and let the spill policy park join sides when over budget.

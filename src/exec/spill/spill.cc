@@ -347,7 +347,7 @@ Status PartitionedSpiller::Run(const std::vector<SpillInput>& inputs,
     tables.push_back(in.table);
     hashes.push_back(in.hashes);
   }
-  Counters().ops->Increment();
+  telemetry::Count(Counters().ops, QueryStat::kSpillOps);
   FileGrid files;
   std::vector<SchemaPtr> schemas(tables.size());
   NEXUS_RETURN_NOT_OK(
@@ -436,7 +436,8 @@ Status PartitionedSpiller::PartitionLevel(
     }
   }
   stats_.bytes_spilled += written_before;
-  Counters().bytes_written->Add(written_before);
+  telemetry::Count(Counters().bytes_written, QueryStat::kSpillBytes,
+                   written_before);
   return Status::OK();
 }
 
@@ -527,7 +528,7 @@ Status PartitionedSpiller::ProcessFiles(FileGrid files,
 
     stats_.partitions += 1;
     stats_.max_depth = std::max(stats_.max_depth, depth);
-    Counters().partitions->Increment();
+    telemetry::Count(Counters().partitions, QueryStat::kSpillPartitions);
     Status st = leaf(parts);
     for (size_t in = 0; in < k; ++in) {
       if (charged[in]) ReleaseTable(parts[in]);

@@ -566,7 +566,7 @@ Result<ExprProgramPtr> GetOrCompileProgram(const std::vector<ExprPtr>& exprs,
     std::lock_guard<std::mutex> lock(cache.mu);
     auto it = cache.entries.find(key);
     if (it != cache.entries.end() && EntryMatches(it->second, exprs, input)) {
-      hits->Increment();
+      telemetry::Count(hits, QueryStat::kExprCacheHits);
       if (it->second.program == nullptr) {
         return Status::Unsupported("expression not compilable (cached)");
       }
@@ -581,7 +581,7 @@ Result<ExprProgramPtr> GetOrCompileProgram(const std::vector<ExprPtr>& exprs,
   entry.fields = input.fields();
   Status refusal = Status::OK();
   if (compiled.ok()) {
-    compiles->Increment();
+    telemetry::Count(compiles, QueryStat::kExprCompiles);
     entry.program =
         std::make_shared<const ExprProgram>(compiled.MoveValue());
   } else if (compiled.status().IsUnsupported()) {

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "common/parallel.h"
+#include "common/query_profile.h"
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "core/schema_inference.h"
@@ -75,52 +76,39 @@ Coordinator::Instruments Coordinator::Instruments::Resolve() {
       reg.counter("coordinator.delta_bindings"),
       reg.counter("coordinator.delta_rows_shipped"),
       reg.counter("coordinator.delta_bytes_saved"),
-      reg.counter("provider.plan_cache_hit"),
-      reg.counter("provider.plan_cache_miss"),
   };
 }
 
-Coordinator::InstrumentBase Coordinator::SnapshotInstruments() const {
-  InstrumentBase base;
-  base.fragments = ins_.fragments->value();
-  base.parallel_fragments = ins_.parallel_fragments->value();
-  base.client_loop_iterations = ins_.client_loop_iterations->value();
-  base.retries = ins_.retries->value();
-  base.failovers = ins_.failovers->value();
-  base.replans = ins_.replans->value();
-  base.timeouts = ins_.timeouts->value();
-  base.checkpoint_restores = ins_.checkpoint_restores->value();
-  base.bytes_saved = ins_.bytes_saved->value();
-  base.plan_cache_hit = ins_.plan_cache_hit->value();
-  base.plan_cache_miss = ins_.plan_cache_miss->value();
-  base.delta_bindings = ins_.delta_bindings->value();
-  base.delta_rows_shipped = ins_.delta_rows_shipped->value();
-  base.delta_bytes_saved = ins_.delta_bytes_saved->value();
-  return base;
+namespace {
+
+/// ExecutionMetrics' counters, read off the query's profile.
+void FillMetricsFromProfile(const QueryProfile& p, ExecutionMetrics* m) {
+  m->messages = p[QueryStat::kMessages];
+  m->plan_messages = p[QueryStat::kPlanMessages];
+  m->data_messages = p[QueryStat::kDataMessages];
+  m->bytes_total = p[QueryStat::kBytes];
+  m->plan_bytes = p[QueryStat::kPlanBytes];
+  m->data_bytes = p[QueryStat::kDataBytes];
+  m->bytes_through_client = p[QueryStat::kClientBytes];
+  m->simulated_seconds = p.simulated_seconds();
+  m->fragments = p[QueryStat::kFragments];
+  m->client_loop_iterations = p[QueryStat::kClientLoopIterations];
+  m->retries = p[QueryStat::kRetries];
+  m->failovers = p[QueryStat::kFailovers];
+  m->replans = p[QueryStat::kReplans];
+  m->timeouts = p[QueryStat::kTimeouts];
+  m->checkpoint_restores = p[QueryStat::kCheckpointRestores];
+  m->morsels = p[QueryStat::kMorsels];
+  m->parallel_fragments = p[QueryStat::kParallelFragments];
+  m->plan_cache_hits = p[QueryStat::kPlanCacheHits];
+  m->plan_cache_misses = p[QueryStat::kPlanCacheMisses];
+  m->wire_bytes_saved = p[QueryStat::kWireBytesSaved];
+  m->delta_bindings = p[QueryStat::kDeltaBindings];
+  m->delta_rows_shipped = p[QueryStat::kDeltaRowsShipped];
+  m->delta_bytes_saved = p[QueryStat::kDeltaBytesSaved];
 }
 
-void Coordinator::FillMetricsFromInstruments(ExecutionMetrics* metrics) const {
-  metrics->fragments = ins_.fragments->value() - base_.fragments;
-  metrics->parallel_fragments =
-      ins_.parallel_fragments->value() - base_.parallel_fragments;
-  metrics->client_loop_iterations =
-      ins_.client_loop_iterations->value() - base_.client_loop_iterations;
-  metrics->retries = ins_.retries->value() - base_.retries;
-  metrics->failovers = ins_.failovers->value() - base_.failovers;
-  metrics->replans = ins_.replans->value() - base_.replans;
-  metrics->timeouts = ins_.timeouts->value() - base_.timeouts;
-  metrics->checkpoint_restores =
-      ins_.checkpoint_restores->value() - base_.checkpoint_restores;
-  metrics->wire_bytes_saved = ins_.bytes_saved->value() - base_.bytes_saved;
-  metrics->plan_cache_hits = ins_.plan_cache_hit->value() - base_.plan_cache_hit;
-  metrics->plan_cache_misses =
-      ins_.plan_cache_miss->value() - base_.plan_cache_miss;
-  metrics->delta_bindings = ins_.delta_bindings->value() - base_.delta_bindings;
-  metrics->delta_rows_shipped =
-      ins_.delta_rows_shipped->value() - base_.delta_rows_shipped;
-  metrics->delta_bytes_saved =
-      ins_.delta_bytes_saved->value() - base_.delta_bytes_saved;
-}
+}  // namespace
 
 Result<SchemaPtr> FederatedCatalog::GetSchema(const std::string& name) const {
   std::vector<std::string> holders = cluster_->HoldersOf(name);
@@ -469,7 +457,8 @@ void Coordinator::DropTemps() {
 }
 
 Status Coordinator::SendWithRetry(const std::string& from, const std::string& to,
-                                  int64_t bytes, MessageKind kind) {
+                                  int64_t bytes, MessageKind kind,
+                                  int64_t* retries) {
   NEXUS_RETURN_NOT_OK(CheckCancelled());
   // The transport is a single-client simulation (clock, counters, fault
   // schedule): all traffic is serialized here even when sibling fragments
@@ -489,7 +478,7 @@ Status Coordinator::SendWithRetry(const std::string& from, const std::string& to
       backoff *= rp.backoff_multiplier;
       if (rp.fragment_timeout_seconds > 0.0 &&
           spent + pause > rp.fragment_timeout_seconds) {
-        ins_.timeouts->Increment();
+        telemetry::Count(ins_.timeouts, QueryStat::kTimeouts);
         last_failed_server_ = to != kClientNode ? to : from;
         return Status::Timeout(
             StrCat("fragment budget of ",
@@ -500,7 +489,8 @@ Status Coordinator::SendWithRetry(const std::string& from, const std::string& to
       double backoff_start = t->simulated_seconds();
       t->AdvanceTime(pause);  // backoff waits past scripted down windows
       spent += pause;
-      ins_.retries->Increment();
+      telemetry::Count(ins_.retries, QueryStat::kRetries);
+      if (retries != nullptr) ++*retries;
       ins_.backoff_seconds->Record(pause);
       if (telemetry::Enabled()) {
         telemetry::RecordComplete(telemetry::kCategoryCoordinator,
@@ -535,7 +525,7 @@ bool Coordinator::ExcludeFailedServer() {
   }
   std::string failed = std::move(last_failed_server_);
   last_failed_server_.clear();
-  ins_.failovers->Increment();
+  telemetry::Count(ins_.failovers, QueryStat::kFailovers);
   if (telemetry::Enabled()) {
     telemetry::RecordComplete(telemetry::kCategoryCoordinator,
                               StrCat("failover away from ", failed), "",
@@ -609,24 +599,22 @@ Result<Dataset> Coordinator::ShipWire(
       wire = BuildWireEnvelope(WireEnvelope::Kind::kPlanStore, fp, bindings,
                                plan_wire);
     }
-    int64_t retries_before = 0;
     if (span.active()) {
       // Context rides inside the plan message, so the receiver's spans
       // stitch under this fragment. The header bytes are metered like any
       // payload.
       wire.insert(0, telemetry::WireHeader(span.trace(), span.id(), server));
-      retries_before = ins_.retries->value();
     }
     ins_.fragment_plan_bytes->Record(static_cast<double>(wire.size()));
+    int64_t retries = 0;
     NEXUS_RETURN_NOT_OK(SendWithRetry(kClientNode, server,
                                       static_cast<int64_t>(wire.size()),
-                                      MessageKind::kPlan));
-    ins_.fragments->Increment();
+                                      MessageKind::kPlan, &retries));
+    telemetry::Count(ins_.fragments, QueryStat::kFragments);
     result = p->ExecuteWire(wire);
     if (span.active()) {
       span.AddCounter("plan_bytes", static_cast<int64_t>(wire.size()));
-      int64_t r = ins_.retries->value() - retries_before;
-      if (r > 0) span.AddCounter("retries", r);
+      if (retries > 0) span.AddCounter("retries", retries);
       if (result.ok()) {
         span.AddCounter("rows", result.ValueOrDie().num_rows());
         span.AddCounter("bytes", result.ValueOrDie().ByteSize());
@@ -657,7 +645,8 @@ Result<Dataset> Coordinator::ShipWire(
   }
   if (cache && have && result.ok()) {
     // The reference resolved: the plan body never traveled this time.
-    ins_.bytes_saved->Add(static_cast<int64_t>(plan_wire.size()));
+    telemetry::Count(ins_.bytes_saved, QueryStat::kWireBytesSaved,
+                     static_cast<int64_t>(plan_wire.size()));
   }
   if (cache && !have && result.ok()) {
     // The provider parsed and cached this fingerprint; reference it from
@@ -786,7 +775,8 @@ Result<PlanPtr> Coordinator::BuildFragment(const Plan* node,
     });
   }
   if (tasks.size() > 1) {
-    ins_.parallel_fragments->Add(static_cast<int64_t>(tasks.size()));
+    telemetry::Count(ins_.parallel_fragments, QueryStat::kParallelFragments,
+                     static_cast<int64_t>(tasks.size()));
   }
   ParallelRun(tasks, threads);
   for (const Status& s : statuses) NEXUS_RETURN_NOT_OK(s);
@@ -1037,9 +1027,11 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
       if (result.ok()) {
         for (BindUpdate& u : updates) {
           if (u.was_delta) {
-            ins_.delta_bindings->Increment();
-            ins_.delta_rows_shipped->Add(u.delta_rows);
-            ins_.delta_bytes_saved->Add(u.bytes_saved);
+            telemetry::Count(ins_.delta_bindings, QueryStat::kDeltaBindings);
+            telemetry::Count(ins_.delta_rows_shipped,
+                             QueryStat::kDeltaRowsShipped, u.delta_rows);
+            telemetry::Count(ins_.delta_bytes_saved,
+                             QueryStat::kDeltaBytesSaved, u.bytes_saved);
           }
           ship->bound[u.name] = std::move(u.base);
         }
@@ -1054,7 +1046,8 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
                  ship->body_prev, *state, *state));
   NEXUS_ASSIGN_OR_RETURN(Dataset next,
                          SendData(ship->server, kClientNode, produced));
-  ins_.client_loop_iterations->Increment();
+  telemetry::Count(ins_.client_loop_iterations,
+                   QueryStat::kClientLoopIterations);
   if (op.measure != nullptr) {
     NEXUS_ASSIGN_OR_RETURN(
         Dataset measured_remote,
@@ -1088,7 +1081,8 @@ Result<bool> Coordinator::RunLoopStep(const IterateOp& op, Dataset* state,
   NEXUS_ASSIGN_OR_RETURN(auto body_loc, ExecToTemp(body.get(), &body_placement));
   NEXUS_ASSIGN_OR_RETURN(Dataset next,
                          FetchToClient(body_loc.first, body_loc.second));
-  ins_.client_loop_iterations->Increment();
+  telemetry::Count(ins_.client_loop_iterations,
+                   QueryStat::kClientLoopIterations);
   if (op.measure != nullptr) {
     PlanPtr measure = ReplaceLoopVars(op.measure, next, *state);
     Placement m_placement;
@@ -1136,8 +1130,10 @@ Result<Dataset> Coordinator::RunClientLoop(const Plan& iterate,
     if (!stepped.ok()) {
       if (IsRetryable(stepped.status()) && recoveries < max_recoveries &&
           ExcludeFailedServer()) {
-        ins_.replans->Increment();  // later iterations replan around the loss
-        ins_.checkpoint_restores->Increment();
+        // Later iterations replan around the loss.
+        telemetry::Count(ins_.replans, QueryStat::kReplans);
+        telemetry::Count(ins_.checkpoint_restores,
+                         QueryStat::kCheckpointRestores);
         if (telemetry::Enabled()) {
           telemetry::RecordComplete(
               telemetry::kCategoryCoordinator, "checkpoint-restore", "",
@@ -1171,17 +1167,9 @@ Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
                                      ExecutionMetrics* metrics) {
   WallTimer timer;
   Transport* t = cluster_->transport();
-  int64_t msg0 = t->total_messages();
-  // Snapshot counters so per-call metrics can be deltas.
-  int64_t plan_msgs0 = t->messages_of(MessageKind::kPlan);
-  int64_t data_msgs0 = t->messages_of(MessageKind::kData);
-  int64_t bytes0 = t->total_bytes();
-  int64_t plan_bytes0 = t->bytes_of(MessageKind::kPlan);
-  int64_t data_bytes0 = t->bytes_of(MessageKind::kData);
-  int64_t through0 = t->bytes_through(kClientNode);
-  double sim0 = t->simulated_seconds();
-  ParallelStats par0 = GetParallelStats();
-  base_ = SnapshotInstruments();
+  // Everything this call does — sends, fragments, morsels on pool workers —
+  // counts into this profile; the metrics below are read off it.
+  ScopedQuery query;
   ins_.threads->Set(static_cast<double>(EffectiveThreads()));
   retry_rng_ = Rng(options_.retry.jitter_seed);
   excluded_.clear();
@@ -1220,7 +1208,7 @@ Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
                                        "replan");
       if (!AssignServers(prepared, &replanned).ok()) break;  // nowhere to go
     }
-    ins_.replans->Increment();
+    telemetry::Count(ins_.replans, QueryStat::kReplans);
     placement = std::move(replanned);
     result = Run(prepared, &placement);
   }
@@ -1231,18 +1219,9 @@ Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
   }
 
   if (metrics != nullptr) {
-    metrics->messages = t->total_messages() - msg0;
-    metrics->plan_messages = t->messages_of(MessageKind::kPlan) - plan_msgs0;
-    metrics->data_messages = t->messages_of(MessageKind::kData) - data_msgs0;
-    metrics->bytes_total = t->total_bytes() - bytes0;
-    metrics->plan_bytes = t->bytes_of(MessageKind::kPlan) - plan_bytes0;
-    metrics->data_bytes = t->bytes_of(MessageKind::kData) - data_bytes0;
-    metrics->bytes_through_client = t->bytes_through(kClientNode) - through0;
-    metrics->simulated_seconds = t->simulated_seconds() - sim0;
+    FillMetricsFromProfile(query.profile(), metrics);
     metrics->wall_seconds = timer.ElapsedSeconds();
-    FillMetricsFromInstruments(metrics);
     metrics->threads_used = EffectiveThreads();
-    metrics->morsels = GetParallelStats().morsels - par0.morsels;
     for (const auto& [node, server] : placement.assign) {
       if (!server.empty()) ++metrics->nodes_per_server[server];
     }
@@ -1255,16 +1234,7 @@ Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
                                           ExecutionMetrics* metrics) {
   WallTimer timer;
   Transport* t = cluster_->transport();
-  int64_t msg0 = t->total_messages();
-  int64_t plan_msgs0 = t->messages_of(MessageKind::kPlan);
-  int64_t data_msgs0 = t->messages_of(MessageKind::kData);
-  int64_t bytes0 = t->total_bytes();
-  int64_t plan_bytes0 = t->bytes_of(MessageKind::kPlan);
-  int64_t data_bytes0 = t->bytes_of(MessageKind::kData);
-  int64_t through0 = t->bytes_through(kClientNode);
-  double sim0 = t->simulated_seconds();
-  ParallelStats par0 = GetParallelStats();
-  base_ = SnapshotInstruments();
+  ScopedQuery query;
   ins_.threads->Set(static_cast<double>(EffectiveThreads()));
   retry_rng_ = Rng(options_.retry.jitter_seed);
   excluded_.clear();
@@ -1306,18 +1276,9 @@ Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
   auto result = step(prepared);
 
   if (metrics != nullptr) {
-    metrics->messages = t->total_messages() - msg0;
-    metrics->plan_messages = t->messages_of(MessageKind::kPlan) - plan_msgs0;
-    metrics->data_messages = t->messages_of(MessageKind::kData) - data_msgs0;
-    metrics->bytes_total = t->total_bytes() - bytes0;
-    metrics->plan_bytes = t->bytes_of(MessageKind::kPlan) - plan_bytes0;
-    metrics->data_bytes = t->bytes_of(MessageKind::kData) - data_bytes0;
-    metrics->bytes_through_client = t->bytes_through(kClientNode) - through0;
-    metrics->simulated_seconds = t->simulated_seconds() - sim0;
+    FillMetricsFromProfile(query.profile(), metrics);
     metrics->wall_seconds = timer.ElapsedSeconds();
-    FillMetricsFromInstruments(metrics);
     metrics->threads_used = EffectiveThreads();
-    metrics->morsels = GetParallelStats().morsels - par0.morsels;
   }
   NEXUS_RETURN_NOT_OK(result.status());
   return result;
@@ -1353,89 +1314,54 @@ Result<std::string> Coordinator::ExplainPlacement(const PlanPtr& plan) {
 
 Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
                                                 ExecutionMetrics* metrics) {
-  // Trace one execution (restoring the caller's tracing state after) and
-  // render the span tree. The run is real: faults fire, retries happen, and
-  // the report shows them.
-  const bool was_enabled = telemetry::Enabled();
-  telemetry::SetEnabled(true);
-  ExecutionMetrics local;
-  ExecutionMetrics* m = metrics != nullptr ? metrics : &local;
-  auto& mreg = telemetry::MetricsRegistry::Global();
-  telemetry::Counter* compiles_c = mreg.counter("expr.compile");
-  telemetry::Counter* compile_hits_c = mreg.counter("expr.compile_cache_hit");
-  telemetry::Counter* lowered_c = mreg.counter("algebra.ops_lowered");
-  telemetry::Counter* alg_join_c = mreg.counter("algebra.join");
-  telemetry::Counter* alg_union_c = mreg.counter("algebra.union");
-  telemetry::Counter* spill_ops_c = mreg.counter("spill.ops");
-  telemetry::Counter* spill_parts_c = mreg.counter("spill.partitions");
-  telemetry::Counter* spill_bytes_c = mreg.counter("spill.bytes_written");
-  telemetry::Counter* ivm_refresh_c = mreg.counter("incremental.refreshes");
-  telemetry::Counter* ivm_fallback_c = mreg.counter("incremental.fallbacks");
-  telemetry::Counter* ivm_rows_c = mreg.counter("incremental.delta_rows");
-  const int64_t compiles0 = compiles_c->value();
-  const int64_t compile_hits0 = compile_hits_c->value();
-  const int64_t lowered0 = lowered_c->value();
-  const int64_t alg_join0 = alg_join_c->value();
-  const int64_t alg_union0 = alg_union_c->value();
-  const int64_t spill_ops0 = spill_ops_c->value();
-  const int64_t spill_parts0 = spill_parts_c->value();
-  const int64_t spill_bytes0 = spill_bytes_c->value();
-  const int64_t ivm_refresh0 = ivm_refresh_c->value();
-  const int64_t ivm_fallback0 = ivm_fallback_c->value();
-  const int64_t ivm_rows0 = ivm_rows_c->value();
-  auto result = Execute(plan, m);
-  const int64_t compiles = compiles_c->value() - compiles0;
-  const int64_t compile_hits = compile_hits_c->value() - compile_hits0;
-  const int64_t lowered = lowered_c->value() - lowered0;
-  const int64_t alg_joins = alg_join_c->value() - alg_join0;
-  const int64_t alg_unions = alg_union_c->value() - alg_union0;
-  const int64_t spill_ops = spill_ops_c->value() - spill_ops0;
-  const int64_t spill_parts = spill_parts_c->value() - spill_parts0;
-  const int64_t spill_bytes = spill_bytes_c->value() - spill_bytes0;
-  const int64_t ivm_refreshes = ivm_refresh_c->value() - ivm_refresh0;
-  const int64_t ivm_fallbacks = ivm_fallback_c->value() - ivm_fallback0;
-  const int64_t ivm_rows = ivm_rows_c->value() - ivm_rows0;
+  // Trace one execution and render the span tree. The run is real: faults
+  // fire, retries happen, and the report shows them. Tracing rides on this
+  // thread's context, and the trailer lines come from this call's profile.
+  ScopedQuery query(/*trace=*/true);
+  auto result = Execute(plan, metrics);
   std::string report = telemetry::ExplainAnalyze(telemetry::Spans(),
                                                  last_trace_id_);
-  telemetry::SetEnabled(was_enabled);
   NEXUS_RETURN_NOT_OK(result.status());
+  const QueryProfile& p = query.profile();
+  using S = QueryStat;
   // Wire-format summary: how much of the plan traffic the fingerprint cache
   // elided this execution.
-  if (m->plan_cache_hits + m->plan_cache_misses > 0) {
+  if (p[S::kPlanCacheHits] + p[S::kPlanCacheMisses] > 0) {
     report += StrCat(
-        "wire: plan-cache ", m->plan_cache_hits, " hit / ",
-        m->plan_cache_misses, " miss, saved ",
-        FormatBytes(static_cast<uint64_t>(m->wire_bytes_saved)), " (",
+        "wire: plan-cache ", p[S::kPlanCacheHits], " hit / ",
+        p[S::kPlanCacheMisses], " miss, saved ",
+        FormatBytes(static_cast<uint64_t>(p[S::kWireBytesSaved])), " (",
         WireFormatName(ProcessWireFormat()), " wire)\n");
   }
   // Expression-compilation summary: a warm program cache shows 0 compiled
   // with hits > 0 on re-execution of a cached plan.
-  if (compiles + compile_hits > 0) {
-    report += StrCat("expr: ", compiles, " compiled / ", compile_hits,
-                     " program-cache hits\n");
+  if (p[S::kExprCompiles] + p[S::kExprCacheHits] > 0) {
+    report += StrCat("expr: ", p[S::kExprCompiles], " compiled / ",
+                     p[S::kExprCacheHits], " program-cache hits\n");
   }
   // Semi-ring lowering summary: operators the engines routed through the
   // shared algebra kernels this execution (desideratum: one algebra).
-  if (lowered + alg_joins + alg_unions > 0) {
-    report += StrCat("algebra: ", lowered, " ops lowered (", alg_joins,
-                     " join⊗ / ", alg_unions, " union⊕ kernel calls)\n");
+  if (p[S::kOpsLowered] + p[S::kAlgebraJoins] + p[S::kAlgebraUnions] > 0) {
+    report += StrCat("algebra: ", p[S::kOpsLowered], " ops lowered (",
+                     p[S::kAlgebraJoins], " join⊗ / ", p[S::kAlgebraUnions],
+                     " union⊕ kernel calls)\n");
   }
   // Out-of-core summary: Grace partitions written by operators whose
   // working set crossed the budget this execution.
-  if (spill_ops > 0) {
-    report += StrCat("spill: ", spill_parts, " partitions / ",
-                     FormatBytes(static_cast<uint64_t>(spill_bytes)),
-                     " across ", spill_ops, " operators\n");
+  if (p[S::kSpillOps] > 0) {
+    report += StrCat("spill: ", p[S::kSpillPartitions], " partitions / ",
+                     FormatBytes(static_cast<uint64_t>(p[S::kSpillBytes])),
+                     " across ", p[S::kSpillOps], " operators\n");
   }
   // Incremental summary: loop bindings that traveled as append-tails, and
   // view refreshes served from retained operator state (NEXUS_INCREMENTAL).
-  if (m->delta_bindings + ivm_refreshes > 0) {
+  if (p[S::kDeltaBindings] + p[S::kViewRefreshes] > 0) {
     report += StrCat(
-        "incremental: ", m->delta_bindings, " delta bindings (",
-        m->delta_rows_shipped, " rows, saved ",
-        FormatBytes(static_cast<uint64_t>(m->delta_bytes_saved)), "); ",
-        ivm_refreshes, " view refreshes (", ivm_rows, " Δ rows, ",
-        ivm_fallbacks, " fallbacks)\n");
+        "incremental: ", p[S::kDeltaBindings], " delta bindings (",
+        p[S::kDeltaRowsShipped], " rows, saved ",
+        FormatBytes(static_cast<uint64_t>(p[S::kDeltaBytesSaved])), "); ",
+        p[S::kViewRefreshes], " view refreshes (", p[S::kViewDeltaRows],
+        " Δ rows, ", p[S::kViewFallbacks], " fallbacks)\n");
   }
   return report;
 }

@@ -105,11 +105,11 @@ struct CoordinatorOptions {
   std::string temp_namespace;
 };
 
-/// Per-execution accounting: a *view* over cumulative telemetry — the
-/// transport's message log, the parallel pool's morsel counters, and the
-/// coordinator's MetricsRegistry counters are snapshotted when Execute
-/// starts and every field below is the delta at the end of that call, so
-/// repeated executions on one coordinator never double-count.
+/// Per-execution accounting, read off the QueryProfile (common/
+/// query_profile.h) that Execute installs for the call: every transport
+/// attempt, coordinator counter and pool morsel the call causes is counted
+/// there as it happens, so the numbers are exact even while other queries
+/// share the transport, the pool and the registry.
 struct ExecutionMetrics {
   int64_t messages = 0;
   int64_t plan_messages = 0;
@@ -180,8 +180,9 @@ class Coordinator {
   /// Renders the placement decision for every node ("node @ server").
   Result<std::string> ExplainPlacement(const PlanPtr& plan);
 
-  /// EXPLAIN ANALYZE: executes `plan` with tracing enabled (restoring the
-  /// previous tracing state afterwards) and renders the recorded span tree
+  /// EXPLAIN ANALYZE: executes `plan` traced — through this thread's
+  /// TaskContext, so concurrent queries stay untraced — and renders the
+  /// recorded span tree
   /// — per fragment and operator: rows, bytes, wall/simulated ms, morsels,
   /// retries, and the server it ran on. `metrics`, when given, receives
   /// the same per-call accounting Execute would report.
@@ -301,8 +302,10 @@ class Coordinator {
   /// Retry/backoff wrapper around Transport::TrySend, implementing
   /// options_.retry. On giving up, records the presumed-dead server in
   /// last_failed_server_ so Execute's failover loop can route around it.
+  /// `*retries`, when given, is incremented once per resend.
   Status SendWithRetry(const std::string& from, const std::string& to,
-                       int64_t bytes, MessageKind kind);
+                       int64_t bytes, MessageKind kind,
+                       int64_t* retries = nullptr);
   /// Excludes last_failed_server_ from planning (failover) and invalidates
   /// memoized temps on it. Returns false when nothing can be excluded.
   bool ExcludeFailedServer();
@@ -319,7 +322,9 @@ class Coordinator {
 
   /// Handles into the process-global MetricsRegistry — the coordinator's
   /// counters are ordinary named metrics ("coordinator.fragments", ...),
-  /// cumulative across calls and coordinators. Resolved once.
+  /// cumulative across calls and coordinators. Resolved once. Counters are
+  /// bumped through telemetry::Count, so the current query's profile sees
+  /// the same counts.
   struct Instruments {
     telemetry::Counter* fragments;
     telemetry::Counter* parallel_fragments;
@@ -338,40 +343,14 @@ class Coordinator {
     telemetry::Counter* delta_bindings;
     telemetry::Counter* delta_rows_shipped;
     telemetry::Counter* delta_bytes_saved;
-    /// The provider-side cache counters (the same registry instruments the
-    /// providers increment), snapshotted so metrics can delta them.
-    telemetry::Counter* plan_cache_hit;
-    telemetry::Counter* plan_cache_miss;
     static Instruments Resolve();
   };
-
-  /// Instrument values when the current Execute/ExecutePerOp began;
-  /// ExecutionMetrics reports instrument-minus-base (the "view").
-  struct InstrumentBase {
-    int64_t fragments = 0;
-    int64_t parallel_fragments = 0;
-    int64_t client_loop_iterations = 0;
-    int64_t retries = 0;
-    int64_t failovers = 0;
-    int64_t replans = 0;
-    int64_t timeouts = 0;
-    int64_t checkpoint_restores = 0;
-    int64_t bytes_saved = 0;
-    int64_t plan_cache_hit = 0;
-    int64_t plan_cache_miss = 0;
-    int64_t delta_bindings = 0;
-    int64_t delta_rows_shipped = 0;
-    int64_t delta_bytes_saved = 0;
-  };
-  InstrumentBase SnapshotInstruments() const;
-  void FillMetricsFromInstruments(ExecutionMetrics* metrics) const;
 
   Cluster* cluster_;
   CoordinatorOptions options_;
   FederatedCatalog fed_catalog_;
   OptimizerStats last_optimizer_stats_;
   Instruments ins_ = Instruments::Resolve();
-  InstrumentBase base_;
   uint64_t last_trace_id_ = 0;
   int64_t temp_counter_ = 0;
   std::vector<std::pair<std::string, std::string>> temps_;  // (server, name)

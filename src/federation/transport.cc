@@ -1,5 +1,6 @@
 #include "federation/transport.h"
 
+#include "common/query_profile.h"
 #include "common/str_util.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -21,8 +22,8 @@ const char* KindName(MessageKind kind) {
 }
 
 /// Registry instruments, resolved once (pointers are stable forever).
-/// Always on: these are cumulative process counters; per-call accounting
-/// still deltas the transport's own log.
+/// Always on: these are cumulative process counters. Per-query accounting
+/// comes from the QueryProfile each attempt is also charged to.
 struct TransportInstruments {
   telemetry::Counter* messages;
   telemetry::Counter* bytes;
@@ -60,18 +61,66 @@ std::string FaultEvent::ToString() const {
                 "ms");
 }
 
+int Transport::Intern(const std::string& node) {
+  auto it = endpoint_ids_.find(node);
+  if (it != endpoint_ids_.end()) return it->second;
+  int id = static_cast<int>(endpoints_.size());
+  endpoints_.push_back(Endpoint{node, LinkStats{}});
+  endpoint_ids_.emplace(node, id);
+  return id;
+}
+
+double Transport::Charge(double seconds) {
+  double start = simulated_seconds_;
+  simulated_seconds_ += seconds;
+  if (QueryProfile* p = CurrentQueryProfile()) p->AddSimulatedSeconds(seconds);
+  return start;
+}
+
+void Transport::Meter(const std::string& from, const std::string& to,
+                      int64_t bytes, MessageKind kind, bool failed) {
+  const int a = Intern(from);
+  const int b = Intern(to);
+  const int k = static_cast<int>(kind);
+  auto count = [bytes](LinkStats& s) {
+    ++s.messages;
+    s.bytes += bytes;
+  };
+  count(total_);
+  count(by_kind_[k]);
+  count(links_[{a, b}]);
+  count(endpoints_[static_cast<size_t>(a)].through);
+  if (b != a) count(endpoints_[static_cast<size_t>(b)].through);
+  if (failed) count(failed_);
+
+  const TransportInstruments& in = TransportInstruments::Get();
+  telemetry::Count(in.messages, QueryStat::kMessages);
+  telemetry::Count(in.bytes, QueryStat::kBytes, bytes);
+  if (failed) {
+    telemetry::Count(in.failed_messages, QueryStat::kFailedMessages);
+  } else {
+    in.message_bytes->Record(static_cast<double>(bytes));
+  }
+  if (QueryProfile* p = CurrentQueryProfile()) {
+    // The per-kind stats follow MessageKind's order.
+    auto of_kind = [k](QueryStat plan) {
+      return static_cast<QueryStat>(static_cast<int>(plan) + k);
+    };
+    p->Add(of_kind(QueryStat::kPlanMessages), 1);
+    p->Add(of_kind(QueryStat::kPlanBytes), bytes);
+    if (from == kClientNode || to == kClientNode) {
+      p->Add(QueryStat::kClientBytes, bytes);
+    }
+  }
+}
+
 double Transport::Send(const std::string& from, const std::string& to,
                        int64_t bytes, MessageKind kind) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  log_.push_back(MessageRecord{from, to, bytes, kind, /*failed=*/false});
   double seconds = options_.latency_seconds +
                    static_cast<double>(bytes) / options_.bandwidth_bytes_per_second;
-  double start = simulated_seconds_;
-  simulated_seconds_ += seconds;
-  const TransportInstruments& in = TransportInstruments::Get();
-  in.messages->Increment();
-  in.bytes->Add(bytes);
-  in.message_bytes->Record(static_cast<double>(bytes));
+  double start = Charge(seconds);
+  Meter(from, to, bytes, kind, /*failed=*/false);
   TraceMessage(from, to, bytes, kind, /*failed=*/false, start, seconds);
   return seconds;
 }
@@ -87,52 +136,45 @@ Status Transport::TrySend(const std::string& from, const std::string& to,
 
   const TransportInstruments& in = TransportInstruments::Get();
 
-  // A failed attempt charges one latency (the sender waited that long to
-  // learn nothing came back) and is logged as wasted traffic.
-  auto fail = [&](const std::string& what, Status status) {
-    fault_log_.push_back(FaultEvent{simulated_seconds_, from, to, what});
-    log_.push_back(MessageRecord{from, to, bytes, kind, /*failed=*/true});
-    double start = simulated_seconds_;
-    simulated_seconds_ += options_.latency_seconds;
-    if (seconds != nullptr) *seconds = options_.latency_seconds;
-    in.messages->Increment();
-    in.bytes->Add(bytes);
-    in.failed_messages->Increment();
+  // A failed attempt is metered as wasted traffic and charges `charged`
+  // simulated seconds: one latency when the sender merely waited to learn
+  // nothing came back, the full cost when the payload left before
+  // vanishing.
+  auto fail = [&](std::string what, Status status, double charged) {
+    fault_log_.push_back(
+        FaultEvent{simulated_seconds_, from, to, std::move(what)});
+    double start = Charge(charged);
+    if (seconds != nullptr) *seconds = charged;
+    Meter(from, to, bytes, kind, /*failed=*/true);
     in.faults->Increment();
-    TraceMessage(from, to, bytes, kind, /*failed=*/true, start,
-                 options_.latency_seconds);
+    TraceMessage(from, to, bytes, kind, /*failed=*/true, start, charged);
     return status;
   };
 
   if (IsPartitioned(from, to)) {
-    return fail("partition", Status::Unavailable(StrCat(
-                                 "link ", from, " -> ", to, " is partitioned")));
+    return fail("partition",
+                Status::Unavailable(
+                    StrCat("link ", from, " -> ", to, " is partitioned")),
+                options_.latency_seconds);
   }
   if (IsDown(from)) {
     return fail(StrCat("down:", from),
-                Status::Unavailable(StrCat("server '", from, "' is down")));
+                Status::Unavailable(StrCat("server '", from, "' is down")),
+                options_.latency_seconds);
   }
   if (IsDown(to)) {
     return fail(StrCat("down:", to),
-                Status::Unavailable(StrCat("server '", to, "' is down")));
+                Status::Unavailable(StrCat("server '", to, "' is down")),
+                options_.latency_seconds);
   }
   if (faults_.drop_probability > 0.0 &&
       fault_rng_.NextBool(faults_.drop_probability)) {
-    // The payload left the sender before vanishing: charge the full cost.
-    fault_log_.push_back(FaultEvent{simulated_seconds_, from, to, "drop"});
-    log_.push_back(MessageRecord{from, to, bytes, kind, /*failed=*/true});
-    double start = simulated_seconds_;
-    double s = options_.latency_seconds +
-               static_cast<double>(bytes) / options_.bandwidth_bytes_per_second;
-    simulated_seconds_ += s;
-    if (seconds != nullptr) *seconds = s;
-    in.messages->Increment();
-    in.bytes->Add(bytes);
-    in.failed_messages->Increment();
-    in.faults->Increment();
-    TraceMessage(from, to, bytes, kind, /*failed=*/true, start, s);
-    return Status::Timeout(
-        StrCat("message ", from, " -> ", to, " lost in flight"));
+    return fail("drop",
+                Status::Timeout(
+                    StrCat("message ", from, " -> ", to, " lost in flight")),
+                options_.latency_seconds +
+                    static_cast<double>(bytes) /
+                        options_.bandwidth_bytes_per_second);
   }
 
   double spike = 0.0;
@@ -143,7 +185,7 @@ Status Transport::TrySend(const std::string& from, const std::string& to,
     spike = faults_.latency_spike_seconds;
   }
   double s = Send(from, to, bytes, kind) + spike;
-  simulated_seconds_ += spike;
+  Charge(spike);
   if (seconds != nullptr) *seconds = s;
   return Status::OK();
 }
@@ -208,78 +250,33 @@ void Transport::HealLink(const std::string& a, const std::string& b) {
   partitions_.erase(NormalizedLink(a, b));
 }
 
-int64_t Transport::total_bytes() const {
+LinkStats Transport::Through(const std::string& node) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  int64_t sum = 0;
-  for (const MessageRecord& m : log_) sum += m.bytes;
-  return sum;
-}
-
-int64_t Transport::messages_of(MessageKind kind) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  int64_t n = 0;
-  for (const MessageRecord& m : log_) n += (m.kind == kind);
-  return n;
-}
-
-int64_t Transport::bytes_of(MessageKind kind) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  int64_t sum = 0;
-  for (const MessageRecord& m : log_) {
-    if (m.kind == kind) sum += m.bytes;
-  }
-  return sum;
-}
-
-int64_t Transport::failed_messages() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  int64_t n = 0;
-  for (const MessageRecord& m : log_) n += m.failed;
-  return n;
-}
-
-int64_t Transport::failed_bytes() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  int64_t sum = 0;
-  for (const MessageRecord& m : log_) {
-    if (m.failed) sum += m.bytes;
-  }
-  return sum;
-}
-
-int64_t Transport::bytes_through(const std::string& node) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  int64_t sum = 0;
-  for (const MessageRecord& m : log_) {
-    if (m.from == node || m.to == node) sum += m.bytes;
-  }
-  return sum;
-}
-
-int64_t Transport::messages_through(const std::string& node) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  int64_t n = 0;
-  for (const MessageRecord& m : log_) {
-    if (m.from == node || m.to == node) ++n;
-  }
-  return n;
+  auto it = endpoint_ids_.find(node);
+  return it == endpoint_ids_.end()
+             ? LinkStats{}
+             : endpoints_[static_cast<size_t>(it->second)].through;
 }
 
 std::map<std::pair<std::string, std::string>, LinkStats> Transport::PerLink()
     const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::map<std::pair<std::string, std::string>, LinkStats> out;
-  for (const MessageRecord& m : log_) {
-    LinkStats& s = out[{m.from, m.to}];
-    ++s.messages;
-    s.bytes += m.bytes;
+  for (const auto& [link, stats] : links_) {
+    out[{endpoints_[static_cast<size_t>(link.first)].name,
+         endpoints_[static_cast<size_t>(link.second)].name}] = stats;
   }
   return out;
 }
 
 void Transport::Reset() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  log_.clear();
+  endpoints_.clear();
+  endpoint_ids_.clear();
+  links_.clear();
+  total_ = LinkStats{};
+  for (LinkStats& s : by_kind_) s = LinkStats{};
+  failed_ = LinkStats{};
   fault_log_.clear();
   simulated_seconds_ = 0.0;
   fault_rng_ = Rng(faults_.seed);

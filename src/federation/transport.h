@@ -69,18 +69,9 @@ struct FaultOptions {
   std::vector<std::pair<std::string, std::string>> partitioned_links;
 };
 
-/// Why a message was sent (for reporting).
+/// Why a message was sent (for reporting). QueryStat's per-kind entries
+/// (common/query_profile.h) follow this order.
 enum class MessageKind { kPlan, kData, kControl };
-
-struct MessageRecord {
-  std::string from;
-  std::string to;
-  int64_t bytes = 0;
-  MessageKind kind = MessageKind::kControl;
-  /// True when the fault model failed this attempt (bytes still hit the
-  /// wire and are metered — lost traffic is the overhead of faults).
-  bool failed = false;
-};
 
 /// One injected fault, stamped with the simulated time it fired.
 struct FaultEvent {
@@ -97,15 +88,23 @@ struct LinkStats {
   int64_t bytes = 0;
 };
 
-/// Records and prices all traffic. Thread-safe: the multi-tenant service
-/// runs many coordinators against one shared transport, so every mutating
-/// or aggregating method takes an internal (recursive) lock. The simulated
-/// clock remains a single global sequence — concurrent sends serialize on
-/// the lock in arrival order, which models one shared wire.
+/// Meters and prices all traffic. Every attempt — delivered or failed by
+/// the fault model — updates O(1) running totals: overall, per
+/// MessageKind, failed, per interned endpoint and per ordered link. So a
+/// send costs the same after a million messages as after one, and every
+/// accessor is a lookup, not a scan. Each attempt is also charged to the
+/// sending thread's QueryProfile (common/query_profile.h), which is where
+/// per-query message, byte and simulated-time numbers come from.
 ///
-/// The reference-returning accessors (`log()`, `fault_log()`,
-/// `fault_options()`) are snapshots for single-threaded inspection; do not
-/// call them while other threads are sending.
+/// Thread-safe: the multi-tenant service runs many coordinators against one
+/// shared transport, so every mutating or aggregating method takes an
+/// internal (recursive) lock. The simulated clock remains a single global
+/// sequence — concurrent sends serialize on the lock in arrival order,
+/// which models one shared wire.
+///
+/// The reference-returning accessors (`fault_log()`, `fault_options()`)
+/// are snapshots for single-threaded inspection; do not call them while
+/// other threads are sending.
 class Transport {
  public:
   explicit Transport(TransportOptions options = {}) : options_(options) {}
@@ -118,7 +117,7 @@ class Transport {
   /// Fault-aware send. With faults disabled, identical to Send. With faults
   /// enabled, may return kUnavailable (partitioned link, server inside a
   /// down window) or kTimeout (message dropped). Failed attempts are still
-  /// metered (flagged `failed`) and charged simulated time — a lost message
+  /// metered (counted as failed) and charged simulated time — a lost message
   /// costs real network. `*seconds`, when given, receives the time charged
   /// whether or not the send succeeded.
   Status TrySend(const std::string& from, const std::string& to, int64_t bytes,
@@ -142,7 +141,7 @@ class Transport {
   /// pauses charge their wait here so scripted down windows eventually pass.
   void AdvanceTime(double seconds) {
     std::lock_guard<std::recursive_mutex> lock(mu_);
-    simulated_seconds_ += seconds;
+    Charge(seconds);
   }
 
   /// True when `server` is inside a scripted down window at the current
@@ -156,22 +155,27 @@ class Transport {
   void PartitionLink(const std::string& a, const std::string& b);
   void HealLink(const std::string& a, const std::string& b);
 
-  int64_t total_messages() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return static_cast<int64_t>(log_.size());
+  int64_t total_messages() const { return Read(total_).messages; }
+  int64_t total_bytes() const { return Read(total_).bytes; }
+  int64_t messages_of(MessageKind kind) const {
+    return Read(by_kind_[static_cast<int>(kind)]).messages;
   }
-  int64_t total_bytes() const;
-  int64_t messages_of(MessageKind kind) const;
-  int64_t bytes_of(MessageKind kind) const;
+  int64_t bytes_of(MessageKind kind) const {
+    return Read(by_kind_[static_cast<int>(kind)]).bytes;
+  }
 
   /// Failed-attempt accounting (subset of the totals above).
-  int64_t failed_messages() const;
-  int64_t failed_bytes() const;
+  int64_t failed_messages() const { return Read(failed_).messages; }
+  int64_t failed_bytes() const { return Read(failed_).bytes; }
 
-  /// Bytes that entered or left the named endpoint ("client" for the
+  /// Traffic that entered or left the named endpoint ("client" for the
   /// through-the-application measure of desideratum 4).
-  int64_t bytes_through(const std::string& node) const;
-  int64_t messages_through(const std::string& node) const;
+  int64_t bytes_through(const std::string& node) const {
+    return Through(node).bytes;
+  }
+  int64_t messages_through(const std::string& node) const {
+    return Through(node).messages;
+  }
 
   /// Total simulated seconds across all messages (serialized link model).
   double simulated_seconds() const {
@@ -182,8 +186,6 @@ class Transport {
   /// Per ordered endpoint pair.
   std::map<std::pair<std::string, std::string>, LinkStats> PerLink() const;
 
-  const std::vector<MessageRecord>& log() const { return log_; }
-
   /// Every fault injected so far, in firing order (the chaos trace).
   const std::vector<FaultEvent>& fault_log() const { return fault_log_; }
   int64_t faults_injected() const {
@@ -191,14 +193,36 @@ class Transport {
     return static_cast<int64_t>(fault_log_.size());
   }
 
-  /// Clears traffic logs, the fault trace, and the simulated clock (down
-  /// windows therefore re-apply), and reseeds the fault RNG. Fault options
-  /// and dynamic partitions are kept.
+  /// Zeroes every traffic total, clears the fault trace and the simulated
+  /// clock (down windows therefore re-apply), and reseeds the fault RNG.
+  /// Fault options and dynamic partitions are kept.
   void Reset();
 
  private:
+  /// An interned endpoint and the traffic that entered or left it.
+  struct Endpoint {
+    std::string name;
+    LinkStats through;
+  };
+
   static std::pair<std::string, std::string> NormalizedLink(
       const std::string& a, const std::string& b);
+
+  LinkStats Read(const LinkStats& stats) const {
+    std::lock_guard<std::recursive_mutex> lock(mu_);
+    return stats;
+  }
+  LinkStats Through(const std::string& node) const;
+  /// Index of `node` in endpoints_, interning it on first sight. Only the
+  /// first send on a new endpoint or link allocates. Caller holds mu_.
+  int Intern(const std::string& node);
+  /// Advances the simulated clock by `seconds`, charges them to the calling
+  /// query's profile, and returns the clock before. Caller holds mu_.
+  double Charge(double seconds);
+  /// Counts one attempt in every running total, the registry instruments
+  /// and the calling query's profile. Caller holds mu_.
+  void Meter(const std::string& from, const std::string& to, int64_t bytes,
+             MessageKind kind, bool failed);
 
   /// Recursive: TrySend holds the lock across its internal Send / IsDown /
   /// IsPartitioned calls so one logical attempt is atomic on the wire.
@@ -208,7 +232,12 @@ class Transport {
   std::map<std::string, bool> binary_capable_;
   Rng fault_rng_{0x5EEDF417ULL};
   std::set<std::pair<std::string, std::string>> partitions_;
-  std::vector<MessageRecord> log_;
+  std::vector<Endpoint> endpoints_;
+  std::map<std::string, int> endpoint_ids_;
+  std::map<std::pair<int, int>, LinkStats> links_;  // by endpoint index
+  LinkStats total_;
+  LinkStats by_kind_[3];  // indexed by MessageKind
+  LinkStats failed_;
   std::vector<FaultEvent> fault_log_;
   double simulated_seconds_ = 0.0;
 };

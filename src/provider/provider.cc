@@ -70,18 +70,18 @@ Result<Dataset> Provider::ExecuteWireBody(std::string_view body) {
     case WireEnvelope::Kind::kPlanStore: {
       NEXUS_ASSIGN_OR_RETURN(plan, ParsePlan(env.plan_wire));
       CachePlan(env.fingerprint, plan);
-      in.plan_cache_miss->Increment();
+      telemetry::Count(in.plan_cache_miss, QueryStat::kPlanCacheMisses);
       break;
     }
     case WireEnvelope::Kind::kExecCached: {
       plan = LookupCachedPlan(env.fingerprint);
       if (plan == nullptr) {
-        in.plan_cache_miss->Increment();
+        telemetry::Count(in.plan_cache_miss, QueryStat::kPlanCacheMisses);
         return Status::NotFound(
             StrCat(kPlanCacheMissMarker, ": fingerprint ", env.fingerprint,
                    " not cached on ", name()));
       }
-      in.plan_cache_hit->Increment();
+      telemetry::Count(in.plan_cache_hit, QueryStat::kPlanCacheHits);
       break;
     }
   }

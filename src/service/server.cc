@@ -246,28 +246,17 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
   }
   coordinator->set_options(co);
 
-  // Attribute expression-compiler activity to the tenant: snapshot the
-  // process-wide counters around the run and charge the delta. Best-effort
-  // under concurrency (overlapping queries may swap some counts), exact in
-  // the common serial case — good enough for per-tenant cache dashboards.
-  auto& mreg = telemetry::MetricsRegistry::Global();
-  telemetry::Counter* compile_c = mreg.counter("expr.compile");
-  telemetry::Counter* cache_hit_c = mreg.counter("expr.compile_cache_hit");
-  telemetry::Counter* spill_ops_c = mreg.counter("spill.ops");
-  telemetry::Counter* spill_parts_c = mreg.counter("spill.partitions");
-  telemetry::Counter* spill_bytes_c = mreg.counter("spill.bytes_written");
-  const int64_t compiles0 = compile_c->value();
-  const int64_t cache_hits0 = cache_hit_c->value();
-  const int64_t spill_ops0 = spill_ops_c->value();
-  const int64_t spill_parts0 = spill_parts_c->value();
-  const int64_t spill_bytes0 = spill_bytes_c->value();
-
+  // The attempt's own profile (nested under the report's, which spans
+  // every attempt) attributes its compiler and spill activity to the tenant
+  // exactly, however many other queries run alongside.
+  QueryProfile profile(&report->profile);
   Result<Dataset> result{Status::Internal("query did not run")};
   {
     TaskContext ctx;
     ctx.cancel = attempt_token.get();
     ctx.weight = QueryClassWeight(options.query_class);
     ctx.meter = meter.get();
+    ctx.profile = &profile;
     ScopedTaskContext scoped(&ctx);
     if (explain != nullptr) {
       auto analyzed = coordinator->ExplainAnalyze(plan);
@@ -295,16 +284,16 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
       options_.coordinator.retry.fragment_timeout_seconds;
   coordinator->set_options(co);
 
-  const int64_t expr_compiles = compile_c->value() - compiles0;
-  const int64_t expr_cache_hits = cache_hit_c->value() - cache_hits0;
+  const int64_t expr_compiles = profile[QueryStat::kExprCompiles];
+  const int64_t expr_cache_hits = profile[QueryStat::kExprCacheHits];
   if (expr_compiles > 0) ins.expr_compiles->Add(expr_compiles);
   if (expr_cache_hits > 0) ins.expr_cache_hits->Add(expr_cache_hits);
   report->expr_compiles += expr_compiles;
   report->expr_cache_hits += expr_cache_hits;
 
-  const int64_t spill_ops = spill_ops_c->value() - spill_ops0;
-  const int64_t spill_parts = spill_parts_c->value() - spill_parts0;
-  const int64_t spill_bytes = spill_bytes_c->value() - spill_bytes0;
+  const int64_t spill_ops = profile[QueryStat::kSpillOps];
+  const int64_t spill_parts = profile[QueryStat::kSpillPartitions];
+  const int64_t spill_bytes = profile[QueryStat::kSpillBytes];
   if (spill_ops > 0) ins.spill_ops->Add(spill_ops);
   if (spill_parts > 0) ins.spill_partitions->Add(spill_parts);
   if (spill_bytes > 0) ins.spill_bytes->Add(spill_bytes);

@@ -1,13 +1,13 @@
 // MetricsRegistry: process-wide named counters, gauges, and histograms.
 //
-// The federation's per-call `ExecutionMetrics` struct is a *view* over this
-// registry: instruments are cumulative and monotonic (counters) or
-// last-write (gauges), and callers that want per-operation numbers
-// snapshot instrument values before the operation and report deltas after
-// — exactly how Coordinator::Execute builds its ExecutionMetrics. The
-// registry itself is always on: an atomic add is cheaper than the work it
-// counts, and a metrics system that must be switched on before the
-// incident is useless.
+// Instruments are cumulative and monotonic (counters) or last-write
+// (gauges): whole-process numbers for dashboards. Per-query numbers do not
+// come from here — sites that a query's report needs count through
+// `Count`, which bumps the registry counter and the calling thread's
+// QueryProfile (common/query_profile.h) together, and the federation's
+// ExecutionMetrics is read off that profile. The registry itself is always
+// on: an atomic add is cheaper than the work it counts, and a metrics
+// system that must be switched on before the incident is useless.
 //
 // Instruments are created lazily by name and never destroyed, so a
 // `Counter*` obtained once may be cached and used lock-free forever.
@@ -21,6 +21,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/query_profile.h"
 
 namespace nexus {
 namespace telemetry {
@@ -37,6 +39,13 @@ class Counter {
  private:
   std::atomic<int64_t> value_{0};
 };
+
+/// Adds `n` to the process-wide `counter` and to `stat` of the calling
+/// thread's query profile (if one is installed).
+inline void Count(Counter* counter, QueryStat stat, int64_t n = 1) {
+  counter->Add(n);
+  CountForQuery(stat, n);
+}
 
 /// Last-observed value (thread budgets, level settings). Thread-safe.
 class Gauge {
@@ -84,14 +93,13 @@ class MetricsRegistry {
   Histogram* histogram(const std::string& name);
 
   /// Current value of every counter (a consistent-enough snapshot for
-  /// delta accounting; individual reads are atomic).
+  /// whole-run dashboards; individual reads are atomic).
   std::map<std::string, int64_t> CounterValues() const;
 
   /// Human-readable dump of every instrument, sorted by name.
   std::string ToString() const;
 
-  /// Zeroes every instrument in place (pointers stay valid). Test helper;
-  /// production code snapshots and deltas instead.
+  /// Zeroes every instrument in place (pointers stay valid). Test helper.
   void ResetForTest();
 
  private:

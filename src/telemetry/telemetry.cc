@@ -133,6 +133,14 @@ void HookMorselEnd(uint64_t handle) {
 constexpr ParallelHooks kHooks = {HookRegionBegin, HookRegionEnd,
                                   HookMorselBegin, HookMorselEnd};
 
+// Installed for the life of the process: whether a region is traced is
+// decided per region (HookRegionBegin asks Enabled() on the submitting
+// thread), and an untraced region fires no morsel hook at all.
+[[maybe_unused]] const bool g_hooks_installed = [] {
+  SetParallelHooks(&kHooks);
+  return true;
+}();
+
 constexpr char kWireHeaderTag[] = "%NEXUS-TRACE ";
 
 }  // namespace
@@ -145,9 +153,7 @@ int64_t SpanRecord::CounterOr(const std::string& key, int64_t fallback) const {
 }
 
 void SetEnabled(bool on) {
-  bool was = internal::g_enabled.exchange(on, std::memory_order_relaxed);
-  if (was == on) return;
-  SetParallelHooks(on ? &kHooks : nullptr);
+  internal::g_enabled.store(on, std::memory_order_relaxed);
 }
 
 void ClearSpans() {

@@ -11,11 +11,17 @@
 // servers (trace context travels inside federation messages; see
 // WireHeader/StripWireHeader and Provider::ExecuteWire).
 //
-// Cost contract: tracing is off by default and every hook is gated on one
-// relaxed atomic load (`Enabled()`), so instrumented code paths are
-// near-zero cost when disabled and — critically — *behaviorally identical*:
-// no clock reads, no allocation, no extra wire bytes. Seeded chaos and
-// determinism traces are byte-for-byte unchanged with tracing off.
+// Cost contract: tracing is off by default and every hook is gated on
+// `Enabled()` — one relaxed atomic load plus a look at the thread's
+// TaskContext — so instrumented code paths are near-zero cost when disabled
+// and — critically — *behaviorally identical*: no clock reads, no
+// allocation, no extra wire bytes. Seeded chaos and determinism traces are
+// byte-for-byte unchanged with tracing off.
+//
+// Tracing is on for a piece of work when the process-wide switch is on
+// (SetEnabled) or when the work runs under a TaskContext with `trace` set
+// (ScopedQuery); the pool carries the context to every morsel, so one
+// query can be traced while concurrent queries stay dark.
 //
 // Span ids are allocated from a monotonic counter (never randomized), so a
 // single-threaded run is fully deterministic and a multi-threaded run is
@@ -29,6 +35,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/parallel.h"
 
 namespace nexus {
 namespace telemetry {
@@ -69,11 +77,15 @@ namespace internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal
 
-/// Master switch. Off by default; flipping it on installs the parallel-pool
-/// hooks (per-morsel spans) and flipping it off removes them.
+/// Process-wide switch. Off by default.
 void SetEnabled(bool on);
+
+/// True when the calling thread's work is traced: the process-wide switch
+/// is on, or the thread's TaskContext asks for tracing.
 inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
+  if (internal::g_enabled.load(std::memory_order_relaxed)) return true;
+  const TaskContext* ctx = CurrentTaskContext();
+  return ctx != nullptr && ctx->trace;
 }
 
 /// Drops all recorded spans and resets the span/trace id counters, so the

@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
+#include "common/query_profile.h"
 #include "common/str_util.h"
 #include "exec/spill/spill.h"
 #include "expr/builder.h"
@@ -585,6 +587,109 @@ TEST_F(ServiceTest, ConcurrentTenantsMatchSoloRuns) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_FALSE(AnyTempWithPrefix("__frag_"));
   EXPECT_FALSE(AnyTempWithPrefix("__svc_"));
+}
+
+TEST_F(ServiceTest, ConcurrentQueryProfilesAreExact) {
+  // Per-query numbers come from each query's own profile, not from deltas
+  // of process-wide counters, so they stay exact while tenants overlap:
+  // the profiles sum to the global deltas, and each tenant's traffic is
+  // what the same query costs when it runs alone.
+  const int saved_threads = GetThreadCount();
+  struct Restore {
+    int threads;
+    ~Restore() { SetThreadCount(threads); }
+  } restore{saved_threads};
+  SetThreadCount(4);
+  constexpr int kTenants = 4;
+  auto plan_of = [](int t) {
+    return Plan::Select(Plan::Scan("orders"),
+                        Gt(Col("amount"), Lit(20.0 * (t + 1))));
+  };
+  ServerOptions options;
+  options.max_concurrent = kTenants;
+  auto open_all = [&](Server* server, std::vector<int64_t>* sessions) {
+    for (int t = 0; t < kTenants; ++t) {
+      std::string name = StrCat("tenant", t);
+      ASSERT_OK(server->RegisterTenant(name, TenantOptions{}));
+      ASSERT_OK_AND_ASSIGN(int64_t s, server->OpenSession(name));
+      sessions->push_back(s);
+    }
+  };
+
+  // Solo runs, each on a fresh server so its coordinators start cold.
+  std::vector<QueryProfile> solo(kTenants);
+  for (int t = 0; t < kTenants; ++t) {
+    Server server(cluster_.get(), options);
+    std::vector<int64_t> sessions;
+    open_all(&server, &sessions);
+    QueryReport report;
+    ASSERT_OK(server.Execute(sessions[static_cast<size_t>(t)], plan_of(t), {},
+                             &report)
+                  .status());
+    solo[static_cast<size_t>(t)] = report.profile;
+  }
+
+  Server server(cluster_.get(), options);
+  std::vector<int64_t> sessions;
+  open_all(&server, &sessions);
+  const Transport& transport = *cluster_->transport();
+  auto& reg = telemetry::MetricsRegistry::Global();
+  auto compiles = [&] {
+    return reg.counter("expr.compile")->value() +
+           reg.counter("expr.compile_cache_hit")->value();
+  };
+  const int64_t messages0 = transport.total_messages();
+  const int64_t bytes0 = transport.total_bytes();
+  const int64_t fragments0 = reg.counter("coordinator.fragments")->value();
+  const int64_t compiles0 = compiles();
+  const int64_t morsels0 = GetParallelStats().morsels;
+
+  std::vector<QueryReport> reports(kTenants);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kTenants; ++t) {
+    clients.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kTenants) std::this_thread::yield();
+      auto i = static_cast<size_t>(t);
+      EXPECT_OK(server.Execute(sessions[i], plan_of(t), {}, &reports[i])
+                    .status());
+    });
+  }
+  for (std::thread& c : clients) c.join();
+
+  QueryProfile sum;
+  for (const QueryReport& r : reports) {
+    for (QueryStat stat :
+         {QueryStat::kMessages, QueryStat::kBytes, QueryStat::kFragments,
+          QueryStat::kExprCompiles, QueryStat::kExprCacheHits,
+          QueryStat::kMorsels}) {
+      sum.Add(stat, r.profile[stat]);
+    }
+  }
+  EXPECT_EQ(sum[QueryStat::kMessages], transport.total_messages() - messages0);
+  EXPECT_EQ(sum[QueryStat::kBytes], transport.total_bytes() - bytes0);
+  EXPECT_EQ(sum[QueryStat::kFragments],
+            reg.counter("coordinator.fragments")->value() - fragments0);
+  EXPECT_EQ(sum[QueryStat::kExprCompiles] + sum[QueryStat::kExprCacheHits],
+            compiles() - compiles0);
+  EXPECT_EQ(sum[QueryStat::kMorsels], GetParallelStats().morsels - morsels0);
+  EXPECT_GT(sum[QueryStat::kExprCompiles] + sum[QueryStat::kExprCacheHits], 0);
+
+  for (size_t t = 0; t < reports.size(); ++t) {
+    const QueryProfile& got = reports[t].profile;
+    EXPECT_GT(got[QueryStat::kMessages], 0) << "tenant " << t;
+    for (QueryStat stat :
+         {QueryStat::kMessages, QueryStat::kBytes, QueryStat::kPlanMessages,
+          QueryStat::kDataMessages, QueryStat::kPlanBytes,
+          QueryStat::kDataBytes, QueryStat::kClientBytes,
+          QueryStat::kFailedMessages, QueryStat::kFragments}) {
+      EXPECT_EQ(got[stat], solo[t][stat])
+          << "tenant " << t << " stat " << static_cast<int>(stat);
+    }
+    EXPECT_DOUBLE_EQ(got.simulated_seconds(), solo[t].simulated_seconds())
+        << "tenant " << t;
+  }
 }
 
 }  // namespace

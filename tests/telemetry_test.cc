@@ -1,8 +1,8 @@
 // Telemetry subsystem tests: the metrics registry, span tracer, wire-header
 // propagation, Chrome trace export, EXPLAIN ANALYZE, and the two contracts
 // the rest of the repo depends on —
-//   1. ExecutionMetrics is a per-call delta view over cumulative registry
-//      counters (repeated Execute calls never double-count), and
+//   1. ExecutionMetrics is read off a per-call query profile (repeated
+//      Execute calls never double-count), and
 //   2. with tracing disabled, execution is behaviorally identical (same
 //      metered bytes, same fault traces) to a build without telemetry.
 #include <gtest/gtest.h>
@@ -400,8 +400,50 @@ TEST(FederatedTraceTest, ExplainAnalyzeShowsFragmentsRowsAndServers) {
   EXPECT_FALSE(telemetry::Enabled());
 }
 
+// EXPLAIN ANALYZE traces through its own thread's context rather than the
+// process-wide switch, so a query running alongside it stays untraced.
+TEST(FederatedTraceTest, ExplainAnalyzeLeavesConcurrentQueriesUntraced) {
+  TelemetryGuard guard;
+  Cluster cluster;
+  FillMatMulCluster(&cluster);
+  PlanPtr mm = Plan::MatMul(Plan::Scan("MA"), Plan::Scan("MB"), "c");
+  std::set<uint64_t> explained;
+  std::atomic<bool> done{false};
+  std::atomic<int> dark_runs{0};
+  std::atomic<int> saw_tracing{0};
+  std::thread dark([&] {
+    CoordinatorOptions opts;
+    opts.temp_namespace = "dark";
+    Coordinator coord(&cluster, opts);
+    while (!done.load() || dark_runs.load() == 0) {
+      if (telemetry::Enabled()) saw_tracing.fetch_add(1);
+      EXPECT_OK(coord.Execute(mm).status());
+      dark_runs.fetch_add(1);
+    }
+  });
+  {
+    CoordinatorOptions opts;
+    opts.temp_namespace = "explain";
+    Coordinator coord(&cluster, opts);
+    for (int q = 0; q < 20; ++q) {
+      ASSERT_OK(coord.ExplainAnalyze(mm).status());
+      explained.insert(coord.last_trace_id());
+    }
+    done.store(true);
+  }
+  dark.join();
+  EXPECT_GT(dark_runs.load(), 0);
+  EXPECT_EQ(saw_tracing.load(), 0);
+  EXPECT_FALSE(telemetry::Enabled());
+  ASSERT_GT(telemetry::SpanCount(), 0);
+  for (const telemetry::SpanRecord& s : telemetry::Spans()) {
+    EXPECT_EQ(explained.count(s.trace), 1u)
+        << "span '" << s.name << "' belongs to no EXPLAIN ANALYZE trace";
+  }
+}
+
 // ---------------------------------------------------------------------------
-// ExecutionMetrics = per-call delta view (no double-counting).
+// ExecutionMetrics = per-call profile (no double-counting).
 // ---------------------------------------------------------------------------
 
 TEST(MetricsDeltaTest, RepeatedExecutesOnOneCoordinatorDoNotAccumulate) {

@@ -2,6 +2,13 @@
 // measurement instrument behind E4/E5/E6 must itself be exact.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/query_profile.h"
+#include "common/random.h"
 #include "federation/cluster.h"
 #include "tests/test_util.h"
 
@@ -55,6 +62,150 @@ TEST(TransportTest, PerLinkBreakdownAndReset) {
   t.Reset();
   EXPECT_EQ(t.total_messages(), 0);
   EXPECT_EQ(t.simulated_seconds(), 0.0);
+}
+
+// One metered attempt as the test itself saw it: the independent recount
+// every running total is checked against.
+struct Sent {
+  std::string from;
+  std::string to;
+  int64_t bytes = 0;
+  MessageKind kind = MessageKind::kControl;
+  bool failed = false;
+};
+
+// Drives a seeded mix of Send and TrySend across four endpoints (a
+// self-link included) while drops, spikes, a scripted partition, a
+// dynamic partition and a down window all fire.
+std::vector<Sent> DriveFaultyMix(Transport* t, uint64_t seed) {
+  const std::vector<std::string> nodes = {kClientNode, "a", "b", "c"};
+  Rng rng(seed);
+  std::vector<Sent> sent;
+  for (int i = 0; i < 2000; ++i) {
+    if (i == 500) t->PartitionLink("a", "b");
+    if (i == 1200) t->HealLink("a", "b");
+    Sent m;
+    m.from = nodes[rng.NextBounded(nodes.size())];
+    m.to = nodes[rng.NextBounded(nodes.size())];
+    m.bytes = rng.NextInt(0, 5000);
+    m.kind = static_cast<MessageKind>(rng.NextBounded(3));
+    if (rng.NextBool(0.2)) {
+      t->Send(m.from, m.to, m.bytes, m.kind);
+    } else {
+      m.failed = !t->TrySend(m.from, m.to, m.bytes, m.kind).ok();
+    }
+    sent.push_back(std::move(m));
+  }
+  return sent;
+}
+
+FaultOptions MixFaults() {
+  FaultOptions f;
+  f.enabled = true;
+  f.drop_probability = 0.1;
+  f.latency_spike_probability = 0.05;
+  f.seed = 99;
+  f.partitioned_links = {{"c", kClientNode}};
+  f.down_windows = {DownWindow{"b", 0.5, 1.5}};
+  return f;
+}
+
+void ExpectTotalsMatch(const Transport& t, const std::vector<Sent>& sent) {
+  int64_t bytes = 0, failed = 0, failed_bytes = 0;
+  std::map<MessageKind, LinkStats> by_kind;
+  std::map<std::string, LinkStats> through;
+  std::map<std::pair<std::string, std::string>, LinkStats> links;
+  for (const Sent& m : sent) {
+    bytes += m.bytes;
+    if (m.failed) {
+      ++failed;
+      failed_bytes += m.bytes;
+    }
+    for (LinkStats* s : {&by_kind[m.kind], &links[{m.from, m.to}],
+                         &through[m.from]}) {
+      ++s->messages;
+      s->bytes += m.bytes;
+    }
+    if (m.to != m.from) {
+      ++through[m.to].messages;
+      through[m.to].bytes += m.bytes;
+    }
+  }
+  EXPECT_EQ(t.total_messages(), static_cast<int64_t>(sent.size()));
+  EXPECT_EQ(t.total_bytes(), bytes);
+  EXPECT_EQ(t.failed_messages(), failed);
+  EXPECT_EQ(t.failed_bytes(), failed_bytes);
+  for (MessageKind k :
+       {MessageKind::kPlan, MessageKind::kData, MessageKind::kControl}) {
+    EXPECT_EQ(t.messages_of(k), by_kind[k].messages);
+    EXPECT_EQ(t.bytes_of(k), by_kind[k].bytes);
+  }
+  for (const char* n : {"client", "a", "b", "c", "never-seen"}) {
+    EXPECT_EQ(t.messages_through(n), through[n].messages) << n;
+    EXPECT_EQ(t.bytes_through(n), through[n].bytes) << n;
+  }
+  auto per_link = t.PerLink();
+  ASSERT_EQ(per_link.size(), links.size());
+  for (const auto& [link, stats] : links) {
+    EXPECT_EQ(per_link[link].messages, stats.messages);
+    EXPECT_EQ(per_link[link].bytes, stats.bytes);
+  }
+}
+
+TEST(TransportTest, RunningTotalsMatchAnIndependentRecount) {
+  Transport t;
+  t.SetFaultOptions(MixFaults());
+  std::vector<Sent> sent;
+  QueryProfile profile;
+  {
+    ScopedQuery query;
+    sent = DriveFaultyMix(&t, 7);
+    profile = query.profile();
+  }
+  ExpectTotalsMatch(t, sent);
+  // Every fault kind fired, so the failed-attempt paths were exercised.
+  std::map<std::string, int> faults;
+  for (const FaultEvent& e : t.fault_log()) ++faults[e.what.substr(0, 4)];
+  EXPECT_GT(faults["drop"], 0);
+  EXPECT_GT(faults["spik"], 0);
+  EXPECT_GT(faults["part"], 0);
+  EXPECT_GT(faults["down"], 0);
+
+  // The sending thread's query profile saw exactly the same traffic.
+  EXPECT_EQ(profile[QueryStat::kMessages], t.total_messages());
+  EXPECT_EQ(profile[QueryStat::kBytes], t.total_bytes());
+  EXPECT_EQ(profile[QueryStat::kFailedMessages], t.failed_messages());
+  EXPECT_EQ(profile[QueryStat::kPlanMessages],
+            t.messages_of(MessageKind::kPlan));
+  EXPECT_EQ(profile[QueryStat::kDataBytes], t.bytes_of(MessageKind::kData));
+  EXPECT_EQ(profile[QueryStat::kControlBytes],
+            t.bytes_of(MessageKind::kControl));
+  EXPECT_EQ(profile[QueryStat::kClientBytes], t.bytes_through(kClientNode));
+  EXPECT_NEAR(profile.simulated_seconds(), t.simulated_seconds(),
+              1e-9 * t.simulated_seconds());
+}
+
+TEST(TransportTest, ResetZeroesEveryTotalAndKeepsFaultOptions) {
+  Transport t;
+  t.SetFaultOptions(MixFaults());
+  std::vector<Sent> first = DriveFaultyMix(&t, 11);
+  const int64_t bytes = t.total_bytes();
+  const int64_t failed = t.failed_messages();
+  const double sim = t.simulated_seconds();
+  t.Reset();
+  ExpectTotalsMatch(t, {});
+  EXPECT_TRUE(t.PerLink().empty());
+  EXPECT_EQ(t.simulated_seconds(), 0.0);
+  EXPECT_EQ(t.faults_injected(), 0);
+  EXPECT_TRUE(t.fault_options().enabled);
+  EXPECT_EQ(t.fault_options().drop_probability, 0.1);
+  EXPECT_EQ(t.fault_options().down_windows.size(), 1u);
+  // The fault RNG is reseeded, so the same traffic replays identically.
+  std::vector<Sent> second = DriveFaultyMix(&t, 11);
+  ExpectTotalsMatch(t, second);
+  EXPECT_EQ(t.total_bytes(), bytes);
+  EXPECT_EQ(t.failed_messages(), failed);
+  EXPECT_EQ(t.simulated_seconds(), sim);
 }
 
 TEST(ClusterTest, ServerRegistrationRules) {
