@@ -11,8 +11,8 @@
 // Sweep R; report round trips, total bytes, bytes through the client, and
 // simulated network time.
 // E13 — Binary columnar wire format: the same federated fetch executed once
-// with the legacy text wire pinned and once with NXB1 negotiation (the
-// default), on an event-log workload whose columns are representative of
+// on a cluster whose servers are all marked text-only (every link negotiates
+// the legacy text wire) and once with NXB1 negotiation (the default), on an event-log workload whose columns are representative of
 // machine data (frame-of-reference timestamps, dictionary hosts/messages,
 // run-length-encodable severity levels). A repeat execution on the binary
 // arm measures the provider plan-fingerprint cache.
@@ -23,7 +23,6 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "common/random.h"
-#include "core/wire_format.h"
 #include "expr/builder.h"
 #include "federation/coordinator.h"
 
@@ -142,13 +141,14 @@ int main() {
     // under test.
     PlanPtr q = Plan::Select(Plan::Scan("logs"), Gt(Col("count"), Lit(-1)));
 
-    // Text arm: a fresh cluster with the legacy wire pinned process-wide.
-    SetWireFormatOverride(WireFormat::kText);
+    // Text arm: a fresh cluster whose servers are all text-only peers.
     std::unique_ptr<Cluster> text_cluster = MakeLogCluster(rows);
+    for (const std::string& s : text_cluster->ServerNames()) {
+      text_cluster->transport()->SetNodeBinaryCapable(s, false);
+    }
     Coordinator text_coord(text_cluster.get());
     ExecutionMetrics text_m;
     Dataset text_d = text_coord.Execute(q, &text_m).ValueOrDie();
-    ClearWireFormatOverride();
 
     // Binary arm: identical fresh cluster, default NXB1 negotiation. The
     // second execution re-uses the provider's cached plan fingerprint.

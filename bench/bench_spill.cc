@@ -1,9 +1,9 @@
 // E18 — Out-of-core execution: Grace-style spilling join and aggregation
 // under memory oversubscription. A probe run with a peak-tracking meter
 // measures the in-memory working set of a hash join and a grouped
-// aggregate; the spill arm then re-runs both with an 8x-smaller budget
-// forced through the spill policy, so every operator must partition to
-// NXB1 scratch and stream partition-at-a-time.
+// aggregate; the spill arm then re-runs both under a meter whose spill
+// budget is 8x smaller, so every operator must partition to NXB1 scratch
+// and stream partition-at-a-time.
 //
 // Gates (the bench exits nonzero on correctness, CI's JSON gate re-checks
 // the numbers): the oversubscribed run completes instead of failing,
@@ -40,9 +40,11 @@ constexpr int64_t kKeyRange = 20000;
 constexpr int kReps = 3;
 
 /// Tracks the peak resident working set of a run: the probe that the spill
-/// arm's oversubscribed budget is derived from.
+/// arm's oversubscribed budget is derived from. With a budget it is also the
+/// spill arm's query meter: operators partition to disk past `budget`.
 class PeakMeter : public MemoryMeter {
  public:
+  explicit PeakMeter(int64_t budget = 0) : budget_(budget) {}
   void Charge(int64_t bytes) override {
     int64_t now = resident_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     int64_t peak = peak_.load(std::memory_order_relaxed);
@@ -53,9 +55,11 @@ class PeakMeter : public MemoryMeter {
   void Release(int64_t bytes) override {
     resident_.fetch_sub(bytes, std::memory_order_relaxed);
   }
+  int64_t SpillBudget() const override { return budget_; }
   int64_t peak() const { return peak_.load(std::memory_order_relaxed); }
 
  private:
+  const int64_t budget_;
   std::atomic<int64_t> resident_{0};
   std::atomic<int64_t> peak_{0};
 };
@@ -123,11 +127,7 @@ int main() {
               AggSpec{AggFunc::kCount, nullptr, "n"},
               AggSpec{AggFunc::kMin, Col("v"), "lo"}};
 
-  // ----- Probe: in-memory arms under a peak-tracking meter. The override
-  // pins spill OFF so the probe is a genuine in-memory run even when the
-  // environment forces NEXUS_SPILL=1.
-  spill::SetSpillOverride(false);
-  spill::ClearSpillBudgetOverride();
+  // ----- Probe: in-memory arms under a peak-tracking meter with no budget.
   PeakMeter probe;
   TaskContext probe_ctx;
   probe_ctx.meter = &probe;
@@ -151,16 +151,19 @@ int main() {
       telemetry::MetricsRegistry::Global().counter("spill.partitions");
   const int64_t bytes_before = bytes_written->value();
   const int64_t parts_before = partitions->value();
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(budget);
-  Arm join_spill = Run([&] {
-    return relational::HashJoin(left, right, join).ValueOrDie();
-  });
-  Arm agg_spill = Run([&] {
-    return algebra::LowerAggregate(left, agg).ValueOrDie();
-  });
-  spill::ClearSpillOverride();
-  spill::ClearSpillBudgetOverride();
+  PeakMeter spill_meter(budget);
+  TaskContext spill_ctx;
+  spill_ctx.meter = &spill_meter;
+  Arm join_spill, agg_spill;
+  {
+    ScopedTaskContext sc(&spill_ctx);
+    join_spill = Run([&] {
+      return relational::HashJoin(left, right, join).ValueOrDie();
+    });
+    agg_spill = Run([&] {
+      return algebra::LowerAggregate(left, agg).ValueOrDie();
+    });
+  }
   const int64_t spill_bytes = bytes_written->value() - bytes_before;
   const int64_t spill_parts = partitions->value() - parts_before;
   const int64_t leaked = spill::SpillManager::Global().live_files();

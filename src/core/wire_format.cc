@@ -1,26 +1,6 @@
 #include "core/wire_format.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace nexus {
-
-namespace {
-
-// -1 = no override; otherwise a WireFormat value.
-std::atomic<int> g_override{-1};
-
-WireFormat EnvWireFormat() {
-  static const WireFormat from_env = [] {
-    const char* env = std::getenv("NEXUS_WIRE");
-    if (env != nullptr && std::strcmp(env, "text") == 0) return WireFormat::kText;
-    return WireFormat::kBinary;
-  }();
-  return from_env;
-}
-
-}  // namespace
 
 const char* WireFormatName(WireFormat f) {
   switch (f) {
@@ -31,17 +11,5 @@ const char* WireFormatName(WireFormat f) {
   }
   return "?";
 }
-
-WireFormat ProcessWireFormat() {
-  int o = g_override.load(std::memory_order_relaxed);
-  if (o >= 0) return static_cast<WireFormat>(o);
-  return EnvWireFormat();
-}
-
-void SetWireFormatOverride(WireFormat f) {
-  g_override.store(static_cast<int>(f), std::memory_order_relaxed);
-}
-
-void ClearWireFormatOverride() { g_override.store(-1, std::memory_order_relaxed); }
 
 }  // namespace nexus

@@ -3,9 +3,10 @@
 // Two encodings can cross the simulated wire: the legacy textual
 // s-expression form (human-readable, accepted by every peer) and NXB1, the
 // binary columnar form (core/serialize.h). Endpoints advertise what they
-// accept; each link settles on the newest format both ends speak, so a
-// cluster with one legacy peer keeps working and `NEXUS_WIRE=text` pins the
-// whole process to the textual form for debugging.
+// accept; each link settles on the newest format both ends speak
+// (Transport::NegotiatedFormat), so a cluster with one legacy peer keeps
+// working, and a cluster whose servers are all marked text-only
+// (Transport::SetNodeBinaryCapable) speaks text on every link.
 #ifndef NEXUS_CORE_WIRE_FORMAT_H_
 #define NEXUS_CORE_WIRE_FORMAT_H_
 
@@ -17,17 +18,6 @@ enum class WireFormat : int {
 };
 
 const char* WireFormatName(WireFormat f);
-
-/// Process-wide preferred format: kBinary unless overridden. Reads the
-/// NEXUS_WIRE environment variable once ("text" | "binary"); a programmatic
-/// override (benches, tests) wins over the environment.
-WireFormat ProcessWireFormat();
-
-/// Overrides ProcessWireFormat for this process (benches run text-vs-binary
-/// ablations through this). Call ClearWireFormatOverride to fall back to the
-/// environment again.
-void SetWireFormatOverride(WireFormat f);
-void ClearWireFormatOverride();
 
 }  // namespace nexus
 

@@ -23,28 +23,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::atomic<int> g_spill_override{-1};
-std::atomic<int64_t> g_budget_override{-1};
-
-bool SpillEnvEnabled() {
-  static const bool value = [] {
-    const char* env = std::getenv("NEXUS_SPILL");
-    if (env == nullptr) return false;
-    std::string v(env);
-    return v == "1" || v == "on" || v == "true";
-  }();
-  return value;
-}
-
-int64_t SpillEnvBudget() {
-  static const int64_t value = [] {
-    const char* env = std::getenv("NEXUS_SPILL_BUDGET");
-    if (env == nullptr) return static_cast<int64_t>(0);
-    return static_cast<int64_t>(std::strtoll(env, nullptr, 10));
-  }();
-  return value;
-}
-
 /// "nxs-<pid>-" — Sweep() only ever deletes files carrying this process's
 /// own prefix, so a shared NEXUS_SPILL_DIR is safe across processes.
 std::string FilePrefix() { return StrCat("nxs-", static_cast<int64_t>(::getpid()), "-"); }
@@ -92,42 +70,16 @@ SpillCounters& Counters() {
 // Policy.
 // ---------------------------------------------------------------------------
 
-bool SpillEnabled() {
-  int o = g_spill_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return SpillEnvEnabled();
-}
-
-void SetSpillOverride(bool enabled) {
-  g_spill_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void ClearSpillOverride() { g_spill_override.store(-1, std::memory_order_relaxed); }
-
 int64_t SpillBudgetBytes() {
-  int64_t o = g_budget_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o;
-  if (MemoryMeter* meter = CurrentMemoryMeter()) {
-    int64_t b = meter->SpillBudget();
-    if (b > 0) return b;
-  }
-  return SpillEnvBudget();
-}
-
-void SetSpillBudgetOverride(int64_t bytes) {
-  g_budget_override.store(bytes < 0 ? 0 : bytes, std::memory_order_relaxed);
-}
-
-void ClearSpillBudgetOverride() {
-  g_budget_override.store(-1, std::memory_order_relaxed);
+  MemoryMeter* meter = CurrentMemoryMeter();
+  return meter != nullptr ? meter->SpillBudget() : 0;
 }
 
 bool ShouldSpill(int64_t estimated_bytes) {
-  if (!SpillEnabled()) return false;
-  if (MemoryMeter* meter = CurrentMemoryMeter()) {
-    if (meter->SpillRequested()) return true;
-  }
-  int64_t budget = SpillBudgetBytes();
+  MemoryMeter* meter = CurrentMemoryMeter();
+  if (meter == nullptr) return false;
+  if (meter->SpillRequested()) return true;
+  int64_t budget = meter->SpillBudget();
   return budget > 0 && estimated_bytes > budget;
 }
 
@@ -260,6 +212,13 @@ Result<std::unique_ptr<SpillFile>> SpillManager::Create(const std::string& tag) 
   if (!clean.empty()) path = StrCat(path, "-", clean);
   path += ".spill";
   std::FILE* f = std::fopen(path.c_str(), "wb+");
+  if (f == nullptr) {
+    // Sweep() removes the directory once it is empty (a Server shutting
+    // down); later spills in the same process recreate it.
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    f = std::fopen(path.c_str(), "wb+");
+  }
   if (f == nullptr) {
     return Status::IOError(StrCat("spill: cannot create scratch file ", path));
   }

@@ -16,12 +16,14 @@
 //     ascending-row frames, re-partitioned recursively (salted hash) when
 //     a skewed partition still exceeds the budget, and handed to a leaf
 //     callback one partition at a time.
-//   * The policy layer decides *when*: spilling is off unless NEXUS_SPILL
-//     (or a programmatic override) turns it on, and triggers when an
-//     operator's estimated working set crosses the query's budget — the
-//     governed meter's SpillBudget(), the NEXUS_SPILL_BUDGET environment
-//     override for standalone library use — or when the governor flips the
-//     meter's ask-to-spill flag instead of killing.
+//   * The policy layer decides *when*, and asks only the query's installed
+//     MemoryMeter: an operator spills when its estimated working set
+//     crosses the meter's SpillBudget() — a governed query's is its
+//     tenant's TenantOptions::spill_budget_bytes — or when the governor
+//     flips the meter's ask-to-spill flag instead of killing. A query with
+//     no meter, or a meter without a budget, never spills. There is no
+//     process-wide switch, so concurrent queries never see each other's
+//     policy.
 //
 // Determinism contract: spilling may never change results. Consumers
 // (relational::HashJoin, algebra::Join and the grouped fold under
@@ -54,27 +56,14 @@ namespace spill {
 // Policy.
 // ---------------------------------------------------------------------------
 
-/// True when out-of-core execution is enabled for this process. Reads
-/// NEXUS_SPILL once ("1" | "on" | "true" enable); a programmatic override
-/// (tests, benches) wins over the environment. Default off: spilling is
-/// byte-identical but changes governor dynamics (ask-to-spill instead of
-/// kill), so it is opt-in like NEXUS_WIRE=text.
-bool SpillEnabled();
-void SetSpillOverride(bool enabled);
-void ClearSpillOverride();
-
-/// The calling query's in-memory working-set budget in bytes; 0 = none.
-/// Resolution order: programmatic override, then the installed meter's
-/// SpillBudget() (governed queries), then NEXUS_SPILL_BUDGET (standalone
-/// library use — tests and benches without the service stack).
+/// The calling query's in-memory working-set budget in bytes: the installed
+/// meter's SpillBudget(), or 0 (none) without a meter.
 int64_t SpillBudgetBytes();
-void SetSpillBudgetOverride(int64_t bytes);
-void ClearSpillBudgetOverride();
 
 /// The one question operators ask: should a working set of an estimated
-/// `estimated_bytes` be partitioned to disk? True when spilling is enabled
-/// and either the estimate crosses the budget or the governor has asked
-/// this query to shed memory (MemoryMeter::SpillRequested).
+/// `estimated_bytes` be partitioned to disk? True when the installed meter
+/// has a budget the estimate crosses, or when the governor has asked this
+/// query to shed memory (MemoryMeter::SpillRequested).
 bool ShouldSpill(int64_t estimated_bytes);
 
 /// Releases a dropped table's metered charge. The spill path is net-

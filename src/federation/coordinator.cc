@@ -14,7 +14,6 @@
 #include "common/timer.h"
 #include "core/schema_inference.h"
 #include "core/serialize.h"
-#include "exec/incremental/policy.h"
 #include "optimizer/cardinality.h"
 #include "telemetry/explain.h"
 #include "telemetry/telemetry.h"
@@ -940,11 +939,11 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
   // message back, per body and per measure — so seeded chaos schedules see
   // an identical decision sequence; only the byte counts shrink.
   //
-  // With NEXUS_INCREMENTAL on, a binding whose new value extends the last
-  // one this loop shipped (a prefix in rows — the shape of a growing BFS
-  // frontier or an accumulating fixpoint) travels as a %NXB1-DELTA tail
-  // against the provider's sticky copy; a provider-side miss (evicted base
-  // or an interleaved chain) re-ships the full value, never a wrong answer.
+  // A binding whose new value extends the last one this loop shipped (a
+  // prefix in rows — the shape of a growing BFS frontier or an accumulating
+  // fixpoint) travels as a %NXB1-DELTA tail against the provider's sticky
+  // copy; a provider-side miss (evicted base or an interleaved chain)
+  // re-ships the full value, never a wrong answer.
   struct BindUpdate {
     std::string name;
     LoopShip::BoundBase base;  // applied to ship->bound only on success
@@ -955,8 +954,7 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
   auto one_binding = [&](const std::string& name, const Dataset& data,
                          bool allow_delta, std::vector<BindUpdate>* updates)
       -> std::pair<std::string, std::string> {
-    const bool inc = incremental::IncrementalEnabled();
-    if (inc && allow_delta && data.is_table()) {
+    if (allow_delta && data.is_table()) {
       auto it = ship->bound.find(name);
       if (it != ship->bound.end()) {
         const TablePtr& base = it->second.table;
@@ -986,7 +984,7 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
       }
     }
     std::string wire = SerializeDatasetWire(data, ship->format);
-    if (inc && data.is_table()) {
+    if (data.is_table()) {
       BindUpdate u;
       u.name = name;
       u.base.table = data.table();
@@ -1330,8 +1328,7 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
     report += StrCat(
         "wire: plan-cache ", p[S::kPlanCacheHits], " hit / ",
         p[S::kPlanCacheMisses], " miss, saved ",
-        FormatBytes(static_cast<uint64_t>(p[S::kWireBytesSaved])), " (",
-        WireFormatName(ProcessWireFormat()), " wire)\n");
+        FormatBytes(static_cast<uint64_t>(p[S::kWireBytesSaved])), "\n");
   }
   // Expression-compilation summary: a warm program cache shows 0 compiled
   // with hits > 0 on re-execution of a cached plan.
@@ -1354,7 +1351,7 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
                      " across ", p[S::kSpillOps], " operators\n");
   }
   // Incremental summary: loop bindings that traveled as append-tails, and
-  // view refreshes served from retained operator state (NEXUS_INCREMENTAL).
+  // view refreshes served from retained operator state.
   if (p[S::kDeltaBindings] + p[S::kViewRefreshes] > 0) {
     report += StrCat(
         "incremental: ", p[S::kDeltaBindings], " delta bindings (",

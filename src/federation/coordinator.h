@@ -136,8 +136,8 @@ struct ExecutionMetrics {
   int64_t plan_cache_hits = 0;     // %NXB1-EXEC references resolved remotely
   int64_t plan_cache_misses = 0;   // full plans parsed (incl. evicted refs)
   int64_t wire_bytes_saved = 0;    // plan bytes not re-shipped thanks to refs
-  // Incremental Iterate (NEXUS_INCREMENTAL — see exec/incremental): loop
-  // bindings shipped as append-tails instead of full values.
+  // Incremental Iterate (see exec/incremental): loop bindings shipped as
+  // append-tails instead of full values.
   int64_t delta_bindings = 0;      // bindings that traveled as %NXB1-DELTA
   int64_t delta_rows_shipped = 0;  // rows in those tails
   int64_t delta_bytes_saved = 0;   // binding bytes elided vs full re-ship

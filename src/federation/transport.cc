@@ -199,7 +199,6 @@ void Transport::SetNodeBinaryCapable(const std::string& node,
 WireFormat Transport::NegotiatedFormat(const std::string& a,
                                        const std::string& b) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (ProcessWireFormat() == WireFormat::kText) return WireFormat::kText;
   auto capable = [this](const std::string& n) {
     auto it = binary_capable_.find(n);
     return it == binary_capable_.end() || it->second;

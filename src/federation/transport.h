@@ -134,7 +134,7 @@ class Transport {
   void SetNodeBinaryCapable(const std::string& node, bool accepts_binary);
 
   /// The format both endpoints of a link speak: binary unless either peer
-  /// only accepts text or the process is pinned to text (NEXUS_WIRE=text).
+  /// only accepts text. Negotiation is the only way to reach the text wire.
   WireFormat NegotiatedFormat(const std::string& a, const std::string& b) const;
 
   /// Advances the simulated clock without sending anything — retry backoff

@@ -2,7 +2,6 @@
 
 #include "common/str_util.h"
 #include "core/serialize.h"
-#include "exec/incremental/policy.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -122,7 +121,7 @@ Result<Dataset> Provider::ResolveBinding(const std::string& name,
   const ProviderInstruments& in = ProviderInstruments::Get();
   if (!IsDeltaBindingWire(wire)) {
     NEXUS_ASSIGN_OR_RETURN(Dataset data, ParseDatasetWire(wire));
-    if (incremental::IncrementalEnabled() && data.is_table()) {
+    if (data.is_table()) {
       CacheBinding(name, data.table(), ChainFingerprint(0, wire));
     }
     return data;

@@ -38,7 +38,6 @@ class Provider {
   /// Sticky envelope bindings kept per provider so delta bindings
   /// (%NXB1-DELTA, see core/serialize.h) have a base to extend: the last
   /// full table shipped under each binding name, plus its fingerprint chain.
-  /// Populated only while NEXUS_INCREMENTAL is on.
   static constexpr size_t kBindingCacheCapacity = 16;
 
   virtual ~Provider() = default;
@@ -92,8 +91,8 @@ class Provider {
   /// Resolves one envelope binding value to a dataset: a delta binding wire
   /// is appended onto its sticky base (NotFound + kDeltaBindingMissMarker
   /// when the base is absent or the chain mismatches), a full value is
-  /// parsed directly and — with NEXUS_INCREMENTAL on — becomes the new
-  /// sticky base for its name.
+  /// parsed directly and, when it is a table, becomes the new sticky base
+  /// for its name.
   Result<Dataset> ResolveBinding(const std::string& name,
                                  std::string_view wire);
   void CacheBinding(const std::string& name, TablePtr table,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/str_util.h"
-#include "exec/spill/spill.h"
 
 namespace nexus {
 namespace service {
@@ -31,10 +30,9 @@ Result<std::unique_ptr<MemoryGovernor::QueryMeter>> MemoryGovernor::StartQuery(
   meter->tenant_ = tenant;
   meter->id_ = next_query_id_++;
   meter->token_ = std::move(token);
-  // Captured once: a query is spill-capable when out-of-core execution is
-  // on process-wide, and its spill threshold is the tenant's budget.
-  meter->spill_capable_ = spill::SpillEnabled();
-  meter->spill_budget_ = it->second.options.memory_budget_bytes;
+  // Captured once: the tenant's spill budget is the query's operator
+  // threshold, and a query with one is spill-capable.
+  meter->spill_budget_ = it->second.options.spill_budget_bytes;
   it->second.live[meter->id_] = meter.get();
   return meter;
 }
@@ -93,7 +91,7 @@ void MemoryGovernor::EnforceLocked(Tenant* tenant) {
   bool asked_now = false;
   bool any_capable = false;
   for (const auto& [id, m] : tenant->live) {
-    if (!m->spill_capable_) continue;
+    if (!m->spill_capable()) continue;
     any_capable = true;
     bool was = m->spill_requested_.exchange(true, std::memory_order_relaxed);
     asked_now = asked_now || !was;

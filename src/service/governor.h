@@ -18,8 +18,9 @@
 //     eligibility predicate) holds the tenant's queued queries back until
 //     finished queries return enough memory.
 //
-// With out-of-core execution enabled (src/exec/spill), a third, gentler
-// reaction comes first: ask-to-spill. Spill-capable queries are asked to
+// For tenants with a spill budget (TenantOptions::spill_budget_bytes > 0,
+// out-of-core execution in src/exec/spill), a third, gentler reaction
+// comes first: ask-to-spill. Spill-capable queries are asked to
 // shed memory (their SpillRequested flag flips; operators partition to
 // disk at the next boundary and Release the parked bytes), and the tenant
 // is tolerated up to 2× its budget while shedding is in flight — spilling
@@ -58,6 +59,11 @@ struct TenantOptions {
   /// Relative share of service capacity (reserved for future admission
   /// weighting; the morsel-pool weight comes from the query class).
   int weight = 1;
+  /// Working-set bytes an operator of this tenant's queries may hold before
+  /// it partitions to disk (the meter's SpillBudget()). 0 = the tenant never
+  /// spills and an over-budget query is killed; > 0 makes its queries
+  /// spill-capable, so the governor asks them to spill before killing.
+  int64_t spill_budget_bytes = 0;
 };
 
 class MemoryGovernor {
@@ -72,7 +78,7 @@ class MemoryGovernor {
     /// disk (or freed from a working set) leave the tenant's usage.
     /// Clamped — cumulative releases never exceed cumulative charges.
     void Release(int64_t bytes) override;
-    /// The tenant's budget, handed to operators as their spill threshold.
+    /// The tenant's spill budget, handed to operators as their threshold.
     int64_t SpillBudget() const override {
       return spill_budget_;
     }
@@ -84,9 +90,9 @@ class MemoryGovernor {
     int64_t released() const { return released_.load(std::memory_order_relaxed); }
     /// Bytes still attributed to this query (charged − released).
     int64_t net() const { return charged() - released(); }
-    /// Whether this query can answer an ask-to-spill (captured from
-    /// spill::SpillEnabled() at StartQuery).
-    bool spill_capable() const { return spill_capable_; }
+    /// Whether this query can answer an ask-to-spill (its tenant has a
+    /// spill budget).
+    bool spill_capable() const { return spill_budget_ > 0; }
     const std::string& tenant() const { return tenant_; }
     uint64_t id() const { return id_; }
 
@@ -99,8 +105,7 @@ class MemoryGovernor {
     std::atomic<int64_t> charged_{0};
     std::atomic<int64_t> released_{0};  // mutated under governor mu_
     std::atomic<bool> spill_requested_{false};
-    int64_t spill_budget_ = 0;   // immutable after StartQuery
-    bool spill_capable_ = false; // immutable after StartQuery
+    int64_t spill_budget_ = 0;  // immutable after StartQuery
   };
 
   Status RegisterTenant(const std::string& name, TenantOptions options);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -15,8 +14,8 @@
 #include "algebra/csr.h"
 #include "algebra/kernels.h"
 #include "algebra/semiring.h"
-#include "common/memory.h"
 #include "common/parallel.h"
+#include "common/query_profile.h"
 #include "common/random.h"
 #include "exec/reference_executor.h"
 #include "expr/builder.h"
@@ -349,12 +348,6 @@ TEST(LowerAggregateTest, CountOfBoolCountsNonNullValues) {
 }
 
 TEST(LowerAggregateTest, GroupStatesAreChargedToTheQueryMeter) {
-  struct CountingMeter : MemoryMeter {
-    std::atomic<int64_t> charged{0};
-    std::atomic<int64_t> released{0};
-    void Charge(int64_t bytes) override { charged += bytes; }
-    void Release(int64_t bytes) override { released += bytes; }
-  } meter;
   constexpr int64_t kGroups = 20000;
   std::vector<std::vector<Value>> rows;
   for (int64_t i = 0; i < 2 * kGroups; ++i) {
@@ -367,19 +360,26 @@ TEST(LowerAggregateTest, GroupStatesAreChargedToTheQueryMeter) {
   op.group_by = {"g"};
   op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
              AggSpec{AggFunc::kCount, nullptr, "n"}};
-  TaskContext ctx;
-  ctx.meter = &meter;
+  TablePtr in_memory;
   {
-    ScopedTaskContext scope(&ctx);
-    ASSERT_OK_AND_ASSIGN(TablePtr out, algebra::LowerAggregate(t, op));
-    EXPECT_EQ(out->num_rows(), kGroups);
+    testing::ScopedBudget scope(0);  // metered, never spills
+    ASSERT_OK_AND_ASSIGN(in_memory, algebra::LowerAggregate(t, op));
+    EXPECT_EQ(in_memory->num_rows(), kGroups);
+    // The group states' working set is charged while they live and released
+    // when the aggregate returns.
+    const int64_t states =
+        kGroups * static_cast<int64_t>(2 * sizeof(algebra::MonoidState) + 64);
+    EXPECT_EQ(scope.meter().released(), states);
+    EXPECT_GE(scope.meter().charged(), states);
   }
-  // The group states' working set is charged while they live and released
-  // when the aggregate returns.
-  const int64_t states =
-      kGroups * static_cast<int64_t>(2 * sizeof(algebra::MonoidState) + 64);
-  EXPECT_EQ(meter.released.load(), states);
-  EXPECT_GE(meter.charged.load(), states);
+  // Spilled arm: the same fold under a 4 KiB spill budget partitions to
+  // scratch, stays net-accounted, and returns the identical table.
+  testing::ScopedBudget scope(4096);
+  ScopedQuery query;
+  ASSERT_OK_AND_ASSIGN(TablePtr spilled, algebra::LowerAggregate(t, op));
+  EXPECT_TRUE(spilled->Equals(*in_memory));
+  EXPECT_LE(scope.meter().released(), scope.meter().charged());
+  EXPECT_GT(query.profile()[QueryStat::kSpillOps], 0);
 }
 
 // ---------------------------------------------------------------------------

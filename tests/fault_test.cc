@@ -468,15 +468,8 @@ TEST(ServiceFaultTest, SpillScratchIsReapedOnEveryUnwindPath) {
   // handles, so every unwind path — clean completion, deadline timeout,
   // budget kill, client cancel, retry/failover storms, and server
   // shutdown with queries still in flight — must leave zero live spill
-  // files behind.
-  struct Guard {
-    ~Guard() {
-      spill::ClearSpillOverride();
-      spill::ClearSpillBudgetOverride();
-    }
-  } guard;
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(1);  // every join/aggregate goes out of core
+  // files behind. Both tenants spill at 1 byte, so every join/aggregate
+  // goes out of core.
   auto& manager = spill::SpillManager::Global();
   const int64_t created_before = manager.files_created();
 
@@ -497,8 +490,8 @@ TEST(ServiceFaultTest, SpillScratchIsReapedOnEveryUnwindPath) {
 
   {
     service::Server server(&cluster);
-    ASSERT_OK(server.RegisterTenant("acme", service::TenantOptions{}));
-    ASSERT_OK(server.RegisterTenant("hog", service::TenantOptions{1, 1}));
+    ASSERT_OK(server.RegisterTenant("acme", service::TenantOptions{0, 1, 1}));
+    ASSERT_OK(server.RegisterTenant("hog", service::TenantOptions{1, 1, 1}));
     ASSERT_OK_AND_ASSIGN(int64_t session, server.OpenSession("acme"));
     ASSERT_OK_AND_ASSIGN(int64_t hog_session, server.OpenSession("hog"));
 
@@ -534,6 +527,7 @@ TEST(ServiceFaultTest, SpillScratchIsReapedOnEveryUnwindPath) {
   EXPECT_EQ(manager.live_bytes(), 0);
 
   // Retry/failover storms under injected faults reap scratch too.
+  testing::ScopedBudget budget(1);
   ChaosRun chaos = RunChaos(/*fault_seed=*/7, /*jitter_seed=*/9);
   (void)chaos;
   EXPECT_EQ(manager.live_files(), 0);

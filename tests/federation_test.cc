@@ -549,11 +549,18 @@ TEST_F(FederationTest, BinaryWireMatchesTextResultsAndMovesFewerBytes) {
                                AggFunc::kSum)),
       JoinType::kInner, {"sensor"}, {"i"});
 
-  SetWireFormatOverride(WireFormat::kText);
+  // Text arm: every server marked text-only, so every link negotiates text;
+  // then each server's own advertisement is restored.
+  for (const std::string& s : cluster_->ServerNames()) {
+    cluster_->transport()->SetNodeBinaryCapable(s, false);
+  }
   Coordinator text_coord(cluster_.get());
   ExecutionMetrics text_m;
   Result<Dataset> text_r = text_coord.Execute(q, &text_m);
-  ClearWireFormatOverride();
+  for (const std::string& s : cluster_->ServerNames()) {
+    cluster_->transport()->SetNodeBinaryCapable(
+        s, cluster_->provider(s)->AcceptsBinaryWire());
+  }
   ASSERT_OK(text_r.status());
 
   Coordinator bin_coord(cluster_.get());
@@ -590,6 +597,15 @@ TEST_F(FederationTest, TextOnlyPeerNegotiatesFallbackAndStillAnswers) {
   ASSERT_EQ(d.table()->num_rows(), 1);
   ASSERT_OK_AND_ASSIGN(const Column* total, d.table()->ColumnByName("total"));
   EXPECT_DOUBLE_EQ(total->GetValue(0).AsDouble(), 14.0);
+
+  // The EXPLAIN ANALYZE wire trailer names no format: formats are chosen
+  // per link, and this query used text to the legacy peer.
+  ASSERT_OK_AND_ASSIGN(std::string report, coord.ExplainAnalyze(q));
+  size_t wire = report.find("wire: plan-cache ");
+  ASSERT_NE(wire, std::string::npos) << report;
+  std::string line = report.substr(wire, report.find('\n', wire) - wire);
+  EXPECT_EQ(line.find("binary"), std::string::npos) << line;
+  EXPECT_EQ(line.find("text"), std::string::npos) << line;
 }
 
 TEST_F(FederationTest, RepeatedExecuteHitsProviderPlanCache) {
@@ -696,7 +712,11 @@ class WireChaosTest : public ::testing::Test {
   // (what, from, to) only — payload sizes legitimately differ across arms.
   static std::vector<std::string> RunArm(WireFormat format, bool plan_cache) {
     std::unique_ptr<Cluster> cluster = BuildCluster();
-    if (format == WireFormat::kText) SetWireFormatOverride(WireFormat::kText);
+    if (format == WireFormat::kText) {
+      for (const std::string& s : cluster->ServerNames()) {
+        cluster->transport()->SetNodeBinaryCapable(s, false);
+      }
+    }
     FaultOptions f;
     f.enabled = true;
     f.drop_probability = 0.08;
@@ -726,7 +746,6 @@ class WireChaosTest : public ::testing::Test {
     EXPECT_OK(coord.Execute(agg).status());
     EXPECT_OK(coord.Execute(agg).status());  // cached arm sends EXEC refs here
     EXPECT_OK(coord.Execute(loop).status());
-    if (format == WireFormat::kText) ClearWireFormatOverride();
 
     std::vector<std::string> decisions;
     for (const FaultEvent& e : cluster->transport()->fault_log()) {

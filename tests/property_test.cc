@@ -40,7 +40,6 @@
 #include "core/serialize.h"
 #include "exec/incremental/view.h"
 #include "exec/reference_executor.h"
-#include "exec/spill/spill.h"
 #include "expr/builder.h"
 #include "expr/bytecode.h"
 #include "expr/eval.h"
@@ -699,10 +698,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AssocProgramTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
 // P9: out-of-core identity. Joins, aggregations, and semi-ring reductions
-// with spilling forced under a randomized budget — drawn log-uniformly from
-// [1, 64 KiB], so most draws force partitioning and the smallest force
+// under a query meter with a randomized spill budget — drawn log-uniformly
+// from [1, 64 KiB], so most draws force partitioning and the smallest force
 // recursive repartition — are byte-identical (Table::Equals) to the
-// in-memory spill-off result at 1 and 4 threads.
+// unmetered in-memory result at 1 and 4 threads.
 // ---------------------------------------------------------------------------
 
 class SpillIdentityPropTest : public ::testing::TestWithParam<int> {};
@@ -711,11 +710,7 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 13);
   struct Guard {
     int saved = GetThreadCount();
-    ~Guard() {
-      spill::ClearSpillOverride();
-      spill::ClearSpillBudgetOverride();
-      SetThreadCount(saved);
-    }
+    ~Guard() { SetThreadCount(saved); }
   } guard;
 
   // Random co-keyed tables (dup keys, null keys, null payloads).
@@ -749,10 +744,8 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
       algebra::AssocArray arr,
       algebra::AssocArray::FromTable(left, {"k", "g"}, "v"));
 
-  // In-memory baselines, sequential. Spill is pinned OFF (not merely
-  // cleared) so a CI run that forces NEXUS_SPILL=1 process-wide still
-  // compares a genuine in-memory arm against the spilled arm.
-  spill::SetSpillOverride(false);
+  // In-memory baselines, sequential: no meter is installed, so nothing
+  // spills.
   SetThreadCount(1);
   ASSERT_OK_AND_ASSIGN(TablePtr join_want, relational::HashJoin(left, right, join));
   ASSERT_OK_AND_ASSIGN(TablePtr agg_want, algebra::LowerAggregate(left, agg));
@@ -762,8 +755,7 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
   // Log-uniform budget: half the draws land under 256 bytes, forcing
   // recursive repartition; the rest spread up to 64 KiB.
   const int64_t budget = int64_t{1} << rng.NextInt(0, 16);
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(budget);
+  testing::ScopedBudget scope(budget);
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
     ASSERT_OK_AND_ASSIGN(TablePtr join_got, relational::HashJoin(left, right, join));
@@ -789,6 +781,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpillIdentityPropTest, ::testing::Range(0, 8));
 // plan against the grown catalog — at 1 and 4 threads. The generated plans
 // deliberately include shapes the delta rewrite refuses (Sort, Distinct,
 // Limit, nested aggregates): refuse-and-fallback is part of the contract.
+// Each seed also draws the registry's meter budget from {none, 4 KiB, 1 B},
+// so retained join state is shed to scratch and reloaded mid-refresh.
 // ---------------------------------------------------------------------------
 
 class IncrementalIdentityPropTest : public ::testing::TestWithParam<int> {};
@@ -798,6 +792,8 @@ TEST_P(IncrementalIdentityPropTest, RefreshMatchesFullRecomputeUnderAppends) {
     int saved = GetThreadCount();
     ~Guard() { SetThreadCount(saved); }
   } guard;
+  constexpr int64_t kBudgets[] = {0, 4096, 1};
+  const int64_t budget = kBudgets[GetParam() % 3];
   SchemaPtr side_schema = MakeSchema({Field::Attr("sk", DataType::kInt64),
                                       Field::Attr("sv", DataType::kFloat64)});
   for (int threads : {1, 4}) {
@@ -813,13 +809,23 @@ TEST_P(IncrementalIdentityPropTest, RefreshMatchesFullRecomputeUnderAppends) {
     }
     ASSERT_OK(catalog.Put("side", Dataset(sb.Finish().ValueOrDie())));
 
+    // The registry runs metered; the full recompute it is checked against
+    // runs unmetered, in memory.
+    testing::BudgetMeter meter(budget);
+    TaskContext metered;
+    metered.meter = &meter;
     incremental::ViewRegistry reg(&catalog);
     std::vector<std::pair<std::string, PlanPtr>> views;
     for (int i = 0; i < 4; ++i) {
-      PlanPtr plan = RandomRelationalPlan(&rng, catalog, 4);
-      std::string name = StrCat("v", i);
-      ASSERT_OK(reg.Register(name, plan));
-      views.emplace_back(std::move(name), std::move(plan));
+      views.emplace_back(StrCat("v", i), RandomRelationalPlan(&rng, catalog, 4));
+    }
+    // One view always retains join build sides, the state a budget sheds.
+    views.emplace_back("joined", Plan::Join(Plan::Scan("base"),
+                                            Plan::Scan("side"),
+                                            JoinType::kInner, {"k"}, {"sk"}));
+    {
+      ScopedTaskContext scope(&metered);
+      for (const auto& [name, plan] : views) ASSERT_OK(reg.Register(name, plan));
     }
 
     for (int round = 0; round < 5; ++round) {
@@ -838,11 +844,16 @@ TEST_P(IncrementalIdentityPropTest, RefreshMatchesFullRecomputeUnderAppends) {
       }
       for (const auto& [name, plan] : views) {
         incremental::RefreshInfo info;
-        ASSERT_OK_AND_ASSIGN(TablePtr got, reg.Refresh(name, &info));
+        Result<TablePtr> refreshed = [&] {
+          ScopedTaskContext scope(&metered);
+          return reg.Refresh(name, &info);
+        }();
+        ASSERT_OK_AND_ASSIGN(TablePtr got, std::move(refreshed));
         ASSERT_OK_AND_ASSIGN(TablePtr want,
                              incremental::ExecuteViewPlan(*plan, catalog));
         ASSERT_TRUE(got->Equals(*want))
             << "view " << name << " round " << round << " threads " << threads
+            << " budget " << budget
             << (info.fell_back ? StrCat(" (fell back: ", info.refusal, ")")
                                : StrCat(" (incremental=", info.incremental,
                                         ", Δrows=", info.delta_rows, ")"))

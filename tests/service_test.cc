@@ -196,20 +196,18 @@ TEST(GovernorTest, TenantsAreIsolated) {
 }
 
 TEST(GovernorTest, AsksSpillCapableQueriesBeforeKilling) {
-  // With out-of-core execution on, the first budget breach flips the
+  // For a tenant with a spill budget, the first budget breach flips the
   // spill-requested flag on every live query instead of killing one, and
   // an asked tenant is tolerated up to 2x budget while it sheds. Only past
   // that slack does the kill path engage.
-  spill::SetSpillOverride(true);
-  struct Guard {
-    ~Guard() { spill::ClearSpillOverride(); }
-  } guard;
   MemoryGovernor governor;
-  ASSERT_OK(governor.RegisterTenant("acme", TenantOptions{1000, 1}));
+  ASSERT_OK(governor.RegisterTenant("acme", TenantOptions{1000, 1, 1000}));
   auto t1 = std::make_shared<CancelToken>();
   auto t2 = std::make_shared<CancelToken>();
   ASSERT_OK_AND_ASSIGN(auto big, governor.StartQuery("acme", t1));
   ASSERT_OK_AND_ASSIGN(auto small, governor.StartQuery("acme", t2));
+  EXPECT_TRUE(big->spill_capable());
+  EXPECT_EQ(big->SpillBudget(), 1000);
   EXPECT_FALSE(big->SpillRequested());
   big->Charge(800);
   small->Charge(300);  // 1100 > 1000: ask, don't kill
@@ -487,22 +485,16 @@ TEST_F(ServiceTest, SpillWorkIsMeteredPerTenantAndInExplain) {
   // out-of-core work is attributed to the tenant's counters, the query
   // report, and the EXPLAIN ANALYZE summary — and the answer is
   // byte-identical to the in-memory run.
-  struct Guard {
-    ~Guard() {
-      spill::ClearSpillOverride();
-      spill::ClearSpillBudgetOverride();
-    }
-  } guard;
   PlanPtr agg =
       Plan::Aggregate(Plan::Scan("orders"), {"oid"},
                       {AggSpec{AggFunc::kSum, Col("amount"), "total"}});
   Coordinator direct(cluster_.get());
-  ASSERT_OK_AND_ASSIGN(Dataset want, direct.Execute(agg));  // spill off
+  ASSERT_OK_AND_ASSIGN(Dataset want, direct.Execute(agg));  // unmetered
 
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(1);  // everything is over budget
   Server server(cluster_.get());
-  ASSERT_OK(server.RegisterTenant("acme", TenantOptions{}));
+  TenantOptions spills;
+  spills.spill_budget_bytes = 1;  // no kill budget; everything spills
+  ASSERT_OK(server.RegisterTenant("acme", spills));
   ASSERT_OK_AND_ASSIGN(int64_t session, server.OpenSession("acme"));
   QueryReport report;
   ASSERT_OK_AND_ASSIGN(Dataset got, server.Execute(session, agg, {}, &report));
@@ -518,6 +510,58 @@ TEST_F(ServiceTest, SpillWorkIsMeteredPerTenantAndInExplain) {
                        server.ExplainAnalyze(session, agg));
   EXPECT_NE(analyzed.find("spill: "), std::string::npos) << analyzed;
   // Every scratch file is reference-counted away once queries finish.
+  EXPECT_EQ(spill::SpillManager::Global().live_files(), 0);
+}
+
+TEST_F(ServiceTest, SpillBudgetIsPerTenantUnderConcurrency) {
+  // Two tenants run the same aggregate at the same time through one
+  // server. Only the tenant with a spill budget goes out of core: the
+  // policy rides on each query's meter, so neither tenant can see the
+  // other's. Both answers are byte-identical to a solo run.
+  PlanPtr agg =
+      Plan::Aggregate(Plan::Scan("orders"), {"oid"},
+                      {AggSpec{AggFunc::kSum, Col("amount"), "total"}});
+  Coordinator direct(cluster_.get());
+  ASSERT_OK_AND_ASSIGN(Dataset want, direct.Execute(agg));
+
+  ServerOptions options;
+  options.max_concurrent = 2;
+  Server server(cluster_.get(), options);
+  TenantOptions spills;
+  spills.spill_budget_bytes = 4096;
+  ASSERT_OK(server.RegisterTenant("spiller", spills));
+  ASSERT_OK(server.RegisterTenant("plain", TenantOptions{}));
+  std::vector<int64_t> sessions;
+  for (const char* tenant : {"spiller", "plain"}) {
+    ASSERT_OK_AND_ASSIGN(int64_t s, server.OpenSession(tenant));
+    sessions.push_back(s);
+  }
+
+  std::vector<Dataset> got(2);
+  std::vector<QueryReport> reports(2);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < 2; ++i) {
+    clients.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      auto r = server.Execute(sessions[i], agg, {}, &reports[i]);
+      EXPECT_OK(r.status());
+      if (r.ok()) got[i] = std::move(r).ValueOrDie();
+    });
+  }
+  for (std::thread& c : clients) c.join();
+
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(got[i].is_table()) << "tenant " << i;
+    EXPECT_TRUE(got[i].table()->Equals(*want.table())) << "tenant " << i;
+  }
+  EXPECT_GT(reports[0].profile[QueryStat::kSpillOps], 0);
+  EXPECT_GT(reports[0].spill_partitions, 0);
+  EXPECT_GT(reports[0].spill_bytes, 0);
+  EXPECT_EQ(reports[1].profile[QueryStat::kSpillOps], 0);
+  EXPECT_EQ(reports[1].spill_partitions, 0);
+  EXPECT_EQ(reports[1].spill_bytes, 0);
   EXPECT_EQ(spill::SpillManager::Global().live_files(), 0);
 }
 

@@ -40,15 +40,12 @@ using testing::MakeSchema;
 using testing::MakeTable;
 using testing::N;
 using testing::S;
+using testing::ScopedBudget;
 
-/// Restores the spill switches and thread count on exit.
+/// Restores the thread count on exit.
 struct SpillGuard {
   int saved_threads = GetThreadCount();
-  ~SpillGuard() {
-    spill::ClearSpillOverride();
-    spill::ClearSpillBudgetOverride();
-    SetThreadCount(saved_threads);
-  }
+  ~SpillGuard() { SetThreadCount(saved_threads); }
 };
 
 const Semiring& Ring(const std::string& name) {
@@ -129,6 +126,17 @@ TEST(SpillFileTest, ReadAllOfEmptyFileYieldsEmptyTableWithSchema) {
   ASSERT_OK_AND_ASSIGN(TablePtr all, file->ReadAll(schema));
   EXPECT_EQ(all->num_rows(), 0);
   EXPECT_EQ(all->num_columns(), 1);
+}
+
+TEST(SpillFileTest, CreateAfterSweepRecreatesTheScratchDirectory) {
+  // A Server's shutdown sweeps scratch and removes the emptied directory;
+  // a later query in the same process must still be able to spill.
+  { ASSERT_OK(SpillManager::Global().Create("before").status()); }
+  SpillManager::Global().Sweep();
+  EXPECT_FALSE(std::filesystem::exists(SpillManager::Global().scratch_dir()));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<SpillFile> file,
+                       SpillManager::Global().Create("after"));
+  EXPECT_TRUE(std::filesystem::exists(file->path()));
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +250,7 @@ TEST(PartitionedSpillerTest, CoPartitionsMultipleInputsByTheSameKeySpace) {
 }
 
 // ---------------------------------------------------------------------------
-// Relational byte-identity: spill-on == spill-off, any threads, any budget.
+// Relational byte-identity: spilled == in-memory, any threads, any budget.
 // ---------------------------------------------------------------------------
 
 /// Right-side table for joins: key plus distinctly named payloads (the
@@ -281,22 +289,18 @@ TEST(SpillIdentityTest, HashJoinAllTypesMatchInMemoryResult) {
     op.type = jt;
     if (jt == JoinType::kInner) op.residual = Gt(Col("v"), Lit(-200.0));
 
-    spill::SetSpillOverride(false);
     SetThreadCount(1);
     ASSERT_OK_AND_ASSIGN(TablePtr expect, relational::HashJoin(left, right, op));
 
     for (int threads : {1, 4}) {
       for (int64_t budget : {int64_t{1}, int64_t{4096}}) {
         SetThreadCount(threads);
-        spill::SetSpillOverride(true);
-        spill::SetSpillBudgetOverride(budget);
+        ScopedBudget scope(budget);
         ASSERT_OK_AND_ASSIGN(TablePtr got,
                              relational::HashJoin(left, right, op));
         EXPECT_TRUE(got->Equals(*expect))
             << "join type " << static_cast<int>(jt) << " threads " << threads
             << " budget " << budget;
-        spill::ClearSpillOverride();
-        spill::ClearSpillBudgetOverride();
       }
     }
   }
@@ -315,20 +319,16 @@ TEST(SpillIdentityTest, HashAggregateMatchesFirstSeenGroupOrder) {
              AggSpec{AggFunc::kMax, Col("v"), "hi"},
              AggSpec{AggFunc::kAvg, Col("v"), "mean"}};
 
-  spill::SetSpillOverride(false);
   SetThreadCount(1);
   ASSERT_OK_AND_ASSIGN(TablePtr expect, algebra::LowerAggregate(input, op));
 
   for (int threads : {1, 4}) {
     for (int64_t budget : {int64_t{1}, int64_t{512}, int64_t{2048}}) {
       SetThreadCount(threads);
-      spill::SetSpillOverride(true);
-      spill::SetSpillBudgetOverride(budget);
+      ScopedBudget scope(budget);
       ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(input, op));
       EXPECT_TRUE(got->Equals(*expect))
           << "threads " << threads << " budget " << budget;
-      spill::ClearSpillOverride();
-      spill::ClearSpillBudgetOverride();
     }
   }
   EXPECT_EQ(SpillManager::Global().live_files(), 0);
@@ -342,8 +342,7 @@ TEST(SpillIdentityTest, UngroupedAggregateIgnoresSpillPolicy) {
              AggSpec{AggFunc::kCount, nullptr, "n"}};
 
   ASSERT_OK_AND_ASSIGN(TablePtr expect, algebra::LowerAggregate(input, op));
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(1);
+  ScopedBudget scope(1);
   ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(input, op));
   EXPECT_TRUE(got->Equals(*expect));
 }
@@ -371,23 +370,19 @@ TEST(SpillIdentityTest, AlgebraJoinAndReduceMatchInMemory) {
   ASSERT_OK_AND_ASSIGN(AssocArray a, RandomArray(51, 350, 24));
   ASSERT_OK_AND_ASSIGN(AssocArray b, RandomArray(52, 250, 24));
 
-  spill::SetSpillOverride(false);
   SetThreadCount(1);
   ASSERT_OK_AND_ASSIGN(AssocArray join_expect, algebra::Join(a, b, sr));
   ASSERT_OK_AND_ASSIGN(AssocArray red_expect, algebra::Reduce(a, {"i"}, sr));
 
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
-    spill::SetSpillOverride(true);
-    spill::SetSpillBudgetOverride(1);  // everything spills, maximally recursive
+    ScopedBudget scope(1);  // everything spills, maximally recursive
     ASSERT_OK_AND_ASSIGN(AssocArray join_got, algebra::Join(a, b, sr));
     ASSERT_OK_AND_ASSIGN(AssocArray red_got, algebra::Reduce(a, {"i"}, sr));
     EXPECT_TRUE(join_got.table()->Equals(*join_expect.table()))
         << "threads " << threads;
     EXPECT_TRUE(red_got.table()->Equals(*red_expect.table()))
         << "threads " << threads;
-    spill::ClearSpillOverride();
-    spill::ClearSpillBudgetOverride();
   }
   EXPECT_EQ(SpillManager::Global().live_files(), 0);
 }
@@ -441,17 +436,15 @@ TEST(ChunkEvictionTest, ArrayOpsShedResultsUnderBudgetAndStayIdentical) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<NDArray> a, DenseGrid(16, 4));
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<NDArray> b, DenseGrid(16, 4));
 
-  spill::SetSpillOverride(false);
   SetThreadCount(1);
   ASSERT_OK_AND_ASSIGN(NDArrayPtr win_expect,
                        arraydb::Window(*a, {{"i", 1}, {"j", 1}}, AggFunc::kSum));
   ASSERT_OK_AND_ASSIGN(NDArrayPtr ew_expect,
                        arraydb::ElemWise(*a, *b, BinaryOp::kMul));
 
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(512);  // well under any result's size
   for (int threads : {1, 4}) {
     SetThreadCount(threads);
+    ScopedBudget scope(512);  // well under any result's size
     ASSERT_OK_AND_ASSIGN(
         NDArrayPtr win, arraydb::Window(*a, {{"i", 1}, {"j", 1}}, AggFunc::kSum));
     EXPECT_GT(win->EvictedChunks(), 0) << "result did not shed";
@@ -459,8 +452,6 @@ TEST(ChunkEvictionTest, ArrayOpsShedResultsUnderBudgetAndStayIdentical) {
     ASSERT_OK_AND_ASSIGN(NDArrayPtr ew, arraydb::ElemWise(*a, *b, BinaryOp::kMul));
     EXPECT_TRUE(ew->Equals(*ew_expect)) << "threads " << threads;
   }
-  spill::ClearSpillOverride();
-  spill::ClearSpillBudgetOverride();
   // Equals faulted everything back in; no scratch survives the reads.
   EXPECT_EQ(SpillManager::Global().live_files(), 0);
 }
@@ -509,21 +500,32 @@ TEST(ChunkEvictionTest, FailedPageInIsAnErrorNotATruncatedArray) {
 // Policy plumbing.
 // ---------------------------------------------------------------------------
 
-TEST(SpillPolicyTest, ShouldSpillNeedsEnableAndBudgetCrossing) {
-  SpillGuard guard;
-  spill::ClearSpillOverride();
-  spill::ClearSpillBudgetOverride();
+TEST(SpillPolicyTest, ShouldSpillAsksOnlyTheQueryMeter) {
+  // No meter, no budget: never spill.
+  EXPECT_FALSE(spill::ShouldSpill(1000));
+  EXPECT_EQ(spill::SpillBudgetBytes(), 0);
+  {
+    ScopedBudget scope(100);
+    EXPECT_EQ(spill::SpillBudgetBytes(), 100);
+    EXPECT_TRUE(spill::ShouldSpill(1000));  // over budget
+    EXPECT_FALSE(spill::ShouldSpill(50));   // under budget
+    {
+      ScopedBudget none(0);
+      EXPECT_FALSE(spill::ShouldSpill(1000));  // a meter without a budget
+    }
+    EXPECT_TRUE(spill::ShouldSpill(1000));  // the outer meter is back
+  }
+  EXPECT_FALSE(spill::ShouldSpill(1000));
 
-  spill::SetSpillOverride(false);
-  spill::SetSpillBudgetOverride(100);
-  EXPECT_FALSE(spill::ShouldSpill(1000));  // disabled → never
-
-  spill::SetSpillOverride(true);
-  EXPECT_TRUE(spill::ShouldSpill(1000));   // over budget
-  EXPECT_FALSE(spill::ShouldSpill(50));    // under budget
-
-  spill::SetSpillBudgetOverride(0);
-  EXPECT_FALSE(spill::ShouldSpill(1000));  // enabled but no budget
+  // The governor's ask-to-spill wins even without a budget.
+  struct AskedMeter : MemoryMeter {
+    void Charge(int64_t) override {}
+    bool SpillRequested() const override { return true; }
+  } asked;
+  TaskContext ctx;
+  ctx.meter = &asked;
+  ScopedTaskContext scope(&ctx);
+  EXPECT_TRUE(spill::ShouldSpill(1));
 }
 
 }  // namespace

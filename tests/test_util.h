@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/memory.h"
+#include "common/parallel.h"
 #include "types/table.h"
 
 namespace nexus {
@@ -31,6 +35,51 @@ inline TablePtr MakeTable(SchemaPtr schema,
   EXPECT_TRUE(r.ok()) << r.status();
   return r.ValueOrDie();
 }
+
+/// A standalone query's memory meter: what a governed query gets from its
+/// tenant, for tests that run operators without the service stack. Its
+/// SpillBudget() is the operators' spill threshold (0 = never spill). It
+/// records charges and releases exactly as reported, unclamped, so tests
+/// can check the operators' own net accounting.
+class BudgetMeter : public MemoryMeter {
+ public:
+  explicit BudgetMeter(int64_t spill_budget) : budget_(spill_budget) {}
+  void Charge(int64_t bytes) override {
+    charged_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void Release(int64_t bytes) override {
+    released_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  int64_t SpillBudget() const override { return budget_; }
+  int64_t charged() const { return charged_.load(std::memory_order_relaxed); }
+  int64_t released() const { return released_.load(std::memory_order_relaxed); }
+
+ private:
+  const int64_t budget_;
+  std::atomic<int64_t> charged_{0};
+  std::atomic<int64_t> released_{0};
+};
+
+/// Runs the scope under a BudgetMeter with `spill_budget`: installs a copy
+/// of the thread's TaskContext with the meter swapped in, so operators (and
+/// the pool workers they fan out to) spill when a working set crosses it.
+class ScopedBudget {
+ public:
+  explicit ScopedBudget(int64_t spill_budget)
+      : meter_(spill_budget), ctx_(WithMeter(&meter_)), scope_(&ctx_) {}
+  const BudgetMeter& meter() const { return meter_; }
+
+ private:
+  static TaskContext WithMeter(MemoryMeter* meter) {
+    const TaskContext* current = CurrentTaskContext();
+    TaskContext ctx = current != nullptr ? *current : TaskContext{};
+    ctx.meter = meter;
+    return ctx;
+  }
+  BudgetMeter meter_;
+  TaskContext ctx_;
+  ScopedTaskContext scope_;
+};
 
 /// Shorthand value constructors.
 inline Value I(int64_t v) { return Value::Int64(v); }

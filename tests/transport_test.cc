@@ -9,7 +9,9 @@
 
 #include "common/query_profile.h"
 #include "common/random.h"
+#include "expr/builder.h"
 #include "federation/cluster.h"
+#include "federation/coordinator.h"
 #include "tests/test_util.h"
 
 namespace nexus {
@@ -251,13 +253,60 @@ TEST(TransportTest, WireFormatNegotiationRequiresBothEndsBinary) {
   EXPECT_EQ(t.NegotiatedFormat("legacy", "legacy"), WireFormat::kText);
 }
 
-TEST(TransportTest, ProcessWideTextPinOverridesNegotiation) {
-  Transport t;
-  t.SetNodeBinaryCapable("modern", true);
-  SetWireFormatOverride(WireFormat::kText);
-  EXPECT_EQ(t.NegotiatedFormat("modern", kClientNode), WireFormat::kText);
-  ClearWireFormatOverride();
-  EXPECT_EQ(t.NegotiatedFormat("modern", kClientNode), WireFormat::kBinary);
+TEST(TransportTest, TextOnlyServersNegotiateTextOnEveryLink) {
+  // A text-only deployment marks every server text-only: each link,
+  // client-facing or server-to-server, negotiates text, and the federated
+  // answer equals the binary run's over the same conversation shape.
+  auto build = [](bool text_only) {
+    auto c = std::make_unique<Cluster>();
+    EXPECT_OK(c->AddServer("relstore", MakeRelationalProvider()));
+    EXPECT_OK(c->AddServer("reference", MakeReferenceProvider()));
+    SchemaPtr orders = testing::MakeSchema({Field::Attr("k", DataType::kInt64),
+                                            Field::Attr("v", DataType::kFloat64)});
+    SchemaPtr rates = testing::MakeSchema({Field::Attr("rk", DataType::kInt64),
+                                           Field::Attr("r", DataType::kFloat64)});
+    std::vector<std::vector<Value>> o, r;
+    for (int64_t i = 0; i < 200; ++i) {
+      o.push_back({testing::I(i % 7), testing::F(static_cast<double>(i) / 8)});
+    }
+    for (int64_t k = 0; k < 7; ++k) {
+      r.push_back({testing::I(k), testing::F(1 + static_cast<double>(k) / 4)});
+    }
+    EXPECT_OK(c->PutData("relstore", "orders",
+                         Dataset(testing::MakeTable(orders, o))));
+    EXPECT_OK(c->PutData("reference", "rates",
+                         Dataset(testing::MakeTable(rates, r))));
+    if (text_only) {
+      for (const std::string& s : c->ServerNames()) {
+        c->transport()->SetNodeBinaryCapable(s, false);
+      }
+    }
+    return c;
+  };
+  PlanPtr q = Plan::Aggregate(
+      Plan::Extend(Plan::Join(Plan::Scan("orders"), Plan::Scan("rates"),
+                              JoinType::kInner, {"k"}, {"rk"}),
+                   {{"w", exprs::Mul(exprs::Col("v"), exprs::Col("r"))}}),
+      {"k"}, {AggSpec{AggFunc::kSum, exprs::Col("w"), "sw"}});
+
+  std::unique_ptr<Cluster> binary = build(false);
+  Coordinator bin_coord(binary.get());
+  ExecutionMetrics bin_m;
+  ASSERT_OK_AND_ASSIGN(Dataset want, bin_coord.Execute(q, &bin_m));
+
+  std::unique_ptr<Cluster> text = build(true);
+  const Transport& t = *text->transport();
+  EXPECT_EQ(t.NegotiatedFormat("relstore", "reference"), WireFormat::kText);
+  for (const std::string& s : text->ServerNames()) {
+    EXPECT_EQ(t.NegotiatedFormat(s, kClientNode), WireFormat::kText) << s;
+    EXPECT_EQ(t.NegotiatedFormat(kClientNode, s), WireFormat::kText) << s;
+  }
+  Coordinator text_coord(text.get());
+  ExecutionMetrics text_m;
+  ASSERT_OK_AND_ASSIGN(Dataset got, text_coord.Execute(q, &text_m));
+  EXPECT_TRUE(got.LogicallyEquals(want));
+  EXPECT_EQ(text_m.messages, bin_m.messages);
+  EXPECT_GT(text_m.bytes_total, bin_m.bytes_total);
 }
 
 TEST(ClusterTest, AddServerRegistersBinaryCapability) {
