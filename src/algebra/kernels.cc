@@ -1,7 +1,6 @@
 #include "algebra/kernels.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/memory.h"
@@ -11,6 +10,7 @@
 #include "exec/spill/spill.h"
 #include "expr/eval.h"
 #include "relational/engine.h"
+#include "relational/hash_index.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "types/schema.h"
@@ -34,52 +34,92 @@ void Count(const char* name, QueryStat stat) {
 // on this one implementation — the "write it once, not four times" payoff.
 // ---------------------------------------------------------------------------
 
-/// One hash partition's fold state (the sequential path uses a single
-/// partition covering every hash).
-struct FoldPartition {
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+/// Folded groups in first-seen order: group g's representative row is
+/// rep_row[g] and its fold states are states[g * folds.size() + a].
+struct GroupFoldOut {
   std::vector<int64_t> rep_row;
-  std::vector<std::vector<MonoidState>> states;
+  std::vector<MonoidState> states;
 };
 
-/// Folds every row whose group hash satisfies (h & mask) == want into
-/// `part`, scanning rows in ascending order — the determinism contract's
-/// partition-by-hash ⊕: a group's rows all share one hash, so one partition
-/// folds them in the same ascending order as the sequential pass.
+/// Folds the rows for_rows visits (ascending) into `out`, finding each
+/// row's group in a flat GroupIndex — the sequential ⊕ order. A group's rows
+/// all share one hash, so when rows are split by hash partition one
+/// partition folds all of a group's rows, in the same order as one pass.
+template <typename ForRows>
 Status AccumulateFold(const Table& input, const std::vector<int>& group_cols,
                       const std::vector<FoldSpec>& folds,
                       const std::vector<Column>& fold_inputs,
-                      const std::vector<uint64_t>& hashes, uint64_t mask,
-                      uint64_t want, FoldPartition* part) {
-  for (int64_t r = 0; r < input.num_rows(); ++r) {
-    uint64_t h = hashes[static_cast<size_t>(r)];
-    if ((h & mask) != want) continue;
-    std::vector<size_t>& bucket = part->buckets[h];
-    size_t group = SIZE_MAX;
-    for (size_t g : bucket) {
-      if (relational::GroupKeysEqual(input, part->rep_row[g], r, group_cols)) {
-        group = g;
-        break;
-      }
+                      const uint64_t* hashes, ForRows for_rows,
+                      GroupFoldOut* out) {
+  const size_t nf = folds.size();
+  relational::GroupIndex index;
+  Status st;
+  for_rows([&](int64_t r) {
+    if (!st.ok()) return;
+    bool inserted = false;
+    const int64_t g = index.FindOrInsert(
+        hashes[r],
+        [&](int64_t cand) {
+          return relational::GroupKeysEqual(
+              input, out->rep_row[static_cast<size_t>(cand)], r, group_cols);
+        },
+        &inserted);
+    if (inserted) {
+      out->rep_row.push_back(r);
+      out->states.resize(out->states.size() + nf);
     }
-    if (group == SIZE_MAX) {
-      group = part->states.size();
-      bucket.push_back(group);
-      part->rep_row.push_back(r);
-      part->states.emplace_back(folds.size());
+    MonoidState* gs = out->states.data() + static_cast<size_t>(g) * nf;
+    for (size_t a = 0; a < nf; ++a) {
+      st = FoldRow(folds[a], fold_inputs[a], r, &gs[a]);
+      if (!st.ok()) return;
     }
-    std::vector<MonoidState>& gs = part->states[group];
-    for (size_t a = 0; a < folds.size(); ++a) {
-      NEXUS_RETURN_NOT_OK(FoldRow(folds[a], fold_inputs[a], r, &gs[a]));
-    }
-  }
-  return Status::OK();
+  });
+  return st;
 }
 
-struct GroupFoldOut {
-  std::vector<int64_t> rep_row;
-  std::vector<std::vector<MonoidState>> states;
-};
+/// Merges folds of disjoint hash partitions, whose rep_rows are global row
+/// numbers, into one: groups sorted by first row, which is the first-seen
+/// order of one sequential pass.
+GroupFoldOut MergeByFirstRow(std::vector<GroupFoldOut> parts, size_t nf) {
+  struct GroupRef {
+    int64_t row;
+    size_t part;
+    size_t idx;
+  };
+  std::vector<GroupRef> order;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    for (size_t g = 0; g < parts[p].rep_row.size(); ++g) {
+      order.push_back({parts[p].rep_row[g], p, g});
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [](const GroupRef& a, const GroupRef& b) { return a.row < b.row; });
+  GroupFoldOut out;
+  out.rep_row.reserve(order.size());
+  out.states.resize(order.size() * nf);
+  for (size_t g = 0; g < order.size(); ++g) {
+    const GroupRef& gr = order[g];
+    out.rep_row.push_back(gr.row);
+    auto first = parts[gr.part].states.begin() +
+                 static_cast<std::ptrdiff_t>(gr.idx * nf);
+    std::move(first, first + static_cast<std::ptrdiff_t>(nf),
+              out.states.begin() + static_cast<std::ptrdiff_t>(g * nf));
+  }
+  return out;
+}
+
+/// AccumulateFold over every row in ascending order.
+Status FoldAllRows(const Table& input, const std::vector<int>& group_cols,
+                   const std::vector<FoldSpec>& folds,
+                   const std::vector<Column>& fold_inputs,
+                   const uint64_t* hashes, GroupFoldOut* out) {
+  const int64_t n = input.num_rows();
+  return AccumulateFold(input, group_cols, folds, fold_inputs, hashes,
+                        [n](auto f) {
+                          for (int64_t r = 0; r < n; ++r) f(r);
+                        },
+                        out);
+}
 
 // Out-of-core grouped ⊕-fold: Grace-partition a (keys + fold inputs)
 // working table by group hash, fold each loaded partition with the ordinary
@@ -121,42 +161,30 @@ Result<GroupFoldOut> SpillGroupFold(const Table& input,
   opts.release_inputs = true;
   spill::PartitionedSpiller spiller(&spill::SpillManager::Global(), opts);
 
-  std::vector<std::pair<int64_t, std::vector<MonoidState>>> groups;
+  std::vector<GroupFoldOut> folded;
   Status st = spiller.Run(
       {{working, &hashes}},
       [&](const std::vector<TablePtr>& parts) -> Status {
         const Table& wp = *parts[0];
         const auto& rows = wp.column(wp.num_columns() - 2).ints();
         const auto& hbits = wp.column(wp.num_columns() - 1).ints();
-        std::vector<uint64_t> local_hashes;
-        local_hashes.reserve(hbits.size());
-        for (int64_t h : hbits) local_hashes.push_back(static_cast<uint64_t>(h));
+        // The hash column holds the row hashes' bits as int64.
+        const auto* local_hashes = reinterpret_cast<const uint64_t*>(hbits.data());
         std::vector<Column> local_inputs;
         for (size_t a = 0; a < folds.size(); ++a) {
           local_inputs.push_back(fold_slot[a] < 0 ? Column(DataType::kInt64)
                                                   : wp.column(fold_slot[a]));
         }
-        FoldPartition part;
-        NEXUS_RETURN_NOT_OK(AccumulateFold(wp, wgroup_cols, folds,
-                                           local_inputs, local_hashes, 0, 0,
-                                           &part));
-        for (size_t g = 0; g < part.states.size(); ++g) {
-          groups.emplace_back(rows[static_cast<size_t>(part.rep_row[g])],
-                              std::move(part.states[g]));
-        }
+        GroupFoldOut part;
+        NEXUS_RETURN_NOT_OK(FoldAllRows(wp, wgroup_cols, folds, local_inputs,
+                                        local_hashes, &part));
+        for (int64_t& r : part.rep_row) r = rows[static_cast<size_t>(r)];
+        folded.push_back(std::move(part));
         return Status::OK();
       });
   working.reset();
   NEXUS_RETURN_NOT_OK(st);
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  GroupFoldOut out;
-  out.rep_row.reserve(groups.size());
-  out.states.reserve(groups.size());
-  for (auto& [row, gs] : groups) {
-    out.rep_row.push_back(row);
-    out.states.push_back(std::move(gs));
-  }
+  GroupFoldOut out = MergeByFirstRow(std::move(folded), folds.size());
   Count("algebra.spilled_folds");
   span->AddCounter("spill_partitions", spiller.stats().partitions);
   span->AddCounter("spill_bytes", spiller.stats().bytes_spilled);
@@ -164,11 +192,13 @@ Result<GroupFoldOut> SpillGroupFold(const Table& input,
 }
 
 /// The full grouped ⊕-fold: one pass over the rows in ascending order, or
-/// — with several threads and enough rows — one pass per pow-2 hash
-/// partition, merged by sorting groups on their first row, which restores
-/// the sequential first-seen group order. Anything built on this fold is
-/// therefore byte-identical at any thread count. The group states are
-/// charged to `working_set` (the caller keeps them until it has finished).
+/// — with several threads and enough rows — one scatter of the row indices
+/// by hash partition (relational::PartitionRows, ascending within each
+/// partition), a fold of each partition's own rows, and a merge that sorts
+/// groups on their first row, which restores the sequential first-seen
+/// group order. Anything built on this fold is therefore byte-identical at
+/// any thread count. The group states are charged to `working_set` (the
+/// caller keeps them until it has finished).
 Result<GroupFoldOut> GroupFold(const Table& input,
                                const std::vector<int>& group_cols,
                                const std::vector<FoldSpec>& folds,
@@ -193,53 +223,38 @@ Result<GroupFoldOut> GroupFold(const Table& input,
                                                fold_inputs, hashes, span));
   } else if (GetThreadCount() == 1 || group_cols.empty() ||
              n < 2 * kMorselRows) {
-    FoldPartition all;
-    NEXUS_RETURN_NOT_OK(AccumulateFold(input, group_cols, folds, fold_inputs,
-                                       hashes, 0, 0, &all));
-    out.rep_row = std::move(all.rep_row);
-    out.states = std::move(all.states);
+    NEXUS_RETURN_NOT_OK(FoldAllRows(input, group_cols, folds, fold_inputs,
+                                    hashes.data(), &out));
   } else {
-    int parts = 1;
-    while (parts < GetThreadCount() && parts < 64) parts *= 2;
-    const uint64_t mask = static_cast<uint64_t>(parts - 1);
-    std::vector<FoldPartition> partitions(static_cast<size_t>(parts));
+    const int threads = GetThreadCount();
+    const int bits = relational::HashPartitionBits(threads);
+    const int parts = 1 << bits;
+    relational::RowPartitions scatter = relational::PartitionRows(
+        hashes.data(), n, bits, threads, [](int64_t) { return true; });
+    std::vector<GroupFoldOut> partitions(static_cast<size_t>(parts));
     std::vector<Status> statuses(static_cast<size_t>(parts), Status::OK());
-    ParallelFor(parts, 1, [&](int64_t pb, int64_t pe) {
-      for (int64_t p = pb; p < pe; ++p) {
-        statuses[static_cast<size_t>(p)] =
-            AccumulateFold(input, group_cols, folds, fold_inputs, hashes, mask,
-                           static_cast<uint64_t>(p),
-                           &partitions[static_cast<size_t>(p)]);
-      }
-    });
+    ParallelFor(
+        parts, 1,
+        [&](int64_t pb, int64_t pe) {
+          for (int64_t p = pb; p < pe; ++p) {
+            const int64_t* first =
+                scatter.rows.data() + scatter.offsets[static_cast<size_t>(p)];
+            const int64_t* last =
+                scatter.rows.data() + scatter.offsets[static_cast<size_t>(p) + 1];
+            statuses[static_cast<size_t>(p)] = AccumulateFold(
+                input, group_cols, folds, fold_inputs, hashes.data(),
+                [first, last](auto f) {
+                  for (const int64_t* r = first; r != last; ++r) f(*r);
+                },
+                &partitions[static_cast<size_t>(p)]);
+          }
+        },
+        threads);
     for (const Status& s : statuses) NEXUS_RETURN_NOT_OK(s);
-    struct GroupRef {
-      int64_t row;
-      int part;
-      size_t idx;
-    };
-    std::vector<GroupRef> order;
-    size_t total = 0;
-    for (const FoldPartition& p : partitions) total += p.states.size();
-    order.reserve(total);
-    for (int p = 0; p < parts; ++p) {
-      const FoldPartition& part = partitions[static_cast<size_t>(p)];
-      for (size_t g = 0; g < part.states.size(); ++g) {
-        order.push_back({part.rep_row[g], p, g});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [](const GroupRef& a, const GroupRef& b) { return a.row < b.row; });
-    out.rep_row.reserve(total);
-    out.states.reserve(total);
-    for (const GroupRef& gr : order) {
-      out.rep_row.push_back(gr.row);
-      out.states.push_back(
-          std::move(partitions[static_cast<size_t>(gr.part)].states[gr.idx]));
-    }
+    out = MergeByFirstRow(std::move(partitions), folds.size());
   }
   // The group states are an operator working set the type layer cannot see.
-  working_set->Add(static_cast<int64_t>(out.states.size()) *
+  working_set->Add(static_cast<int64_t>(out.rep_row.size()) *
                    static_cast<int64_t>(folds.size() * sizeof(MonoidState) + 64));
   return out;
 }
@@ -258,28 +273,28 @@ Result<AssocArray> Ext(const AssocArray& a, const std::vector<Field>& out_keys,
   if (out_keys.empty()) {
     return Status::InvalidArgument("Ext output needs >= 1 key");
   }
-  const int64_t n = a.num_entries();
-  const int64_t grain = kMorselRows;
-  const size_t morsels = static_cast<size_t>((n + grain - 1) / grain);
   using Emitted = std::pair<std::vector<Value>, Value>;
-  std::vector<std::vector<Emitted>> parts(std::max<size_t>(morsels, 1));
-  std::vector<Status> statuses(std::max<size_t>(morsels, 1), Status::OK());
-  ParallelFor(n, grain, [&](int64_t b, int64_t e) {
-    std::vector<Emitted>& out = parts[static_cast<size_t>(b / grain)];
-    Status& st = statuses[static_cast<size_t>(b / grain)];
-    std::vector<Value> keys(static_cast<size_t>(a.num_keys()));
-    auto emit = [&out](std::vector<Value> ks, Value v) {
-      out.emplace_back(std::move(ks), std::move(v));
-    };
-    for (int64_t r = b; r < e; ++r) {
-      for (int i = 0; i < a.num_keys(); ++i) {
-        keys[static_cast<size_t>(i)] = a.key_column(i).GetValue(r);
-      }
-      st = fn(keys, a.value_column().GetValue(r), emit);
-      if (!st.ok()) return;
-    }
-  });
-  for (const Status& s : statuses) NEXUS_RETURN_NOT_OK(s);
+  struct Piece {
+    Status status;
+    std::vector<Emitted> emitted;
+  };
+  NEXUS_ASSIGN_OR_RETURN(
+      std::vector<Piece> parts,
+      ParallelMorsels<Piece>(a.num_entries(), [&](int64_t b, int64_t e) {
+        Piece out;
+        std::vector<Value> keys(static_cast<size_t>(a.num_keys()));
+        auto emit = [&out](std::vector<Value> ks, Value v) {
+          out.emitted.emplace_back(std::move(ks), std::move(v));
+        };
+        for (int64_t r = b; r < e && out.status.ok(); ++r) {
+          for (int i = 0; i < a.num_keys(); ++i) {
+            keys[static_cast<size_t>(i)] = a.key_column(i).GetValue(r);
+          }
+          out.status = fn(keys, a.value_column().GetValue(r), emit);
+        }
+        return out;
+      }));
+  for (const Piece& p : parts) NEXUS_RETURN_NOT_OK(p.status);
 
   std::vector<Field> fields = out_keys;
   fields.push_back(out_value);
@@ -289,8 +304,8 @@ Result<AssocArray> Ext(const AssocArray& a, const std::vector<Field>& out_keys,
     cols.emplace_back(schema->field(c).type);
   }
   // Merge emitted entries in morsel order: output order is entry order.
-  for (const std::vector<Emitted>& part : parts) {
-    for (const Emitted& em : part) {
+  for (const Piece& part : parts) {
+    for (const Emitted& em : part.emitted) {
       if (em.first.size() != out_keys.size()) {
         return Status::InvalidArgument("Ext emitted wrong key count");
       }
@@ -463,11 +478,11 @@ Result<AssocArray> Normalize(const AssocArray& a, const Semiring& sr) {
   }
   Column vcol(a.value_type());
   vcol.Reserve(static_cast<int64_t>(folded.states.size()));
-  for (const auto& gs : folded.states) {
+  for (const MonoidState& st : folded.states) {
     if (a.value_type() == DataType::kInt64) {
-      vcol.AppendInt64(gs[0].iacc);
+      vcol.AppendInt64(st.iacc);
     } else {
-      vcol.AppendFloat64(gs[0].facc);
+      vcol.AppendFloat64(st.facc);
     }
   }
   out_cols.push_back(std::move(vcol));
@@ -598,11 +613,11 @@ Result<TablePtr> LowerAggregate(const TablePtr& input,
                          GroupFold(*input, group_cols, folds, agg_inputs,
                                    &working_set, &span));
   std::vector<int64_t> rep_row = std::move(folded.rep_row);
-  std::vector<std::vector<MonoidState>> states = std::move(folded.states);
+  std::vector<MonoidState> states = std::move(folded.states);
   // SQL semantics: a global aggregate over empty input yields one row.
-  if (group_cols.empty() && states.empty()) {
+  if (group_cols.empty() && rep_row.empty()) {
     rep_row.push_back(0);  // unused: no group columns to gather
-    states.emplace_back(spec.aggs.size());
+    states.resize(spec.aggs.size());
   }
   std::vector<Field> fields;
   for (int c : group_cols) fields.push_back(input->schema()->field(c));
@@ -614,12 +629,13 @@ Result<TablePtr> LowerAggregate(const TablePtr& input,
   NEXUS_ASSIGN_OR_RETURN(SchemaPtr schema, Schema::Make(std::move(fields)));
   std::vector<Column> out_cols;
   for (int c : group_cols) out_cols.push_back(input->column(c).Take(rep_row));
-  for (size_t a = 0; a < spec.aggs.size(); ++a) {
+  const size_t nf = spec.aggs.size();
+  for (size_t a = 0; a < nf; ++a) {
     Column col(schema->field(static_cast<int>(group_cols.size() + a)).type);
-    col.Reserve(static_cast<int64_t>(states.size()));
-    for (const auto& gs : states) {
-      NEXUS_RETURN_NOT_OK(
-          col.Append(FinishAgg(gs[a], spec.aggs[a].func, agg_types[a])));
+    col.Reserve(static_cast<int64_t>(rep_row.size()));
+    for (size_t g = 0; g < rep_row.size(); ++g) {
+      NEXUS_RETURN_NOT_OK(col.Append(
+          FinishAgg(states[g * nf + a], spec.aggs[a].func, agg_types[a])));
     }
     out_cols.push_back(std::move(col));
   }

@@ -5,11 +5,12 @@
 // aggregation, sparse matrix multiply, and graph relaxation steps; the
 // lowering entry points at the bottom are exactly those expressions.
 //
-// Determinism contract (PR 2): every kernel is byte-identical for any
-// thread count. Join hashes with relational::HashRows, builds partitioned
-// (pow-of-2 parts, ascending bucket chains) and probes in morsel order;
-// Normalize folds partition-by-hash and merges groups back into first-seen
-// order. ⊕ folds with op `+` are seeded from the ring zero and applied in
+// Determinism contract: every kernel is byte-identical for any thread
+// count. Join hashes with relational::HashRows, builds one flat index
+// (relational/hash_index.h: each bucket's entries contiguous and in
+// ascending row order) and probes in morsel order; Normalize scatters row
+// indices once by hash partition, folds each partition's own rows, and
+// merges groups back into first-seen order. ⊕ folds with op `+` are seeded from the ring zero and applied in
 // ascending row order — bit-identical to the reference executor's
 // `acc = 0; acc += v` loop — while min/max/or folds seed from the first
 // value, matching its has-extreme seeding.
@@ -176,8 +177,9 @@ Value FinishAgg(const MonoidState& st, AggFunc func, DataType in);
 /// SQL's null handling: null group keys match each other, null inputs are
 /// skipped, a global aggregate over no rows yields one row. Groups come out
 /// in first-seen order, byte-identical at any thread count or spill budget
-/// (partition-by-hash folds, Grace-partitioned out of core). The group
-/// states are charged to the query's MemoryMeter while they live.
+/// (one scatter by hash partition, then a fold per partition over its own
+/// rows; Grace-partitioned out of core). The group states are charged to
+/// the query's MemoryMeter while they live.
 Result<TablePtr> LowerAggregate(const TablePtr& input, const AggregateOp& spec);
 
 /// Bumps `op`'s counter and algebra.ops_lowered (EXPLAIN ANALYZE's

@@ -262,6 +262,11 @@ void SetParallelHooks(const ParallelHooks* hooks) {
 
 const TaskContext* CurrentTaskContext() { return t_task_context; }
 
+Status SkippedMorselStatus() {
+  if (CallerCancelled()) return t_task_context->cancel->status();
+  return Status::Internal("morsel not evaluated");
+}
+
 ScopedTaskContext::ScopedTaskContext(const TaskContext* ctx)
     : saved_(t_task_context) {
   t_task_context = ctx;

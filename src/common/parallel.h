@@ -20,11 +20,15 @@
 #ifndef NEXUS_COMMON_PARALLEL_H_
 #define NEXUS_COMMON_PARALLEL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/result.h"
 
 namespace nexus {
 
@@ -65,6 +69,40 @@ ParallelStats GetParallelStats();
 void ParallelFor(int64_t n, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& body,
                  int threads = 0);
+
+/// The calling thread's cancel status when its token has fired, else an
+/// Internal error: what ParallelMorsels reports for a morsel that never ran.
+Status SkippedMorselStatus();
+
+/// ParallelFor for bodies that produce output: runs body(begin, end) -> T
+/// over kMorselRows morsels of [0, n) and returns the results in morsel
+/// order — one per morsel, or a single result for [0, n) when the region
+/// runs inline. Each body fills storage it owns (reserved to its own bound)
+/// and its result is moved into its slot once, so workers never grow
+/// vectors through adjacent shared headers (false sharing). Concatenating
+/// the results in order reproduces one sequential pass. A cancelled region
+/// skips morsels; the caller then gets SkippedMorselStatus(), never a short
+/// result.
+template <typename T, typename Body>
+Result<std::vector<T>> ParallelMorsels(int64_t n, Body&& body) {
+  if (n <= 0) return std::vector<T>{};
+  std::vector<std::optional<T>> slots(
+      static_cast<size_t>((n + kMorselRows - 1) / kMorselRows));
+  std::atomic<int64_t> covered{0};
+  ParallelFor(n, kMorselRows, [&](int64_t begin, int64_t end) {
+    slots[static_cast<size_t>(begin / kMorselRows)].emplace(body(begin, end));
+    covered.fetch_add(end - begin, std::memory_order_relaxed);
+  });
+  if (covered.load(std::memory_order_relaxed) != n) {
+    return SkippedMorselStatus();
+  }
+  std::vector<T> out;
+  out.reserve(slots.size());
+  for (std::optional<T>& s : slots) {
+    if (s.has_value()) out.push_back(std::move(*s));
+  }
+  return out;
+}
 
 /// Runs heterogeneous tasks concurrently (the federation's sibling-fragment
 /// fan-out). The caller participates; with an effective budget of 1 the

@@ -235,42 +235,37 @@ Result<Value> EvalExprRow(const Expr& expr, const Schema& schema,
 
 namespace {
 
-// Compiled evaluation: runs the cached bytecode program morsel-at-a-time.
-// Sequential executions reuse one VM (constants materialize once); parallel
-// executions evaluate per-morsel pieces stitched in morsel order, which is
-// byte-identical to the sequential pass because every output lane depends
-// only on its own row.
-Result<Column> EvalCompiled(const ExprProgramPtr& prog, const Table& table,
-                            DataType out_type) {
-  int64_t n = table.num_rows();
-  const int64_t grain = kMorselRows;
-  int64_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
-  if (morsels <= 1 || GetThreadCount() == 1) {
-    Column out(out_type);
-    out.Reserve(n);
-    ExprVM vm(prog.get());
-    vm.Bind(table, std::min<int64_t>(n, grain));
-    for (int64_t begin = 0; begin < n; begin += grain) {
-      vm.Run(begin, std::min<int64_t>(begin + grain, n));
-      vm.AppendOutput(0, &out);
-    }
-    return out;
-  }
-  std::vector<Column> parts(static_cast<size_t>(morsels), Column(out_type));
-  ParallelFor(n, grain, [&](int64_t begin, int64_t end) {
-    ExprVM vm(prog.get());
-    vm.Bind(table, end - begin);
-    vm.Run(begin, end);
-    Column& piece = parts[static_cast<size_t>(begin / grain)];
-    piece.Reserve(end - begin);
-    vm.AppendOutput(0, &piece);
-  });
-  Column out(out_type);
-  out.Reserve(n);
-  for (Column& part : parts) {
-    NEXUS_RETURN_NOT_OK(out.AppendColumn(part));
-  }
+// Stitches per-morsel pieces, in morsel order, into one column reserved to
+// the total size (a single piece moves through untouched).
+Result<Column> Concat(std::vector<Column> pieces, DataType type) {
+  if (pieces.size() == 1) return std::move(pieces[0]);
+  int64_t total = 0;
+  for (const Column& p : pieces) total += p.size();
+  Column out(type);
+  out.Reserve(total);
+  for (const Column& p : pieces) NEXUS_RETURN_NOT_OK(out.AppendColumn(p));
   return out;
+}
+
+// Compiled evaluation: runs the cached bytecode program morsel-at-a-time
+// into pieces each morsel owns; the pieces stitched in morsel order are
+// byte-identical to one sequential pass because every output lane depends
+// only on its own row.
+Result<Column> EvalCompiled(const ExprProgram* prog, const Table& table,
+                            DataType out_type) {
+  NEXUS_ASSIGN_OR_RETURN(
+      std::vector<Column> pieces,
+      RunProgramMorsels<Column>(
+          prog, table,
+          [out_type](int64_t begin, int64_t end) {
+            Column piece(out_type);
+            piece.Reserve(end - begin);
+            return piece;
+          },
+          [](const ExprVM& vm, int64_t, Column* piece) {
+            vm.AppendOutput(0, piece);
+          }));
+  return Concat(std::move(pieces), out_type);
 }
 
 // Boxed evaluation of rows [begin, end) into a fresh column piece.
@@ -295,25 +290,35 @@ Result<Column> EvalBoxedRange(const Expr& expr, const Table& table,
 // back together in morsel order (identical to one sequential pass).
 Result<Column> EvalBoxed(const Expr& expr, const Table& table,
                          DataType out_type) {
-  int64_t n = table.num_rows();
-  const int64_t grain = kMorselRows;
-  int64_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
-  if (morsels <= 1 || GetThreadCount() == 1) {
-    return EvalBoxedRange(expr, table, out_type, 0, n);
-  }
-  std::vector<Result<Column>> parts(static_cast<size_t>(morsels),
-                                    Status::Internal("morsel not evaluated"));
-  ParallelFor(n, grain, [&](int64_t begin, int64_t end) {
-    parts[static_cast<size_t>(begin / grain)] =
-        EvalBoxedRange(expr, table, out_type, begin, end);
-  });
-  Column out(out_type);
-  out.Reserve(n);
+  NEXUS_ASSIGN_OR_RETURN(
+      std::vector<Result<Column>> parts,
+      ParallelMorsels<Result<Column>>(
+          table.num_rows(), [&](int64_t begin, int64_t end) {
+            return EvalBoxedRange(expr, table, out_type, begin, end);
+          }));
+  std::vector<Column> pieces;
+  pieces.reserve(parts.size());
   for (Result<Column>& part : parts) {
     NEXUS_RETURN_NOT_OK(part.status());
-    NEXUS_RETURN_NOT_OK(out.AppendColumn(part.ValueOrDie()));
+    pieces.push_back(part.MoveValue());
   }
-  return out;
+  return Concat(std::move(pieces), out_type);
+}
+
+// The one compile-or-fall-back dispatch: the cached program for `expr` when
+// it compiles to `out_type`, else nullptr and the caller runs the boxed
+// interpreter (bytecode.h documents the contract: a program that compiles is
+// byte-identical to the interpreter). Compile errors other than Unsupported
+// propagate.
+Result<ExprProgramPtr> CompiledOrNull(const Expr& expr, const Schema& schema,
+                                      DataType out_type) {
+  Result<ExprProgramPtr> prog = GetOrCompileProgram(expr, schema);
+  if (!prog.ok()) {
+    if (prog.status().IsUnsupported()) return ExprProgramPtr();
+    return prog.status();
+  }
+  if (prog.ValueOrDie()->out_types[0] != out_type) return ExprProgramPtr();
+  return prog;
 }
 
 }  // namespace
@@ -328,16 +333,10 @@ Result<Column> EvalExprVector(const Expr& expr, const Table& table) {
   NEXUS_ASSIGN_OR_RETURN(DataType out_type,
                          InferExprType(expr, *table.schema()));
   // Lower to register bytecode (cached process-wide) and run the vectorized
-  // VM. Expressions the compiler refuses take the boxed interpreter
-  // (bytecode.h documents the contract: a program that compiles is
-  // byte-identical to the interpreter).
-  Result<ExprProgramPtr> prog = GetOrCompileProgram(expr, *table.schema());
-  if (prog.ok()) {
-    const ExprProgramPtr& p = prog.ValueOrDie();
-    if (p->out_types[0] == out_type) return EvalCompiled(p, table, out_type);
-  } else if (!prog.status().IsUnsupported()) {
-    return prog.status();
-  }
+  // VM; anything the compiler refuses takes the boxed interpreter.
+  NEXUS_ASSIGN_OR_RETURN(ExprProgramPtr prog,
+                         CompiledOrNull(expr, *table.schema(), out_type));
+  if (prog != nullptr) return EvalCompiled(prog.get(), table, out_type);
   return EvalBoxed(expr, table, out_type);
 }
 
@@ -348,26 +347,53 @@ Result<std::vector<int64_t>> EvalPredicate(const Expr& expr, const Table& table)
         StrCat("predicate must be boolean, got ", DataTypeName(t), ": ",
                expr.ToString()));
   }
-  NEXUS_ASSIGN_OR_RETURN(Column mask, EvalExprVector(expr, table));
-  const auto& bits = mask.bools();
-  int64_t n = mask.size();
   // Morsel-local selection vectors concatenated in morsel order reproduce
   // the ascending row order of the sequential scan exactly.
-  const int64_t grain = kMorselRows;
-  int64_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
-  std::vector<std::vector<int64_t>> local(
-      static_cast<size_t>(std::max<int64_t>(morsels, 1)));
-  ParallelFor(n, grain, [&](int64_t begin, int64_t end) {
-    std::vector<int64_t>& sel = local[static_cast<size_t>(begin / grain)];
-    for (int64_t i = begin; i < end; ++i) {
-      if (!mask.IsNull(i) && bits[static_cast<size_t>(i)]) sel.push_back(i);
+  auto reserved = [](int64_t begin, int64_t end) {
+    std::vector<int64_t> sel;
+    sel.reserve(static_cast<size_t>(end - begin));
+    return sel;
+  };
+  auto select = [](const uint8_t* bits, const uint8_t* valid, int64_t len,
+                   int64_t base, std::vector<int64_t>* sel) {
+    for (int64_t i = 0; i < len; ++i) {
+      if ((valid == nullptr || valid[i] != 0) && bits[i] != 0) {
+        sel->push_back(base + i);
+      }
     }
-  });
+  };
+  NEXUS_ASSIGN_OR_RETURN(ExprProgramPtr prog,
+                         CompiledOrNull(expr, *table.schema(), DataType::kBool));
+  std::vector<std::vector<int64_t>> pieces;
+  if (prog != nullptr) {
+    // A compiled predicate selects straight from the VM's output register,
+    // with no mask column in between.
+    NEXUS_ASSIGN_OR_RETURN(
+        pieces, RunProgramMorsels<std::vector<int64_t>>(
+                    prog.get(), table, reserved,
+                    [&](const ExprVM& vm, int64_t base, std::vector<int64_t>* sel) {
+                      const VMReg& r = vm.out_reg(0);
+                      select(r.b, r.valid, vm.len(), base, sel);
+                    }));
+  } else {
+    NEXUS_ASSIGN_OR_RETURN(Column mask, EvalBoxed(expr, table, DataType::kBool));
+    NEXUS_ASSIGN_OR_RETURN(
+        pieces, ParallelMorsels<std::vector<int64_t>>(
+                    table.num_rows(), [&](int64_t begin, int64_t end) {
+                      std::vector<int64_t> sel = reserved(begin, end);
+                      select(mask.bools().data() + begin,
+                             mask.has_nulls() ? mask.validity().data() + begin
+                                              : nullptr,
+                             end - begin, begin, &sel);
+                      return sel;
+                    }));
+  }
+  if (pieces.size() == 1) return std::move(pieces[0]);
   size_t total = 0;
-  for (const auto& sel : local) total += sel.size();
+  for (const auto& sel : pieces) total += sel.size();
   std::vector<int64_t> selection;
   selection.reserve(total);
-  for (const auto& sel : local) {
+  for (const auto& sel : pieces) {
     selection.insert(selection.end(), sel.begin(), sel.end());
   }
   return selection;

@@ -102,6 +102,29 @@ inline void Fallible2(const VMReg& a, const TA* av, const VMReg& b,
   }
 }
 
+// Strict comparison: one lane loop instantiated per predicate, so the loop
+// body is a single compare with no switch. `cmp3` is the three-way compare.
+template <CmpPred P, typename T, typename C3>
+inline void CmpLanes(const VMReg& a, const T* av, const VMReg& b, const T* bv,
+                     VMReg* out, uint8_t* ov, int64_t n, C3 cmp3) {
+  Strict2(a, av, b, bv, out, ov, n, [cmp3](const T& x, const T& y) {
+    return static_cast<uint8_t>(ApplyPred(P, cmp3(x, y)));
+  });
+}
+
+template <typename T, typename C3>
+inline void Compare(CmpPred p, const VMReg& a, const T* av, const VMReg& b,
+                    const T* bv, VMReg* out, uint8_t* ov, int64_t n, C3 cmp3) {
+  switch (p) {
+    case CmpPred::kEq: CmpLanes<CmpPred::kEq>(a, av, b, bv, out, ov, n, cmp3); break;
+    case CmpPred::kNe: CmpLanes<CmpPred::kNe>(a, av, b, bv, out, ov, n, cmp3); break;
+    case CmpPred::kLt: CmpLanes<CmpPred::kLt>(a, av, b, bv, out, ov, n, cmp3); break;
+    case CmpPred::kLe: CmpLanes<CmpPred::kLe>(a, av, b, bv, out, ov, n, cmp3); break;
+    case CmpPred::kGt: CmpLanes<CmpPred::kGt>(a, av, b, bv, out, ov, n, cmp3); break;
+    case CmpPred::kGe: CmpLanes<CmpPred::kGe>(a, av, b, bv, out, ov, n, cmp3); break;
+  }
+}
+
 // Variadic strict fold (min/max): all args valid → fold; else null.
 // `take(candidate, best)` mirrors the interpreter's Compare(best) < / > 0.
 template <typename T, typename F>
@@ -307,38 +330,25 @@ void ExprVM::Exec(const Instr& in, int64_t begin, int64_t n) {
       Strict2(A, A.s, B, B.s, &o, o.OwnS(n), n,
               [](const std::string& x, const std::string& y) { return x + y; });
       break;
-    case OpCode::kCmpInt: {
-      CmpPred p = static_cast<CmpPred>(in.aux);
-      Strict2(A, A.i, B, B.i, &o, o.OwnB(n), n, [p](int64_t x, int64_t y) {
-        return static_cast<uint8_t>(ApplyPred(p, Cmp3(x, y)));
-      });
+    case OpCode::kCmpInt:
+      Compare(static_cast<CmpPred>(in.aux), A, A.i, B, B.i, &o, o.OwnB(n), n,
+              [](int64_t x, int64_t y) { return Cmp3(x, y); });
       break;
-    }
-    case OpCode::kCmpDouble: {
-      CmpPred p = static_cast<CmpPred>(in.aux);
-      Strict2(A, A.d, B, B.d, &o, o.OwnB(n), n, [p](double x, double y) {
-        return static_cast<uint8_t>(ApplyPred(p, Cmp3(x, y)));
-      });
+    case OpCode::kCmpDouble:
+      Compare(static_cast<CmpPred>(in.aux), A, A.d, B, B.d, &o, o.OwnB(n), n,
+              [](double x, double y) { return Cmp3(x, y); });
       break;
-    }
-    case OpCode::kCmpBool: {
-      CmpPred p = static_cast<CmpPred>(in.aux);
-      Strict2(A, A.b, B, B.b, &o, o.OwnB(n), n, [p](uint8_t x, uint8_t y) {
-        return static_cast<uint8_t>(
-            ApplyPred(p, Cmp3<int>(x ? 1 : 0, y ? 1 : 0)));
-      });
+    case OpCode::kCmpBool:
+      Compare(static_cast<CmpPred>(in.aux), A, A.b, B, B.b, &o, o.OwnB(n), n,
+              [](uint8_t x, uint8_t y) { return Cmp3<int>(x ? 1 : 0, y ? 1 : 0); });
       break;
-    }
-    case OpCode::kCmpString: {
-      CmpPred p = static_cast<CmpPred>(in.aux);
-      Strict2(A, A.s, B, B.s, &o, o.OwnB(n), n,
-              [p](const std::string& x, const std::string& y) {
+    case OpCode::kCmpString:
+      Compare(static_cast<CmpPred>(in.aux), A, A.s, B, B.s, &o, o.OwnB(n), n,
+              [](const std::string& x, const std::string& y) {
                 int c = x.compare(y);
-                return static_cast<uint8_t>(
-                    ApplyPred(p, c < 0 ? -1 : (c > 0 ? 1 : 0)));
+                return c < 0 ? -1 : (c > 0 ? 1 : 0);
               });
       break;
-    }
     case OpCode::kAndBool: {
       uint8_t* ov = o.OwnB(n);
       if (A.valid == nullptr && B.valid == nullptr) {

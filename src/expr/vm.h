@@ -22,10 +22,12 @@
 #ifndef NEXUS_EXPR_VM_H_
 #define NEXUS_EXPR_VM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "expr/bytecode.h"
 #include "types/column.h"
 #include "types/table.h"
@@ -129,6 +131,27 @@ void AppendRegister(const VMReg& r, int64_t n, Column* out);
 /// Appends the given lanes of `r`, in order.
 void AppendRegisterLanes(const VMReg& r, const std::vector<int64_t>& lanes,
                          Column* out);
+
+/// Runs `prog` over every row of `table` in ParallelMorsels order. Each
+/// morsel makes its piece with init(begin, end) -> T, binds one VM to its
+/// range (the whole table when the region runs inline, so constants
+/// materialize once) and runs it kMorselRows lanes at a time, calling
+/// step(vm, base, &piece) after each run; `base` is the run's first row.
+template <typename T, typename Init, typename Step>
+Result<std::vector<T>> RunProgramMorsels(const ExprProgram* prog,
+                                         const Table& table, Init&& init,
+                                         Step&& step) {
+  return ParallelMorsels<T>(table.num_rows(), [&](int64_t begin, int64_t end) {
+    T piece = init(begin, end);
+    ExprVM vm(prog);
+    vm.Bind(table, std::min<int64_t>(end - begin, kMorselRows));
+    for (int64_t b = begin; b < end; b += kMorselRows) {
+      vm.Run(b, std::min<int64_t>(b + kMorselRows, end));
+      step(vm, b, &piece);
+    }
+    return piece;
+  });
+}
 
 }  // namespace nexus
 

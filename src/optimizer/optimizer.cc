@@ -453,9 +453,20 @@ class Optimizer {
         return Plan::Select(c, plan->As<SelectOp>().predicate);
       }
       case OpKind::kProject: {
-        Needed child = plan->As<ProjectOp>().columns;
-        NEXUS_ASSIGN_OR_RETURN(PlanPtr c, Prune(plan->child(0), child));
-        return Plan::Project(c, plan->As<ProjectOp>().columns);
+        // Narrow to the listed columns the parent needs, in list order; an
+        // empty intersection keeps the list (the output must have a column).
+        std::vector<std::string> cols = plan->As<ProjectOp>().columns;
+        if (needed.has_value()) {
+          std::vector<std::string> kept;
+          for (const std::string& c : cols) {
+            if (std::find(needed->begin(), needed->end(), c) != needed->end()) {
+              kept.push_back(c);
+            }
+          }
+          if (!kept.empty()) cols = std::move(kept);
+        }
+        NEXUS_ASSIGN_OR_RETURN(PlanPtr c, Prune(plan->child(0), cols));
+        return Plan::Project(c, std::move(cols));
       }
       case OpKind::kExtend: {
         Needed child = needed;
@@ -529,19 +540,32 @@ class Optimizer {
         return Plan::Limit(c, plan->As<LimitOp>().limit, plan->As<LimitOp>().offset);
       }
       case OpKind::kRename: {
+        const auto& mapping = plan->As<RenameOp>().mapping;
         Needed child = needed;
         if (child.has_value()) {
+          // Renames are simultaneous: map each name back at most once.
           std::vector<std::string> mapped;
           for (std::string n : *child) {
-            for (const auto& [from, to] : plan->As<RenameOp>().mapping) {
-              if (to == n) n = from;
+            for (const auto& [from, to] : mapping) {
+              if (to == n) {
+                n = from;
+                break;
+              }
             }
             mapped.push_back(n);
           }
           child = mapped;
         }
         NEXUS_ASSIGN_OR_RETURN(PlanPtr c, Prune(plan->child(0), child));
-        return Plan::Rename(c, plan->As<RenameOp>().mapping);
+        // Drop the entries whose source column the child no longer has; an
+        // unneeded target is all they would have produced.
+        NEXUS_ASSIGN_OR_RETURN(SchemaPtr cs, SchemaOf(c));
+        std::vector<std::pair<std::string, std::string>> kept;
+        for (const auto& entry : mapping) {
+          if (cs->FindField(entry.first) >= 0) kept.push_back(entry);
+        }
+        if (kept.empty()) return c;
+        return Plan::Rename(c, std::move(kept));
       }
       case OpKind::kIterate: {
         const auto& op = plan->As<IterateOp>();

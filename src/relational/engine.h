@@ -45,12 +45,14 @@ Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
 /// columns `lk`/`rk` (non-empty, same length; null keys never match).
 /// Appends to `li`/`ri` the (left row, right row) pairs in lexicographic
 /// order — left rows ascending, each left row's matches in right-row order —
-/// independent of the thread count. The in-memory build and pair vectors
-/// are charged to `working_set`; when that working set would cross the
-/// query's spill budget the pairs are computed out of core (Grace
-/// partitioning, same order) and `span` gets spill counters. Returns true
-/// when the pairs were computed out of core. HashJoin and algebra::Join
-/// share it.
+/// independent of the thread count. The build is one flat HashIndex
+/// (relational/hash_index.h) over `right`, partition-parallel; the probe
+/// runs morsel-parallel, each morsel filling its own pair vectors. The
+/// index's bytes and the pair vectors are charged to `working_set`; when
+/// that working set would cross the query's spill budget the pairs are
+/// computed out of core (Grace partitioning, one index per partition, same
+/// order) and `span` gets spill counters. Returns true when the pairs were
+/// computed out of core. HashJoin and algebra::Join share it.
 Result<bool> HashJoinPairs(const TablePtr& left, const TablePtr& right,
                            const std::vector<int>& lk,
                            const std::vector<int>& rk,
@@ -83,14 +85,32 @@ Result<std::vector<uint64_t>> HashRows(const Table& input,
 /// Group-key equality of rows `ar` and `br` on `cols`, with SQL GROUP BY's
 /// null handling: nulls equal each other. Distinct and the grouped fold
 /// (algebra::LowerAggregate) group by it; inline, for their per-row loops.
+/// Compares the typed values with Value::Compare's semantics, so floats are
+/// equal unless x < y or x > y (NaN equals everything, -0.0 equals +0.0).
 inline bool GroupKeysEqual(const Table& t, int64_t ar, int64_t br,
                            const std::vector<int>& cols) {
+  const size_t a = static_cast<size_t>(ar), b = static_cast<size_t>(br);
   for (int c : cols) {
     const Column& col = t.column(c);
     bool na = col.IsNull(ar), nb = col.IsNull(br);
     if (na != nb) return false;
     if (na) continue;
-    if (col.GetValue(ar) != col.GetValue(br)) return false;
+    switch (col.type()) {
+      case DataType::kInt64:
+        if (col.ints()[a] != col.ints()[b]) return false;
+        break;
+      case DataType::kFloat64: {
+        double x = col.doubles()[a], y = col.doubles()[b];
+        if (x < y || x > y) return false;
+        break;
+      }
+      case DataType::kBool:
+        if ((col.bools()[a] != 0) != (col.bools()[b] != 0)) return false;
+        break;
+      case DataType::kString:
+        if (col.strings()[a] != col.strings()[b]) return false;
+        break;
+    }
   }
   return true;
 }

@@ -183,20 +183,36 @@ Result<FusedPipeline> CompileFusedPipeline(const std::vector<const Plan*>& ops,
 namespace {
 
 // Ascending lanes of the current morsel where every predicate output is
-// valid and true (SQL WHERE: null is not true).
+// valid and true (SQL WHERE: null is not true): the first predicate selects,
+// each later one narrows the selection in place. Each predicate register's
+// views are read once per morsel.
 void SelectLanes(const ExprVM& vm, int num_preds, std::vector<int64_t>* lanes) {
-  lanes->clear();
   const int64_t len = vm.len();
-  for (int64_t i = 0; i < len; ++i) {
-    bool pass = true;
-    for (int p = 0; p < num_preds; ++p) {
-      const VMReg& r = vm.out_reg(p);
-      if (!r.LaneValid(i) || r.b[i] == 0) {
-        pass = false;
-        break;
+  lanes->clear();
+  lanes->reserve(static_cast<size_t>(len));
+  const VMReg& first = vm.out_reg(0);
+  const uint8_t* bits = first.b;
+  const uint8_t* valid = first.valid;
+  if (valid == nullptr) {
+    for (int64_t i = 0; i < len; ++i) {
+      if (bits[i] != 0) lanes->push_back(i);
+    }
+  } else {
+    for (int64_t i = 0; i < len; ++i) {
+      if (valid[i] != 0 && bits[i] != 0) lanes->push_back(i);
+    }
+  }
+  for (int p = 1; p < num_preds; ++p) {
+    const VMReg& r = vm.out_reg(p);
+    bits = r.b;
+    valid = r.valid;
+    size_t kept = 0;
+    for (int64_t i : *lanes) {
+      if ((valid == nullptr || valid[i] != 0) && bits[i] != 0) {
+        (*lanes)[kept++] = i;
       }
     }
-    if (pass) lanes->push_back(i);
+    lanes->resize(kept);
   }
 }
 
@@ -209,64 +225,62 @@ Result<TablePtr> ExecuteFused(const FusedPipeline& fp, const TablePtr& source) {
   span.AddCounter("fused_ops", fp.fused_ops);
   span.AddCounter("compiled", 1);
   const int nout = fp.out_schema->num_fields();
-  const int64_t grain = kMorselRows;
-  const int64_t morsels = n == 0 ? 0 : (n + grain - 1) / grain;
-  std::vector<Column> cols;
-  cols.reserve(static_cast<size_t>(nout));
-  for (int j = 0; j < nout; ++j) cols.emplace_back(fp.out_schema->field(j).type);
+  auto empty_columns = [&fp, nout] {
+    std::vector<Column> cols;
+    cols.reserve(static_cast<size_t>(nout));
+    for (int j = 0; j < nout; ++j) cols.emplace_back(fp.out_schema->field(j).type);
+    return cols;
+  };
 
-  if (morsels <= 1 || GetThreadCount() == 1) {
-    // One VM for the whole scan: constants materialize once, buffers are
-    // reused across morsels.
-    ExprVM vm(fp.program.get());
-    vm.Bind(*source, std::min<int64_t>(n, grain));
-    std::vector<int64_t> lanes;
-    for (int64_t b = 0; b < n; b += grain) {
-      vm.Run(b, std::min<int64_t>(b + grain, n));
-      if (fp.num_preds == 0) {
-        for (int j = 0; j < nout; ++j) {
-          vm.AppendOutput(fp.num_preds + j, &cols[static_cast<size_t>(j)]);
-        }
-      } else {
-        SelectLanes(vm, fp.num_preds, &lanes);
-        for (int j = 0; j < nout; ++j) {
-          vm.AppendOutputLanes(fp.num_preds + j, lanes,
-                               &cols[static_cast<size_t>(j)]);
-        }
-      }
-    }
+  // Each morsel fills output pieces it owns, reserved to its range. Pieces
+  // stitched in morsel order reproduce the sequential scan exactly (the
+  // determinism contract).
+  NEXUS_ASSIGN_OR_RETURN(
+      std::vector<std::vector<Column>> pieces,
+      RunProgramMorsels<std::vector<Column>>(
+          fp.program.get(), *source,
+          [&](int64_t begin, int64_t end) {
+            std::vector<Column> piece = empty_columns();
+            for (Column& c : piece) c.Reserve(end - begin);
+            return piece;
+          },
+          [&](const ExprVM& vm, int64_t, std::vector<Column>* piece) {
+            if (fp.num_preds == 0) {
+              for (int j = 0; j < nout; ++j) {
+                vm.AppendOutput(j, &(*piece)[static_cast<size_t>(j)]);
+              }
+              return;
+            }
+            std::vector<int64_t> lanes;
+            SelectLanes(vm, fp.num_preds, &lanes);
+            for (int j = 0; j < nout; ++j) {
+              vm.AppendOutputLanes(fp.num_preds + j, lanes,
+                                   &(*piece)[static_cast<size_t>(j)]);
+            }
+          }));
+  std::vector<Column> cols;
+  if (pieces.size() == 1) {
+    cols = std::move(pieces[0]);
   } else {
-    // Morsel-local pieces stitched in morsel order reproduce the sequential
-    // scan exactly (the PR 2 determinism contract).
-    std::vector<std::vector<Column>> parts(static_cast<size_t>(morsels));
-    ParallelFor(n, grain, [&](int64_t b, int64_t e) {
-      ExprVM vm(fp.program.get());
-      vm.Bind(*source, e - b);
-      vm.Run(b, e);
-      std::vector<Column>& piece = parts[static_cast<size_t>(b / grain)];
-      piece.reserve(static_cast<size_t>(nout));
-      for (int j = 0; j < nout; ++j) {
-        piece.emplace_back(fp.out_schema->field(j).type);
-      }
-      if (fp.num_preds == 0) {
-        for (int j = 0; j < nout; ++j) {
-          vm.AppendOutput(fp.num_preds + j, &piece[static_cast<size_t>(j)]);
+    // Concatenate one output column per task, each reserved to the total
+    // (inline below one morsel of rows).
+    cols = empty_columns();
+    int64_t total = 0;
+    for (const std::vector<Column>& piece : pieces) total += piece[0].size();
+    std::vector<Status> statuses(static_cast<size_t>(nout));
+    std::vector<std::function<void()>> concats;
+    concats.reserve(static_cast<size_t>(nout));
+    for (size_t j = 0; j < static_cast<size_t>(nout); ++j) {
+      concats.push_back([&, j] {
+        cols[j].Reserve(total);
+        for (const std::vector<Column>& piece : pieces) {
+          statuses[j] = cols[j].AppendColumn(piece[j]);
+          if (!statuses[j].ok()) return;
         }
-      } else {
-        std::vector<int64_t> lanes;
-        SelectLanes(vm, fp.num_preds, &lanes);
-        for (int j = 0; j < nout; ++j) {
-          vm.AppendOutputLanes(fp.num_preds + j, lanes,
-                               &piece[static_cast<size_t>(j)]);
-        }
-      }
-    });
-    for (const std::vector<Column>& piece : parts) {
-      for (int j = 0; j < nout; ++j) {
-        NEXUS_RETURN_NOT_OK(cols[static_cast<size_t>(j)].AppendColumn(
-            piece[static_cast<size_t>(j)]));
-      }
+      });
     }
+    ParallelRun(concats, total < kMorselRows ? 1 : 0);
+    for (const Status& st : statuses) NEXUS_RETURN_NOT_OK(st);
   }
   NEXUS_ASSIGN_OR_RETURN(TablePtr pre,
                          Table::Make(fp.out_schema, std::move(cols)));

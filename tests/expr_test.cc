@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "expr/builder.h"
@@ -307,8 +308,20 @@ TEST(BytecodeTest, CompiledProgramMatchesRowInterpreter) {
           {I(-3), F(2.0), S("bb"), B(false)},
           {N(), F(-1.0), S(""), B(true)},
           {I(100), N(), S("Ccc"), N()},
-          {I(7), F(0.0), N(), B(false)}});
+          {I(7), F(0.0), N(), B(false)},
+          // Value::Compare's float edges: NaN compares equal to everything,
+          // -0.0 equals +0.0.
+          {I(2), F(std::nan("")), S("n"), B(true)},
+          {I(0), F(-0.0), S("z"), B(false)},
+          {I(-1), F(std::numeric_limits<double>::infinity()), S("i"), B(true)}});
   std::vector<ExprPtr> cases = {
+      // Every comparison predicate on the double column.
+      Eq(Col("b"), Lit(0.0)),
+      Ne(Col("b"), Lit(0.0)),
+      Lt(Col("b"), Lit(1.0)),
+      Le(Col("b"), Lit(0.0)),
+      Gt(Col("b"), Neg(Col("b"))),
+      Ge(Col("b"), Lit(2.0)),
       Add(Col("a"), Lit(1)),
       Mul(Add(Col("a"), Lit(2)), Sub(Col("a"), Lit(2))),
       Add(Col("a"), Col("b")),

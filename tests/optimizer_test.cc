@@ -179,6 +179,33 @@ TEST_F(OptimizerTest, PruningKeepsRootSchema) {
   CheckPreserves(p);  // all columns needed at the root: no visible change
 }
 
+TEST_F(OptimizerTest, PruningBelowRenameKeepsRenamedSources) {
+  // Pruning below a Rename must not remove a column the Rename still maps,
+  // whether a Project or a Scan sits under it; renames are simultaneous, so
+  // a swap maps each needed name back exactly once.
+  const AggSpec total{AggFunc::kSum, Col("amount"), "total"};
+  const AggSpec n{AggFunc::kCount, nullptr, "n"};
+  std::vector<PlanPtr> plans = {
+      Plan::Aggregate(Plan::Rename(Plan::Project(Plan::Scan("orders"),
+                                                 {"cid", "amount"}),
+                                   {{"amount", "amt"}}),
+                      {"cid"}, {n}),
+      Plan::Aggregate(Plan::Rename(Plan::Scan("orders"), {{"region", "r"}}),
+                      {"cid"}, {total}),
+      Plan::Aggregate(Plan::Rename(Plan::Scan("orders"),
+                                   {{"cid", "region"}, {"region", "cid"}}),
+                      {"region"}, {total}),
+  };
+  ReferenceExecutor exec(&catalog_);
+  for (const PlanPtr& p : plans) {
+    ASSERT_OK_AND_ASSIGN(PlanPtr optimized, Optimize(p, catalog_, {}));
+    ASSERT_OK_AND_ASSIGN(Dataset want, exec.Execute(*p));
+    ASSERT_OK_AND_ASSIGN(Dataset got, exec.Execute(*optimized));
+    EXPECT_TRUE(got.table()->Equals(*want.table()))
+        << p->ToString() << "\n=>\n" << optimized->ToString();
+  }
+}
+
 TEST_F(OptimizerTest, RecognizesMatMulPipeline) {
   // Hand-written matrix multiply as join + multiply + sum.
   PlanPtr right = Plan::Rename(Plan::Scan("B"),
@@ -607,6 +634,38 @@ TEST_F(JoinOrderTest, DisabledPassLeavesWrittenOrder) {
   ASSERT_OK_AND_ASSIGN(PlanPtr reordered, Optimize(p, catalog_, {}, &on_stats));
   EXPECT_GE(on_stats.joins_reordered, 1);
   EXPECT_GT(on_stats.estimated_rows_root, 0);
+}
+
+TEST_F(JoinOrderTest, PruningNarrowsProjectsUnderAggregate) {
+  // Skew-shaped: the written order joins the exploding pair first, so DP
+  // reorder moves it and restores the written column order with a Project
+  // above the new join tree. Pruning must narrow that Project (and every
+  // other one) to what the aggregate and the joins above it read.
+  PlanPtr p = Plan::Aggregate(WrittenOrder(), {"label"},
+                              {AggSpec{AggFunc::kCount, nullptr, "n"},
+                               AggSpec{AggFunc::kSum, Col("x"), "sx"}});
+  p = Plan::Sort(p, {SortKey{"label", true}});
+  OptimizerStats stats;
+  ASSERT_OK_AND_ASSIGN(PlanPtr optimized, Optimize(p, catalog_, {}, &stats));
+  EXPECT_GE(stats.joins_reordered, 1);
+  const std::set<std::string> needed = {"label", "x", "y"};
+  int projects = 0;
+  std::function<void(const Plan&)> walk = [&](const Plan& node) {
+    if (node.kind() == OpKind::kProject) {
+      ++projects;
+      for (const std::string& c : node.As<ProjectOp>().columns) {
+        EXPECT_TRUE(needed.count(c)) << "project keeps unneeded '" << c
+                                     << "':\n" << optimized->ToString();
+      }
+    }
+    for (const PlanPtr& c : node.children()) walk(*c);
+  };
+  walk(*optimized);
+  EXPECT_GE(projects, 1) << optimized->ToString();
+  ReferenceExecutor exec(&catalog_);
+  ASSERT_OK_AND_ASSIGN(Dataset want, exec.Execute(*p));
+  ASSERT_OK_AND_ASSIGN(Dataset got, exec.Execute(*optimized));
+  EXPECT_TRUE(got.table()->Equals(*want.table())) << optimized->ToString();
 }
 
 TEST_F(JoinOrderTest, OuterJoinsAreNotReordered) {

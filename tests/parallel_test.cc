@@ -7,12 +7,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <vector>
 
 #include "algebra/kernels.h"
+#include "common/query_profile.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "expr/builder.h"
 #include "linalg/dense.h"
 #include "relational/engine.h"
@@ -25,6 +28,8 @@ using namespace nexus::exprs;  // NOLINT
 using testing::F;
 using testing::I;
 using testing::MakeSchema;
+using testing::N;
+using testing::S;
 
 // Restores the process-wide budget however the test exits.
 struct ThreadCountGuard {
@@ -120,6 +125,45 @@ TEST(ParallelRunTest, SequentialBudgetPreservesIndexOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
+TEST(ParallelMorselsTest, ResultsCoverTheRangeInMorselOrder) {
+  ThreadCountGuard guard;
+  using Range = std::pair<int64_t, int64_t>;
+  const int64_t n = 3 * kMorselRows + 5;
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<Range> ranges,
+        ParallelMorsels<Range>(
+            n, [](int64_t begin, int64_t end) { return Range(begin, end); }));
+    // Inline: one result for [0, n); pooled: one per morsel, in order.
+    ASSERT_EQ(ranges.size(), threads == 1 ? 1u : 4u) << "threads=" << threads;
+    int64_t next = 0;
+    for (const auto& [begin, end] : ranges) {
+      EXPECT_EQ(begin, next) << "threads=" << threads;
+      next = end;
+    }
+    EXPECT_EQ(next, n) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelMorselsTest, CancelledRegionReturnsTheCancelStatus) {
+  ThreadCountGuard guard;
+  CancelToken token;
+  TaskContext ctx;
+  ctx.cancel = &token;
+  ScopedTaskContext scoped(&ctx);
+  token.Cancel(StatusCode::kTimeout, "stop before the region starts");
+  // Skipped morsels never shorten the result: the caller gets the token's
+  // status on the inline and on the pooled path.
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    Result<std::vector<int64_t>> out = ParallelMorsels<int64_t>(
+        4 * kMorselRows, [](int64_t begin, int64_t end) { return end - begin; });
+    ASSERT_FALSE(out.ok()) << "threads=" << threads;
+    EXPECT_EQ(out.status().code(), StatusCode::kTimeout);
+  }
+}
+
 TEST(ParallelForTest, NestedRegionsDoNotDeadlock) {
   ThreadCountGuard guard;
   SetThreadCount(4);
@@ -177,8 +221,51 @@ TablePtr RandomFacts(int64_t rows, uint64_t seed) {
   return b.Finish().ValueOrDie();
 }
 
-TEST(EngineParallelTest, HashJoinByteIdenticalAcrossThreadCounts) {
+// Keys that stress the hash index: duplicate keys, null keys, the float
+// keys -0.0, +0.0 and NaN, and strings. Key values come from [0, distinct].
+TablePtr HardKeys(int64_t rows, int64_t distinct, uint64_t seed) {
+  Rng rng(seed);
+  SchemaPtr s = MakeSchema({Field::Attr("k", DataType::kInt64),
+                            Field::Attr("f", DataType::kFloat64),
+                            Field::Attr("s", DataType::kString),
+                            Field::Attr("v", DataType::kFloat64)});
+  TableBuilder b(s);
+  for (int64_t i = 0; i < rows; ++i) {
+    int64_t key = rng.NextInt(0, distinct);
+    Value f = key == 0   ? F(-0.0)
+              : key == 1 ? F(0.0)
+              : key == 2 ? F(std::nan(""))
+              : key % 17 == 3 ? N()
+                              : F(static_cast<double>(key) * 0.5);
+    EXPECT_OK(b.AppendRow({key % 11 == 0 ? N() : I(key), f,
+                           key % 13 == 0 ? N() : S(StrCat("s", key)),
+                           F(rng.NextDouble(0, 100))}));
+  }
+  return b.Finish().ValueOrDie();
+}
+
+// Runs `fn` at one thread in memory, then at 2/4/8 threads and under a
+// small spill budget (the index then runs inside Grace partitions), and
+// expects every run to return the identical table.
+template <typename Fn>
+void ExpectIdenticalEverywhere(const std::string& what, Fn fn) {
   ThreadCountGuard guard;
+  SetThreadCount(1);
+  TablePtr want = fn();
+  for (int threads : {2, 4, 8}) {
+    SetThreadCount(threads);
+    EXPECT_TRUE(fn()->Equals(*want)) << what << " threads=" << threads;
+  }
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    testing::ScopedBudget budget(64 * 1024);
+    ScopedQuery query;
+    EXPECT_TRUE(fn()->Equals(*want)) << what << " spilled, threads=" << threads;
+    EXPECT_GT(query.profile()[QueryStat::kSpillOps], 0) << what;
+  }
+}
+
+TEST(EngineParallelTest, HashJoinByteIdenticalAcrossThreadCounts) {
   TablePtr probe = RandomFacts(40000, 21);
   TablePtr build =
       relational::Rename(RandomFacts(5000, 22), {{"k", "bk"}, {"v", "bv"}})
@@ -186,29 +273,50 @@ TEST(EngineParallelTest, HashJoinByteIdenticalAcrossThreadCounts) {
   JoinOp op;
   op.left_keys = {"k"};
   op.right_keys = {"bk"};
-  SetThreadCount(1);
-  TablePtr want = relational::HashJoin(probe, build, op).ValueOrDie();
-  for (int threads : {2, 4, 8}) {
-    SetThreadCount(threads);
-    TablePtr got = relational::HashJoin(probe, build, op).ValueOrDie();
-    EXPECT_TRUE(got->Equals(*want)) << "threads=" << threads;
+  ExpectIdenticalEverywhere("int facts", [&] {
+    return relational::HashJoin(probe, build, op).ValueOrDie();
+  });
+
+  // Hard keys: ~8 build rows per key, so every probe hits duplicates.
+  TablePtr hard = HardKeys(40000, 600, 31);
+  TablePtr hard_build =
+      relational::Rename(HardKeys(5000, 600, 32),
+                         {{"k", "bk"}, {"f", "bf"}, {"s", "bs"}, {"v", "bv"}})
+          .ValueOrDie();
+  const std::vector<std::pair<std::vector<std::string>, std::vector<std::string>>>
+      keys = {{{"k"}, {"bk"}},
+              {{"f"}, {"bf"}},
+              {{"s"}, {"bs"}},
+              {{"k", "s"}, {"bk", "bs"}}};
+  for (const auto& [lk, rk] : keys) {
+    JoinOp hop;
+    hop.left_keys = lk;
+    hop.right_keys = rk;
+    ExpectIdenticalEverywhere("join on " + lk[0], [&] {
+      return relational::HashJoin(hard, hard_build, hop).ValueOrDie();
+    });
   }
 }
 
 TEST(EngineParallelTest, HashAggregateByteIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
   TablePtr t = RandomFacts(120000, 23);
   AggregateOp op;
   op.group_by = {"k"};
   op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
              AggSpec{AggFunc::kMin, Col("v"), "mn"},
              AggSpec{AggFunc::kCount, nullptr, "n"}};
-  SetThreadCount(1);
-  TablePtr want = algebra::LowerAggregate(t, op).ValueOrDie();
-  for (int threads : {2, 4, 8}) {
-    SetThreadCount(threads);
-    TablePtr got = algebra::LowerAggregate(t, op).ValueOrDie();
-    EXPECT_TRUE(got->Equals(*want)) << "threads=" << threads;
+  ExpectIdenticalEverywhere("int facts", [&] {
+    return algebra::LowerAggregate(t, op).ValueOrDie();
+  });
+
+  TablePtr hard = HardKeys(120000, 3000, 33);
+  for (const std::vector<std::string>& group_by :
+       std::vector<std::vector<std::string>>{{"k"}, {"f"}, {"s"}, {"k", "s"}}) {
+    AggregateOp hop = op;
+    hop.group_by = group_by;
+    ExpectIdenticalEverywhere("group by " + group_by[0], [&] {
+      return algebra::LowerAggregate(hard, hop).ValueOrDie();
+    });
   }
 }
 

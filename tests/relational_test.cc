@@ -2,6 +2,9 @@
 // against the reference executor on randomized workloads.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "algebra/kernels.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -177,6 +180,46 @@ TEST(RelationalUnionRenameLimitTest, Basics) {
   EXPECT_EQ(l->num_rows(), 2);
   EXPECT_EQ(l->At(0, 0), I(2));
   EXPECT_FALSE(relational::Union(Employees(), Departments()).ok());
+}
+
+TEST(RelationalGroupKeysTest, TypedEqualityMatchesValueCompare) {
+  // Grid of edge values per type; the typed comparison must agree with
+  // Value::Compare == 0 on every pair (nulls equal each other, NaN equals
+  // everything, -0.0 equals +0.0).
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<Value>> grids = {
+      {N(), F(std::nan("")), F(-0.0), F(0.0), F(-inf), F(inf), F(1.5), F(-2.0)},
+      {N(), I(0), I(1), I(-1), I(std::numeric_limits<int64_t>::min()),
+       I(std::numeric_limits<int64_t>::max())},
+      {N(), S(""), S("a"), S("b"), S("ab")},
+      {N(), B(true), B(false)},
+  };
+  const std::vector<DataType> types = {DataType::kFloat64, DataType::kInt64,
+                                       DataType::kString, DataType::kBool};
+  for (size_t g = 0; g < grids.size(); ++g) {
+    TablePtr t = MakeTable(MakeSchema({Field::Attr("c", types[g])}),
+                           [&] {
+                             std::vector<std::vector<Value>> rows;
+                             for (const Value& v : grids[g]) rows.push_back({v});
+                             return rows;
+                           }());
+    for (int64_t a = 0; a < t->num_rows(); ++a) {
+      for (int64_t b = 0; b < t->num_rows(); ++b) {
+        bool want = t->column(0).GetValue(a).Compare(t->column(0).GetValue(b)) == 0;
+        EXPECT_EQ(relational::GroupKeysEqual(*t, a, b, {0}), want)
+            << DataTypeName(types[g]) << " rows " << a << ", " << b;
+      }
+    }
+  }
+  // Multi-column keys: equal only when every column compares equal.
+  TablePtr t = MakeTable(
+      MakeSchema({Field::Attr("f", DataType::kFloat64),
+                  Field::Attr("s", DataType::kString)}),
+      {{F(-0.0), S("a")}, {F(0.0), S("a")}, {F(0.0), S("b")}, {N(), S("a")}});
+  EXPECT_TRUE(relational::GroupKeysEqual(*t, 0, 1, {0, 1}));
+  EXPECT_FALSE(relational::GroupKeysEqual(*t, 1, 2, {0, 1}));
+  EXPECT_FALSE(relational::GroupKeysEqual(*t, 0, 3, {0, 1}));
+  EXPECT_TRUE(relational::GroupKeysEqual(*t, 0, 2, {0}));
 }
 
 TEST(RelationalHashTest, EqualRowsHashEqual) {
