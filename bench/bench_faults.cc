@@ -104,11 +104,11 @@ CellResult RunCell(double drop_probability, bool with_down_window,
     ExecutionMetrics m;
     ++cell.attempted;
     if (coord.Execute(p, &m).ok()) ++cell.completed;
-    cell.retries += m.retries;
-    cell.failovers += m.failovers;
-    cell.timeouts += m.timeouts;
-    cell.fragments += m.fragments;
-    cell.messages += m.messages;
+    cell.retries += m.profile[QueryStat::kRetries];
+    cell.failovers += m.profile[QueryStat::kFailovers];
+    cell.timeouts += m.profile[QueryStat::kTimeouts];
+    cell.fragments += m.profile[QueryStat::kFragments];
+    cell.messages += m.profile[QueryStat::kMessages];
   }
   cell.wasted_bytes = cluster.transport()->failed_bytes();
   cell.sim_seconds = cluster.transport()->simulated_seconds();

@@ -180,20 +180,23 @@ int main() {
   Coordinator provider_side(&cluster);
   TablePtr want_out = provider_side.Execute(loop).ValueOrDie().table();
 
-  const int64_t full_bytes = m.bytes_total + m.delta_bytes_saved;
+  const QueryProfile& p = m.profile;
+  const int64_t full_bytes =
+      p[QueryStat::kBytes] + p[QueryStat::kDeltaBytesSaved];
   const bool loop_identical = delta_out->Equals(*want_out);
-  const bool loop_fewer_bytes = m.bytes_total < full_bytes;
+  const bool loop_fewer_bytes = p[QueryStat::kBytes] < full_bytes;
 
   // The full-ship arm has the delta run's conversation (deltas change bytes,
   // never messages) and no wall time of its own.
   rec.RecordWire("e19_iterate_full_ship", want_out->num_rows(), 0.0,
-                 m.fragments, m.messages, m.retries, full_bytes,
-                 m.plan_cache_hits);
+                 p[QueryStat::kFragments], p[QueryStat::kMessages],
+                 p[QueryStat::kRetries], full_bytes,
+                 p[QueryStat::kPlanCacheHits]);
   rec.RecordWire("e19_iterate_delta_ship", delta_out->num_rows(),
-                 delta_loop_ms, m.fragments, m.messages, m.retries,
-                 m.bytes_total, m.plan_cache_hits);
-  rec.Record("e19_iterate_delta_bindings", m.delta_bindings, 0.0);
-  rec.Record("e19_iterate_delta_bytes_saved", m.delta_bytes_saved, 0.0);
+                 delta_loop_ms, p);
+  rec.Record("e19_iterate_delta_bindings", p[QueryStat::kDeltaBindings], 0.0);
+  rec.Record("e19_iterate_delta_bytes_saved", p[QueryStat::kDeltaBytesSaved],
+             0.0);
   rec.Record("e19_iterate_identical", loop_identical ? 1 : 0, 0.0);
   rec.Record("e19_iterate_fewer_bytes", loop_fewer_bytes ? 1 : 0, 0.0);
 
@@ -202,13 +205,14 @@ int main() {
       "  full-ship %lld B, delta-ship %lld B (%lld delta bindings, saved "
       "%lld B), identical=%d\n",
       static_cast<long long>(full_bytes),
-      static_cast<long long>(m.bytes_total),
-      static_cast<long long>(m.delta_bindings),
-      static_cast<long long>(m.delta_bytes_saved), loop_identical ? 1 : 0);
+      static_cast<long long>(p[QueryStat::kBytes]),
+      static_cast<long long>(p[QueryStat::kDeltaBindings]),
+      static_cast<long long>(p[QueryStat::kDeltaBytesSaved]),
+      loop_identical ? 1 : 0);
 
   const bool ok = identical && speedup >= 5.0 && state_bounded &&
                   loop_identical && loop_fewer_bytes &&
-                  m.delta_bindings > 0;
+                  p[QueryStat::kDeltaBindings] > 0;
   if (!ok) std::printf("E19 FAILED correctness gates\n");
   return ok ? 0 : 1;
 }

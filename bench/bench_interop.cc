@@ -77,23 +77,28 @@ int main() {
     Dataset r2 = rc.Execute(mm, &rm).ValueOrDie();
 
     NEXUS_CHECK(r1.LogicallyEquals(r2));
-    json.Record("direct_sim", n * n, dm.simulated_seconds * 1e3);
+    json.Record("direct_sim", n * n, dm.profile.simulated_seconds() * 1e3);
     json.AnnotateOptimizer(dc.last_optimizer_stats());
-    json.Record("relay_sim", n * n, rm.simulated_seconds * 1e3);
+    json.Record("relay_sim", n * n, rm.profile.simulated_seconds() * 1e3);
     json.AnnotateOptimizer(rc.last_optimizer_stats());
-    int64_t intermediate = dm.data_bytes - r1.ByteSize();
-    double ratio = dm.bytes_through_client > 0
-                       ? static_cast<double>(rm.bytes_through_client) /
-                             static_cast<double>(dm.bytes_through_client)
+    const QueryProfile& dp = dm.profile;
+    const QueryProfile& rp = rm.profile;
+    int64_t intermediate = dp[QueryStat::kDataBytes] - r1.ByteSize();
+    double ratio = dp[QueryStat::kClientBytes] > 0
+                       ? static_cast<double>(rp[QueryStat::kClientBytes]) /
+                             static_cast<double>(dp[QueryStat::kClientBytes])
                        : 0.0;
     std::printf("%6lld  %12s | %10s %9lld %9.2f | %10s %9lld %9.2f | %6.2fx\n",
                 static_cast<long long>(n),
                 FormatBytes(static_cast<uint64_t>(intermediate)).c_str(),
-                FormatBytes(static_cast<uint64_t>(dm.bytes_through_client)).c_str(),
-                static_cast<long long>(dm.messages), dm.simulated_seconds * 1e3,
-                FormatBytes(static_cast<uint64_t>(rm.bytes_through_client)).c_str(),
-                static_cast<long long>(rm.messages), rm.simulated_seconds * 1e3,
-                ratio);
+                FormatBytes(static_cast<uint64_t>(dp[QueryStat::kClientBytes]))
+                    .c_str(),
+                static_cast<long long>(dp[QueryStat::kMessages]),
+                dp.simulated_seconds() * 1e3,
+                FormatBytes(static_cast<uint64_t>(rp[QueryStat::kClientBytes]))
+                    .c_str(),
+                static_cast<long long>(rp[QueryStat::kMessages]),
+                rp.simulated_seconds() * 1e3, ratio);
   }
   std::printf("\nshape expectation: through-client bytes stay ~flat (result only)\n");
   std::printf("under direct transfer but grow with the inputs under relay; the\n");

@@ -89,29 +89,34 @@ int main() {
     TablePtr t3 = r3.AsTable().ValueOrDie();
     NEXUS_CHECK(t1->num_rows() == t2->num_rows());
     NEXUS_CHECK(t2->num_rows() == t3->num_rows());
-    json.Record("provider_side_sim", nodes, sm.simulated_seconds * 1e3);
+    const QueryProfile& sp = sm.profile;
+    const QueryProfile& cp = cm.profile;
+    const QueryProfile& np = nm.profile;
+    json.Record("provider_side_sim", nodes, sp.simulated_seconds() * 1e3);
     json.AnnotateOptimizer(sc.last_optimizer_stats());
-    json.RecordWire("client_driven_sim", nodes, cm.simulated_seconds * 1e3,
-                    cm.fragments, cm.messages, cm.retries, cm.bytes_total,
-                    cm.plan_cache_hits);
+    json.RecordWire("client_driven_sim", nodes, cp.simulated_seconds() * 1e3,
+                    cp);
     json.AnnotateOptimizer(cc.last_optimizer_stats());
-    json.RecordWire("client_nocache_sim", nodes, nm.simulated_seconds * 1e3,
-                    nm.fragments, nm.messages, nm.retries, nm.bytes_total,
-                    nm.plan_cache_hits);
+    json.RecordWire("client_nocache_sim", nodes, np.simulated_seconds() * 1e3,
+                    np);
     json.AnnotateOptimizer(nc.last_optimizer_stats());
-    cache_rows.push_back({nodes, cm.plan_bytes, nm.plan_bytes,
-                          cm.plan_cache_hits, cm.simulated_seconds,
-                          nm.simulated_seconds});
+    cache_rows.push_back({nodes, cp[QueryStat::kPlanBytes],
+                          np[QueryStat::kPlanBytes],
+                          cp[QueryStat::kPlanCacheHits],
+                          cp.simulated_seconds(), np.simulated_seconds()});
 
     std::printf("%7lld %6lld | %5lld %10s %8.2f | %5lld %10s %8.2f | %6.2fx\n",
                 static_cast<long long>(nodes),
-                static_cast<long long>(cm.client_loop_iterations),
-                static_cast<long long>(sm.messages),
-                FormatBytes(static_cast<uint64_t>(sm.bytes_through_client)).c_str(),
-                sm.simulated_seconds * 1e3, static_cast<long long>(cm.messages),
-                FormatBytes(static_cast<uint64_t>(cm.bytes_through_client)).c_str(),
-                cm.simulated_seconds * 1e3,
-                cm.simulated_seconds / sm.simulated_seconds);
+                static_cast<long long>(cp[QueryStat::kClientLoopIterations]),
+                static_cast<long long>(sp[QueryStat::kMessages]),
+                FormatBytes(static_cast<uint64_t>(sp[QueryStat::kClientBytes]))
+                    .c_str(),
+                sp.simulated_seconds() * 1e3,
+                static_cast<long long>(cp[QueryStat::kMessages]),
+                FormatBytes(static_cast<uint64_t>(cp[QueryStat::kClientBytes]))
+                    .c_str(),
+                cp.simulated_seconds() * 1e3,
+                cp.simulated_seconds() / sp.simulated_seconds());
   }
   std::printf("\nshape expectation: provider-side iteration is 2 messages total;\n");
   std::printf("the client-driven loop pays >=4 messages per iteration (body plan,\n");

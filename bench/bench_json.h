@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/query_profile.h"
 #include "optimizer/optimizer.h"
 
 namespace nexus {
@@ -38,7 +39,7 @@ class Recorder {
     entries_.push_back(std::move(e));
   }
 
-  /// Federation measurement: also records the per-call ExecutionMetrics
+  /// Federation measurement: also records the per-call query-profile
   /// counts that matter for regression-tracking distributed runs.
   void RecordFederated(const std::string& op, long long rows, double wall_ms,
                        long long fragments, long long messages,
@@ -61,6 +62,20 @@ class Recorder {
     Entry& e = entries_.back();
     e.bytes_on_wire = bytes_on_wire;
     e.plan_cache_hits = plan_cache_hits;
+  }
+
+  /// The same two records, with the counts read off one call's profile
+  /// (ExecutionMetrics::profile).
+  void RecordFederated(const std::string& op, long long rows, double wall_ms,
+                       const QueryProfile& p, int threads = 0) {
+    RecordFederated(op, rows, wall_ms, p[QueryStat::kFragments],
+                    p[QueryStat::kMessages], p[QueryStat::kRetries], threads);
+  }
+  void RecordWire(const std::string& op, long long rows, double wall_ms,
+                  const QueryProfile& p, int threads = 0) {
+    RecordWire(op, rows, wall_ms, p[QueryStat::kFragments],
+               p[QueryStat::kMessages], p[QueryStat::kRetries],
+               p[QueryStat::kBytes], p[QueryStat::kPlanCacheHits], threads);
   }
 
   /// Attaches the optimizer's pass counters to the most recent measurement

@@ -186,25 +186,20 @@ void RunPlacementArms(benchjson::Recorder* json) {
   auto [ms_h, r_h, m_h, opt_h] = run(false);
   auto [ms_c, r_c, m_c, opt_c] = run(true);
   NEXUS_CHECK(r_h.LogicallyEquals(r_c)) << "placement changed the result";
-  NEXUS_CHECK(m_c.bytes_total <= m_h.bytes_total)
-      << "cost-based placement shipped more than the heuristic: "
-      << m_c.bytes_total << " vs " << m_h.bytes_total;
+  const int64_t bytes_h = m_h.profile[QueryStat::kBytes];
+  const int64_t bytes_c = m_c.profile[QueryStat::kBytes];
+  NEXUS_CHECK(bytes_c <= bytes_h)
+      << "cost-based placement shipped more than the heuristic: " << bytes_c
+      << " vs " << bytes_h;
 
-  json->RecordWire("e14_place_heuristic", r_h.num_rows(), ms_h, m_h.fragments,
-                   m_h.messages, m_h.retries, m_h.bytes_total,
-                   m_h.plan_cache_hits);
+  json->RecordWire("e14_place_heuristic", r_h.num_rows(), ms_h, m_h.profile);
   json->AnnotateOptimizer(opt_h);
-  json->RecordWire("e14_place_cost", r_c.num_rows(), ms_c, m_c.fragments,
-                   m_c.messages, m_c.retries, m_c.bytes_total,
-                   m_c.plan_cache_hits);
+  json->RecordWire("e14_place_cost", r_c.num_rows(), ms_c, m_c.profile);
   json->AnnotateOptimizer(opt_c);
   std::printf(
       "E14 placement: heuristic %lld bytes on wire, cost-based %lld (%.1fx less)\n",
-      static_cast<long long>(m_h.bytes_total),
-      static_cast<long long>(m_c.bytes_total),
-      m_c.bytes_total > 0
-          ? static_cast<double>(m_h.bytes_total) / m_c.bytes_total
-          : 0.0);
+      static_cast<long long>(bytes_h), static_cast<long long>(bytes_c),
+      bytes_c > 0 ? static_cast<double>(bytes_h) / bytes_c : 0.0);
 }
 
 }  // namespace

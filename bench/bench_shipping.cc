@@ -64,6 +64,11 @@ std::unique_ptr<Cluster> MakeLogCluster(int64_t rows) {
   return cluster;
 }
 
+/// One byte count of a call's profile, human-readable.
+std::string Bytes(const QueryProfile& p, QueryStat stat) {
+  return FormatBytes(static_cast<uint64_t>(p[stat]));
+}
+
 }  // namespace
 
 int main() {
@@ -108,23 +113,25 @@ int main() {
     Dataset r1 = coord.Execute(p, &tree).ValueOrDie();
     Dataset r2 = coord.ExecutePerOp(p, &perop).ValueOrDie();
     NEXUS_CHECK(r1.LogicallyEquals(r2));
-    json.RecordFederated("tree_sim", rows, tree.simulated_seconds * 1e3,
-                         tree.fragments, tree.messages, tree.retries);
+    const QueryProfile& tp = tree.profile;
+    const QueryProfile& pp = perop.profile;
+    json.RecordFederated("tree_sim", rows, tp.simulated_seconds() * 1e3, tp);
     json.AnnotateOptimizer(coord.last_optimizer_stats());
-    json.RecordFederated("perop_sim", rows, perop.simulated_seconds * 1e3,
-                         perop.fragments, perop.messages, perop.retries);
+    json.RecordFederated("perop_sim", rows, pp.simulated_seconds() * 1e3, pp);
     json.AnnotateOptimizer(coord.last_optimizer_stats());
 
     std::printf(
         "%9lld | %5lld %10s %10s %8.2f | %5lld %10s %10s %8.2f | %6.2fx\n",
-        static_cast<long long>(rows), static_cast<long long>(tree.messages),
-        FormatBytes(static_cast<uint64_t>(tree.bytes_total)).c_str(),
-        FormatBytes(static_cast<uint64_t>(tree.bytes_through_client)).c_str(),
-        tree.simulated_seconds * 1e3, static_cast<long long>(perop.messages),
-        FormatBytes(static_cast<uint64_t>(perop.bytes_total)).c_str(),
-        FormatBytes(static_cast<uint64_t>(perop.bytes_through_client)).c_str(),
-        perop.simulated_seconds * 1e3,
-        perop.simulated_seconds / tree.simulated_seconds);
+        static_cast<long long>(rows),
+        static_cast<long long>(tp[QueryStat::kMessages]),
+        Bytes(tp, QueryStat::kBytes).c_str(),
+        Bytes(tp, QueryStat::kClientBytes).c_str(),
+        tp.simulated_seconds() * 1e3,
+        static_cast<long long>(pp[QueryStat::kMessages]),
+        Bytes(pp, QueryStat::kBytes).c_str(),
+        Bytes(pp, QueryStat::kClientBytes).c_str(),
+        pp.simulated_seconds() * 1e3,
+        pp.simulated_seconds() / tp.simulated_seconds());
   }
   std::printf("\nshape expectation: tree mode sends 2 messages regardless of data\n");
   std::printf("size; per-op round trips scale with pipeline length and its bytes\n");
@@ -160,28 +167,26 @@ int main() {
     NEXUS_CHECK(bin_d.LogicallyEquals(text_d));
     NEXUS_CHECK(rep_d.LogicallyEquals(text_d));
 
-    json.RecordWire("e13_text", rows, text_m.simulated_seconds * 1e3,
-                    text_m.fragments, text_m.messages, text_m.retries,
-                    text_m.bytes_total, text_m.plan_cache_hits);
+    const QueryProfile& tp = text_m.profile;
+    const QueryProfile& bp = bin_m.profile;
+    const QueryProfile& rp = rep_m.profile;
+    json.RecordWire("e13_text", rows, tp.simulated_seconds() * 1e3, tp);
     json.AnnotateOptimizer(text_coord.last_optimizer_stats());
-    json.RecordWire("e13_binary", rows, bin_m.simulated_seconds * 1e3,
-                    bin_m.fragments, bin_m.messages, bin_m.retries,
-                    bin_m.bytes_total, bin_m.plan_cache_hits);
+    json.RecordWire("e13_binary", rows, bp.simulated_seconds() * 1e3, bp);
     json.AnnotateOptimizer(bin_coord.last_optimizer_stats());
-    json.RecordWire("e13_binary_repeat", rows, rep_m.simulated_seconds * 1e3,
-                    rep_m.fragments, rep_m.messages, rep_m.retries,
-                    rep_m.bytes_total, rep_m.plan_cache_hits);
+    json.RecordWire("e13_binary_repeat", rows, rp.simulated_seconds() * 1e3,
+                    rp);
     json.AnnotateOptimizer(bin_coord.last_optimizer_stats());
 
     std::printf("%9lld | %10s %10s %5.1fx | %10s %6s %5lld\n",
                 static_cast<long long>(rows),
-                FormatBytes(static_cast<uint64_t>(text_m.bytes_total)).c_str(),
-                FormatBytes(static_cast<uint64_t>(bin_m.bytes_total)).c_str(),
-                static_cast<double>(text_m.bytes_total) /
-                    static_cast<double>(bin_m.bytes_total),
-                FormatBytes(static_cast<uint64_t>(rep_m.bytes_total)).c_str(),
-                FormatBytes(static_cast<uint64_t>(rep_m.wire_bytes_saved)).c_str(),
-                static_cast<long long>(rep_m.plan_cache_hits));
+                Bytes(tp, QueryStat::kBytes).c_str(),
+                Bytes(bp, QueryStat::kBytes).c_str(),
+                static_cast<double>(tp[QueryStat::kBytes]) /
+                    static_cast<double>(bp[QueryStat::kBytes]),
+                Bytes(rp, QueryStat::kBytes).c_str(),
+                Bytes(rp, QueryStat::kWireBytesSaved).c_str(),
+                static_cast<long long>(rp[QueryStat::kPlanCacheHits]));
   }
   std::printf("\nshape expectation: the binary arm moves >=5x fewer bytes (FOR\n");
   std::printf("timestamps, dict strings, RLE levels); the repeat run replaces the\n");

@@ -179,7 +179,7 @@ int main() {
     for (int q = 0; q < 8 && trace == 0; ++q) {
       ExecutionMetrics qm;
       NEXUS_CHECK(coord.Execute(mm, &qm).ok());
-      if (qm.retries > 0) {
+      if (qm.profile[QueryStat::kRetries] > 0) {
         trace = coord.last_trace_id();
         m = qm;
       }
@@ -194,10 +194,12 @@ int main() {
     std::printf(
         "  E12_trace.json: %lld spans, %lld fragments, %lld messages, "
         "%lld retries (load in Perfetto)\n",
-        static_cast<long long>(spans), static_cast<long long>(m.fragments),
-        static_cast<long long>(m.messages), static_cast<long long>(m.retries));
-    json.RecordFederated("traced_query_sim", spans, m.simulated_seconds * 1e3,
-                         m.fragments, m.messages, m.retries, 1);
+        static_cast<long long>(spans),
+        static_cast<long long>(m.profile[QueryStat::kFragments]),
+        static_cast<long long>(m.profile[QueryStat::kMessages]),
+        static_cast<long long>(m.profile[QueryStat::kRetries]));
+    json.RecordFederated("traced_query_sim", spans,
+                         m.profile.simulated_seconds() * 1e3, m.profile, 1);
     json.AnnotateOptimizer(coord.last_optimizer_stats());
     telemetry::ClearSpans();
   }

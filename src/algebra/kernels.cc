@@ -24,11 +24,6 @@ void Count(const char* name) {
   telemetry::MetricsRegistry::Global().counter(name)->Increment();
 }
 
-/// Same, for the counters a query's profile also keeps.
-void Count(const char* name, QueryStat stat) {
-  telemetry::Count(telemetry::MetricsRegistry::Global().counter(name), stat);
-}
-
 // ---------------------------------------------------------------------------
 // The shared ⊕-fold core. Normalize/Union/Reduce and LowerAggregate all run
 // on this one implementation — the "write it once, not four times" payoff.
@@ -350,7 +345,7 @@ Result<AssocArray> Join(const AssocArray& a, const AssocArray& b,
   telemetry::SpanGuard span(telemetry::kCategoryEngine, "alg.Join");
   span.AddCounter("entries_left", a.num_entries());
   span.AddCounter("entries_right", b.num_entries());
-  Count("algebra.join", QueryStat::kAlgebraJoins);
+  telemetry::Count(QueryStat::kAlgebraJoins);
 
   // Shared keys, in a's key order; b's remaining keys pass through.
   std::vector<int> ak, bk;
@@ -495,7 +490,7 @@ Result<AssocArray> Normalize(const AssocArray& a, const Semiring& sr) {
 Result<AssocArray> Union(const AssocArray& a, const AssocArray& b,
                          const Semiring& sr) {
   telemetry::SpanGuard span(telemetry::kCategoryEngine, "alg.Union");
-  Count("algebra.union", QueryStat::kAlgebraUnions);
+  telemetry::Count(QueryStat::kAlgebraUnions);
   if (a.num_keys() != b.num_keys()) {
     return Status::TypeError("Union key-arity mismatch");
   }
@@ -644,7 +639,7 @@ Result<TablePtr> LowerAggregate(const TablePtr& input,
 
 void CountLowered(const char* op) {
   Count(op);
-  Count("algebra.ops_lowered", QueryStat::kOpsLowered);
+  telemetry::Count(QueryStat::kOpsLowered);
 }
 
 }  // namespace algebra

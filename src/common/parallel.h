@@ -127,7 +127,10 @@ void ParallelRun(const std::vector<std::function<void()>>& tasks,
 ///     submitting query's QueryProfile (see common/query_profile.h);
 ///   - `trace`: spans are recorded for this work even while process-wide
 ///     tracing is off (see telemetry::Enabled), so EXPLAIN ANALYZE traces
-///     its own query and no other.
+///     its own query and no other;
+///   - `sim_clock`: the simulated clock (seconds) this work's spans are
+///     stamped with — the query's own cluster transport, so concurrent
+///     queries on different clusters never read each other's clock.
 /// With no context installed (all single-query uses) behavior is exactly
 /// the legacy pool: FIFO region pick, weight 1, no cancellation, no meter.
 struct TaskContext {
@@ -136,6 +139,8 @@ struct TaskContext {
   MemoryMeter* meter = nullptr;         ///< not owned; may be null
   QueryProfile* profile = nullptr;      ///< not owned; may be null
   bool trace = false;
+  /// Not owned; may be null.
+  const std::function<double()>* sim_clock = nullptr;
 };
 
 /// The calling thread's context, or nullptr.

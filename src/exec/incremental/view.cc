@@ -55,21 +55,6 @@ std::string RefusalReason(const Status& s) {
   return s.message().substr(std::string(kRefuseMarker).size());
 }
 
-telemetry::Counter* RefreshesCounter() {
-  static telemetry::Counter* c =
-      telemetry::MetricsRegistry::Global().counter("incremental.refreshes");
-  return c;
-}
-telemetry::Counter* FallbacksCounter() {
-  static telemetry::Counter* c =
-      telemetry::MetricsRegistry::Global().counter("incremental.fallbacks");
-  return c;
-}
-telemetry::Counter* DeltaRowsCounter() {
-  static telemetry::Counter* c =
-      telemetry::MetricsRegistry::Global().counter("incremental.delta_rows");
-  return c;
-}
 telemetry::Gauge* StateBytesGauge() {
   static telemetry::Gauge* g =
       telemetry::MetricsRegistry::Global().gauge("incremental.state_bytes");
@@ -993,15 +978,15 @@ Result<TablePtr> ViewRegistry::RefreshLocked(const std::string& name,
   RefreshInfo local;
   if (info == nullptr) info = &local;
   *info = RefreshInfo{};
-  telemetry::Count(RefreshesCounter(), QueryStat::kViewRefreshes);
+  telemetry::Count(QueryStat::kViewRefreshes);
   if (!v->form.supported()) {
-    telemetry::Count(FallbacksCounter(), QueryStat::kViewFallbacks);
+    telemetry::Count(QueryStat::kViewFallbacks);
     info->refusal = v->form.refusal;
     NEXUS_ASSIGN_OR_RETURN(v->result, ExecuteViewPlan(*v->plan, *catalog_));
   } else {
     Status st = v->ProcessOnce(*catalog_, info);
     if (IsRefusal(st)) {
-      telemetry::Count(FallbacksCounter(), QueryStat::kViewFallbacks);
+      telemetry::Count(QueryStat::kViewFallbacks);
       info->fell_back = true;
       info->refusal = RefusalReason(st);
       info->delta_rows = 0;
@@ -1010,8 +995,7 @@ Result<TablePtr> ViewRegistry::RefreshLocked(const std::string& name,
       NEXUS_RETURN_NOT_OK(st);
       info->incremental = true;
     }
-    telemetry::Count(DeltaRowsCounter(), QueryStat::kViewDeltaRows,
-                     info->delta_rows);
+    telemetry::Count(QueryStat::kViewDeltaRows, info->delta_rows);
   }
   // Re-account retained state: release the previous charge, charge the new
   // footprint, and let the spill policy park join sides when over budget.

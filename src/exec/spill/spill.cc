@@ -45,10 +45,9 @@ uint64_t PartHash(uint64_t h, int depth) {
   return HashInt64(h + 0x53504C4Cull * static_cast<uint64_t>(depth));
 }
 
+/// Spill counters that are not per-query stats (those go through
+/// telemetry::Count).
 struct SpillCounters {
-  telemetry::Counter* ops;
-  telemetry::Counter* partitions;
-  telemetry::Counter* bytes_written;
   telemetry::Counter* bytes_read;
   telemetry::Counter* recursions;
 };
@@ -56,9 +55,7 @@ struct SpillCounters {
 SpillCounters& Counters() {
   static SpillCounters c = [] {
     auto& reg = telemetry::MetricsRegistry::Global();
-    return SpillCounters{reg.counter("spill.ops"), reg.counter("spill.partitions"),
-                         reg.counter("spill.bytes_written"),
-                         reg.counter("spill.bytes_read"),
+    return SpillCounters{reg.counter("spill.bytes_read"),
                          reg.counter("spill.recursions")};
   }();
   return c;
@@ -306,7 +303,7 @@ Status PartitionedSpiller::Run(const std::vector<SpillInput>& inputs,
     tables.push_back(in.table);
     hashes.push_back(in.hashes);
   }
-  telemetry::Count(Counters().ops, QueryStat::kSpillOps);
+  telemetry::Count(QueryStat::kSpillOps);
   FileGrid files;
   std::vector<SchemaPtr> schemas(tables.size());
   NEXUS_RETURN_NOT_OK(
@@ -395,8 +392,7 @@ Status PartitionedSpiller::PartitionLevel(
     }
   }
   stats_.bytes_spilled += written_before;
-  telemetry::Count(Counters().bytes_written, QueryStat::kSpillBytes,
-                   written_before);
+  telemetry::Count(QueryStat::kSpillBytes, written_before);
   return Status::OK();
 }
 
@@ -487,7 +483,7 @@ Status PartitionedSpiller::ProcessFiles(FileGrid files,
 
     stats_.partitions += 1;
     stats_.max_depth = std::max(stats_.max_depth, depth);
-    telemetry::Count(Counters().partitions, QueryStat::kSpillPartitions);
+    telemetry::Count(QueryStat::kSpillPartitions);
     Status st = leaf(parts);
     for (size_t in = 0; in < k; ++in) {
       if (charged[in]) ReleaseTable(parts[in]);

@@ -556,17 +556,15 @@ bool EntryMatches(const CacheEntry& e, const std::vector<ExprPtr>& exprs,
 
 Result<ExprProgramPtr> GetOrCompileProgram(const std::vector<ExprPtr>& exprs,
                                            const Schema& input) {
-  auto& reg = telemetry::MetricsRegistry::Global();
-  static telemetry::Counter* hits = reg.counter("expr.compile_cache_hit");
-  static telemetry::Counter* compiles = reg.counter("expr.compile");
-  static telemetry::Counter* refused = reg.counter("expr.compile_unsupported");
+  static telemetry::Counter* refused =
+      telemetry::MetricsRegistry::Global().counter("expr.compile_unsupported");
   uint64_t key = CacheKey(exprs, input);
   ProgramCache& cache = Cache();
   {
     std::lock_guard<std::mutex> lock(cache.mu);
     auto it = cache.entries.find(key);
     if (it != cache.entries.end() && EntryMatches(it->second, exprs, input)) {
-      telemetry::Count(hits, QueryStat::kExprCacheHits);
+      telemetry::Count(QueryStat::kExprCacheHits);
       if (it->second.program == nullptr) {
         return Status::Unsupported("expression not compilable (cached)");
       }
@@ -581,7 +579,7 @@ Result<ExprProgramPtr> GetOrCompileProgram(const std::vector<ExprPtr>& exprs,
   entry.fields = input.fields();
   Status refusal = Status::OK();
   if (compiled.ok()) {
-    telemetry::Count(compiles, QueryStat::kExprCompiles);
+    telemetry::Count(QueryStat::kExprCompiles);
     entry.program =
         std::make_shared<const ExprProgram>(compiled.MoveValue());
   } else if (compiled.status().IsUnsupported()) {

@@ -1,17 +1,13 @@
 #include "federation/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
-
-#include <optional>
-
-#include <cmath>
 
 #include "common/parallel.h"
 #include "common/query_profile.h"
 #include "common/str_util.h"
-#include "common/timer.h"
 #include "core/schema_inference.h"
 #include "core/serialize.h"
 #include "optimizer/cardinality.h"
@@ -22,92 +18,45 @@ namespace nexus {
 
 std::string ExecutionMetrics::ToString() const {
   std::string out = StrCat(
-      "messages=", messages, " (plan ", plan_messages, ", data ", data_messages,
-      ")  bytes=", FormatBytes(static_cast<uint64_t>(bytes_total)),
-      "  through-client=", FormatBytes(static_cast<uint64_t>(bytes_through_client)),
-      "  fragments=", fragments, "  sim=", FormatDouble(simulated_seconds * 1e3, 4),
-      "ms  wall=", FormatDouble(wall_seconds * 1e3, 4), "ms");
-  if (client_loop_iterations > 0) {
-    out += StrCat("  client-loop-iters=", client_loop_iterations);
-  }
-  if (retries > 0) out += StrCat("  retries=", retries);
-  if (timeouts > 0) out += StrCat("  timeouts=", timeouts);
-  if (failovers > 0) out += StrCat("  failovers=", failovers);
-  if (replans > 0) out += StrCat("  replans=", replans);
-  if (checkpoint_restores > 0) {
-    out += StrCat("  ckpt-restores=", checkpoint_restores);
-  }
-  if (threads_used > 1) out += StrCat("  threads=", threads_used);
-  if (morsels > 0) out += StrCat("  morsels=", morsels);
-  if (parallel_fragments > 0) {
-    out += StrCat("  parallel-fragments=", parallel_fragments);
-  }
-  if (plan_cache_hits > 0 || plan_cache_misses > 0) {
-    out += StrCat("  plan-cache=", plan_cache_hits, "h/", plan_cache_misses, "m");
-  }
-  if (wire_bytes_saved > 0) {
-    out += StrCat("  wire-saved=",
-                  FormatBytes(static_cast<uint64_t>(wire_bytes_saved)));
-  }
-  if (delta_bindings > 0) {
-    out += StrCat("  delta-bindings=", delta_bindings, " (",
-                  delta_rows_shipped, " rows, saved ",
-                  FormatBytes(static_cast<uint64_t>(delta_bytes_saved)), ")");
-  }
+      "wall=", FormatDouble(wall_seconds * 1e3, 4),
+      "ms  sim=", FormatDouble(profile.simulated_seconds() * 1e3, 4),
+      "ms  threads=", threads_used);
+  const std::string stats = profile.ToString("  ");
+  if (!stats.empty()) out += StrCat("  ", stats);
   return out;
 }
 
 Coordinator::Instruments Coordinator::Instruments::Resolve() {
   auto& reg = telemetry::MetricsRegistry::Global();
   return Instruments{
-      reg.counter("coordinator.fragments"),
-      reg.counter("coordinator.parallel_fragments"),
-      reg.counter("coordinator.client_loop_iterations"),
-      reg.counter("coordinator.retries"),
-      reg.counter("coordinator.failovers"),
-      reg.counter("coordinator.replans"),
-      reg.counter("coordinator.timeouts"),
-      reg.counter("coordinator.checkpoint_restores"),
       reg.gauge("coordinator.threads"),
       reg.histogram("coordinator.backoff_seconds"),
       reg.histogram("coordinator.fragment_plan_bytes"),
-      reg.counter("transport.bytes_saved"),
-      reg.counter("coordinator.delta_bindings"),
-      reg.counter("coordinator.delta_rows_shipped"),
-      reg.counter("coordinator.delta_bytes_saved"),
   };
 }
 
-namespace {
-
-/// ExecutionMetrics' counters, read off the query's profile.
-void FillMetricsFromProfile(const QueryProfile& p, ExecutionMetrics* m) {
-  m->messages = p[QueryStat::kMessages];
-  m->plan_messages = p[QueryStat::kPlanMessages];
-  m->data_messages = p[QueryStat::kDataMessages];
-  m->bytes_total = p[QueryStat::kBytes];
-  m->plan_bytes = p[QueryStat::kPlanBytes];
-  m->data_bytes = p[QueryStat::kDataBytes];
-  m->bytes_through_client = p[QueryStat::kClientBytes];
-  m->simulated_seconds = p.simulated_seconds();
-  m->fragments = p[QueryStat::kFragments];
-  m->client_loop_iterations = p[QueryStat::kClientLoopIterations];
-  m->retries = p[QueryStat::kRetries];
-  m->failovers = p[QueryStat::kFailovers];
-  m->replans = p[QueryStat::kReplans];
-  m->timeouts = p[QueryStat::kTimeouts];
-  m->checkpoint_restores = p[QueryStat::kCheckpointRestores];
-  m->morsels = p[QueryStat::kMorsels];
-  m->parallel_fragments = p[QueryStat::kParallelFragments];
-  m->plan_cache_hits = p[QueryStat::kPlanCacheHits];
-  m->plan_cache_misses = p[QueryStat::kPlanCacheMisses];
-  m->wire_bytes_saved = p[QueryStat::kWireBytesSaved];
-  m->delta_bindings = p[QueryStat::kDeltaBindings];
-  m->delta_rows_shipped = p[QueryStat::kDeltaRowsShipped];
-  m->delta_bytes_saved = p[QueryStat::kDeltaBytesSaved];
+Coordinator::CallScope::CallScope(Coordinator* c, const char* span_name)
+    : threads_(c->EffectiveThreads()),
+      query_(/*trace=*/false,
+             [t = c->cluster_->transport()] {
+               return t->simulated_seconds();
+             }),
+      span_(telemetry::kCategoryCoordinator, span_name) {
+  c->ins_.threads->Set(static_cast<double>(threads_));
+  c->retry_rng_ = Rng(c->options_.retry.jitter_seed);
+  c->excluded_.clear();
+  c->last_failed_server_.clear();
+  c->done_.clear();
+  c->loop_seq_ = 0;  // re-running a plan regenerates identical binding names
+  if (span_.active()) c->last_trace_id_ = span_.trace();
 }
 
-}  // namespace
+void Coordinator::CallScope::Report(ExecutionMetrics* metrics) const {
+  if (metrics == nullptr) return;
+  metrics->wall_seconds = timer_.ElapsedSeconds();
+  metrics->threads_used = threads_;
+  metrics->profile = query_.profile();
+}
 
 Result<SchemaPtr> FederatedCatalog::GetSchema(const std::string& name) const {
   std::vector<std::string> holders = cluster_->HoldersOf(name);
@@ -477,7 +426,7 @@ Status Coordinator::SendWithRetry(const std::string& from, const std::string& to
       backoff *= rp.backoff_multiplier;
       if (rp.fragment_timeout_seconds > 0.0 &&
           spent + pause > rp.fragment_timeout_seconds) {
-        telemetry::Count(ins_.timeouts, QueryStat::kTimeouts);
+        telemetry::Count(QueryStat::kTimeouts);
         last_failed_server_ = to != kClientNode ? to : from;
         return Status::Timeout(
             StrCat("fragment budget of ",
@@ -488,7 +437,7 @@ Status Coordinator::SendWithRetry(const std::string& from, const std::string& to
       double backoff_start = t->simulated_seconds();
       t->AdvanceTime(pause);  // backoff waits past scripted down windows
       spent += pause;
-      telemetry::Count(ins_.retries, QueryStat::kRetries);
+      telemetry::Count(QueryStat::kRetries);
       if (retries != nullptr) ++*retries;
       ins_.backoff_seconds->Record(pause);
       if (telemetry::Enabled()) {
@@ -524,7 +473,7 @@ bool Coordinator::ExcludeFailedServer() {
   }
   std::string failed = std::move(last_failed_server_);
   last_failed_server_.clear();
-  telemetry::Count(ins_.failovers, QueryStat::kFailovers);
+  telemetry::Count(QueryStat::kFailovers);
   if (telemetry::Enabled()) {
     telemetry::RecordComplete(telemetry::kCategoryCoordinator,
                               StrCat("failover away from ", failed), "",
@@ -609,7 +558,7 @@ Result<Dataset> Coordinator::ShipWire(
     NEXUS_RETURN_NOT_OK(SendWithRetry(kClientNode, server,
                                       static_cast<int64_t>(wire.size()),
                                       MessageKind::kPlan, &retries));
-    telemetry::Count(ins_.fragments, QueryStat::kFragments);
+    telemetry::Count(QueryStat::kFragments);
     result = p->ExecuteWire(wire);
     if (span.active()) {
       span.AddCounter("plan_bytes", static_cast<int64_t>(wire.size()));
@@ -644,7 +593,7 @@ Result<Dataset> Coordinator::ShipWire(
   }
   if (cache && have && result.ok()) {
     // The reference resolved: the plan body never traveled this time.
-    telemetry::Count(ins_.bytes_saved, QueryStat::kWireBytesSaved,
+    telemetry::Count(QueryStat::kWireBytesSaved,
                      static_cast<int64_t>(plan_wire.size()));
   }
   if (cache && !have && result.ok()) {
@@ -774,7 +723,7 @@ Result<PlanPtr> Coordinator::BuildFragment(const Plan* node,
     });
   }
   if (tasks.size() > 1) {
-    telemetry::Count(ins_.parallel_fragments, QueryStat::kParallelFragments,
+    telemetry::Count(QueryStat::kParallelFragments,
                      static_cast<int64_t>(tasks.size()));
   }
   ParallelRun(tasks, threads);
@@ -1025,11 +974,9 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
       if (result.ok()) {
         for (BindUpdate& u : updates) {
           if (u.was_delta) {
-            telemetry::Count(ins_.delta_bindings, QueryStat::kDeltaBindings);
-            telemetry::Count(ins_.delta_rows_shipped,
-                             QueryStat::kDeltaRowsShipped, u.delta_rows);
-            telemetry::Count(ins_.delta_bytes_saved,
-                             QueryStat::kDeltaBytesSaved, u.bytes_saved);
+            telemetry::Count(QueryStat::kDeltaBindings);
+            telemetry::Count(QueryStat::kDeltaRowsShipped, u.delta_rows);
+            telemetry::Count(QueryStat::kDeltaBytesSaved, u.bytes_saved);
           }
           ship->bound[u.name] = std::move(u.base);
         }
@@ -1044,8 +991,7 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
                  ship->body_prev, *state, *state));
   NEXUS_ASSIGN_OR_RETURN(Dataset next,
                          SendData(ship->server, kClientNode, produced));
-  telemetry::Count(ins_.client_loop_iterations,
-                   QueryStat::kClientLoopIterations);
+  telemetry::Count(QueryStat::kClientLoopIterations);
   if (op.measure != nullptr) {
     NEXUS_ASSIGN_OR_RETURN(
         Dataset measured_remote,
@@ -1079,8 +1025,7 @@ Result<bool> Coordinator::RunLoopStep(const IterateOp& op, Dataset* state,
   NEXUS_ASSIGN_OR_RETURN(auto body_loc, ExecToTemp(body.get(), &body_placement));
   NEXUS_ASSIGN_OR_RETURN(Dataset next,
                          FetchToClient(body_loc.first, body_loc.second));
-  telemetry::Count(ins_.client_loop_iterations,
-                   QueryStat::kClientLoopIterations);
+  telemetry::Count(QueryStat::kClientLoopIterations);
   if (op.measure != nullptr) {
     PlanPtr measure = ReplaceLoopVars(op.measure, next, *state);
     Placement m_placement;
@@ -1129,9 +1074,8 @@ Result<Dataset> Coordinator::RunClientLoop(const Plan& iterate,
       if (IsRetryable(stepped.status()) && recoveries < max_recoveries &&
           ExcludeFailedServer()) {
         // Later iterations replan around the loss.
-        telemetry::Count(ins_.replans, QueryStat::kReplans);
-        telemetry::Count(ins_.checkpoint_restores,
-                         QueryStat::kCheckpointRestores);
+        telemetry::Count(QueryStat::kReplans);
+        telemetry::Count(QueryStat::kCheckpointRestores);
         if (telemetry::Enabled()) {
           telemetry::RecordComplete(
               telemetry::kCategoryCoordinator, "checkpoint-restore", "",
@@ -1163,27 +1107,9 @@ Result<Dataset> Coordinator::Run(const PlanPtr& plan, Placement* placement) {
 
 Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
                                      ExecutionMetrics* metrics) {
-  WallTimer timer;
-  Transport* t = cluster_->transport();
   // Everything this call does — sends, fragments, morsels on pool workers —
-  // counts into this profile; the metrics below are read off it.
-  ScopedQuery query;
-  ins_.threads->Set(static_cast<double>(EffectiveThreads()));
-  retry_rng_ = Rng(options_.retry.jitter_seed);
-  excluded_.clear();
-  last_failed_server_.clear();
-  done_.clear();
-  loop_seq_ = 0;  // re-running a plan regenerates identical binding names
-
-  // Spans stamp both clocks while tracing is on; the simulated side comes
-  // from this cluster's transport.
-  std::optional<telemetry::ScopedSimClock> sim_clock;
-  if (telemetry::Enabled()) {
-    sim_clock.emplace([t] { return t->simulated_seconds(); });
-  }
-  telemetry::SpanGuard query_span(telemetry::kCategoryCoordinator, "query");
-  if (query_span.active()) last_trace_id_ = query_span.trace();
-
+  // counts into the call's profile; the metrics below carry it.
+  CallScope call(this, "query");
   NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared, Prepare(plan));
   TempGuard temp_guard(this);
   Placement placement;
@@ -1206,20 +1132,18 @@ Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
                                        "replan");
       if (!AssignServers(prepared, &replanned).ok()) break;  // nowhere to go
     }
-    telemetry::Count(ins_.replans, QueryStat::kReplans);
+    telemetry::Count(QueryStat::kReplans);
     placement = std::move(replanned);
     result = Run(prepared, &placement);
   }
   root_placement_ = nullptr;
-  if (query_span.active() && result.ok()) {
-    query_span.AddCounter("rows", result.ValueOrDie().num_rows());
-    query_span.AddCounter("bytes", result.ValueOrDie().ByteSize());
+  if (call.span().active() && result.ok()) {
+    call.span().AddCounter("rows", result.ValueOrDie().num_rows());
+    call.span().AddCounter("bytes", result.ValueOrDie().ByteSize());
   }
 
+  call.Report(metrics);
   if (metrics != nullptr) {
-    FillMetricsFromProfile(query.profile(), metrics);
-    metrics->wall_seconds = timer.ElapsedSeconds();
-    metrics->threads_used = EffectiveThreads();
     for (const auto& [node, server] : placement.assign) {
       if (!server.empty()) ++metrics->nodes_per_server[server];
     }
@@ -1230,24 +1154,7 @@ Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
 
 Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
                                           ExecutionMetrics* metrics) {
-  WallTimer timer;
-  Transport* t = cluster_->transport();
-  ScopedQuery query;
-  ins_.threads->Set(static_cast<double>(EffectiveThreads()));
-  retry_rng_ = Rng(options_.retry.jitter_seed);
-  excluded_.clear();
-  last_failed_server_.clear();
-  done_.clear();
-  loop_seq_ = 0;
-
-  std::optional<telemetry::ScopedSimClock> sim_clock;
-  if (telemetry::Enabled()) {
-    sim_clock.emplace([t] { return t->simulated_seconds(); });
-  }
-  telemetry::SpanGuard query_span(telemetry::kCategoryCoordinator,
-                                  "query (per-op)");
-  if (query_span.active()) last_trace_id_ = query_span.trace();
-
+  CallScope call(this, "query (per-op)");
   NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared, Prepare(plan));
   TempGuard temp_guard(this);
   Placement placement;
@@ -1273,11 +1180,7 @@ Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
   };
   auto result = step(prepared);
 
-  if (metrics != nullptr) {
-    FillMetricsFromProfile(query.profile(), metrics);
-    metrics->wall_seconds = timer.ElapsedSeconds();
-    metrics->threads_used = EffectiveThreads();
-  }
+  call.Report(metrics);
   NEXUS_RETURN_NOT_OK(result.status());
   return result;
 }
@@ -1314,52 +1217,16 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
                                                 ExecutionMetrics* metrics) {
   // Trace one execution and render the span tree. The run is real: faults
   // fire, retries happen, and the report shows them. Tracing rides on this
-  // thread's context, and the trailer lines come from this call's profile.
+  // thread's context, and the trailer lines render this call's profile.
   ScopedQuery query(/*trace=*/true);
   auto result = Execute(plan, metrics);
   std::string report = telemetry::ExplainAnalyze(telemetry::Spans(),
                                                  last_trace_id_);
   NEXUS_RETURN_NOT_OK(result.status());
-  const QueryProfile& p = query.profile();
-  using S = QueryStat;
-  // Wire-format summary: how much of the plan traffic the fingerprint cache
-  // elided this execution.
-  if (p[S::kPlanCacheHits] + p[S::kPlanCacheMisses] > 0) {
-    report += StrCat(
-        "wire: plan-cache ", p[S::kPlanCacheHits], " hit / ",
-        p[S::kPlanCacheMisses], " miss, saved ",
-        FormatBytes(static_cast<uint64_t>(p[S::kWireBytesSaved])), "\n");
-  }
-  // Expression-compilation summary: a warm program cache shows 0 compiled
-  // with hits > 0 on re-execution of a cached plan.
-  if (p[S::kExprCompiles] + p[S::kExprCacheHits] > 0) {
-    report += StrCat("expr: ", p[S::kExprCompiles], " compiled / ",
-                     p[S::kExprCacheHits], " program-cache hits\n");
-  }
-  // Semi-ring lowering summary: operators the engines routed through the
-  // shared algebra kernels this execution (desideratum: one algebra).
-  if (p[S::kOpsLowered] + p[S::kAlgebraJoins] + p[S::kAlgebraUnions] > 0) {
-    report += StrCat("algebra: ", p[S::kOpsLowered], " ops lowered (",
-                     p[S::kAlgebraJoins], " join⊗ / ", p[S::kAlgebraUnions],
-                     " union⊕ kernel calls)\n");
-  }
-  // Out-of-core summary: Grace partitions written by operators whose
-  // working set crossed the budget this execution.
-  if (p[S::kSpillOps] > 0) {
-    report += StrCat("spill: ", p[S::kSpillPartitions], " partitions / ",
-                     FormatBytes(static_cast<uint64_t>(p[S::kSpillBytes])),
-                     " across ", p[S::kSpillOps], " operators\n");
-  }
-  // Incremental summary: loop bindings that traveled as append-tails, and
-  // view refreshes served from retained operator state.
-  if (p[S::kDeltaBindings] + p[S::kViewRefreshes] > 0) {
-    report += StrCat(
-        "incremental: ", p[S::kDeltaBindings], " delta bindings (",
-        p[S::kDeltaRowsShipped], " rows, saved ",
-        FormatBytes(static_cast<uint64_t>(p[S::kDeltaBytesSaved])), "); ",
-        p[S::kViewRefreshes], " view refreshes (", p[S::kViewDeltaRows],
-        " Δ rows, ", p[S::kViewFallbacks], " fallbacks)\n");
-  }
+  // The call's counts — plan cache, expression programs, semi-ring
+  // lowering, spilling, delta bindings, view refreshes — one line per group.
+  const std::string stats = query.profile().ToString("\n");
+  if (!stats.empty()) report += stats + "\n";
   return report;
 }
 

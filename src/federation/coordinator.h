@@ -31,11 +31,14 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/query_profile.h"
 #include "common/random.h"
+#include "common/timer.h"
 #include "core/wire_format.h"
 #include "federation/cluster.h"
 #include "optimizer/optimizer.h"
 #include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace nexus {
 
@@ -105,44 +108,21 @@ struct CoordinatorOptions {
   std::string temp_namespace;
 };
 
-/// Per-execution accounting, read off the QueryProfile (common/
+/// Per-execution accounting. `profile` is the QueryProfile (common/
 /// query_profile.h) that Execute installs for the call: every transport
 /// attempt, coordinator counter and pool morsel the call causes is counted
 /// there as it happens, so the numbers are exact even while other queries
-/// share the transport, the pool and the registry.
+/// share the transport, the pool and the registry. Read a count as
+/// `profile[QueryStat::kFragments]`, simulated network time as
+/// `profile.simulated_seconds()`.
 struct ExecutionMetrics {
-  int64_t messages = 0;
-  int64_t plan_messages = 0;
-  int64_t data_messages = 0;
-  int64_t bytes_total = 0;
-  int64_t plan_bytes = 0;
-  int64_t data_bytes = 0;
-  int64_t bytes_through_client = 0;
-  double simulated_seconds = 0.0;
   double wall_seconds = 0.0;
-  int64_t fragments = 0;
-  int64_t client_loop_iterations = 0;
-  // Fault recovery (all zero when the transport injects no faults).
-  int64_t retries = 0;             // resent messages after a retryable failure
-  int64_t failovers = 0;           // servers excluded after retries ran out
-  int64_t replans = 0;             // AssignServers re-runs caused by failover
-  int64_t timeouts = 0;            // fragment budgets exhausted (kTimeout)
-  int64_t checkpoint_restores = 0; // client-loop rewinds to a checkpoint
-  // Parallel execution (morsel-driven; see common/parallel.h).
-  int64_t threads_used = 0;        // effective thread budget for this call
-  int64_t morsels = 0;             // engine morsels executed during this call
-  int64_t parallel_fragments = 0;  // sibling fragments dispatched concurrently
-  // Wire format + plan cache (see DESIGN.md, "The binary wire format").
-  int64_t plan_cache_hits = 0;     // %NXB1-EXEC references resolved remotely
-  int64_t plan_cache_misses = 0;   // full plans parsed (incl. evicted refs)
-  int64_t wire_bytes_saved = 0;    // plan bytes not re-shipped thanks to refs
-  // Incremental Iterate (see exec/incremental): loop bindings shipped as
-  // append-tails instead of full values.
-  int64_t delta_bindings = 0;      // bindings that traveled as %NXB1-DELTA
-  int64_t delta_rows_shipped = 0;  // rows in those tails
-  int64_t delta_bytes_saved = 0;   // binding bytes elided vs full re-ship
+  int64_t threads_used = 0;  // effective thread budget for this call
   std::map<std::string, int64_t> nodes_per_server;
+  QueryProfile profile;
 
+  /// "wall=…ms  sim=…ms  threads=N" and then the profile's nonzero stats,
+  /// one group per prefix ("coordinator: fragments=3 retries=1").
   std::string ToString() const;
 };
 
@@ -184,8 +164,9 @@ class Coordinator {
   /// TaskContext, so concurrent queries stay untraced — and renders the
   /// recorded span tree
   /// — per fragment and operator: rows, bytes, wall/simulated ms, morsels,
-  /// retries, and the server it ran on. `metrics`, when given, receives
-  /// the same per-call accounting Execute would report.
+  /// retries, and the server it ran on — followed by the call's profile,
+  /// one line per stat group (QueryProfile::ToString). `metrics`, when
+  /// given, receives the same per-call accounting Execute would report.
   Result<std::string> ExplainAnalyze(const PlanPtr& plan,
                                      ExecutionMetrics* metrics = nullptr);
 
@@ -320,29 +301,33 @@ class Coordinator {
   /// returns that). Called at fragment, message, and loop boundaries.
   Status CheckCancelled();
 
-  /// Handles into the process-global MetricsRegistry — the coordinator's
-  /// counters are ordinary named metrics ("coordinator.fragments", ...),
-  /// cumulative across calls and coordinators. Resolved once. Counters are
-  /// bumped through telemetry::Count, so the current query's profile sees
-  /// the same counts.
+  /// One Execute/ExecutePerOp call: its profile, whose spans are stamped
+  /// with this cluster's simulated clock; the thread-budget gauge; fresh
+  /// fault-recovery state; and the query span.
+  class CallScope {
+   public:
+    CallScope(Coordinator* coordinator, const char* span_name);
+    CallScope(const CallScope&) = delete;
+    CallScope& operator=(const CallScope&) = delete;
+
+    telemetry::SpanGuard& span() { return span_; }
+    /// Fills `metrics`, when given, with the call's wall time, thread
+    /// budget and profile.
+    void Report(ExecutionMetrics* metrics) const;
+
+   private:
+    WallTimer timer_;
+    int threads_;
+    ScopedQuery query_;
+    telemetry::SpanGuard span_;
+  };
+
+  /// Instruments that are not per-query stats (those go through
+  /// telemetry::Count). Resolved once.
   struct Instruments {
-    telemetry::Counter* fragments;
-    telemetry::Counter* parallel_fragments;
-    telemetry::Counter* client_loop_iterations;
-    telemetry::Counter* retries;
-    telemetry::Counter* failovers;
-    telemetry::Counter* replans;
-    telemetry::Counter* timeouts;
-    telemetry::Counter* checkpoint_restores;
     telemetry::Gauge* threads;
     telemetry::Histogram* backoff_seconds;
     telemetry::Histogram* fragment_plan_bytes;
-    /// Plan bytes *not* sent because a cache reference sufficed.
-    telemetry::Counter* bytes_saved;
-    /// Incremental Iterate: loop bindings shipped as %NXB1-DELTA tails.
-    telemetry::Counter* delta_bindings;
-    telemetry::Counter* delta_rows_shipped;
-    telemetry::Counter* delta_bytes_saved;
     static Instruments Resolve();
   };
 

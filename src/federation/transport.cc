@@ -21,21 +21,15 @@ const char* KindName(MessageKind kind) {
   return "?";
 }
 
-/// Registry instruments, resolved once (pointers are stable forever).
-/// Always on: these are cumulative process counters. Per-query accounting
-/// comes from the QueryProfile each attempt is also charged to.
+/// Registry instruments that are not per-query stats, resolved once
+/// (pointers are stable forever). The per-query stats go through
+/// telemetry::Count.
 struct TransportInstruments {
-  telemetry::Counter* messages;
-  telemetry::Counter* bytes;
-  telemetry::Counter* failed_messages;
   telemetry::Counter* faults;
   telemetry::Histogram* message_bytes;
 
   static const TransportInstruments& Get() {
     static const TransportInstruments in{
-        telemetry::MetricsRegistry::Global().counter("transport.messages"),
-        telemetry::MetricsRegistry::Global().counter("transport.bytes"),
-        telemetry::MetricsRegistry::Global().counter("transport.failed_messages"),
         telemetry::MetricsRegistry::Global().counter("transport.faults"),
         telemetry::MetricsRegistry::Global().histogram("transport.message_bytes"),
     };
@@ -93,24 +87,22 @@ void Transport::Meter(const std::string& from, const std::string& to,
   if (b != a) count(endpoints_[static_cast<size_t>(b)].through);
   if (failed) count(failed_);
 
-  const TransportInstruments& in = TransportInstruments::Get();
-  telemetry::Count(in.messages, QueryStat::kMessages);
-  telemetry::Count(in.bytes, QueryStat::kBytes, bytes);
+  telemetry::Count(QueryStat::kMessages);
+  telemetry::Count(QueryStat::kBytes, bytes);
   if (failed) {
-    telemetry::Count(in.failed_messages, QueryStat::kFailedMessages);
+    telemetry::Count(QueryStat::kFailedMessages);
   } else {
-    in.message_bytes->Record(static_cast<double>(bytes));
+    TransportInstruments::Get().message_bytes->Record(
+        static_cast<double>(bytes));
   }
-  if (QueryProfile* p = CurrentQueryProfile()) {
-    // The per-kind stats follow MessageKind's order.
-    auto of_kind = [k](QueryStat plan) {
-      return static_cast<QueryStat>(static_cast<int>(plan) + k);
-    };
-    p->Add(of_kind(QueryStat::kPlanMessages), 1);
-    p->Add(of_kind(QueryStat::kPlanBytes), bytes);
-    if (from == kClientNode || to == kClientNode) {
-      p->Add(QueryStat::kClientBytes, bytes);
-    }
+  // The per-kind stats follow MessageKind's order.
+  auto of_kind = [k](QueryStat plan) {
+    return static_cast<QueryStat>(static_cast<int>(plan) + k);
+  };
+  telemetry::Count(of_kind(QueryStat::kPlanMessages));
+  telemetry::Count(of_kind(QueryStat::kPlanBytes), bytes);
+  if (from == kClientNode || to == kClientNode) {
+    telemetry::Count(QueryStat::kClientBytes, bytes);
   }
 }
 

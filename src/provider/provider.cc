@@ -9,18 +9,14 @@ namespace nexus {
 
 namespace {
 
-/// Registry instruments, resolved once (pointers are stable forever).
+/// Registry instruments that are not per-query stats, resolved once
+/// (pointers are stable forever).
 struct ProviderInstruments {
-  telemetry::Counter* plan_cache_hit;
-  telemetry::Counter* plan_cache_miss;
   telemetry::Counter* delta_binding_hit;
   telemetry::Counter* delta_binding_miss;
 
   static const ProviderInstruments& Get() {
     static const ProviderInstruments in{
-        telemetry::MetricsRegistry::Global().counter("provider.plan_cache_hit"),
-        telemetry::MetricsRegistry::Global().counter(
-            "provider.plan_cache_miss"),
         telemetry::MetricsRegistry::Global().counter(
             "provider.delta_binding_hit"),
         telemetry::MetricsRegistry::Global().counter(
@@ -59,7 +55,6 @@ Result<Dataset> Provider::ExecuteWire(const std::string& wire) {
 
 Result<Dataset> Provider::ExecuteWireBody(std::string_view body) {
   NEXUS_ASSIGN_OR_RETURN(WireEnvelope env, ParseWireEnvelope(body));
-  const ProviderInstruments& in = ProviderInstruments::Get();
   PlanPtr plan;
   switch (env.kind) {
     case WireEnvelope::Kind::kNone: {
@@ -69,18 +64,18 @@ Result<Dataset> Provider::ExecuteWireBody(std::string_view body) {
     case WireEnvelope::Kind::kPlanStore: {
       NEXUS_ASSIGN_OR_RETURN(plan, ParsePlan(env.plan_wire));
       CachePlan(env.fingerprint, plan);
-      telemetry::Count(in.plan_cache_miss, QueryStat::kPlanCacheMisses);
+      telemetry::Count(QueryStat::kPlanCacheMisses);
       break;
     }
     case WireEnvelope::Kind::kExecCached: {
       plan = LookupCachedPlan(env.fingerprint);
       if (plan == nullptr) {
-        telemetry::Count(in.plan_cache_miss, QueryStat::kPlanCacheMisses);
+        telemetry::Count(QueryStat::kPlanCacheMisses);
         return Status::NotFound(
             StrCat(kPlanCacheMissMarker, ": fingerprint ", env.fingerprint,
                    " not cached on ", name()));
       }
-      telemetry::Count(in.plan_cache_hit, QueryStat::kPlanCacheHits);
+      telemetry::Count(QueryStat::kPlanCacheHits);
       break;
     }
   }

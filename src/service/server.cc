@@ -288,8 +288,6 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
   const int64_t expr_cache_hits = profile[QueryStat::kExprCacheHits];
   if (expr_compiles > 0) ins.expr_compiles->Add(expr_compiles);
   if (expr_cache_hits > 0) ins.expr_cache_hits->Add(expr_cache_hits);
-  report->expr_compiles += expr_compiles;
-  report->expr_cache_hits += expr_cache_hits;
 
   const int64_t spill_ops = profile[QueryStat::kSpillOps];
   const int64_t spill_parts = profile[QueryStat::kSpillPartitions];
@@ -297,8 +295,6 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
   if (spill_ops > 0) ins.spill_ops->Add(spill_ops);
   if (spill_parts > 0) ins.spill_partitions->Add(spill_parts);
   if (spill_bytes > 0) ins.spill_bytes->Add(spill_bytes);
-  report->spill_partitions += spill_parts;
-  report->spill_bytes += spill_bytes;
   report->released_bytes += meter->released();
 
   report->reserved_bytes += meter->charged();

@@ -78,19 +78,12 @@ struct QueryReport {
   double latency_ms = 0.0;
   int64_t reserved_bytes = 0;  ///< bytes the query charged to its tenant
   int requeues = 0;
-  /// Expression programs this query compiled / served from the program
-  /// cache (from its profile: exact under concurrency).
-  int64_t expr_compiles = 0;
-  int64_t expr_cache_hits = 0;
   /// Bytes the query returned to its tenant before finishing — working
   /// sets it freed and data it parked in spill files (net accounting).
   int64_t released_bytes = 0;
-  /// This query's out-of-core activity (from its profile): Grace
-  /// partitions written and spill bytes parked on disk.
-  int64_t spill_partitions = 0;
-  int64_t spill_bytes = 0;
   /// Everything the query counted across all its attempts — messages,
-  /// bytes, fragments, morsels, ... (see common/query_profile.h).
+  /// bytes, fragments, morsels, expression compiles, spill partitions and
+  /// bytes, ... (see common/query_profile.h). Exact under concurrency.
   QueryProfile profile;
 };
 

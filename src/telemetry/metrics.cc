@@ -1,5 +1,6 @@
 #include "telemetry/metrics.h"
 
+#include <array>
 #include <cmath>
 
 #include "common/str_util.h"
@@ -57,6 +58,20 @@ std::vector<int64_t> Histogram::bucket_counts() const {
     out[static_cast<size_t>(i)] = buckets_[i].load(std::memory_order_relaxed);
   }
   return out;
+}
+
+void Count(QueryStat stat, int64_t n) {
+  static const auto counters = [] {
+    std::array<Counter*, static_cast<size_t>(QueryStat::kCount_)> out{};
+    for (size_t i = 0; i < out.size(); ++i) {
+      const auto s = static_cast<QueryStat>(i);
+      if (s == QueryStat::kMorsels) continue;  // the pool's own total
+      out[i] = MetricsRegistry::Global().counter(QueryStatName(s));
+    }
+    return out;
+  }();
+  counters[static_cast<size_t>(stat)]->Add(n);
+  CountForQuery(stat, n);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

@@ -2,15 +2,18 @@
 //
 // Instruments are cumulative and monotonic (counters) or last-write
 // (gauges): whole-process numbers for dashboards. Per-query numbers do not
-// come from here — sites that a query's report needs count through
-// `Count`, which bumps the registry counter and the calling thread's
-// QueryProfile (common/query_profile.h) together, and the federation's
-// ExecutionMetrics is read off that profile. The registry itself is always
-// on: an atomic add is cheaper than the work it counts, and a metrics
-// system that must be switched on before the incident is useless.
+// come from here. A count a query's report needs is a QueryStat, and its
+// site calls `Count(stat, n)`: that bumps the stat's registry counter
+// (named by the one list in common/query_profile.h) and the calling
+// thread's QueryProfile together, and the federation's ExecutionMetrics
+// carries that profile. The registry itself is always on: an atomic add is
+// cheaper than the work it counts, and a metrics system that must be
+// switched on before the incident is useless.
 //
 // Instruments are created lazily by name and never destroyed, so a
-// `Counter*` obtained once may be cached and used lock-free forever.
+// `Counter*` obtained once may be cached and used lock-free forever; that
+// is how the instruments that are not QueryStats (gauges, histograms,
+// whole-process counters like transport.faults) are kept.
 #ifndef NEXUS_TELEMETRY_METRICS_H_
 #define NEXUS_TELEMETRY_METRICS_H_
 
@@ -40,12 +43,10 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Adds `n` to the process-wide `counter` and to `stat` of the calling
-/// thread's query profile (if one is installed).
-inline void Count(Counter* counter, QueryStat stat, int64_t n = 1) {
-  counter->Add(n);
-  CountForQuery(stat, n);
-}
+/// Adds `n` to `stat`: to its registry counter (QueryStatName, resolved
+/// once) and to the calling thread's query profile, if one is installed.
+/// Not for kMorsels, which the pool counts (common/parallel.h).
+void Count(QueryStat stat, int64_t n = 1);
 
 /// Last-observed value (thread budgets, level settings). Thread-safe.
 class Gauge {

@@ -23,9 +23,7 @@ std::atomic<uint64_t> g_next_span{1};
 std::atomic<uint64_t> g_next_trace{1};
 
 std::mutex g_mu;
-std::vector<SpanRecord> g_spans;                 // finished spans
-std::function<double()> g_sim_clock;             // guarded by g_mu
-std::atomic<bool> g_has_sim_clock{false};        // fast-path gate
+std::vector<SpanRecord> g_spans;  // finished spans
 
 // Per-thread context: the trace and span new work attaches under, plus the
 // server name spans on this thread inherit.
@@ -48,17 +46,11 @@ std::chrono::steady_clock::time_point Epoch() {
   return epoch;
 }
 
+// The simulated clock of the query this thread works for, or 0.
 double SimNowSeconds() {
-  if (!g_has_sim_clock.load(std::memory_order_acquire)) return 0.0;
-  // Copy the clock under g_mu but call it after releasing: the transport's
-  // clock takes the transport lock, and the transport records message
-  // spans (which take g_mu) while holding that lock.
-  std::function<double()> clock;
-  {
-    std::lock_guard<std::mutex> lock(g_mu);
-    clock = g_sim_clock;
-  }
-  return clock ? clock() : 0.0;
+  const TaskContext* ctx = CurrentTaskContext();
+  return ctx != nullptr && ctx->sim_clock != nullptr ? (*ctx->sim_clock)()
+                                                     : 0.0;
 }
 
 void Record(SpanRecord&& rec) {
@@ -172,18 +164,6 @@ int64_t SpanCount() {
   std::lock_guard<std::mutex> lock(g_mu);
   return static_cast<int64_t>(g_spans.size());
 }
-
-void SetSimulatedClock(std::function<double()> seconds_fn) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_has_sim_clock.store(seconds_fn != nullptr, std::memory_order_release);
-  g_sim_clock = std::move(seconds_fn);
-}
-
-ScopedSimClock::ScopedSimClock(std::function<double()> seconds_fn) {
-  SetSimulatedClock(std::move(seconds_fn));
-}
-
-ScopedSimClock::~ScopedSimClock() { SetSimulatedClock(nullptr); }
 
 TraceContext CurrentContext() {
   return TraceContext{t_ctx.trace, t_ctx.span, t_ctx.server};

@@ -1,12 +1,13 @@
 // Span-based distributed tracing for the federation and its engines.
 //
 // The paper's Intent Preservation and Server Interoperation desiderata are
-// claims about *where* work ran and *which path* bytes took. Aggregate
-// counters (ExecutionMetrics) can assert those claims; traces can show
-// them. This tracer records one span per unit of attributable work —
-// query, plan fragment, algebra operator, engine kernel, morsel, network
-// message — with dual timestamps (wall clock and the transport's simulated
-// clock) and a parent link, so a whole federated execution renders as one
+// claims about *where* work ran and *which path* bytes took. A query's
+// profile (common/query_profile.h, carried by ExecutionMetrics) can assert
+// those claims; traces can show them. This tracer records one span per unit
+// of attributable work — query, plan fragment, algebra operator, engine
+// kernel, morsel, network message — with dual timestamps (wall clock and
+// the simulated clock of the query's own transport, TaskContext::sim_clock)
+// and a parent link, so a whole federated execution renders as one
 // tree per query even when its spans were produced on different simulated
 // servers (trace context travels inside federation messages; see
 // WireHeader/StripWireHeader and Provider::ExecuteWire).
@@ -31,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,7 +53,8 @@ inline constexpr const char kCategoryTransport[] = "transport";
 inline constexpr const char kCategoryService[] = "service";
 
 /// One finished span. `sim_*` fields are stamped from the simulated clock
-/// when one is installed (SetSimulatedClock), else 0.
+/// on the recording thread's TaskContext (set by the coordinator's
+/// ScopedQuery), else 0.
 struct SpanRecord {
   SpanId id = 0;
   SpanId parent = 0;   // 0 = root of its trace
@@ -95,20 +96,6 @@ void ClearSpans();
 /// Copy of every finished span, in completion order.
 std::vector<SpanRecord> Spans();
 int64_t SpanCount();
-
-/// Installs the simulated-clock source (seconds), typically the federation
-/// transport's clock; pass nullptr to uninstall. Only consulted while
-/// tracing is enabled.
-void SetSimulatedClock(std::function<double()> seconds_fn);
-
-/// RAII install/uninstall of the simulated clock around an execution.
-class ScopedSimClock {
- public:
-  explicit ScopedSimClock(std::function<double()> seconds_fn);
-  ~ScopedSimClock();
-  ScopedSimClock(const ScopedSimClock&) = delete;
-  ScopedSimClock& operator=(const ScopedSimClock&) = delete;
-};
 
 /// Trace context: what must travel with a federation message for the
 /// receiver's spans to stitch under the sender's.

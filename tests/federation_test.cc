@@ -116,10 +116,11 @@ TEST_F(FederationTest, SingleServerQueryShipsOneTree) {
   ExecutionMetrics m;
   ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(p, &m));
   EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(p)));
-  EXPECT_EQ(m.fragments, 1);
-  EXPECT_EQ(m.plan_messages, 1);
-  EXPECT_EQ(m.data_messages, 1);  // result back to the client
-  EXPECT_GT(m.plan_bytes, 0);
+  EXPECT_EQ(m.profile[QueryStat::kFragments], 1);
+  EXPECT_EQ(m.profile[QueryStat::kPlanMessages], 1);
+  // result back to the client
+  EXPECT_EQ(m.profile[QueryStat::kDataMessages], 1);
+  EXPECT_GT(m.profile[QueryStat::kPlanBytes], 0);
 }
 
 TEST_F(FederationTest, PlacementSendsOpsToSpecialists) {
@@ -142,7 +143,7 @@ TEST_F(FederationTest, MultiServerMatMulIsCorrect) {
   ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(mm, &m));
   EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(mm)));
   // Two scan fragments at arraydb, one matmul fragment at linalg.
-  EXPECT_EQ(m.fragments, 3);
+  EXPECT_EQ(m.profile[QueryStat::kFragments], 3);
   EXPECT_GE(m.nodes_per_server["linalg"], 1);
 }
 
@@ -164,8 +165,10 @@ TEST_F(FederationTest, DirectTransferBypassesClient) {
   EXPECT_TRUE(d1.LogicallyEquals(d2));
   // Both intermediates (M and N, moved arraydb → linalg) pass through the
   // client only in relay mode; both modes pay the final result delivery.
-  EXPECT_LT(dm.bytes_through_client, rm.bytes_through_client);
-  EXPECT_GT(rm.data_messages, dm.data_messages);
+  EXPECT_LT(dm.profile[QueryStat::kClientBytes],
+            rm.profile[QueryStat::kClientBytes]);
+  EXPECT_GT(rm.profile[QueryStat::kDataMessages],
+            dm.profile[QueryStat::kDataMessages]);
   // Total intermediate bytes are identical; relay pays them twice. Data is
   // metered at its serialized wire size, so the result delivery (identical
   // in both modes) is isolated the same way.
@@ -173,8 +176,9 @@ TEST_F(FederationTest, DirectTransferBypassesClient) {
       SerializeDatasetWire(d1, cluster_->transport()->NegotiatedFormat(
                                    "linalg", kClientNode))
           .size());
-  int64_t intermediate_direct = dm.data_bytes - result_wire;
-  int64_t intermediate_relay = rm.data_bytes - result_wire;
+  int64_t intermediate_direct =
+      dm.profile[QueryStat::kDataBytes] - result_wire;
+  int64_t intermediate_relay = rm.profile[QueryStat::kDataBytes] - result_wire;
   EXPECT_GT(intermediate_direct, 0);
   EXPECT_EQ(intermediate_relay, 2 * intermediate_direct);
 }
@@ -190,7 +194,8 @@ TEST_F(FederationTest, MixedRelationalArrayQuery) {
   ExecutionMetrics m;
   ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(p, &m));
   EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(p)));
-  EXPECT_GE(m.fragments, 2);  // at least arraydb + relstore fragments
+  // at least arraydb + relstore fragments
+  EXPECT_GE(m.profile[QueryStat::kFragments], 2);
   EXPECT_GE(m.nodes_per_server["arraydb"], 1);
   EXPECT_GE(m.nodes_per_server["relstore"], 1);
 }
@@ -211,9 +216,12 @@ TEST_F(FederationTest, TreeShippingBeatsPerOpCalls) {
   Coordinator coord2(cluster_.get(), no_opt);
   ASSERT_OK_AND_ASSIGN(Dataset r2, coord2.ExecutePerOp(p, &perop));
   EXPECT_TRUE(r1.LogicallyEquals(r2));
-  EXPECT_LT(tree.messages, perop.messages);
-  EXPECT_GE(perop.plan_messages, 6);  // one call per operator
-  EXPECT_LT(tree.bytes_through_client, perop.bytes_through_client);
+  EXPECT_LT(tree.profile[QueryStat::kMessages],
+            perop.profile[QueryStat::kMessages]);
+  // one call per operator
+  EXPECT_GE(perop.profile[QueryStat::kPlanMessages], 6);
+  EXPECT_LT(tree.profile[QueryStat::kClientBytes],
+            perop.profile[QueryStat::kClientBytes]);
 }
 
 TEST_F(FederationTest, ProviderSideIterationSavesRoundTrips) {
@@ -244,11 +252,12 @@ TEST_F(FederationTest, ProviderSideIterationSavesRoundTrips) {
   EXPECT_TRUE(r1.LogicallyEquals(r2));
   ASSERT_OK_AND_ASSIGN(TablePtr t, r1.AsTable());
   EXPECT_EQ(t->At(0, 0), F(4.0));  // 1024 / 2^8
-  EXPECT_EQ(sm.client_loop_iterations, 0);
-  EXPECT_EQ(cm.client_loop_iterations, 8);
-  EXPECT_LT(sm.messages, cm.messages);
+  EXPECT_EQ(sm.profile[QueryStat::kClientLoopIterations], 0);
+  EXPECT_EQ(cm.profile[QueryStat::kClientLoopIterations], 8);
+  EXPECT_LT(sm.profile[QueryStat::kMessages],
+            cm.profile[QueryStat::kMessages]);
   // Client-driven: at least one plan + one data message per iteration.
-  EXPECT_GE(cm.messages, 16);
+  EXPECT_GE(cm.profile[QueryStat::kMessages], 16);
 }
 
 TEST_F(FederationTest, FederatedPageRank) {
@@ -305,7 +314,7 @@ TEST_F(FederationTest, JoinRunsWhereTheBulkierInputLives) {
                            .ValueOrDie()
                            .ByteSize();
   // The dim-side transfer is far smaller than shipping the fact table.
-  EXPECT_LT(m.data_bytes - r.ByteSize(), fact_bytes / 10);
+  EXPECT_LT(m.profile[QueryStat::kDataBytes] - r.ByteSize(), fact_bytes / 10);
 }
 
 TEST_F(FederationTest, MissingTableFailsCleanly) {
@@ -341,8 +350,8 @@ TEST_F(FederationTest, SimulatedTimeTracksBytesAndLatency) {
   ExecutionMetrics m;
   ASSERT_OK(coord.Execute(Plan::Scan("t"), &m).status());
   // 2 messages (plan + data) at 50 ms latency plus 8 KB / 1 MB/s.
-  EXPECT_GT(m.simulated_seconds, 0.1);
-  EXPECT_LT(m.simulated_seconds, 0.2);
+  EXPECT_GT(m.profile.simulated_seconds(), 0.1);
+  EXPECT_LT(m.profile.simulated_seconds(), 0.2);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,23 +362,53 @@ TEST_F(FederationTest, ZeroOverheadWhenFaultsAreOff) {
   // An aggressive retry policy must not change a single metric while the
   // transport injects no faults: the recovery machinery is pure bystander.
   PlanPtr p = Plan::MatMul(Plan::Scan("M"), Plan::Scan("N"), "prod");
-  Coordinator plain(cluster_.get());
-  ExecutionMetrics pm;
-  ASSERT_OK_AND_ASSIGN(Dataset r1, plain.Execute(p, &pm));
+  auto run = [&](CoordinatorOptions opts, bool armed, ExecutionMetrics* m) {
+    if (armed) {
+      opts.retry.max_attempts = 16;
+      opts.retry.fragment_timeout_seconds = 0.5;
+      opts.retry.checkpoint_every = 1;
+    }
+    Coordinator coord(cluster_.get(), opts);
+    auto r = coord.Execute(p, m);
+    EXPECT_OK(r.status());
+    m->wall_seconds = 0.0;  // the only wall-clock field
+    return r.ok() ? std::move(r).ValueOrDie() : Dataset();
+  };
 
-  CoordinatorOptions armed;
-  armed.retry.max_attempts = 16;
-  armed.retry.fragment_timeout_seconds = 0.5;
-  armed.retry.checkpoint_every = 1;
-  Coordinator guarded(cluster_.get(), armed);
-  ExecutionMetrics gm;
-  ASSERT_OK_AND_ASSIGN(Dataset r2, guarded.Execute(p, &gm));
-
+  // Sequential dispatch: the whole metrics line, byte counts included, is
+  // identical.
+  CoordinatorOptions sequential;
+  sequential.thread_count = 1;
+  ExecutionMetrics pm, gm;
+  Dataset r1 = run(sequential, false, &pm);
+  Dataset r2 = run(sequential, true, &gm);
   EXPECT_TRUE(r1.LogicallyEquals(r2));
-  pm.wall_seconds = gm.wall_seconds = 0.0;  // the only wall-clock field
   EXPECT_EQ(pm.ToString(), gm.ToString());
-  EXPECT_EQ(gm.retries, 0);
-  EXPECT_EQ(gm.failovers, 0);
+
+  // Default budget: the two scan fragments go out concurrently, so fragment
+  // temps may be named in a different order and the plan bytes that carry
+  // those names may differ by a byte or two (DESIGN.md's determinism
+  // contract). Every other stat is equal, and no recovery stat counts.
+  ExecutionMetrics cpm, cgm;
+  Dataset c1 = run(CoordinatorOptions{}, false, &cpm);
+  Dataset c2 = run(CoordinatorOptions{}, true, &cgm);
+  EXPECT_TRUE(c1.LogicallyEquals(c2));
+  EXPECT_TRUE(r1.LogicallyEquals(c1));
+  for (int i = 0; i < static_cast<int>(QueryStat::kCount_); ++i) {
+    const QueryStat stat = static_cast<QueryStat>(i);
+    if (stat == QueryStat::kBytes || stat == QueryStat::kPlanBytes ||
+        stat == QueryStat::kClientBytes) {
+      continue;
+    }
+    EXPECT_EQ(cpm.profile[stat], cgm.profile[stat]) << QueryStatName(stat);
+  }
+  for (const ExecutionMetrics* m : {&gm, &cgm}) {
+    for (QueryStat stat :
+         {QueryStat::kRetries, QueryStat::kFailovers, QueryStat::kTimeouts,
+          QueryStat::kReplans, QueryStat::kCheckpointRestores}) {
+      EXPECT_EQ(m->profile[stat], 0) << QueryStatName(stat);
+    }
+  }
   EXPECT_EQ(cluster_->transport()->faults_injected(), 0);
 }
 
@@ -401,7 +440,7 @@ TEST_F(FederationTest, RetriesRideOutMessageDrops) {
     ExecutionMetrics m;
     ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(q, &m));
     EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(q)));
-    total_retries += m.retries;
+    total_retries += m.profile[QueryStat::kRetries];
   }
   EXPECT_GT(total_retries, 0);
   EXPECT_GT(cluster_->transport()->faults_injected(), 0);
@@ -424,10 +463,13 @@ TEST_F(FederationTest, FailoverReplansToReplicaHolder) {
   ExecutionMetrics m;
   ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(p, &m));
   EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(p)));
-  EXPECT_GT(m.retries, 0);       // the ship to relstore was retried first
-  EXPECT_GE(m.failovers, 1);     // then relstore was written off
-  EXPECT_GE(m.replans, 1);       // and the plan re-placed on the replica
-  EXPECT_EQ(m.checkpoint_restores, 0);
+  // the ship to relstore was retried first
+  EXPECT_GT(m.profile[QueryStat::kRetries], 0);
+  // then relstore was written off
+  EXPECT_GE(m.profile[QueryStat::kFailovers], 1);
+  // and the plan re-placed on the replica
+  EXPECT_GE(m.profile[QueryStat::kReplans], 1);
+  EXPECT_EQ(m.profile[QueryStat::kCheckpointRestores], 0);
 }
 
 TEST_F(FederationTest, FailoverImpossibleWithoutReplicaFailsRetryably) {
@@ -441,7 +483,7 @@ TEST_F(FederationTest, FailoverImpossibleWithoutReplicaFailsRetryably) {
   auto r = coord.Execute(Plan::Scan("orders"), &m);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(IsRetryable(r.status())) << r.status();
-  EXPECT_GT(m.retries, 0);
+  EXPECT_GT(m.profile[QueryStat::kRetries], 0);
   // The failed execution must not leak temps anywhere (RAII guard).
   for (const std::string& s : cluster_->ServerNames()) {
     for (const std::string& name : cluster_->provider(s)->catalog()->Names()) {
@@ -465,8 +507,9 @@ TEST_F(FederationTest, FragmentTimeoutBudgetCutsRetriesShort) {
   auto r = coord.Execute(Plan::Scan("orders"), &m);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(IsRetryable(r.status()));
-  EXPECT_GE(m.timeouts, 1);
-  EXPECT_LT(m.retries, 100);  // the budget fired long before max_attempts
+  EXPECT_GE(m.profile[QueryStat::kTimeouts], 1);
+  // the budget fired long before max_attempts
+  EXPECT_LT(m.profile[QueryStat::kRetries], 100);
 }
 
 TEST_F(FederationTest, ClientLoopResumesFromCheckpointAfterMidLoopFailure) {
@@ -498,10 +541,10 @@ TEST_F(FederationTest, ClientLoopResumesFromCheckpointAfterMidLoopFailure) {
   ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(it, &m));
   ASSERT_OK_AND_ASSIGN(TablePtr t, got.AsTable());
   EXPECT_EQ(t->At(0, 0), F(4.0));  // 1024 / 2^8 despite the mid-loop death
-  EXPECT_GE(m.checkpoint_restores, 1);
-  EXPECT_GE(m.failovers, 1);
+  EXPECT_GE(m.profile[QueryStat::kCheckpointRestores], 1);
+  EXPECT_GE(m.profile[QueryStat::kFailovers], 1);
   // The rewind re-ran the iterations between the checkpoint and the death.
-  EXPECT_GT(m.client_loop_iterations, 8);
+  EXPECT_GT(m.profile[QueryStat::kClientLoopIterations], 8);
 }
 
 TEST_F(FederationTest, DownWindowPlusDropsAcceptance) {
@@ -533,8 +576,8 @@ TEST_F(FederationTest, DownWindowPlusDropsAcceptance) {
     ExecutionMetrics m;
     ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(q, &m));
     EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(q)));
-    retries += m.retries;
-    failovers += m.failovers;
+    retries += m.profile[QueryStat::kRetries];
+    failovers += m.profile[QueryStat::kFailovers];
   }
   EXPECT_GT(retries, 0);
   EXPECT_GE(failovers, 1);
@@ -571,8 +614,10 @@ TEST_F(FederationTest, BinaryWireMatchesTextResultsAndMovesFewerBytes) {
   EXPECT_TRUE(bin_d.LogicallyEquals(text_r.ValueOrDie()));
   EXPECT_TRUE(bin_d.LogicallyEquals(ReferenceResult(q)));
   // Same conversation shape, smaller payloads.
-  EXPECT_EQ(bin_m.messages, text_m.messages);
-  EXPECT_LT(bin_m.bytes_total, text_m.bytes_total);
+  EXPECT_EQ(bin_m.profile[QueryStat::kMessages],
+            text_m.profile[QueryStat::kMessages]);
+  EXPECT_LT(bin_m.profile[QueryStat::kBytes],
+            text_m.profile[QueryStat::kBytes]);
 }
 
 TEST_F(FederationTest, TextOnlyPeerNegotiatesFallbackAndStillAnswers) {
@@ -598,12 +643,14 @@ TEST_F(FederationTest, TextOnlyPeerNegotiatesFallbackAndStillAnswers) {
   ASSERT_OK_AND_ASSIGN(const Column* total, d.table()->ColumnByName("total"));
   EXPECT_DOUBLE_EQ(total->GetValue(0).AsDouble(), 14.0);
 
-  // The EXPLAIN ANALYZE wire trailer names no format: formats are chosen
-  // per link, and this query used text to the legacy peer.
+  // The EXPLAIN ANALYZE plan-cache trailer names no format: formats are
+  // chosen per link, and this query used text to the legacy peer.
   ASSERT_OK_AND_ASSIGN(std::string report, coord.ExplainAnalyze(q));
-  size_t wire = report.find("wire: plan-cache ");
-  ASSERT_NE(wire, std::string::npos) << report;
-  std::string line = report.substr(wire, report.find('\n', wire) - wire);
+  std::string line = testing::ProfileLine(report, "provider");
+  ASSERT_GT(testing::ProfileValue(line, "plan_cache_hit") +
+                testing::ProfileValue(line, "plan_cache_miss"),
+            0)
+      << report;
   EXPECT_EQ(line.find("binary"), std::string::npos) << line;
   EXPECT_EQ(line.find("text"), std::string::npos) << line;
 }
@@ -621,11 +668,12 @@ TEST_F(FederationTest, RepeatedExecuteHitsProviderPlanCache) {
 
   // First execution ships the full plan (a cache miss on the provider);
   // the second sends a fixed-size fingerprint reference.
-  EXPECT_EQ(m1.plan_cache_hits, 0);
-  EXPECT_GE(m1.plan_cache_misses, 1);
-  EXPECT_GE(m2.plan_cache_hits, 1);
-  EXPECT_GT(m2.wire_bytes_saved, 0);
-  EXPECT_LT(m2.plan_bytes, m1.plan_bytes);
+  EXPECT_EQ(m1.profile[QueryStat::kPlanCacheHits], 0);
+  EXPECT_GE(m1.profile[QueryStat::kPlanCacheMisses], 1);
+  EXPECT_GE(m2.profile[QueryStat::kPlanCacheHits], 1);
+  EXPECT_GT(m2.profile[QueryStat::kWireBytesSaved], 0);
+  EXPECT_LT(m2.profile[QueryStat::kPlanBytes],
+            m1.profile[QueryStat::kPlanBytes]);
 
   // With the cache off, repeat executions keep re-shipping the full plan.
   CoordinatorOptions off;
@@ -634,9 +682,10 @@ TEST_F(FederationTest, RepeatedExecuteHitsProviderPlanCache) {
   ExecutionMetrics c1, c2;
   ASSERT_OK(cold.Execute(q, &c1).status());
   ASSERT_OK(cold.Execute(q, &c2).status());
-  EXPECT_EQ(c1.plan_cache_hits, 0);
-  EXPECT_EQ(c2.plan_cache_hits, 0);
-  EXPECT_EQ(c2.plan_bytes, c1.plan_bytes);
+  EXPECT_EQ(c1.profile[QueryStat::kPlanCacheHits], 0);
+  EXPECT_EQ(c2.profile[QueryStat::kPlanCacheHits], 0);
+  EXPECT_EQ(c2.profile[QueryStat::kPlanBytes],
+            c1.profile[QueryStat::kPlanBytes]);
 }
 
 TEST_F(FederationTest, ClientLoopShipsBodyOnceAndBindingsPerRound) {
@@ -671,15 +720,21 @@ TEST_F(FederationTest, ClientLoopShipsBodyOnceAndBindingsPerRound) {
   EXPECT_DOUBLE_EQ(vc->GetValue(0).AsDouble(), 4.0);
 
   // The body template travels once; rounds 2..8 hit the provider cache.
-  EXPECT_GE(hot_m.plan_cache_hits, op.max_iters - 1);
-  EXPECT_EQ(cold_m.plan_cache_hits, 0);
-  EXPECT_LT(hot_m.plan_bytes, cold_m.plan_bytes);
+  EXPECT_GE(hot_m.profile[QueryStat::kPlanCacheHits], op.max_iters - 1);
+  EXPECT_EQ(cold_m.profile[QueryStat::kPlanCacheHits], 0);
+  EXPECT_LT(hot_m.profile[QueryStat::kPlanBytes],
+            cold_m.profile[QueryStat::kPlanBytes]);
   // Same loop, same conversation shape: only payload contents changed.
-  EXPECT_EQ(hot_m.messages, cold_m.messages);
+  EXPECT_EQ(hot_m.profile[QueryStat::kMessages],
+            cold_m.profile[QueryStat::kMessages]);
 
   // The cache shows up in the human-readable execution report.
   ASSERT_OK_AND_ASSIGN(std::string report, hot.ExplainAnalyze(it));
-  EXPECT_NE(report.find("plan-cache"), std::string::npos) << report;
+  std::string line = testing::ProfileLine(report, "provider");
+  EXPECT_GT(testing::ProfileValue(line, "plan_cache_hit") +
+                testing::ProfileValue(line, "plan_cache_miss"),
+            0)
+      << report;
 }
 
 // Chaos determinism: the fault model draws once per message, so identical

@@ -531,15 +531,18 @@ TEST_F(DeltaIterateTest, ShipsOnlyPerRoundDeltas) {
   // the run moves fewer bytes than shipping every binding whole (shipped +
   // saved, as the coordinator accounts it).
   EXPECT_TRUE(got.table()->Equals(*want.table()));
-  EXPECT_GE(m.delta_bindings, 7);
-  EXPECT_GT(m.delta_bytes_saved, 0);
+  EXPECT_GE(m.profile[QueryStat::kDeltaBindings], 7);
+  EXPECT_GT(m.profile[QueryStat::kDeltaBytesSaved], 0);
   // Deltas change bytes, never the conversation: the message count a
   // full-ship run has, one plan message out and one data message back per
   // round plus one round trip outside the loop.
-  EXPECT_EQ(m.client_loop_iterations, 8);
-  EXPECT_EQ(m.plan_messages, m.client_loop_iterations + 1);
-  EXPECT_EQ(m.data_messages, m.client_loop_iterations + 1);
-  EXPECT_EQ(m.messages, 2 * (m.client_loop_iterations + 1));
+  EXPECT_EQ(m.profile[QueryStat::kClientLoopIterations], 8);
+  EXPECT_EQ(m.profile[QueryStat::kPlanMessages],
+            m.profile[QueryStat::kClientLoopIterations] + 1);
+  EXPECT_EQ(m.profile[QueryStat::kDataMessages],
+            m.profile[QueryStat::kClientLoopIterations] + 1);
+  EXPECT_EQ(m.profile[QueryStat::kMessages],
+            2 * (m.profile[QueryStat::kClientLoopIterations] + 1));
 }
 
 TEST_F(DeltaIterateTest, ExplainAnalyzeReportsIncrementalLine) {
@@ -548,8 +551,9 @@ TEST_F(DeltaIterateTest, ExplainAnalyzeReportsIncrementalLine) {
   Coordinator coord(cluster_.get(), opts);
   ASSERT_OK_AND_ASSIGN(std::string report,
                        coord.ExplainAnalyze(GrowingLoop(s_, 6)));
-  EXPECT_NE(report.find("incremental: "), std::string::npos);
-  EXPECT_NE(report.find("delta bindings"), std::string::npos);
+  // The trailer's coordinator line reports the tails that traveled.
+  std::string line = testing::ProfileLine(report, "coordinator");
+  EXPECT_GT(testing::ProfileValue(line, "delta_bindings"), 0) << report;
 }
 
 }  // namespace

@@ -197,7 +197,8 @@ TEST_F(IntegrationTest, FluentIterateFederatedConvergence) {
   double total = 0;
   for (int64_t r = 0; r < t->num_rows(); ++r) total += t->At(r, 1).AsDouble();
   EXPECT_LT(total, 1.0);        // converged below epsilon
-  EXPECT_EQ(m.messages, 2);     // provider-side: one plan, one result
+  // provider-side: one plan, one result
+  EXPECT_EQ(m.profile[QueryStat::kMessages], 2);
 }
 
 TEST_F(IntegrationTest, PageRankEndToEndViaBdl) {

@@ -17,7 +17,9 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "common/query_profile.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "expr/builder.h"
 #include "federation/coordinator.h"
 #include "telemetry/explain.h"
@@ -307,7 +309,7 @@ TEST(FederatedTraceTest, FaultyMultiServerQueryExportsOneStitchedTrace) {
   for (int q = 0; q < 4 && trace == 0; ++q) {
     ExecutionMetrics m;
     ASSERT_OK(coord.Execute(mm, &m).status());
-    if (m.retries > 0) trace = coord.last_trace_id();
+    if (m.profile[QueryStat::kRetries] > 0) trace = coord.last_trace_id();
   }
   ASSERT_NE(trace, 0u) << "no query hit a fault + retry";
 
@@ -395,7 +397,7 @@ TEST(FederatedTraceTest, ExplainAnalyzeShowsFragmentsRowsAndServers) {
   EXPECT_NE(text.find("bytes="), std::string::npos);
   EXPECT_NE(text.find("wall="), std::string::npos);
   EXPECT_NE(text.find("sim="), std::string::npos);
-  EXPECT_GT(m.fragments, 0);  // metrics ride along
+  EXPECT_GT(m.profile[QueryStat::kFragments], 0);  // metrics ride along
   // ExplainAnalyze restores the caller's tracing state (disabled here).
   EXPECT_FALSE(telemetry::Enabled());
 }
@@ -464,29 +466,166 @@ TEST(MetricsDeltaTest, RepeatedExecutesOnOneCoordinatorDoNotAccumulate) {
                            ->value();
   ExecutionMetrics first;
   ASSERT_OK(coord.Execute(mm, &first).status());
-  ASSERT_GT(first.fragments, 0);
-  ASSERT_GT(first.messages, 0);
+  ASSERT_GT(first.profile[QueryStat::kFragments], 0);
+  ASSERT_GT(first.profile[QueryStat::kMessages], 0);
   for (int q = 0; q < 3; ++q) {
     ExecutionMetrics again;
     ASSERT_OK(coord.Execute(mm, &again).status());
     // Identical query, identical per-call accounting — cumulative registry
     // counters must not leak into later calls.
-    EXPECT_EQ(again.fragments, first.fragments) << "call " << q;
-    EXPECT_EQ(again.messages, first.messages) << "call " << q;
+    EXPECT_EQ(again.profile[QueryStat::kFragments],
+              first.profile[QueryStat::kFragments]) << "call " << q;
+    EXPECT_EQ(again.profile[QueryStat::kMessages],
+              first.profile[QueryStat::kMessages]) << "call " << q;
     // Bytes may drift by a few: fragment temp names (__frag_N) embed a
     // monotonic counter that eventually gains a digit. Double-counting
     // would show up as a ~2x jump, not single bytes.
-    EXPECT_NEAR(static_cast<double>(again.bytes_total),
-                static_cast<double>(first.bytes_total), 8.0)
+    EXPECT_NEAR(static_cast<double>(again.profile[QueryStat::kBytes]),
+                static_cast<double>(first.profile[QueryStat::kBytes]), 8.0)
         << "call " << q;
-    EXPECT_EQ(again.retries, 0) << "call " << q;
+    EXPECT_EQ(again.profile[QueryStat::kRetries], 0) << "call " << q;
   }
   // Meanwhile the registry view is cumulative across all four calls.
   int64_t fragments_cum = telemetry::MetricsRegistry::Global()
                               .counter("coordinator.fragments")
                               ->value() -
                           fragments0;
-  EXPECT_EQ(fragments_cum, 4 * first.fragments);
+  EXPECT_EQ(fragments_cum, 4 * first.profile[QueryStat::kFragments]);
+}
+
+// ---------------------------------------------------------------------------
+// One table of stat names; one renderer.
+// ---------------------------------------------------------------------------
+
+constexpr int kNumStats = static_cast<int>(QueryStat::kCount_);
+
+TEST(QueryStatTableTest, EveryStatHasOneDistinctGroupedName) {
+  std::set<std::string> names;
+  for (int i = 0; i < kNumStats; ++i) {
+    const char* name = QueryStatName(static_cast<QueryStat>(i));
+    ASSERT_NE(name, nullptr) << "stat " << i;
+    const std::string n(name);
+    const size_t dot = n.find('.');
+    EXPECT_NE(dot, std::string::npos) << n;
+    EXPECT_GT(dot, 0u) << n;
+    EXPECT_LT(dot + 1, n.size()) << n;
+    EXPECT_TRUE(names.insert(n).second) << "duplicate name " << n;
+  }
+  EXPECT_EQ(names.size(), static_cast<size_t>(kNumStats));
+  // Existing registry names are kept.
+  EXPECT_STREQ(QueryStatName(QueryStat::kFragments), "coordinator.fragments");
+  EXPECT_STREQ(QueryStatName(QueryStat::kPlanCacheHits),
+               "provider.plan_cache_hit");
+  EXPECT_STREQ(QueryStatName(QueryStat::kSpillBytes), "spill.bytes_written");
+}
+
+TEST(QueryProfileRenderTest, PrintsExactlyTheNonzeroStatsGroupedByPrefix) {
+  EXPECT_EQ(QueryProfile().ToString(), "");
+  // Each stat alone renders as its own group, under its own name.
+  for (int i = 0; i < kNumStats; ++i) {
+    const auto stat = static_cast<QueryStat>(i);
+    QueryProfile p;
+    p.Add(stat, i + 1);
+    const std::string name = QueryStatName(stat);
+    const size_t dot = name.find('.');
+    EXPECT_EQ(p.ToString(), StrCat(name.substr(0, dot), ": ",
+                                   name.substr(dot + 1), "=", i + 1));
+  }
+  // Groups keep the order of first appearance, also when a group's stats
+  // are not adjacent in the table (transport.bytes_saved).
+  QueryProfile p;
+  p.Add(QueryStat::kRetries, 1);
+  p.Add(QueryStat::kFragments, 3);
+  p.Add(QueryStat::kWireBytesSaved, 40);
+  p.Add(QueryStat::kMessages, 5);
+  p.Add(QueryStat::kPlanCacheMisses, 2);
+  p.Add(QueryStat::kRetries, -1);  // back to zero: not printed
+  EXPECT_EQ(p.ToString(),
+            "transport: messages=5 bytes_saved=40\n"
+            "coordinator: fragments=3\n"
+            "provider: plan_cache_miss=2");
+  EXPECT_EQ(p.ToString("  "),
+            "transport: messages=5 bytes_saved=40  coordinator: fragments=3  "
+            "provider: plan_cache_miss=2");
+}
+
+// Zero-overhead contract: a fault-free run's metrics line names no fault
+// recovery at all.
+TEST(QueryProfileRenderTest, FaultFreeExecuteShowsNoRecoveryStats) {
+  TelemetryGuard guard;
+  Cluster cluster;
+  FillMatMulCluster(&cluster);
+  Coordinator coord(&cluster);
+  ExecutionMetrics m;
+  ASSERT_OK(coord.Execute(
+                     Plan::MatMul(Plan::Scan("MA"), Plan::Scan("MB"), "c"), &m)
+                .status());
+  const std::string line = m.ToString();
+  EXPECT_EQ(line.find("wall="), 0u) << line;
+  EXPECT_NE(line.find("coordinator: fragments="), std::string::npos) << line;
+  EXPECT_NE(line.find("transport: messages="), std::string::npos) << line;
+  for (const char* absent : {"retries=", "failovers=", "timeouts="}) {
+    EXPECT_EQ(line.find(absent), std::string::npos)
+        << absent << " in " << line;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Each query's spans read its own cluster's simulated clock.
+// ---------------------------------------------------------------------------
+
+TEST(SimClockTest, ConcurrentTracedQueriesStampTheirOwnClusterClock) {
+  TelemetryGuard guard;
+  TransportOptions fast;
+  fast.latency_seconds = 0.001;
+  TransportOptions slow;
+  slow.latency_seconds = 1.0;
+  Cluster clusters[2] = {Cluster(fast), Cluster(slow)};
+  PlanPtr mm = Plan::MatMul(Plan::Scan("MA"), Plan::Scan("MB"), "c");
+  for (Cluster& c : clusters) FillMatMulCluster(&c);
+  // An untraced warm-up moves the slow clock well past the fast one's whole
+  // range, so a span stamped from the other cluster's clock cannot land
+  // inside its own range by chance.
+  ASSERT_OK(Coordinator(&clusters[1]).Execute(mm).status());
+
+  struct Run {
+    double sim_begin_us = 0.0, sim_end_us = 0.0;
+    std::set<uint64_t> traces;
+  };
+  Run runs[2];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      Transport* t = clusters[i].transport();
+      Coordinator coord(&clusters[i]);
+      runs[i].sim_begin_us = t->simulated_seconds() * 1e6;
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      // Enough rounds that the two threads' queries overlap in time.
+      for (int q = 0; q < 100; ++q) {
+        ScopedQuery traced(/*trace=*/true);
+        EXPECT_OK(coord.Execute(mm).status());
+        runs[i].traces.insert(coord.last_trace_id());
+      }
+      runs[i].sim_end_us = t->simulated_seconds() * 1e6;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_GT(runs[1].sim_begin_us, runs[0].sim_end_us);
+
+  int64_t checked = 0;
+  for (const telemetry::SpanRecord& s : telemetry::Spans()) {
+    const int i = runs[0].traces.count(s.trace) != 0 ? 0 : 1;
+    ASSERT_EQ(runs[i].traces.count(s.trace), 1u) << s.name;
+    const double slack = 1e-3;  // microseconds of rounding
+    EXPECT_GE(s.sim_start_us, runs[i].sim_begin_us - slack)
+        << "cluster " << i << " span " << s.name;
+    EXPECT_LE(s.sim_start_us + s.sim_dur_us, runs[i].sim_end_us + slack)
+        << "cluster " << i << " span " << s.name;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // ---------------------------------------------------------------------------

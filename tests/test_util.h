@@ -88,6 +88,31 @@ inline Value S(std::string v) { return Value::String(std::move(v)); }
 inline Value B(bool v) { return Value::Bool(v); }
 inline Value N() { return Value::Null(); }
 
+/// The line of rendered QueryProfile text (an EXPLAIN ANALYZE trailer)
+/// that holds `group`'s stats ("coordinator: fragments=3 ..."), or "".
+inline std::string ProfileLine(const std::string& text,
+                               const std::string& group) {
+  const std::string head = group + ":";
+  for (size_t at = 0; at < text.size();) {
+    size_t eol = text.find('\n', at);
+    if (eol == std::string::npos) eol = text.size();
+    if (text.compare(at, head.size(), head) == 0) {
+      return text.substr(at, eol - at);
+    }
+    at = eol + 1;
+  }
+  return "";
+}
+
+/// The value of `name` in a ProfileLine ("delta_bindings=7" -> 7), or 0
+/// when the line does not list it (the renderer omits zeros).
+inline int64_t ProfileValue(const std::string& line, const std::string& name) {
+  const std::string key = " " + name + "=";
+  size_t at = line.find(key);
+  return at == std::string::npos ? 0
+                                 : std::stoll(line.substr(at + key.size()));
+}
+
 }  // namespace testing
 }  // namespace nexus
 

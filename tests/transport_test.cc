@@ -305,8 +305,10 @@ TEST(TransportTest, TextOnlyServersNegotiateTextOnEveryLink) {
   ExecutionMetrics text_m;
   ASSERT_OK_AND_ASSIGN(Dataset got, text_coord.Execute(q, &text_m));
   EXPECT_TRUE(got.LogicallyEquals(want));
-  EXPECT_EQ(text_m.messages, bin_m.messages);
-  EXPECT_GT(text_m.bytes_total, bin_m.bytes_total);
+  EXPECT_EQ(text_m.profile[QueryStat::kMessages],
+            bin_m.profile[QueryStat::kMessages]);
+  EXPECT_GT(text_m.profile[QueryStat::kBytes],
+            bin_m.profile[QueryStat::kBytes]);
 }
 
 TEST(ClusterTest, AddServerRegistersBinaryCapability) {
