@@ -2,6 +2,9 @@
 // and full plans (including nested Iterate bodies and inline Values data).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+
 #include "common/random.h"
 #include "common/str_util.h"
 #include "core/serialize.h"
@@ -208,6 +211,167 @@ TEST(PlanSerializeTest, ValuesDataSurvives) {
   const Dataset& d = back->As<ValuesOp>().data;
   EXPECT_EQ(d.num_rows(), 2);
   EXPECT_EQ(d.schema()->field(1).type, DataType::kFloat64);
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire bytes: one plan per OpKind, pinned byte for byte in both wire
+// formats, so a change to how any operator's fields are written shows here.
+// ---------------------------------------------------------------------------
+
+struct GoldenPlan {
+  std::string_view name;
+  std::string_view text;    ///< SerializePlanWire(kText)
+  std::string_view binary;  ///< SerializePlanWire(kBinary); empty = same as text
+  std::string_view label;   ///< NodeLabel()
+};
+
+using namespace std::literals;  // NOLINT: "..."sv keeps the NULs of NXB1
+
+const GoldenPlan kGoldenPlans[] = {
+    {"scan",
+     "(scan \"emp\")",
+     {},
+     "scan[emp]"},
+    {"values",
+     "(values (dataset (schema (field \"k\" int64) (field \"v\" float64) (field \"s\" string) (field \"b\" bool)) (rows (1 2.5 \"a b\" true) (-7 null \"q\\\"uote\" null) (null -0.125 null false))))",
+     "(values #126:NXB1\001\000\000\004\000\001\000\001\000k\002\000\001\000v\003\000\001\000s\000\000\001\000b\003\000\000\000\000\000\000\000\001\004\003\013\000\000\000\371\377\377\377\377\377\377\377\004\010\007\001\002\000\030\000\000\000\000\000\000\000\000\000\004@\000\000\000\000\000\000\000\000\000\000\000\000\000\000\300\277\001\004\000\031\000\000\000\000\000\000\000\003\000\000\000\011\000\000\000\011\000\000\000a bq\"uote\001\002\000\001\000\000\000\001)"sv,
+     "values[3 rows]"},
+    {"loopvar",
+     "(loopvar curr)",
+     {},
+     "loopvar"},
+    {"loopvar_prev",
+     "(loopvar prev)",
+     {},
+     "loopvar[prev]"},
+    {"select",
+     "(select (scan \"emp\") (and (> (col \"age\") (i64 30)) (not (col \"retired\"))))",
+     {},
+     "select[((age > 30) and not retired)]"},
+    {"project",
+     "(project (scan \"emp\") \"name\" \"age\")",
+     {},
+     "project[name, age]"},
+    {"extend",
+     "(extend (scan \"emp\") (def \"x\" (+ (col \"a\") (f64 1.5))) (def \"y\" (call \"pow\" (col \"a\") (i64 2))))",
+     {},
+     "extend[x := (a + 1.5), y := pow(a, 2)]"},
+    {"join",
+     "(join (scan \"emp\") (scan \"dept\") inner (keys (\"dept_id\" \"id\")) none)",
+     {},
+     "join[inner, dept_id=id]"},
+    {"join_residual",
+     "(join (scan \"emp\") (scan \"dept\") left (keys (\"dept_id\" \"id\") (\"site\" \"site\")) (> (col \"salary\") (col \"budget\")))",
+     {},
+     "join[left, dept_id=id, site=site, if (salary > budget)]"},
+    {"aggregate",
+     "(aggregate (scan \"emp\") (by \"dept\" \"site\") (agg sum \"total\" (col \"salary\")) (agg count \"n\" none) (agg avg \"mean\" (+ (col \"a\") (col \"b\"))))",
+     {},
+     "aggregate[by dept, site; total := sum(salary), n := count(*), mean := avg((a + b))]"},
+    {"sort",
+     "(sort (scan \"emp\") (key \"dept\" asc) (key \"salary\" desc))",
+     {},
+     "sort[dept asc, salary desc]"},
+    {"limit",
+     "(limit (scan \"emp\") 10 5)",
+     {},
+     "limit[10 offset 5]"},
+    {"distinct",
+     "(distinct (scan \"emp\"))",
+     {},
+     "distinct"},
+    {"union",
+     "(union (scan \"emp\") (scan \"emp2\"))",
+     {},
+     "union"},
+    {"rename",
+     "(rename (scan \"emp\") (map \"a\" \"b\") (map \"c\" \"d\"))",
+     {},
+     "rename[a -> b, c -> d]"},
+    {"rebox",
+     "(rebox (scan \"grid\") 32 \"i\" \"j\")",
+     {},
+     "rebox[i, j chunk 32]"},
+    {"unbox",
+     "(unbox (scan \"grid\"))",
+     {},
+     "unbox"},
+    {"slice",
+     "(slice (scan \"grid\") (range \"i\" 0 10) (range \"j\" -5 5))",
+     {},
+     "slice[i in [0, 10), j in [-5, 5)]"},
+    {"shift",
+     "(shift (scan \"grid\") (off \"i\" 3) (off \"j\" -2))",
+     {},
+     "shift[i+3, j-2]"},
+    {"regrid",
+     "(regrid (scan \"grid\") sum (factor \"i\" 4) (factor \"j\" 2))",
+     {},
+     "regrid[i/4, j/2 sum]"},
+    {"transpose",
+     "(transpose (scan \"grid\") \"j\" \"i\")",
+     {},
+     "transpose[j, i]"},
+    {"window",
+     "(window (scan \"grid\") max (radius \"i\" 1) (radius \"j\" 2))",
+     {},
+     "window[i±1, j±2 max]"},
+    {"elemwise",
+     "(elemwise (scan \"grid\") (scan \"grid2\") *)",
+     {},
+     "elemwise[*]"},
+    {"matmul",
+     "(matmul (scan \"A\") (scan \"B\") \"prod\")",
+     {},
+     "matmul[-> prod]"},
+    {"pagerank",
+     "(pagerank (scan \"edges\") \"from\" \"to\" 0.90000000000000002 25 9.9999999999999995e-07)",
+     {},
+     "pagerank[from -> to, d=0.9, iters<=25]"},
+    {"iterate",
+     "(iterate (scan \"state0\") (extend (loopvar curr) (def \"v\" (* (col \"v\") (f64 0.5)))) (aggregate (loopvar prev) (by) (agg sum \"delta\" (col \"v\"))) 0.001 40)",
+     {},
+     "iterate[<=40 iters, eps=0.001]"},
+    {"iterate_no_measure",
+     "(iterate (scan \"s\") (select (loopvar curr) (> (col \"v\") (i64 0))) none 0.0 3)",
+     {},
+     "iterate[<=3 iters, eps=0]"},
+    {"exchange",
+     "(exchange (scan \"emp\") \"arraydb\" direct)",
+     {},
+     "exchange[to arraydb, direct]"},
+    {"exchange_relay",
+     "(exchange (scan \"emp\") \"client\" relay)",
+     {},
+     "exchange[to client, relay]"},
+};
+
+TEST(PlanWireGoldenTest, CoversEveryOpKind) {
+  std::set<OpKind> seen;
+  for (const auto& [name, plan] : testing::PlanPerOpKind()) seen.insert(plan->kind());
+  for (OpKind kind : AllOpKinds()) {
+    EXPECT_TRUE(seen.count(kind)) << "no plan for " << OpKindName(kind);
+  }
+}
+
+TEST(PlanWireGoldenTest, WireBytesLabelsAndRoundTrip) {
+  std::vector<testing::NamedPlan> plans = testing::PlanPerOpKind();
+  ASSERT_EQ(plans.size(), std::size(kGoldenPlans));
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const GoldenPlan& want = kGoldenPlans[i];
+    const Plan& plan = *plans[i].plan;
+    SCOPED_TRACE(plans[i].name);
+    ASSERT_EQ(plans[i].name, want.name);
+    std::string text = SerializePlanWire(plan, WireFormat::kText);
+    std::string binary = SerializePlanWire(plan, WireFormat::kBinary);
+    EXPECT_EQ(text, want.text);
+    EXPECT_EQ(binary, want.binary.empty() ? want.text : want.binary);
+    EXPECT_EQ(plan.NodeLabel(), want.label);
+    for (const std::string& wire : {text, binary}) {
+      ASSERT_OK_AND_ASSIGN(PlanPtr back, ParsePlan(wire));
+      EXPECT_TRUE(plan.Equals(*back)) << wire;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@
 
 #include "common/memory.h"
 #include "common/parallel.h"
+#include "core/plan.h"
+#include "expr/builder.h"
 #include "types/table.h"
 
 namespace nexus {
@@ -87,6 +89,85 @@ inline Value F(double v) { return Value::Float64(v); }
 inline Value S(std::string v) { return Value::String(std::move(v)); }
 inline Value B(bool v) { return Value::Bool(v); }
 inline Value N() { return Value::Null(); }
+
+/// A plan with a short name for test output.
+struct NamedPlan {
+  std::string name;
+  PlanPtr plan;
+};
+
+/// At least one plan per OpKind, with the edge cases of each operator's
+/// fields: join with and without a residual, count(*), limit with an
+/// offset, negative offsets and ranges, loopvar prev, iterate with and
+/// without a measure, both exchange modes, a descending sort key, PageRank
+/// with non-default floats, and a Values plan with nulls in every column.
+inline std::vector<NamedPlan> PlanPerOpKind() {
+  using namespace nexus::exprs;  // NOLINT
+  PlanPtr emp = Plan::Scan("emp");
+  PlanPtr dept = Plan::Scan("dept");
+  PlanPtr grid = Plan::Scan("grid");
+  TablePtr values = MakeTable(
+      MakeSchema({Field::Attr("k", DataType::kInt64),
+                  Field::Attr("v", DataType::kFloat64),
+                  Field::Attr("s", DataType::kString),
+                  Field::Attr("b", DataType::kBool)}),
+      {{I(1), F(2.5), S("a b"), B(true)},
+       {I(-7), N(), S("q\"uote"), N()},
+       {N(), F(-0.125), N(), B(false)}});
+  PageRankOp pagerank;
+  pagerank.src_col = "from";
+  pagerank.dst_col = "to";
+  pagerank.damping = 0.9;
+  pagerank.max_iters = 25;
+  pagerank.epsilon = 1e-6;
+  IterateOp with_measure;
+  with_measure.body = Plan::Extend(Plan::LoopVar(), {{"v", Mul(Col("v"), Lit(0.5))}});
+  with_measure.measure = Plan::Aggregate(Plan::LoopVar(true), {},
+                                         {AggSpec{AggFunc::kSum, Col("v"), "delta"}});
+  with_measure.epsilon = 1e-3;
+  with_measure.max_iters = 40;
+  IterateOp no_measure;
+  no_measure.body = Plan::Select(Plan::LoopVar(), Gt(Col("v"), Lit(0)));
+  no_measure.max_iters = 3;
+  return {
+      {"scan", emp},
+      {"values", Plan::Values(Dataset(values))},
+      {"loopvar", Plan::LoopVar()},
+      {"loopvar_prev", Plan::LoopVar(true)},
+      {"select", Plan::Select(emp, And(Gt(Col("age"), Lit(30)), Not(Col("retired"))))},
+      {"project", Plan::Project(emp, {"name", "age"})},
+      {"extend", Plan::Extend(emp, {{"x", Add(Col("a"), Lit(1.5))},
+                                    {"y", Func("pow", {Col("a"), Lit(2)})}})},
+      {"join", Plan::Join(emp, dept, JoinType::kInner, {"dept_id"}, {"id"})},
+      {"join_residual",
+       Plan::Join(emp, dept, JoinType::kLeft, {"dept_id", "site"}, {"id", "site"},
+                  Gt(Col("salary"), Col("budget")))},
+      {"aggregate",
+       Plan::Aggregate(emp, {"dept", "site"},
+                       {AggSpec{AggFunc::kSum, Col("salary"), "total"},
+                        AggSpec{AggFunc::kCount, nullptr, "n"},
+                        AggSpec{AggFunc::kAvg, Add(Col("a"), Col("b")), "mean"}})},
+      {"sort", Plan::Sort(emp, {{"dept", true}, {"salary", false}})},
+      {"limit", Plan::Limit(emp, 10, 5)},
+      {"distinct", Plan::Distinct(emp)},
+      {"union", Plan::Union(emp, Plan::Scan("emp2"))},
+      {"rename", Plan::Rename(emp, {{"a", "b"}, {"c", "d"}})},
+      {"rebox", Plan::Rebox(grid, {"i", "j"}, 32)},
+      {"unbox", Plan::Unbox(grid)},
+      {"slice", Plan::Slice(grid, {{"i", 0, 10}, {"j", -5, 5}})},
+      {"shift", Plan::Shift(grid, {{"i", 3}, {"j", -2}})},
+      {"regrid", Plan::Regrid(grid, {{"i", 4}, {"j", 2}}, AggFunc::kSum)},
+      {"transpose", Plan::Transpose(grid, {"j", "i"})},
+      {"window", Plan::Window(grid, {{"i", 1}, {"j", 2}}, AggFunc::kMax)},
+      {"elemwise", Plan::ElemWise(grid, Plan::Scan("grid2"), BinaryOp::kMul)},
+      {"matmul", Plan::MatMul(Plan::Scan("A"), Plan::Scan("B"), "prod")},
+      {"pagerank", Plan::PageRank(Plan::Scan("edges"), pagerank)},
+      {"iterate", Plan::Iterate(Plan::Scan("state0"), with_measure)},
+      {"iterate_no_measure", Plan::Iterate(Plan::Scan("s"), no_measure)},
+      {"exchange", Plan::Exchange(emp, "arraydb", TransferMode::kDirect)},
+      {"exchange_relay", Plan::Exchange(emp, "client", TransferMode::kRelay)},
+  };
+}
 
 /// The line of rendered QueryProfile text (an EXPLAIN ANALYZE trailer)
 /// that holds `group`'s stats ("coordinator: fragments=3 ..."), or "".
