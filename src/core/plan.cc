@@ -1,254 +1,201 @@
 #include "core/plan.h"
 
-#include "common/hash.h"
 #include "common/str_util.h"
 
 namespace nexus {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kScan:
-      return "scan";
-    case OpKind::kValues:
-      return "values";
-    case OpKind::kLoopVar:
-      return "loopvar";
-    case OpKind::kSelect:
-      return "select";
-    case OpKind::kProject:
-      return "project";
-    case OpKind::kExtend:
-      return "extend";
-    case OpKind::kJoin:
-      return "join";
-    case OpKind::kAggregate:
-      return "aggregate";
-    case OpKind::kSort:
-      return "sort";
-    case OpKind::kLimit:
-      return "limit";
-    case OpKind::kDistinct:
-      return "distinct";
-    case OpKind::kUnion:
-      return "union";
-    case OpKind::kRename:
-      return "rename";
-    case OpKind::kRebox:
-      return "rebox";
-    case OpKind::kUnbox:
-      return "unbox";
-    case OpKind::kSlice:
-      return "slice";
-    case OpKind::kShift:
-      return "shift";
-    case OpKind::kRegrid:
-      return "regrid";
-    case OpKind::kTranspose:
-      return "transpose";
-    case OpKind::kWindow:
-      return "window";
-    case OpKind::kElemWise:
-      return "elemwise";
-    case OpKind::kMatMul:
-      return "matmul";
-    case OpKind::kPageRank:
-      return "pagerank";
-    case OpKind::kIterate:
-      return "iterate";
-    case OpKind::kExchange:
-      return "exchange";
+namespace {
+// Name tables, indexed by enumerator.
+constexpr const char* kOpKindNames[] = {
+#define NEXUS_OP_NAME(kind, name, Payload, children) name,
+    NEXUS_OPERATORS(NEXUS_OP_NAME)
+#undef NEXUS_OP_NAME
+};
+constexpr int kOpKindChildCounts[] = {
+#define NEXUS_OP_CHILDREN(kind, name, Payload, children) children,
+    NEXUS_OPERATORS(NEXUS_OP_CHILDREN)
+#undef NEXUS_OP_CHILDREN
+};
+constexpr const char* kJoinTypeNames[] = {"inner", "left", "semi", "anti"};
+constexpr const char* kAggFuncNames[] = {"sum", "count", "min", "max", "avg"};
+constexpr const char* kTransferModeNames[] = {"direct", "relay"};
+
+template <class E, size_t N>
+const char* NameOf(const char* const (&names)[N], E e) {
+  size_t i = static_cast<size_t>(e);
+  return i < N ? names[i] : "?";
+}
+
+template <class E, size_t N>
+Result<E> FromName(const char* const (&names)[N], const std::string& name,
+                   const char* what) {
+  for (size_t i = 0; i < N; ++i) {
+    if (name == names[i]) return static_cast<E>(i);
   }
-  return "?";
+  return Status::SerializationError(StrCat("unknown ", what, ": ", name));
+}
+}  // namespace
+
+const char* OpKindName(OpKind kind) { return NameOf(kOpKindNames, kind); }
+Result<OpKind> OpKindFromName(const std::string& name) {
+  return FromName<OpKind>(kOpKindNames, name, "operator");
+}
+
+int OpKindChildCount(OpKind kind) {
+  return kOpKindChildCounts[static_cast<size_t>(kind)];
 }
 
 std::vector<OpKind> AllOpKinds() {
-  return {OpKind::kScan,     OpKind::kValues,   OpKind::kLoopVar,
-          OpKind::kSelect,   OpKind::kProject,  OpKind::kExtend,
-          OpKind::kJoin,     OpKind::kAggregate, OpKind::kSort,
-          OpKind::kLimit,    OpKind::kDistinct, OpKind::kUnion,
-          OpKind::kRename,   OpKind::kRebox,    OpKind::kUnbox,
-          OpKind::kSlice,    OpKind::kShift,    OpKind::kRegrid,
-          OpKind::kTranspose, OpKind::kWindow,  OpKind::kElemWise,
-          OpKind::kMatMul,   OpKind::kPageRank, OpKind::kIterate,
-          OpKind::kExchange};
-}
-
-Result<OpKind> OpKindFromName(const std::string& name) {
-  for (OpKind k : AllOpKinds()) {
-    if (name == OpKindName(k)) return k;
+  std::vector<OpKind> all;
+  for (size_t i = 0; i < std::size(kOpKindNames); ++i) {
+    all.push_back(static_cast<OpKind>(i));
   }
-  return Status::SerializationError(StrCat("unknown operator: ", name));
+  return all;
 }
 
-const char* JoinTypeName(JoinType t) {
-  switch (t) {
-    case JoinType::kInner:
-      return "inner";
-    case JoinType::kLeft:
-      return "left";
-    case JoinType::kSemi:
-      return "semi";
-    case JoinType::kAnti:
-      return "anti";
+OpPayload DefaultPayload(OpKind kind) {
+  switch (kind) {
+#define NEXUS_OP_DEFAULT(kind, name, Payload, children) \
+  case OpKind::kind:                                    \
+    return Payload{};
+    NEXUS_OPERATORS(NEXUS_OP_DEFAULT)
+#undef NEXUS_OP_DEFAULT
   }
-  return "?";
+  return ScanOp{};
 }
 
+const char* JoinTypeName(JoinType t) { return NameOf(kJoinTypeNames, t); }
 Result<JoinType> JoinTypeFromName(const std::string& name) {
-  if (name == "inner") return JoinType::kInner;
-  if (name == "left") return JoinType::kLeft;
-  if (name == "semi") return JoinType::kSemi;
-  if (name == "anti") return JoinType::kAnti;
-  return Status::SerializationError(StrCat("unknown join type: ", name));
+  return FromName<JoinType>(kJoinTypeNames, name, "join type");
 }
 
-const char* AggFuncName(AggFunc f) {
-  switch (f) {
-    case AggFunc::kSum:
-      return "sum";
-    case AggFunc::kCount:
-      return "count";
-    case AggFunc::kMin:
-      return "min";
-    case AggFunc::kMax:
-      return "max";
-    case AggFunc::kAvg:
-      return "avg";
-  }
-  return "?";
-}
-
+const char* AggFuncName(AggFunc f) { return NameOf(kAggFuncNames, f); }
 Result<AggFunc> AggFuncFromName(const std::string& name) {
-  if (name == "sum") return AggFunc::kSum;
-  if (name == "count") return AggFunc::kCount;
-  if (name == "min") return AggFunc::kMin;
-  if (name == "max") return AggFunc::kMax;
-  if (name == "avg") return AggFunc::kAvg;
-  return Status::SerializationError(StrCat("unknown aggregate: ", name));
+  return FromName<AggFunc>(kAggFuncNames, name, "aggregate");
 }
 
 const char* TransferModeName(TransferMode m) {
-  return m == TransferMode::kDirect ? "direct" : "relay";
+  return NameOf(kTransferModeNames, m);
+}
+Result<TransferMode> TransferModeFromName(const std::string& name) {
+  return FromName<TransferMode>(kTransferModeNames, name, "transfer mode");
 }
 
-namespace {
-PlanPtr MakePlan(OpKind kind, OpPayload payload, std::vector<PlanPtr> children) {
+PlanPtr Plan::Make(OpPayload payload, std::vector<PlanPtr> children) {
   struct Access : Plan {
     Access(OpKind k, OpPayload p, std::vector<PlanPtr> c)
         : Plan(k, std::move(p), std::move(c)) {}
   };
   // Plan's constructor is private; expose it via a local subclass so the
-  // factories below stay the single construction path.
+  // factories stay the single construction path.
+  OpKind kind = static_cast<OpKind>(payload.index());
   return std::make_shared<const Access>(kind, std::move(payload),
                                         std::move(children));
 }
-}  // namespace
 
 PlanPtr Plan::Scan(std::string table) {
-  return MakePlan(OpKind::kScan, ScanOp{std::move(table)}, {});
+  return Make(ScanOp{std::move(table)}, {});
 }
 PlanPtr Plan::Values(Dataset data) {
-  return MakePlan(OpKind::kValues, ValuesOp{std::move(data)}, {});
+  return Make(ValuesOp{std::move(data)}, {});
 }
 PlanPtr Plan::LoopVar(bool previous) {
-  return MakePlan(OpKind::kLoopVar, LoopVarOp{previous}, {});
+  return Make(LoopVarOp{previous}, {});
 }
 PlanPtr Plan::Select(PlanPtr input, ExprPtr predicate) {
-  return MakePlan(OpKind::kSelect, SelectOp{std::move(predicate)},
-                  {std::move(input)});
+  return Make(SelectOp{std::move(predicate)},
+              {std::move(input)});
 }
 PlanPtr Plan::Project(PlanPtr input, std::vector<std::string> columns) {
-  return MakePlan(OpKind::kProject, ProjectOp{std::move(columns)},
-                  {std::move(input)});
+  return Make(ProjectOp{std::move(columns)},
+              {std::move(input)});
 }
 PlanPtr Plan::Extend(PlanPtr input,
                      std::vector<std::pair<std::string, ExprPtr>> defs) {
-  return MakePlan(OpKind::kExtend, ExtendOp{std::move(defs)}, {std::move(input)});
+  return Make(ExtendOp{std::move(defs)}, {std::move(input)});
 }
 PlanPtr Plan::Join(PlanPtr left, PlanPtr right, JoinType type,
                    std::vector<std::string> left_keys,
                    std::vector<std::string> right_keys, ExprPtr residual) {
-  return MakePlan(OpKind::kJoin,
-                  JoinOp{type, std::move(left_keys), std::move(right_keys),
-                         std::move(residual)},
-                  {std::move(left), std::move(right)});
+  return Make(JoinOp{type, std::move(left_keys), std::move(right_keys),
+                     std::move(residual)},
+              {std::move(left), std::move(right)});
 }
 PlanPtr Plan::Aggregate(PlanPtr input, std::vector<std::string> group_by,
                         std::vector<AggSpec> aggs) {
-  return MakePlan(OpKind::kAggregate,
-                  AggregateOp{std::move(group_by), std::move(aggs)},
-                  {std::move(input)});
+  return Make(AggregateOp{std::move(group_by), std::move(aggs)},
+              {std::move(input)});
 }
 PlanPtr Plan::Sort(PlanPtr input, std::vector<SortKey> keys) {
-  return MakePlan(OpKind::kSort, SortOp{std::move(keys)}, {std::move(input)});
+  return Make(SortOp{std::move(keys)}, {std::move(input)});
 }
 PlanPtr Plan::Limit(PlanPtr input, int64_t limit, int64_t offset) {
-  return MakePlan(OpKind::kLimit, LimitOp{limit, offset}, {std::move(input)});
+  return Make(LimitOp{limit, offset}, {std::move(input)});
 }
 PlanPtr Plan::Distinct(PlanPtr input) {
-  return MakePlan(OpKind::kDistinct, DistinctOp{}, {std::move(input)});
+  return Make(DistinctOp{}, {std::move(input)});
 }
 PlanPtr Plan::Union(PlanPtr left, PlanPtr right) {
-  return MakePlan(OpKind::kUnion, UnionOp{}, {std::move(left), std::move(right)});
+  return Make(UnionOp{}, {std::move(left), std::move(right)});
 }
 PlanPtr Plan::Rename(PlanPtr input,
                      std::vector<std::pair<std::string, std::string>> mapping) {
-  return MakePlan(OpKind::kRename, RenameOp{std::move(mapping)},
-                  {std::move(input)});
+  return Make(RenameOp{std::move(mapping)},
+              {std::move(input)});
 }
 PlanPtr Plan::Rebox(PlanPtr input, std::vector<std::string> dims,
                     int64_t chunk_size) {
-  return MakePlan(OpKind::kRebox, ReboxOp{std::move(dims), chunk_size},
-                  {std::move(input)});
+  return Make(ReboxOp{std::move(dims), chunk_size},
+              {std::move(input)});
 }
 PlanPtr Plan::Unbox(PlanPtr input) {
-  return MakePlan(OpKind::kUnbox, UnboxOp{}, {std::move(input)});
+  return Make(UnboxOp{}, {std::move(input)});
 }
 PlanPtr Plan::Slice(PlanPtr input, std::vector<DimRange> ranges) {
-  return MakePlan(OpKind::kSlice, SliceOp{std::move(ranges)}, {std::move(input)});
+  return Make(SliceOp{std::move(ranges)}, {std::move(input)});
 }
 PlanPtr Plan::Shift(PlanPtr input,
                     std::vector<std::pair<std::string, int64_t>> offsets) {
-  return MakePlan(OpKind::kShift, ShiftOp{std::move(offsets)}, {std::move(input)});
+  return Make(ShiftOp{std::move(offsets)}, {std::move(input)});
 }
 PlanPtr Plan::Regrid(PlanPtr input,
                      std::vector<std::pair<std::string, int64_t>> factors,
                      AggFunc func) {
-  return MakePlan(OpKind::kRegrid, RegridOp{std::move(factors), func},
-                  {std::move(input)});
+  return Make(RegridOp{std::move(factors), func},
+              {std::move(input)});
 }
 PlanPtr Plan::Transpose(PlanPtr input, std::vector<std::string> dim_order) {
-  return MakePlan(OpKind::kTranspose, TransposeOp{std::move(dim_order)},
-                  {std::move(input)});
+  return Make(TransposeOp{std::move(dim_order)},
+              {std::move(input)});
 }
 PlanPtr Plan::Window(PlanPtr input,
                      std::vector<std::pair<std::string, int64_t>> radii,
                      AggFunc func) {
-  return MakePlan(OpKind::kWindow, WindowOp{std::move(radii), func},
-                  {std::move(input)});
+  return Make(WindowOp{std::move(radii), func},
+              {std::move(input)});
 }
 PlanPtr Plan::ElemWise(PlanPtr left, PlanPtr right, BinaryOp op) {
-  return MakePlan(OpKind::kElemWise, ElemWiseOpSpec{op},
-                  {std::move(left), std::move(right)});
+  return Make(ElemWiseOpSpec{op},
+              {std::move(left), std::move(right)});
 }
 PlanPtr Plan::MatMul(PlanPtr left, PlanPtr right, std::string result_attr) {
-  return MakePlan(OpKind::kMatMul, MatMulOp{std::move(result_attr)},
-                  {std::move(left), std::move(right)});
+  return Make(MatMulOp{std::move(result_attr)},
+              {std::move(left), std::move(right)});
 }
 PlanPtr Plan::PageRank(PlanPtr edges, PageRankOp spec) {
-  return MakePlan(OpKind::kPageRank, std::move(spec), {std::move(edges)});
+  return Make(std::move(spec), {std::move(edges)});
 }
 PlanPtr Plan::Iterate(PlanPtr init, IterateOp spec) {
-  return MakePlan(OpKind::kIterate, std::move(spec), {std::move(init)});
+  return Make(std::move(spec), {std::move(init)});
 }
 PlanPtr Plan::Exchange(PlanPtr input, std::string target_server,
                        TransferMode mode) {
-  return MakePlan(OpKind::kExchange, ExchangeOp{std::move(target_server), mode},
-                  {std::move(input)});
+  return Make(ExchangeOp{std::move(target_server), mode},
+              {std::move(input)});
 }
 
 PlanPtr Plan::WithChildren(std::vector<PlanPtr> children) const {
-  return MakePlan(kind_, payload_, std::move(children));
+  return Make(payload_, std::move(children));
 }
 
 std::string Plan::NodeLabel() const {
@@ -401,180 +348,75 @@ std::string Plan::ToString() const {
   return out;
 }
 
-bool Plan::Equals(const Plan& other) const {
-  if (kind_ != other.kind_ || children_.size() != other.children_.size()) {
-    return false;
+namespace {
+// Field comparison, one overload per field shape (the field tags of
+// core/plan.h do not change how a field compares).
+bool SameField(const ExprPtr& a, const ExprPtr& b);
+bool SameField(const PlanPtr& a, const PlanPtr& b);
+bool SameField(const Dataset& a, const Dataset& b);
+template <class A, class B>
+bool SameField(const std::pair<A, B>& a, const std::pair<A, B>& b);
+template <class T>
+bool SameField(const std::vector<T>& a, const std::vector<T>& b);
+template <class T>
+bool SameField(const T& a, const T& b);
+
+struct FieldsEqual {
+  bool equal = true;
+  template <class T>
+  void operator()(const T& a, const T& b) {
+    equal = equal && SameField(a, b);
   }
-  auto expr_eq = [](const ExprPtr& a, const ExprPtr& b) {
-    if ((a == nullptr) != (b == nullptr)) return false;
-    return a == nullptr || a->Equals(*b);
-  };
-  switch (kind_) {
-    case OpKind::kScan:
-      if (As<ScanOp>().table != other.As<ScanOp>().table) return false;
-      break;
-    case OpKind::kValues:
-      if (!As<ValuesOp>().data.LogicallyEquals(other.As<ValuesOp>().data)) {
-        return false;
-      }
-      break;
-    case OpKind::kLoopVar:
-      if (As<LoopVarOp>().previous != other.As<LoopVarOp>().previous) return false;
-      break;
-    case OpKind::kSelect:
-      if (!expr_eq(As<SelectOp>().predicate, other.As<SelectOp>().predicate)) {
-        return false;
-      }
-      break;
-    case OpKind::kProject:
-      if (As<ProjectOp>().columns != other.As<ProjectOp>().columns) return false;
-      break;
-    case OpKind::kExtend: {
-      const auto& a = As<ExtendOp>().defs;
-      const auto& b = other.As<ExtendOp>().defs;
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].first != b[i].first || !expr_eq(a[i].second, b[i].second)) {
-          return false;
-        }
-      }
-      break;
-    }
-    case OpKind::kJoin: {
-      const auto& a = As<JoinOp>();
-      const auto& b = other.As<JoinOp>();
-      if (a.type != b.type || a.left_keys != b.left_keys ||
-          a.right_keys != b.right_keys || !expr_eq(a.residual, b.residual)) {
-        return false;
-      }
-      break;
-    }
-    case OpKind::kAggregate: {
-      const auto& a = As<AggregateOp>();
-      const auto& b = other.As<AggregateOp>();
-      if (a.group_by != b.group_by || a.aggs.size() != b.aggs.size()) return false;
-      for (size_t i = 0; i < a.aggs.size(); ++i) {
-        if (a.aggs[i].func != b.aggs[i].func ||
-            a.aggs[i].output_name != b.aggs[i].output_name ||
-            !expr_eq(a.aggs[i].input, b.aggs[i].input)) {
-          return false;
-        }
-      }
-      break;
-    }
-    case OpKind::kSort: {
-      const auto& a = As<SortOp>().keys;
-      const auto& b = other.As<SortOp>().keys;
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].column != b[i].column || a[i].ascending != b[i].ascending) {
-          return false;
-        }
-      }
-      break;
-    }
-    case OpKind::kLimit:
-      if (As<LimitOp>().limit != other.As<LimitOp>().limit ||
-          As<LimitOp>().offset != other.As<LimitOp>().offset) {
-        return false;
-      }
-      break;
-    case OpKind::kDistinct:
-    case OpKind::kUnion:
-    case OpKind::kUnbox:
-      break;
-    case OpKind::kRename:
-      if (As<RenameOp>().mapping != other.As<RenameOp>().mapping) return false;
-      break;
-    case OpKind::kRebox:
-      if (As<ReboxOp>().dims != other.As<ReboxOp>().dims ||
-          As<ReboxOp>().chunk_size != other.As<ReboxOp>().chunk_size) {
-        return false;
-      }
-      break;
-    case OpKind::kSlice: {
-      const auto& a = As<SliceOp>().ranges;
-      const auto& b = other.As<SliceOp>().ranges;
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].dim != b[i].dim || a[i].lo != b[i].lo || a[i].hi != b[i].hi) {
-          return false;
-        }
-      }
-      break;
-    }
-    case OpKind::kShift:
-      if (As<ShiftOp>().offsets != other.As<ShiftOp>().offsets) return false;
-      break;
-    case OpKind::kRegrid:
-      if (As<RegridOp>().factors != other.As<RegridOp>().factors ||
-          As<RegridOp>().func != other.As<RegridOp>().func) {
-        return false;
-      }
-      break;
-    case OpKind::kTranspose:
-      if (As<TransposeOp>().dim_order != other.As<TransposeOp>().dim_order) {
-        return false;
-      }
-      break;
-    case OpKind::kWindow:
-      if (As<WindowOp>().radii != other.As<WindowOp>().radii ||
-          As<WindowOp>().func != other.As<WindowOp>().func) {
-        return false;
-      }
-      break;
-    case OpKind::kElemWise:
-      if (As<ElemWiseOpSpec>().op != other.As<ElemWiseOpSpec>().op) return false;
-      break;
-    case OpKind::kMatMul:
-      if (As<MatMulOp>().result_attr != other.As<MatMulOp>().result_attr) {
-        return false;
-      }
-      break;
-    case OpKind::kPageRank: {
-      const auto& a = As<PageRankOp>();
-      const auto& b = other.As<PageRankOp>();
-      if (a.src_col != b.src_col || a.dst_col != b.dst_col ||
-          a.damping != b.damping || a.max_iters != b.max_iters ||
-          a.epsilon != b.epsilon) {
-        return false;
-      }
-      break;
-    }
-    case OpKind::kIterate: {
-      const auto& a = As<IterateOp>();
-      const auto& b = other.As<IterateOp>();
-      if (a.epsilon != b.epsilon || a.max_iters != b.max_iters) return false;
-      if (!a.body->Equals(*b.body)) return false;
-      if ((a.measure == nullptr) != (b.measure == nullptr)) return false;
-      if (a.measure != nullptr && !a.measure->Equals(*b.measure)) return false;
-      break;
-    }
-    case OpKind::kExchange:
-      if (As<ExchangeOp>().target_server != other.As<ExchangeOp>().target_server ||
-          As<ExchangeOp>().mode != other.As<ExchangeOp>().mode) {
-        return false;
-      }
-      break;
+  template <class Tag, class T>
+  void operator()(Tag, const T& a, const T& b) {
+    equal = equal && SameField(a, b);
+  }
+};
+
+bool SameField(const ExprPtr& a, const ExprPtr& b) {
+  return a == nullptr || b == nullptr ? a == b : a->Equals(*b);
+}
+bool SameField(const PlanPtr& a, const PlanPtr& b) {
+  return a == nullptr || b == nullptr ? a == b : a->Equals(*b);
+}
+bool SameField(const Dataset& a, const Dataset& b) { return a.LogicallyEquals(b); }
+template <class A, class B>
+bool SameField(const std::pair<A, B>& a, const std::pair<A, B>& b) {
+  return SameField(a.first, b.first) && SameField(a.second, b.second);
+}
+template <class T>
+bool SameField(const std::vector<T>& a, const std::vector<T>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameField(a[i], b[i])) return false;
+  }
+  return true;
+}
+template <class T>
+bool SameField(const T& a, const T& b) {
+  if constexpr (requires(FieldsEqual& eq) { T::Fields(eq, a, b); }) {
+    FieldsEqual eq;
+    T::Fields(eq, a, b);
+    return eq.equal;
+  } else {
+    return a == b;
+  }
+}
+}  // namespace
+
+bool Plan::Equals(const Plan& other) const {
+  if (kind_ != other.kind_ || children_.size() != other.children_.size() ||
+      !std::visit(
+          [&](const auto& op) {
+            return SameField(op, std::get<std::decay_t<decltype(op)>>(other.payload_));
+          },
+          payload_)) {
+    return false;
   }
   for (size_t i = 0; i < children_.size(); ++i) {
     if (!children_[i]->Equals(*other.children_[i])) return false;
   }
   return true;
-}
-
-uint64_t Plan::Hash() const {
-  // Label-based: NodeLabel captures every payload field that Equals checks,
-  // except Values data (hashed by cardinality, which the label includes).
-  uint64_t h = HashString(NodeLabel());
-  h = HashCombine(h, HashInt64(static_cast<uint64_t>(kind_)));
-  for (const PlanPtr& c : children_) h = HashCombine(h, c->Hash());
-  if (kind_ == OpKind::kIterate) {
-    const auto& op = As<IterateOp>();
-    h = HashCombine(h, op.body->Hash());
-    if (op.measure != nullptr) h = HashCombine(h, op.measure->Hash());
-  }
-  return h;
 }
 
 int64_t Plan::TreeSize() const {

@@ -4,7 +4,10 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -1269,476 +1272,242 @@ Result<Dataset> DatasetFromSexpr(const Sexpr& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Plans.
+// Plans: a node is (name child... field...). The fields are written and read
+// by walking the payload's field list (core/plan.h) with one writer and one
+// reader per field shape, so nothing here names an operator.
 // ---------------------------------------------------------------------------
 
 Sexpr PlanToSexpr(const Plan& p, WireFormat format);
+Result<PlanPtr> PlanFromSexpr(const Sexpr& s);
 
-Sexpr OptionalExprToSexpr(const ExprPtr& e) {
-  if (e == nullptr) return Sexpr::Sym("none");
-  return ExprToSexpr(*e);
+// Sequence items other than strings are written as lists of their parts.
+template <class T>
+constexpr bool kListItem = !std::is_same_v<std::remove_cvref_t<T>, std::string>;
+
+// Calls `v` on each part of a list item: the fields of a struct that lists
+// them, or the members of a pair or of a zipped tuple.
+template <class V, class T>
+void ForEachPart(V& v, T&& item) {
+  if constexpr (requires { std::remove_cvref_t<T>::Fields(v, item); }) {
+    std::remove_cvref_t<T>::Fields(v, item);
+  } else {
+    std::apply([&](auto&... part) { (v(part), ...); }, item);
+  }
 }
+
+bool IsSymbol(const Sexpr& s, const char* text) {
+  return s.is_symbol() && s.text == text;
+}
+
+bool HasHead(const Sexpr& s, const char* head) {
+  return s.is_list() && !s.items.empty() && IsSymbol(s.items[0], head);
+}
+
+class FieldWriter {
+ public:
+  FieldWriter(WireFormat format, std::vector<Sexpr>* out)
+      : format_(format), out_(out) {}
+
+  void operator()(const std::string& s) { Emit(Sexpr::Str(s)); }
+  void operator()(int64_t i) { Emit(Sexpr::Int(i)); }
+  void operator()(double f) { Emit(Sexpr::Float(f)); }
+  void operator()(JoinType t) { Emit(Sexpr::Sym(JoinTypeName(t))); }
+  void operator()(AggFunc f) { Emit(Sexpr::Sym(AggFuncName(f))); }
+  void operator()(TransferMode m) { Emit(Sexpr::Sym(TransferModeName(m))); }
+  void operator()(BinaryOp op) { Emit(Sexpr::Sym(BinaryOpName(op))); }
+  void operator()(const ExprPtr& e) { Emit(ExprToSexpr(*e)); }
+  void operator()(const PlanPtr& p) { Emit(PlanToSexpr(*p, format_)); }
+  void operator()(const Dataset& d) { Emit(DatasetToSexpr(d, format_)); }
+  template <class Ptr>
+  void operator()(field::Opt, const Ptr& p) {
+    if (p == nullptr) {
+      Emit(Sexpr::Sym("none"));
+    } else {
+      (*this)(p);
+    }
+  }
+  void operator()(field::Flag flag, bool b) {
+    Emit(Sexpr::Sym(b ? flag.if_true : flag.if_false));
+  }
+  template <class Items>
+  void operator()(field::Seq seq, const Items& items) {
+    std::vector<Sexpr> list;
+    if (seq.head != nullptr) list.push_back(Sexpr::Sym(seq.head));
+    FieldWriter w(format_, seq.head != nullptr ? &list : out_);
+    for (size_t i = 0; i < items.size(); ++i) {
+      if constexpr (kListItem<decltype(items[i])>) {
+        std::vector<Sexpr> parts;
+        if (seq.tag != nullptr) parts.push_back(Sexpr::Sym(seq.tag));
+        FieldWriter part_writer(format_, &parts);
+        ForEachPart(part_writer, items[i]);
+        w.Emit(Sexpr::List(std::move(parts)));
+      } else {
+        w(items[i]);
+      }
+    }
+    if (seq.head != nullptr) Emit(Sexpr::List(std::move(list)));
+  }
+
+ private:
+  void Emit(Sexpr s) { out_->push_back(std::move(s)); }
+
+  WireFormat format_;
+  std::vector<Sexpr>* out_;
+};
+
+// Reads fields from items[pos...] of one list. The first error sticks and
+// turns every later read into a no-op; Finish() also refuses leftover items.
+class FieldReader {
+ public:
+  FieldReader(const std::vector<Sexpr>& items, size_t pos, const char* op)
+      : items_(items), pos_(pos), op_(op) {}
+
+  Status Finish() {
+    if (status_.ok() && pos_ != items_.size()) {
+      Fail(StrCat("unexpected item ", pos_));
+    }
+    return status_;
+  }
+
+  void operator()(std::string& s) {
+    if (const Sexpr* x = Next()) Take(AsString(*x, op_), &s);
+  }
+  void operator()(int64_t& i) {
+    if (const Sexpr* x = Next()) Take(AsInt(*x, op_), &i);
+  }
+  void operator()(double& f) {
+    const Sexpr* x = Next();
+    if (x == nullptr) return;
+    if (!x->is_float() && !x->is_int()) return Fail("expected a number");
+    f = x->as_number();
+  }
+  void operator()(JoinType& t) { Symbol(&t, JoinTypeFromName); }
+  void operator()(AggFunc& f) { Symbol(&f, AggFuncFromName); }
+  void operator()(TransferMode& m) { Symbol(&m, TransferModeFromName); }
+  void operator()(BinaryOp& op) { Symbol(&op, BinaryOpFromName); }
+  void operator()(ExprPtr& e) {
+    if (const Sexpr* x = Next()) Take(ExprFromSexpr(*x), &e);
+  }
+  void operator()(PlanPtr& p) {
+    if (const Sexpr* x = Next()) Take(PlanFromSexpr(*x), &p);
+  }
+  void operator()(Dataset& d) {
+    if (const Sexpr* x = Next()) Take(DatasetFromSexpr(*x), &d);
+  }
+  template <class Ptr>
+  void operator()(field::Opt, Ptr& p) {
+    if (status_.ok() && pos_ < items_.size() && IsSymbol(items_[pos_], "none")) {
+      ++pos_;
+      p = nullptr;
+    } else {
+      (*this)(p);
+    }
+  }
+  void operator()(field::Flag flag, bool& b) {
+    const Sexpr* x = Next();
+    if (x == nullptr) return;
+    if (!IsSymbol(*x, flag.if_false) && !IsSymbol(*x, flag.if_true)) {
+      return Fail(StrCat("expected ", flag.if_false, " or ", flag.if_true));
+    }
+    b = x->text == flag.if_true;
+  }
+  template <class Items>
+  void operator()(field::Seq seq, Items&& items) {
+    if (seq.head == nullptr) return ReadItems(seq, items);
+    const Sexpr* x = Next();
+    if (x == nullptr) return;
+    if (!HasHead(*x, seq.head)) return Fail(StrCat("expected (", seq.head, " ...)"));
+    FieldReader list(x->items, 1, op_);
+    list.ReadItems(seq, items);
+    Take(list.Finish());
+  }
+
+ private:
+  const Sexpr* Next() {
+    if (!status_.ok()) return nullptr;
+    if (pos_ == items_.size()) {
+      Fail("missing arguments");
+      return nullptr;
+    }
+    return &items_[pos_++];
+  }
+  void Fail(const std::string& why) {
+    if (status_.ok()) {
+      status_ = Status::SerializationError(StrCat("operator ", op_, ": ", why));
+    }
+  }
+  void Take(const Status& st) {
+    if (status_.ok()) status_ = st;
+  }
+  template <class T>
+  void Take(Result<T> r, T* out) {
+    if (r.ok()) {
+      *out = r.MoveValue();
+    } else {
+      Take(r.status());
+    }
+  }
+  template <class E>
+  void Symbol(E* e, Result<E> (*from_name)(const std::string&)) {
+    const Sexpr* x = Next();
+    if (x == nullptr) return;
+    if (!x->is_symbol()) return Fail("expected a symbol");
+    Take(from_name(x->text), e);
+  }
+  // Reads every remaining item into `items`.
+  template <class Items>
+  void ReadItems(field::Seq seq, Items& items) {
+    while (status_.ok() && pos_ < items_.size()) {
+      decltype(auto) item = items.emplace_back();
+      if constexpr (kListItem<decltype(item)>) {
+        const Sexpr& x = items_[pos_++];
+        if (!x.is_list() || (seq.tag != nullptr && !HasHead(x, seq.tag))) {
+          return Fail(StrCat("expected (", seq.tag == nullptr ? "" : seq.tag,
+                             " ...)"));
+        }
+        FieldReader parts(x.items, seq.tag == nullptr ? 0 : 1, op_);
+        ForEachPart(parts, item);
+        Take(parts.Finish());
+      } else {
+        (*this)(item);
+      }
+    }
+  }
+
+  const std::vector<Sexpr>& items_;
+  size_t pos_;
+  const char* op_;
+  Status status_;
+};
 
 Sexpr PlanToSexpr(const Plan& p, WireFormat format) {
   std::vector<Sexpr> items = {Sexpr::Sym(OpKindName(p.kind()))};
   for (const PlanPtr& c : p.children()) {
     items.push_back(PlanToSexpr(*c, format));
   }
-  switch (p.kind()) {
-    case OpKind::kScan:
-      items.push_back(Sexpr::Str(p.As<ScanOp>().table));
-      break;
-    case OpKind::kValues:
-      items.push_back(DatasetToSexpr(p.As<ValuesOp>().data, format));
-      break;
-    case OpKind::kLoopVar:
-      items.push_back(Sexpr::Sym(p.As<LoopVarOp>().previous ? "prev" : "curr"));
-      break;
-    case OpKind::kSelect:
-      items.push_back(ExprToSexpr(*p.As<SelectOp>().predicate));
-      break;
-    case OpKind::kProject:
-      for (const std::string& c : p.As<ProjectOp>().columns) {
-        items.push_back(Sexpr::Str(c));
-      }
-      break;
-    case OpKind::kExtend:
-      for (const auto& [name, expr] : p.As<ExtendOp>().defs) {
-        items.push_back(Sexpr::List(
-            {Sexpr::Sym("def"), Sexpr::Str(name), ExprToSexpr(*expr)}));
-      }
-      break;
-    case OpKind::kJoin: {
-      const auto& op = p.As<JoinOp>();
-      items.push_back(Sexpr::Sym(JoinTypeName(op.type)));
-      std::vector<Sexpr> keys = {Sexpr::Sym("keys")};
-      for (size_t i = 0; i < op.left_keys.size(); ++i) {
-        keys.push_back(Sexpr::List(
-            {Sexpr::Str(op.left_keys[i]), Sexpr::Str(op.right_keys[i])}));
-      }
-      items.push_back(Sexpr::List(std::move(keys)));
-      items.push_back(OptionalExprToSexpr(op.residual));
-      break;
-    }
-    case OpKind::kAggregate: {
-      const auto& op = p.As<AggregateOp>();
-      std::vector<Sexpr> by = {Sexpr::Sym("by")};
-      for (const std::string& g : op.group_by) by.push_back(Sexpr::Str(g));
-      items.push_back(Sexpr::List(std::move(by)));
-      for (const AggSpec& a : op.aggs) {
-        items.push_back(Sexpr::List({Sexpr::Sym("agg"),
-                                     Sexpr::Sym(AggFuncName(a.func)),
-                                     Sexpr::Str(a.output_name),
-                                     OptionalExprToSexpr(a.input)}));
-      }
-      break;
-    }
-    case OpKind::kSort:
-      for (const SortKey& k : p.As<SortOp>().keys) {
-        items.push_back(Sexpr::List({Sexpr::Sym("key"), Sexpr::Str(k.column),
-                                     Sexpr::Sym(k.ascending ? "asc" : "desc")}));
-      }
-      break;
-    case OpKind::kLimit:
-      items.push_back(Sexpr::Int(p.As<LimitOp>().limit));
-      items.push_back(Sexpr::Int(p.As<LimitOp>().offset));
-      break;
-    case OpKind::kDistinct:
-    case OpKind::kUnion:
-    case OpKind::kUnbox:
-      break;
-    case OpKind::kRename:
-      for (const auto& [from, to] : p.As<RenameOp>().mapping) {
-        items.push_back(
-            Sexpr::List({Sexpr::Sym("map"), Sexpr::Str(from), Sexpr::Str(to)}));
-      }
-      break;
-    case OpKind::kRebox: {
-      const auto& op = p.As<ReboxOp>();
-      items.push_back(Sexpr::Int(op.chunk_size));
-      for (const std::string& d : op.dims) items.push_back(Sexpr::Str(d));
-      break;
-    }
-    case OpKind::kSlice:
-      for (const DimRange& r : p.As<SliceOp>().ranges) {
-        items.push_back(Sexpr::List({Sexpr::Sym("range"), Sexpr::Str(r.dim),
-                                     Sexpr::Int(r.lo), Sexpr::Int(r.hi)}));
-      }
-      break;
-    case OpKind::kShift:
-      for (const auto& [dim, delta] : p.As<ShiftOp>().offsets) {
-        items.push_back(
-            Sexpr::List({Sexpr::Sym("off"), Sexpr::Str(dim), Sexpr::Int(delta)}));
-      }
-      break;
-    case OpKind::kRegrid: {
-      const auto& op = p.As<RegridOp>();
-      items.push_back(Sexpr::Sym(AggFuncName(op.func)));
-      for (const auto& [dim, f] : op.factors) {
-        items.push_back(
-            Sexpr::List({Sexpr::Sym("factor"), Sexpr::Str(dim), Sexpr::Int(f)}));
-      }
-      break;
-    }
-    case OpKind::kTranspose:
-      for (const std::string& d : p.As<TransposeOp>().dim_order) {
-        items.push_back(Sexpr::Str(d));
-      }
-      break;
-    case OpKind::kWindow: {
-      const auto& op = p.As<WindowOp>();
-      items.push_back(Sexpr::Sym(AggFuncName(op.func)));
-      for (const auto& [dim, r] : op.radii) {
-        items.push_back(
-            Sexpr::List({Sexpr::Sym("radius"), Sexpr::Str(dim), Sexpr::Int(r)}));
-      }
-      break;
-    }
-    case OpKind::kElemWise:
-      items.push_back(Sexpr::Sym(BinaryOpName(p.As<ElemWiseOpSpec>().op)));
-      break;
-    case OpKind::kMatMul:
-      items.push_back(Sexpr::Str(p.As<MatMulOp>().result_attr));
-      break;
-    case OpKind::kPageRank: {
-      const auto& op = p.As<PageRankOp>();
-      items.push_back(Sexpr::Str(op.src_col));
-      items.push_back(Sexpr::Str(op.dst_col));
-      items.push_back(Sexpr::Float(op.damping));
-      items.push_back(Sexpr::Int(op.max_iters));
-      items.push_back(Sexpr::Float(op.epsilon));
-      break;
-    }
-    case OpKind::kIterate: {
-      const auto& op = p.As<IterateOp>();
-      items.push_back(PlanToSexpr(*op.body, format));
-      items.push_back(op.measure == nullptr ? Sexpr::Sym("none")
-                                            : PlanToSexpr(*op.measure, format));
-      items.push_back(Sexpr::Float(op.epsilon));
-      items.push_back(Sexpr::Int(op.max_iters));
-      break;
-    }
-    case OpKind::kExchange: {
-      const auto& op = p.As<ExchangeOp>();
-      items.push_back(Sexpr::Str(op.target_server));
-      items.push_back(Sexpr::Sym(TransferModeName(op.mode)));
-      break;
-    }
-  }
+  FieldWriter writer(format, &items);
+  std::visit([&](const auto& op) { op.Fields(writer, op); }, p.payload());
   return Sexpr::List(std::move(items));
-}
-
-Result<PlanPtr> PlanFromSexpr(const Sexpr& s);
-
-Result<ExprPtr> OptionalExprFromSexpr(const Sexpr& s) {
-  if (s.is_symbol() && s.text == "none") return ExprPtr(nullptr);
-  return ExprFromSexpr(s);
-}
-
-// Number of leading child-plan items for each operator.
-Result<int> ChildCount(OpKind kind) {
-  switch (kind) {
-    case OpKind::kScan:
-    case OpKind::kValues:
-    case OpKind::kLoopVar:
-      return 0;
-    case OpKind::kJoin:
-    case OpKind::kUnion:
-    case OpKind::kElemWise:
-    case OpKind::kMatMul:
-      return 2;
-    default:
-      return 1;
-  }
-}
-
-// Minimum argument (non-child) items required by each operator.
-int MinArgCount(OpKind kind) {
-  switch (kind) {
-    case OpKind::kScan:
-    case OpKind::kValues:
-    case OpKind::kLoopVar:
-    case OpKind::kSelect:
-    case OpKind::kRebox:
-    case OpKind::kRegrid:
-    case OpKind::kWindow:
-    case OpKind::kElemWise:
-    case OpKind::kMatMul:
-    case OpKind::kAggregate:
-      return 1;
-    case OpKind::kLimit:
-    case OpKind::kExchange:
-      return 2;
-    case OpKind::kJoin:
-      return 3;
-    case OpKind::kIterate:
-      return 4;
-    case OpKind::kPageRank:
-      return 5;
-    default:
-      return 0;
-  }
 }
 
 Result<PlanPtr> PlanFromSexpr(const Sexpr& s) {
   NEXUS_RETURN_NOT_OK(Expect(s, 1, "plan"));
   NEXUS_ASSIGN_OR_RETURN(OpKind kind, OpKindFromName(s.items[0].text));
-  NEXUS_ASSIGN_OR_RETURN(int n_children, ChildCount(kind));
-  if (static_cast<int>(s.items.size()) < 1 + n_children) {
+  const size_t n_children = static_cast<size_t>(OpKindChildCount(kind));
+  if (s.items.size() < 1 + n_children) {
     return Status::SerializationError(
         StrCat("operator ", OpKindName(kind), " missing children"));
   }
   std::vector<PlanPtr> children;
-  for (int i = 0; i < n_children; ++i) {
-    NEXUS_ASSIGN_OR_RETURN(PlanPtr c, PlanFromSexpr(s.items[static_cast<size_t>(1 + i)]));
+  for (size_t i = 1; i <= n_children; ++i) {
+    NEXUS_ASSIGN_OR_RETURN(PlanPtr c, PlanFromSexpr(s.items[i]));
     children.push_back(std::move(c));
   }
-  size_t a = static_cast<size_t>(1 + n_children);  // first argument index
-  size_t n_args = s.items.size() - a;
-  if (n_args < static_cast<size_t>(MinArgCount(kind))) {
-    return Status::SerializationError(
-        StrCat("operator ", OpKindName(kind), " missing arguments"));
-  }
-  auto arg = [&](size_t i) -> const Sexpr& { return s.items[a + i]; };
-
-  switch (kind) {
-    case OpKind::kScan: {
-      NEXUS_ASSIGN_OR_RETURN(std::string t, AsString(arg(0), "table"));
-      return Plan::Scan(std::move(t));
-    }
-    case OpKind::kValues: {
-      NEXUS_ASSIGN_OR_RETURN(Dataset d, DatasetFromSexpr(arg(0)));
-      return Plan::Values(std::move(d));
-    }
-    case OpKind::kLoopVar:
-      return Plan::LoopVar(arg(0).is_symbol() && arg(0).text == "prev");
-    case OpKind::kSelect: {
-      NEXUS_ASSIGN_OR_RETURN(ExprPtr e, ExprFromSexpr(arg(0)));
-      return Plan::Select(children[0], std::move(e));
-    }
-    case OpKind::kProject: {
-      std::vector<std::string> cols;
-      for (size_t i = 0; i < n_args; ++i) {
-        NEXUS_ASSIGN_OR_RETURN(std::string c, AsString(arg(i), "column"));
-        cols.push_back(std::move(c));
-      }
-      return Plan::Project(children[0], std::move(cols));
-    }
-    case OpKind::kExtend: {
-      std::vector<std::pair<std::string, ExprPtr>> defs;
-      for (size_t i = 0; i < n_args; ++i) {
-        const Sexpr& d = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(d, 3, "extend def"));
-        NEXUS_ASSIGN_OR_RETURN(std::string name, AsString(d.items[1], "def name"));
-        NEXUS_ASSIGN_OR_RETURN(ExprPtr e, ExprFromSexpr(d.items[2]));
-        defs.emplace_back(std::move(name), std::move(e));
-      }
-      return Plan::Extend(children[0], std::move(defs));
-    }
-    case OpKind::kJoin: {
-      if (n_args < 3 || !arg(0).is_symbol()) {
-        return Status::SerializationError("malformed join");
-      }
-      NEXUS_ASSIGN_OR_RETURN(JoinType type, JoinTypeFromName(arg(0).text));
-      const Sexpr& keys = arg(1);
-      NEXUS_RETURN_NOT_OK(Expect(keys, 1, "join keys"));
-      std::vector<std::string> lk, rk;
-      for (size_t i = 1; i < keys.items.size(); ++i) {
-        const Sexpr& pair = keys.items[i];
-        if (!pair.is_list() || pair.items.size() != 2) {
-          return Status::SerializationError("malformed join key pair");
-        }
-        NEXUS_ASSIGN_OR_RETURN(std::string l, AsString(pair.items[0], "left key"));
-        NEXUS_ASSIGN_OR_RETURN(std::string r, AsString(pair.items[1], "right key"));
-        lk.push_back(std::move(l));
-        rk.push_back(std::move(r));
-      }
-      NEXUS_ASSIGN_OR_RETURN(ExprPtr residual, OptionalExprFromSexpr(arg(2)));
-      return Plan::Join(children[0], children[1], type, std::move(lk),
-                        std::move(rk), std::move(residual));
-    }
-    case OpKind::kAggregate: {
-      if (n_args < 1) return Status::SerializationError("malformed aggregate");
-      const Sexpr& by = arg(0);
-      NEXUS_RETURN_NOT_OK(Expect(by, 1, "group-by"));
-      std::vector<std::string> group_by;
-      for (size_t i = 1; i < by.items.size(); ++i) {
-        NEXUS_ASSIGN_OR_RETURN(std::string g, AsString(by.items[i], "group key"));
-        group_by.push_back(std::move(g));
-      }
-      std::vector<AggSpec> aggs;
-      for (size_t i = 1; i < n_args; ++i) {
-        const Sexpr& ag = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(ag, 4, "agg spec"));
-        if (!ag.items[1].is_symbol()) {
-          return Status::SerializationError("agg func must be a symbol");
-        }
-        AggSpec spec;
-        NEXUS_ASSIGN_OR_RETURN(spec.func, AggFuncFromName(ag.items[1].text));
-        NEXUS_ASSIGN_OR_RETURN(spec.output_name,
-                               AsString(ag.items[2], "agg output"));
-        NEXUS_ASSIGN_OR_RETURN(spec.input, OptionalExprFromSexpr(ag.items[3]));
-        aggs.push_back(std::move(spec));
-      }
-      return Plan::Aggregate(children[0], std::move(group_by), std::move(aggs));
-    }
-    case OpKind::kSort: {
-      std::vector<SortKey> keys;
-      for (size_t i = 0; i < n_args; ++i) {
-        const Sexpr& k = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(k, 3, "sort key"));
-        SortKey key;
-        NEXUS_ASSIGN_OR_RETURN(key.column, AsString(k.items[1], "sort column"));
-        key.ascending = !(k.items[2].is_symbol() && k.items[2].text == "desc");
-        keys.push_back(std::move(key));
-      }
-      return Plan::Sort(children[0], std::move(keys));
-    }
-    case OpKind::kLimit: {
-      NEXUS_ASSIGN_OR_RETURN(int64_t limit, AsInt(arg(0), "limit"));
-      NEXUS_ASSIGN_OR_RETURN(int64_t offset, AsInt(arg(1), "offset"));
-      return Plan::Limit(children[0], limit, offset);
-    }
-    case OpKind::kDistinct:
-      return Plan::Distinct(children[0]);
-    case OpKind::kUnion:
-      return Plan::Union(children[0], children[1]);
-    case OpKind::kUnbox:
-      return Plan::Unbox(children[0]);
-    case OpKind::kRename: {
-      std::vector<std::pair<std::string, std::string>> mapping;
-      for (size_t i = 0; i < n_args; ++i) {
-        const Sexpr& m = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(m, 3, "rename map"));
-        NEXUS_ASSIGN_OR_RETURN(std::string from, AsString(m.items[1], "from"));
-        NEXUS_ASSIGN_OR_RETURN(std::string to, AsString(m.items[2], "to"));
-        mapping.emplace_back(std::move(from), std::move(to));
-      }
-      return Plan::Rename(children[0], std::move(mapping));
-    }
-    case OpKind::kRebox: {
-      NEXUS_ASSIGN_OR_RETURN(int64_t chunk, AsInt(arg(0), "chunk size"));
-      std::vector<std::string> dims;
-      for (size_t i = 1; i < n_args; ++i) {
-        NEXUS_ASSIGN_OR_RETURN(std::string d, AsString(arg(i), "dim"));
-        dims.push_back(std::move(d));
-      }
-      return Plan::Rebox(children[0], std::move(dims), chunk);
-    }
-    case OpKind::kSlice: {
-      std::vector<DimRange> ranges;
-      for (size_t i = 0; i < n_args; ++i) {
-        const Sexpr& r = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(r, 4, "slice range"));
-        DimRange range;
-        NEXUS_ASSIGN_OR_RETURN(range.dim, AsString(r.items[1], "dim"));
-        NEXUS_ASSIGN_OR_RETURN(range.lo, AsInt(r.items[2], "lo"));
-        NEXUS_ASSIGN_OR_RETURN(range.hi, AsInt(r.items[3], "hi"));
-        ranges.push_back(std::move(range));
-      }
-      return Plan::Slice(children[0], std::move(ranges));
-    }
-    case OpKind::kShift: {
-      std::vector<std::pair<std::string, int64_t>> offsets;
-      for (size_t i = 0; i < n_args; ++i) {
-        const Sexpr& o = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(o, 3, "shift offset"));
-        NEXUS_ASSIGN_OR_RETURN(std::string dim, AsString(o.items[1], "dim"));
-        NEXUS_ASSIGN_OR_RETURN(int64_t delta, AsInt(o.items[2], "delta"));
-        offsets.emplace_back(std::move(dim), delta);
-      }
-      return Plan::Shift(children[0], std::move(offsets));
-    }
-    case OpKind::kRegrid: {
-      if (n_args < 1 || !arg(0).is_symbol()) {
-        return Status::SerializationError("malformed regrid");
-      }
-      NEXUS_ASSIGN_OR_RETURN(AggFunc func, AggFuncFromName(arg(0).text));
-      std::vector<std::pair<std::string, int64_t>> factors;
-      for (size_t i = 1; i < n_args; ++i) {
-        const Sexpr& f = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(f, 3, "regrid factor"));
-        NEXUS_ASSIGN_OR_RETURN(std::string dim, AsString(f.items[1], "dim"));
-        NEXUS_ASSIGN_OR_RETURN(int64_t factor, AsInt(f.items[2], "factor"));
-        factors.emplace_back(std::move(dim), factor);
-      }
-      return Plan::Regrid(children[0], std::move(factors), func);
-    }
-    case OpKind::kTranspose: {
-      std::vector<std::string> order;
-      for (size_t i = 0; i < n_args; ++i) {
-        NEXUS_ASSIGN_OR_RETURN(std::string d, AsString(arg(i), "dim"));
-        order.push_back(std::move(d));
-      }
-      return Plan::Transpose(children[0], std::move(order));
-    }
-    case OpKind::kWindow: {
-      if (n_args < 1 || !arg(0).is_symbol()) {
-        return Status::SerializationError("malformed window");
-      }
-      NEXUS_ASSIGN_OR_RETURN(AggFunc func, AggFuncFromName(arg(0).text));
-      std::vector<std::pair<std::string, int64_t>> radii;
-      for (size_t i = 1; i < n_args; ++i) {
-        const Sexpr& r = arg(i);
-        NEXUS_RETURN_NOT_OK(Expect(r, 3, "window radius"));
-        NEXUS_ASSIGN_OR_RETURN(std::string dim, AsString(r.items[1], "dim"));
-        NEXUS_ASSIGN_OR_RETURN(int64_t radius, AsInt(r.items[2], "radius"));
-        radii.emplace_back(std::move(dim), radius);
-      }
-      return Plan::Window(children[0], std::move(radii), func);
-    }
-    case OpKind::kElemWise: {
-      if (n_args < 1 || !arg(0).is_symbol()) {
-        return Status::SerializationError("malformed elemwise");
-      }
-      NEXUS_ASSIGN_OR_RETURN(BinaryOp op, BinaryOpFromName(arg(0).text));
-      return Plan::ElemWise(children[0], children[1], op);
-    }
-    case OpKind::kMatMul: {
-      NEXUS_ASSIGN_OR_RETURN(std::string attr, AsString(arg(0), "result attr"));
-      return Plan::MatMul(children[0], children[1], std::move(attr));
-    }
-    case OpKind::kPageRank: {
-      PageRankOp op;
-      NEXUS_ASSIGN_OR_RETURN(op.src_col, AsString(arg(0), "src col"));
-      NEXUS_ASSIGN_OR_RETURN(op.dst_col, AsString(arg(1), "dst col"));
-      if (!arg(2).is_float() && !arg(2).is_int()) {
-        return Status::SerializationError("pagerank damping must be numeric");
-      }
-      op.damping = arg(2).as_number();
-      NEXUS_ASSIGN_OR_RETURN(op.max_iters, AsInt(arg(3), "max iters"));
-      if (!arg(4).is_float() && !arg(4).is_int()) {
-        return Status::SerializationError("pagerank epsilon must be numeric");
-      }
-      op.epsilon = arg(4).as_number();
-      return Plan::PageRank(children[0], std::move(op));
-    }
-    case OpKind::kIterate: {
-      IterateOp op;
-      NEXUS_ASSIGN_OR_RETURN(op.body, PlanFromSexpr(arg(0)));
-      if (arg(1).is_symbol() && arg(1).text == "none") {
-        op.measure = nullptr;
-      } else {
-        NEXUS_ASSIGN_OR_RETURN(op.measure, PlanFromSexpr(arg(1)));
-      }
-      if (!arg(2).is_float() && !arg(2).is_int()) {
-        return Status::SerializationError("iterate epsilon must be numeric");
-      }
-      op.epsilon = arg(2).as_number();
-      NEXUS_ASSIGN_OR_RETURN(op.max_iters, AsInt(arg(3), "max iters"));
-      return Plan::Iterate(children[0], std::move(op));
-    }
-    case OpKind::kExchange: {
-      NEXUS_ASSIGN_OR_RETURN(std::string server, AsString(arg(0), "server"));
-      if (!arg(1).is_symbol()) {
-        return Status::SerializationError("malformed transfer mode");
-      }
-      TransferMode mode = arg(1).text == "relay" ? TransferMode::kRelay
-                                                 : TransferMode::kDirect;
-      return Plan::Exchange(children[0], std::move(server), mode);
-    }
-  }
-  return Status::Internal("unhandled operator in plan parser");
+  OpPayload payload = DefaultPayload(kind);
+  FieldReader reader(s.items, 1 + n_children, OpKindName(kind));
+  std::visit([&](auto& op) { op.Fields(reader, op); }, payload);
+  NEXUS_RETURN_NOT_OK(reader.Finish());
+  return Plan::Make(std::move(payload), std::move(children));
 }
 
 }  // namespace

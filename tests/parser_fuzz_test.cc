@@ -68,29 +68,21 @@ TEST_P(ParserFuzzTest, GarbageNeverCrashesAnyParser) {
 }
 
 TEST_P(ParserFuzzTest, MutatedWirePlansFailCleanlyOrStayValid) {
-  // Start from real serialized plans and corrupt them.
-  SchemaPtr s = Schema::Make({Field::Dim("i"), Field::Attr("v", DataType::kFloat64)})
-                    .ValueOrDie();
-  TableBuilder b(s);
-  EXPECT_OK(b.AppendRow({Value::Int64(1), Value::Float64(2.5)}));
-  PlanPtr samples[] = {
-      Plan::Select(Plan::Scan("t"), Gt(Col("v"), Lit(1.5))),
-      Plan::Aggregate(Plan::Scan("t"), {"i"},
-                      {AggSpec{AggFunc::kSum, Col("v"), "s"}}),
-      Plan::MatMul(Plan::Scan("a"), Plan::Scan("b"), "c"),
-      Plan::Values(Dataset(b.Finish().ValueOrDie())),
-  };
-  for (const PlanPtr& p : samples) {
-    std::string wire = SerializePlan(*p);
-    for (int trial = 0; trial < 60; ++trial) {
-      std::string corrupted = Mutate(&rng_, wire);
-      auto parsed = ParsePlan(corrupted);
-      if (!parsed.ok()) continue;  // clean rejection
-      // If it still parses, it must re-serialize deterministically.
-      std::string rewire = SerializePlan(*parsed.ValueOrDie());
-      auto reparsed = ParsePlan(rewire);
-      ASSERT_TRUE(reparsed.ok()) << rewire;
-      EXPECT_TRUE(parsed.ValueOrDie()->Equals(*reparsed.ValueOrDie()));
+  // Start from real serialized plans, one per operator kind so every field
+  // codec is exercised, in both wire formats, and corrupt them.
+  for (const auto& [name, plan] : testing::PlanPerOpKind()) {
+    for (WireFormat format : {WireFormat::kText, WireFormat::kBinary}) {
+      std::string wire = SerializePlanWire(*plan, format);
+      for (int trial = 0; trial < 60; ++trial) {
+        std::string corrupted = Mutate(&rng_, wire);
+        auto parsed = ParsePlan(corrupted);
+        if (!parsed.ok()) continue;  // clean rejection
+        // If it still parses, it must re-serialize deterministically.
+        std::string rewire = SerializePlanWire(*parsed.ValueOrDie(), format);
+        auto reparsed = ParsePlan(rewire);
+        ASSERT_TRUE(reparsed.ok()) << name << ": " << rewire;
+        EXPECT_TRUE(parsed.ValueOrDie()->Equals(*reparsed.ValueOrDie())) << name;
+      }
     }
   }
 }

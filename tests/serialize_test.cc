@@ -203,6 +203,33 @@ TEST(PlanSerializeTest, ParseErrors) {
   EXPECT_FALSE(ParsePlan("(select (scan \"t\"))").ok());  // missing predicate
   EXPECT_FALSE(ParsePlan("(join (scan \"a\") (scan \"b\"))").ok());
   EXPECT_FALSE(ParsePlan("not a sexpr").ok());
+  // Each item must be exactly what the operator's fields call for: the
+  // right head on a tagged list, a known symbol, and nothing left over.
+  for (const char* wire : {
+           "(extend (scan \"t\") (bogus \"x\" (col \"a\")))",
+           "(aggregate (scan \"t\") (grp \"k\") (agg count \"n\" none))",
+           "(aggregate (scan \"t\") (by \"k\") (sum count \"n\" none))",
+           "(join (scan \"a\") (scan \"b\") inner (kees (\"x\" \"y\")) none)",
+           "(sort (scan \"t\") (kee \"a\" asc))",
+           "(rename (scan \"t\") (mop \"a\" \"b\"))",
+           "(slice (scan \"t\") (rng \"i\" 0 1))",
+           "(shift (scan \"t\") (of \"i\" 1))",
+           "(regrid (scan \"t\") avg (fact \"i\" 2))",
+           "(window (scan \"t\") avg (rad \"i\" 1))",
+           "(loopvar banana)",
+           "(sort (scan \"t\") (key \"a\" dsc))",
+           "(exchange (scan \"t\") \"s\" relya)",
+           "(scan \"t\" \"u\")",
+           "(limit (scan \"t\") 1 0 9)",
+           "(loopvar curr prev)",
+           "(distinct (scan \"t\") 1)",
+           "(pagerank (scan \"e\") \"s\" \"d\" 0.85 50 0.001 7)",
+           "(extend (scan \"t\") (def \"x\" (col \"a\") extra))",
+       }) {
+    auto parsed = ParsePlan(wire);
+    ASSERT_FALSE(parsed.ok()) << wire;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kSerializationError) << wire;
+  }
 }
 
 TEST(PlanSerializeTest, ValuesDataSurvives) {
