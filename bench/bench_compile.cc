@@ -16,6 +16,10 @@
 //     Gate: byte-identical tables across all three arms.
 //   e16_cache_cold / e16_cache_warm: the same plan executed twice; the warm
 //     run must compile zero programs and hit the program cache.
+//   e16_pred_interp / e16_pred_compiled: a three-conjunct range predicate
+//     over random rows, selected from the boxed interpreter's mask vs
+//     EvalPredicate on the VM (branch-free compares and selection). Gate:
+//     identical selection vectors.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -41,6 +45,7 @@ namespace {
 
 constexpr int64_t kExprRows = 1'000'000;
 constexpr int64_t kPipeRows = 1'000'000;
+constexpr int64_t kPredRows = 1'000'000;
 
 TablePtr ExprTable(int64_t rows) {
   SchemaPtr s = Schema::Make({Field::Attr("a", DataType::kInt64),
@@ -202,6 +207,51 @@ void RunPipelineArm(benchjson::Recorder* json) {
               static_cast<long long>(warm_hits));
 }
 
+// Range filter over random rows: the compares' outcomes are unpredictable,
+// so a branchy compare or selection loop mispredicts on most lanes.
+void RunPredicateArm(benchjson::Recorder* json) {
+  SchemaPtr s = Schema::Make({Field::Attr("qty", DataType::kInt64),
+                              Field::Attr("day", DataType::kInt64)})
+                    .ValueOrDie();
+  Rng rng(31);
+  std::vector<int64_t> qty(static_cast<size_t>(kPredRows));
+  std::vector<int64_t> day(static_cast<size_t>(kPredRows));
+  for (int64_t i = 0; i < kPredRows; ++i) {
+    qty[static_cast<size_t>(i)] = rng.NextInt(1, 10);
+    day[static_cast<size_t>(i)] = rng.NextInt(0, 364);
+  }
+  TablePtr t = Table::Make(s, {Column::FromInt64(std::move(qty)),
+                               Column::FromInt64(std::move(day))})
+                   .ValueOrDie();
+  ExprPtr pred = And(And(Ge(Col("qty"), Lit(9)), Ge(Col("day"), Lit(53))),
+                     Lt(Col("day"), Lit(113)));
+
+  // The interpreter's selection: its boolean mask, scanned row by row.
+  auto interp = [&] {
+    Column mask = EvalExprInterpreted(*pred, *t).ValueOrDie();
+    std::vector<int64_t> sel;
+    for (int64_t r = 0; r < mask.size(); ++r) {
+      if (!mask.IsNull(r) && mask.bools()[static_cast<size_t>(r)] != 0) {
+        sel.push_back(r);
+      }
+    }
+    return sel;
+  };
+  auto compiled = [&] { return EvalPredicate(*pred, *t).ValueOrDie(); };
+  std::vector<int64_t> sel_interp = interp();
+  std::vector<int64_t> sel_compiled = compiled();
+  NEXUS_CHECK(sel_compiled == sel_interp);  // same rows, same order
+  double ms_interp = MinMillis([&] { interp(); });
+  double ms_compiled = MinMillis([&] { compiled(); });
+  json->Record("e16_pred_interp", kPredRows, ms_interp);
+  json->Record("e16_pred_compiled", kPredRows, ms_compiled);
+  std::printf("\nrange predicate (3 conjuncts) over %lld rows, %zu selected\n",
+              static_cast<long long>(kPredRows), sel_compiled.size());
+  std::printf("  interpreter  %9.2f ms\n", ms_interp);
+  std::printf("  compiled VM  %9.2f ms   (%.2fx)\n", ms_compiled,
+              ms_interp / ms_compiled);
+}
+
 }  // namespace
 
 int main() {
@@ -210,6 +260,7 @@ int main() {
   std::printf("threads=%d\n\n", GetThreadCount());
   RunExprArm(&json);
   RunPipelineArm(&json);
+  RunPredicateArm(&json);
   std::printf("\nall byte-identity checks passed\n");
   return 0;
 }

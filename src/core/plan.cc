@@ -1,5 +1,7 @@
 #include "core/plan.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace nexus {
@@ -221,8 +223,12 @@ std::string Plan::NodeLabel() const {
     case OpKind::kJoin: {
       const auto& op = As<JoinOp>();
       std::vector<std::string> keys;
-      for (size_t i = 0; i < op.left_keys.size(); ++i) {
-        keys.push_back(StrCat(op.left_keys[i], "=", op.right_keys[i]));
+      // A key without a partner (lists of unequal length) prints as `?`.
+      const size_t n = std::max(op.left_keys.size(), op.right_keys.size());
+      for (size_t i = 0; i < n; ++i) {
+        keys.push_back(
+            StrCat(i < op.left_keys.size() ? op.left_keys[i] : "?", "=",
+                   i < op.right_keys.size() ? op.right_keys[i] : "?"));
       }
       std::string label =
           StrCat("join[", JoinTypeName(op.type), ", ", nexus::Join(keys, ", "));

@@ -22,9 +22,12 @@
 #ifndef NEXUS_CORE_PLAN_H_
 #define NEXUS_CORE_PLAN_H_
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -147,11 +150,19 @@ struct Seq {
 };
 
 /// Two equal-length vectors read as one sequence of (left, right) pairs.
+/// Vectors of unequal length pair up to the shorter one's end; the writer
+/// then adds the longer one's unpaired items, which the reader refuses, so
+/// such a payload never ships.
 template <class Vec>
 struct Zip {
   Vec& left;
   Vec& right;
-  size_t size() const { return left.size(); }
+  size_t size() const { return std::min(left.size(), right.size()); }
+  std::span<const typename std::remove_const_t<Vec>::value_type> Unpaired()
+      const {
+    const auto& longer = left.size() > right.size() ? left : right;
+    return std::span(longer).subspan(size());
+  }
   auto operator[](size_t i) const { return std::tie(left[i], right[i]); }
   auto emplace_back() const {
     return std::tie(left.emplace_back(), right.emplace_back());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <tuple>
@@ -99,10 +100,14 @@ void WriteSexpr(const Sexpr& s, std::string* out) {
       return;
     case Sexpr::Kind::kFloat: {
       // %.17g guarantees float64 round-trip; mark as float with a decimal
-      // point or exponent so the reader keeps the kind.
+      // point or exponent so the reader keeps the kind. Non-finite values
+      // carry a sign (+inf, -inf, +nan) so the reader takes them for
+      // numbers, not symbols.
       std::string t = FormatDouble(s.f, 17);
-      if (t.find('.') == std::string::npos && t.find('e') == std::string::npos &&
-          t.find("inf") == std::string::npos && t.find("nan") == std::string::npos) {
+      if (std::isnan(s.f) || t == "inf") {
+        t.insert(0, "+");
+      } else if (t.find('.') == std::string::npos &&
+                 t.find('e') == std::string::npos && t != "-inf") {
         t += ".0";
       }
       out->append(t);
@@ -1343,6 +1348,16 @@ class FieldWriter {
         w.Emit(Sexpr::List(std::move(parts)));
       } else {
         w(items[i]);
+      }
+    }
+    if constexpr (requires { items.Unpaired(); }) {
+      // Zipped lists of unequal length: each unpaired item is written as a
+      // pair of one part, which the reader refuses.
+      for (const auto& item : items.Unpaired()) {
+        std::vector<Sexpr> parts;
+        if (seq.tag != nullptr) parts.push_back(Sexpr::Sym(seq.tag));
+        FieldWriter(format_, &parts)(item);
+        w.Emit(Sexpr::List(std::move(parts)));
       }
     }
     if (seq.head != nullptr) Emit(Sexpr::List(std::move(list)));

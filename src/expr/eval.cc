@@ -348,7 +348,10 @@ Result<std::vector<int64_t>> EvalPredicate(const Expr& expr, const Table& table)
                expr.ToString()));
   }
   // Morsel-local selection vectors concatenated in morsel order reproduce
-  // the ascending row order of the sequential scan exactly.
+  // the ascending row order of the sequential scan exactly. Each is reserved
+  // to its range but holds (and touches) only its survivors: the branch-free
+  // selection writes every lane of a block into a stack buffer, and only
+  // the selected rows are copied out.
   auto reserved = [](int64_t begin, int64_t end) {
     std::vector<int64_t> sel;
     sel.reserve(static_cast<size_t>(end - begin));
@@ -356,10 +359,12 @@ Result<std::vector<int64_t>> EvalPredicate(const Expr& expr, const Table& table)
   };
   auto select = [](const uint8_t* bits, const uint8_t* valid, int64_t len,
                    int64_t base, std::vector<int64_t>* sel) {
-    for (int64_t i = 0; i < len; ++i) {
-      if ((valid == nullptr || valid[i] != 0) && bits[i] != 0) {
-        sel->push_back(base + i);
-      }
+    int64_t lanes[kSelectBlock] = {};
+    for (int64_t b = 0; b < len; b += kSelectBlock) {
+      const int64_t k = SelectTrueLanes(
+          bits + b, valid == nullptr ? nullptr : valid + b,
+          std::min(kSelectBlock, len - b), base + b, lanes);
+      sel->insert(sel->end(), lanes, lanes + k);
     }
   };
   NEXUS_ASSIGN_OR_RETURN(ExprProgramPtr prog,

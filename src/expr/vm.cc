@@ -12,24 +12,27 @@ namespace nexus {
 
 namespace {
 
-// Three-way compare matching Value::Compare's Cmp template, including its
-// NaN behavior (NaN compares "equal" to everything because both a<b and a>b
-// are false). Comparison opcodes must reproduce this exactly.
-template <typename T>
-inline int Cmp3(const T& a, const T& b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-
-inline bool ApplyPred(CmpPred p, int c) {
-  switch (p) {
-    case CmpPred::kEq: return c == 0;
-    case CmpPred::kNe: return c != 0;
-    case CmpPred::kLt: return c < 0;
-    case CmpPred::kLe: return c <= 0;
-    case CmpPred::kGt: return c > 0;
-    case CmpPred::kGe: return c >= 0;
+// A comparison lane from lt = x < y and gt = y < x, with no branch. It is
+// predicate P applied to Value::Compare's three-way result (-1 when lt, 1
+// when gt, else 0) for every input, NaN included: with a NaN both lt and gt
+// are false, so NaN compares equal to everything, as Value::Compare's Cmp
+// template makes it.
+template <CmpPred P>
+inline uint8_t PredLane(bool lt, bool gt) {
+  const uint8_t l = lt, g = gt;
+  if constexpr (P == CmpPred::kEq) {
+    return (l | g) ^ 1;
+  } else if constexpr (P == CmpPred::kNe) {
+    return l | g;
+  } else if constexpr (P == CmpPred::kLt) {
+    return l;
+  } else if constexpr (P == CmpPred::kLe) {
+    return g ^ 1;
+  } else if constexpr (P == CmpPred::kGt) {
+    return g;
+  } else {
+    return l ^ 1;  // kGe
   }
-  return false;
 }
 
 // Strict unary op: null in → null out; computes valid lanes only and writes
@@ -102,26 +105,36 @@ inline void Fallible2(const VMReg& a, const TA* av, const VMReg& b,
   }
 }
 
-// Strict comparison: one lane loop instantiated per predicate, so the loop
-// body is a single compare with no switch. `cmp3` is the three-way compare.
-template <CmpPred P, typename T, typename C3>
+// Strict comparison: one lane loop instantiated per predicate and type, so
+// the loop body is two compares and a bitwise op, with no switch or branch.
+// Bool lanes are normalized to 0/1 first; strings compare once and take the
+// sign of the result.
+template <CmpPred P, typename T>
 inline void CmpLanes(const VMReg& a, const T* av, const VMReg& b, const T* bv,
-                     VMReg* out, uint8_t* ov, int64_t n, C3 cmp3) {
-  Strict2(a, av, b, bv, out, ov, n, [cmp3](const T& x, const T& y) {
-    return static_cast<uint8_t>(ApplyPred(P, cmp3(x, y)));
+                     VMReg* out, uint8_t* ov, int64_t n) {
+  Strict2(a, av, b, bv, out, ov, n, [](const T& x, const T& y) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      const int c = x.compare(y);
+      return PredLane<P>(c < 0, c > 0);
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+      const uint8_t u = x != 0, v = y != 0;
+      return PredLane<P>(u < v, v < u);
+    } else {
+      return PredLane<P>(x < y, y < x);
+    }
   });
 }
 
-template <typename T, typename C3>
+template <typename T>
 inline void Compare(CmpPred p, const VMReg& a, const T* av, const VMReg& b,
-                    const T* bv, VMReg* out, uint8_t* ov, int64_t n, C3 cmp3) {
+                    const T* bv, VMReg* out, uint8_t* ov, int64_t n) {
   switch (p) {
-    case CmpPred::kEq: CmpLanes<CmpPred::kEq>(a, av, b, bv, out, ov, n, cmp3); break;
-    case CmpPred::kNe: CmpLanes<CmpPred::kNe>(a, av, b, bv, out, ov, n, cmp3); break;
-    case CmpPred::kLt: CmpLanes<CmpPred::kLt>(a, av, b, bv, out, ov, n, cmp3); break;
-    case CmpPred::kLe: CmpLanes<CmpPred::kLe>(a, av, b, bv, out, ov, n, cmp3); break;
-    case CmpPred::kGt: CmpLanes<CmpPred::kGt>(a, av, b, bv, out, ov, n, cmp3); break;
-    case CmpPred::kGe: CmpLanes<CmpPred::kGe>(a, av, b, bv, out, ov, n, cmp3); break;
+    case CmpPred::kEq: CmpLanes<CmpPred::kEq>(a, av, b, bv, out, ov, n); break;
+    case CmpPred::kNe: CmpLanes<CmpPred::kNe>(a, av, b, bv, out, ov, n); break;
+    case CmpPred::kLt: CmpLanes<CmpPred::kLt>(a, av, b, bv, out, ov, n); break;
+    case CmpPred::kLe: CmpLanes<CmpPred::kLe>(a, av, b, bv, out, ov, n); break;
+    case CmpPred::kGt: CmpLanes<CmpPred::kGt>(a, av, b, bv, out, ov, n); break;
+    case CmpPred::kGe: CmpLanes<CmpPred::kGe>(a, av, b, bv, out, ov, n); break;
   }
 }
 
@@ -331,29 +344,22 @@ void ExprVM::Exec(const Instr& in, int64_t begin, int64_t n) {
               [](const std::string& x, const std::string& y) { return x + y; });
       break;
     case OpCode::kCmpInt:
-      Compare(static_cast<CmpPred>(in.aux), A, A.i, B, B.i, &o, o.OwnB(n), n,
-              [](int64_t x, int64_t y) { return Cmp3(x, y); });
+      Compare(static_cast<CmpPred>(in.aux), A, A.i, B, B.i, &o, o.OwnB(n), n);
       break;
     case OpCode::kCmpDouble:
-      Compare(static_cast<CmpPred>(in.aux), A, A.d, B, B.d, &o, o.OwnB(n), n,
-              [](double x, double y) { return Cmp3(x, y); });
+      Compare(static_cast<CmpPred>(in.aux), A, A.d, B, B.d, &o, o.OwnB(n), n);
       break;
     case OpCode::kCmpBool:
-      Compare(static_cast<CmpPred>(in.aux), A, A.b, B, B.b, &o, o.OwnB(n), n,
-              [](uint8_t x, uint8_t y) { return Cmp3<int>(x ? 1 : 0, y ? 1 : 0); });
+      Compare(static_cast<CmpPred>(in.aux), A, A.b, B, B.b, &o, o.OwnB(n), n);
       break;
     case OpCode::kCmpString:
-      Compare(static_cast<CmpPred>(in.aux), A, A.s, B, B.s, &o, o.OwnB(n), n,
-              [](const std::string& x, const std::string& y) {
-                int c = x.compare(y);
-                return c < 0 ? -1 : (c > 0 ? 1 : 0);
-              });
+      Compare(static_cast<CmpPred>(in.aux), A, A.s, B, B.s, &o, o.OwnB(n), n);
       break;
     case OpCode::kAndBool: {
       uint8_t* ov = o.OwnB(n);
       if (A.valid == nullptr && B.valid == nullptr) {
         for (int64_t i = 0; i < n; ++i) {
-          ov[i] = static_cast<uint8_t>(A.b[i] && B.b[i]);
+          ov[i] = static_cast<uint8_t>((A.b[i] != 0) & (B.b[i] != 0));
         }
         o.ClearValid();
         break;
@@ -377,7 +383,7 @@ void ExprVM::Exec(const Instr& in, int64_t begin, int64_t n) {
       uint8_t* ov = o.OwnB(n);
       if (A.valid == nullptr && B.valid == nullptr) {
         for (int64_t i = 0; i < n; ++i) {
-          ov[i] = static_cast<uint8_t>(A.b[i] || B.b[i]);
+          ov[i] = static_cast<uint8_t>((A.b[i] != 0) | (B.b[i] != 0));
         }
         o.ClearValid();
         break;
@@ -652,6 +658,8 @@ void ExprVM::Exec(const Instr& in, int64_t begin, int64_t n) {
   }
 }
 
+namespace {
+
 void AppendRegister(const VMReg& r, int64_t n, Column* out) {
   switch (r.type) {
     case DataType::kInt64:
@@ -693,7 +701,7 @@ void AppendRegister(const VMReg& r, int64_t n, Column* out) {
   }
 }
 
-void AppendRegisterLanes(const VMReg& r, const std::vector<int64_t>& lanes,
+void AppendRegisterLanes(const VMReg& r, std::span<const int64_t> lanes,
                          Column* out) {
   switch (r.type) {
     case DataType::kInt64:
@@ -735,13 +743,51 @@ void AppendRegisterLanes(const VMReg& r, const std::vector<int64_t>& lanes,
   }
 }
 
+}  // namespace
+
 void ExprVM::AppendOutput(int k, Column* out) const {
   AppendRegister(out_reg(k), len_, out);
 }
 
-void ExprVM::AppendOutputLanes(int k, const std::vector<int64_t>& lanes,
+void ExprVM::AppendOutputLanes(int k, std::span<const int64_t> lanes,
                                Column* out) const {
   AppendRegisterLanes(out_reg(k), lanes, out);
+}
+
+int64_t SelectTrueLanes(const uint8_t* bits, const uint8_t* valid, int64_t n,
+                        int64_t base, int64_t* out) {
+  int64_t k = 0;
+  if (valid == nullptr) {
+    for (int64_t i = 0; i < n; ++i) {
+      out[k] = base + i;
+      k += bits[i] != 0;
+    }
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      out[k] = base + i;
+      k += (bits[i] != 0) & (valid[i] != 0);
+    }
+  }
+  return k;
+}
+
+int64_t NarrowTrueLanes(const uint8_t* bits, const uint8_t* valid,
+                        int64_t* lanes, int64_t count) {
+  int64_t k = 0;
+  if (valid == nullptr) {
+    for (int64_t j = 0; j < count; ++j) {
+      const int64_t i = lanes[j];
+      lanes[k] = i;
+      k += bits[i] != 0;
+    }
+  } else {
+    for (int64_t j = 0; j < count; ++j) {
+      const int64_t i = lanes[j];
+      lanes[k] = i;
+      k += (bits[i] != 0) & (valid[i] != 0);
+    }
+  }
+  return k;
 }
 
 }  // namespace nexus

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,7 +113,7 @@ class ExprVM {
   void AppendOutput(int k, Column* out) const;
 
   /// Appends only the given lanes of output `k`, in order.
-  void AppendOutputLanes(int k, const std::vector<int64_t>& lanes,
+  void AppendOutputLanes(int k, std::span<const int64_t> lanes,
                          Column* out) const;
 
  private:
@@ -125,12 +126,22 @@ class ExprVM {
   int64_t len_ = 0;
 };
 
-/// Appends lanes [0, n) of `r` to `*out` — the free-function core of
-/// ExprVM::AppendOutput, shared with the fused-pipeline executor.
-void AppendRegister(const VMReg& r, int64_t n, Column* out);
-/// Appends the given lanes of `r`, in order.
-void AppendRegisterLanes(const VMReg& r, const std::vector<int64_t>& lanes,
-                         Column* out);
+/// Selection kernels over a bool vector whose lane i is true when `bits[i]`
+/// is nonzero and `valid` is null or `valid[i]` is nonzero (SQL WHERE: null
+/// is not true). Both are branch-free: every lane is written and the cursor
+/// advances by the lane's bit. Callers select kSelectBlock lanes at a time
+/// into a buffer on their stack, so no selection touches heap memory beyond
+/// the survivors it copies out.
+inline constexpr int64_t kSelectBlock = 1024;
+
+/// Writes `base + i` for each true lane i in [0, n), ascending, to `out`
+/// (which must hold n entries) and returns how many there are.
+int64_t SelectTrueLanes(const uint8_t* bits, const uint8_t* valid, int64_t n,
+                        int64_t base, int64_t* out);
+/// Keeps, in place and in order, the `count` lanes of `lanes` that are true;
+/// returns how many are kept.
+int64_t NarrowTrueLanes(const uint8_t* bits, const uint8_t* valid,
+                        int64_t* lanes, int64_t count);
 
 /// Runs `prog` over every row of `table` in ParallelMorsels order. Each
 /// morsel makes its piece with init(begin, end) -> T, binds one VM to its

@@ -4,6 +4,9 @@
 // transpose → column reorder, elemwise → join), and intent operators are
 // claimed via their relational expansions — the "combination of systems"
 // half of desideratum 2.
+#include <algorithm>
+#include <limits>
+
 #include "algebra/kernels.h"
 #include "common/str_util.h"
 #include "core/expansion.h"
@@ -21,6 +24,9 @@ namespace {
 
 using namespace nexus::exprs;  // NOLINT
 
+// No bound on the rows a parent reads.
+constexpr int64_t kAllRows = std::numeric_limits<int64_t>::max();
+
 // One execution of a plan on relstore. Per-call state (the Iterate loop
 // stack) lives here, not on the provider, so concurrent Executes on one
 // server never see each other's loop frames.
@@ -29,11 +35,14 @@ class RelationalExec {
   explicit RelationalExec(const InMemoryCatalog& catalog) : catalog_(catalog) {}
 
   /// Per-operator tracing shim around ExecNode; recursion re-enters here,
-  /// so every plan node gets a span when tracing is on.
-  Result<Dataset> Exec(const Plan& plan) {
-    if (!telemetry::Enabled()) return ExecNode(plan);
+  /// so every plan node gets a span when tracing is on. `max_rows` is how
+  /// many leading rows the parent reads: a Limit passes its offset + limit,
+  /// and a Sort given fewer than all its rows sorts only those (top-k).
+  /// Every other operator ignores it.
+  Result<Dataset> Exec(const Plan& plan, int64_t max_rows = kAllRows) {
+    if (!telemetry::Enabled()) return ExecNode(plan, max_rows);
     telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
-    auto result = ExecNode(plan);
+    auto result = ExecNode(plan, max_rows);
     if (result.ok() && span.active()) {
       span.AddCounter("rows", result.ValueOrDie().num_rows());
       span.AddCounter("bytes", result.ValueOrDie().ByteSize());
@@ -42,9 +51,9 @@ class RelationalExec {
   }
 
  private:
-  Result<Dataset> ExecNode(const Plan& plan);
-  Result<TablePtr> ExecT(const Plan& plan) {
-    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan));
+  Result<Dataset> ExecNode(const Plan& plan, int64_t max_rows);
+  Result<TablePtr> ExecT(const Plan& plan, int64_t max_rows = kAllRows) {
+    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan, max_rows));
     return d.AsTable();
   }
 
@@ -125,7 +134,7 @@ Result<TablePtr> Retag(const TablePtr& t, const std::vector<std::string>& dims) 
   return Table::Make(schema, t->columns());
 }
 
-Result<Dataset> RelationalExec::ExecNode(const Plan& plan) {
+Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
   // Operator fusion: a Filter→Extend/Project(→Aggregate) chain rooted here
   // executes as one compiled morsel loop over the chain's source instead of
   // materializing a table per operator. Lowering refuses (kUnsupported)
@@ -191,13 +200,21 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan) {
     }
     case OpKind::kSort: {
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
-      NEXUS_ASSIGN_OR_RETURN(TablePtr out,
-                             relational::Sort(in, plan.As<SortOp>().keys));
+      NEXUS_ASSIGN_OR_RETURN(
+          TablePtr out,
+          relational::Sort(in, plan.As<SortOp>().keys, max_rows));
       return Dataset(out);
     }
     case OpKind::kLimit: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      // The child's first offset + limit rows are all the slice reads
+      // (Table::Slice clamps negatives to 0; the sum saturates).
       const auto& op = plan.As<LimitOp>();
+      const int64_t offset = std::max<int64_t>(op.offset, 0);
+      const int64_t limit = std::max<int64_t>(op.limit, 0);
+      NEXUS_ASSIGN_OR_RETURN(
+          TablePtr in,
+          ExecT(*plan.child(0),
+                limit > kAllRows - offset ? kAllRows : offset + limit));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                              relational::Limit(in, op.limit, op.offset));
       return Dataset(out);

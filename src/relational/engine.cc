@@ -1,6 +1,7 @@
 #include "relational/engine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/hash.h"
 #include "common/memory.h"
@@ -496,7 +497,8 @@ Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
   return Table::Make(schema, std::move(out_cols));
 }
 
-Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys) {
+Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys,
+                      int64_t max_rows) {
   telemetry::SpanGuard span(telemetry::kCategoryEngine, "rel.Sort");
   span.AddCounter("rows_in", input->num_rows());
   std::vector<int> key_cols;
@@ -504,10 +506,12 @@ Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys) {
     NEXUS_ASSIGN_OR_RETURN(int i, input->schema()->FindFieldOrError(k.column));
     key_cols.push_back(i);
   }
-  std::vector<int64_t> order(static_cast<size_t>(input->num_rows()));
+  const int64_t n = input->num_rows();
+  std::vector<int64_t> order(static_cast<size_t>(n));
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  // Typed comparators per key (nulls first, matching Value::Compare).
-  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+  // Typed three-way compare over the keys (nulls first, matching
+  // Value::Compare): negative when row a sorts before row b.
+  auto compare = [&](int64_t a, int64_t b) {
     for (size_t k = 0; k < keys.size(); ++k) {
       const Column& c = input->column(key_cols[k]);
       bool na = c.IsNull(a), nb = c.IsNull(b);
@@ -539,10 +543,40 @@ Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys) {
             break;
         }
       }
-      if (cmp != 0) return keys[k].ascending ? cmp < 0 : cmp > 0;
+      if (cmp != 0) return keys[k].ascending ? cmp : -cmp;
+    }
+    return 0;
+  };
+  // NaN compares equal to everything, so the keys order a NaN column only
+  // as the stable sort's merge happens to place it; such a column takes the
+  // full sort even under a row bound.
+  auto has_nan_key = [&] {
+    for (int c : key_cols) {
+      const Column& col = input->column(c);
+      if (col.type() != DataType::kFloat64) continue;
+      for (int64_t r = 0; r < n; ++r) {
+        if (std::isnan(col.doubles()[static_cast<size_t>(r)]) && !col.IsNull(r)) {
+          return true;
+        }
+      }
     }
     return false;
-  });
+  };
+  const int64_t keep = std::clamp<int64_t>(max_rows, 0, n);
+  if (keep < n && !has_nan_key()) {
+    // Top-k: (keys..., row index) is a strict total order, and its first
+    // `keep` rows are the stable sort's first `keep` rows.
+    std::partial_sort(order.begin(), order.begin() + keep, order.end(),
+                      [&](int64_t a, int64_t b) {
+                        int cmp = compare(a, b);
+                        return cmp != 0 ? cmp < 0 : a < b;
+                      });
+  } else {
+    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      return compare(a, b) < 0;
+    });
+  }
+  order.resize(static_cast<size_t>(keep));
   return GatherRows(input, order);
 }
 

@@ -9,6 +9,7 @@
 #ifndef NEXUS_RELATIONAL_ENGINE_H_
 #define NEXUS_RELATIONAL_ENGINE_H_
 
+#include <limits>
 #include <vector>
 
 #include "core/plan.h"
@@ -60,8 +61,11 @@ Result<bool> HashJoinPairs(const TablePtr& left, const TablePtr& right,
                            telemetry::SpanGuard* span,
                            std::vector<int64_t>* li, std::vector<int64_t>* ri);
 
-/// Multi-key stable sort.
-Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys);
+/// Multi-key stable sort that keeps the first `max_rows` rows of the sorted
+/// order (all of them by default). A bound below the row count sorts only
+/// those rows (top-k), byte-identical to the full sort's prefix.
+Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys,
+                      int64_t max_rows = std::numeric_limits<int64_t>::max());
 
 /// Row range.
 Result<TablePtr> Limit(const TablePtr& input, int64_t limit, int64_t offset);

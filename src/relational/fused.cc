@@ -1,6 +1,7 @@
 #include "relational/fused.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -182,38 +183,22 @@ Result<FusedPipeline> CompileFusedPipeline(const std::vector<const Plan*>& ops,
 
 namespace {
 
-// Ascending lanes of the current morsel where every predicate output is
-// valid and true (SQL WHERE: null is not true): the first predicate selects,
-// each later one narrows the selection in place. Each predicate register's
-// views are read once per morsel.
-void SelectLanes(const ExprVM& vm, int num_preds, std::vector<int64_t>* lanes) {
-  const int64_t len = vm.len();
-  lanes->clear();
-  lanes->reserve(static_cast<size_t>(len));
+// Ascending lanes in [begin, begin + n) of the current morsel where every
+// predicate output is valid and true (SQL WHERE: null is not true): the
+// first predicate selects into `lanes` (n entries), each later one narrows
+// the selection in place, both branch-free.
+std::span<const int64_t> SelectLanes(const ExprVM& vm, int num_preds,
+                                     int64_t begin, int64_t n,
+                                     int64_t* lanes) {
   const VMReg& first = vm.out_reg(0);
-  const uint8_t* bits = first.b;
-  const uint8_t* valid = first.valid;
-  if (valid == nullptr) {
-    for (int64_t i = 0; i < len; ++i) {
-      if (bits[i] != 0) lanes->push_back(i);
-    }
-  } else {
-    for (int64_t i = 0; i < len; ++i) {
-      if (valid[i] != 0 && bits[i] != 0) lanes->push_back(i);
-    }
-  }
+  int64_t kept = SelectTrueLanes(
+      first.b + begin, first.valid == nullptr ? nullptr : first.valid + begin,
+      n, begin, lanes);
   for (int p = 1; p < num_preds; ++p) {
     const VMReg& r = vm.out_reg(p);
-    bits = r.b;
-    valid = r.valid;
-    size_t kept = 0;
-    for (int64_t i : *lanes) {
-      if ((valid == nullptr || valid[i] != 0) && bits[i] != 0) {
-        (*lanes)[kept++] = i;
-      }
-    }
-    lanes->resize(kept);
+    kept = NarrowTrueLanes(r.b, r.valid, lanes, kept);
   }
+  return {lanes, static_cast<size_t>(kept)};
 }
 
 }  // namespace
@@ -251,11 +236,15 @@ Result<TablePtr> ExecuteFused(const FusedPipeline& fp, const TablePtr& source) {
               }
               return;
             }
-            std::vector<int64_t> lanes;
-            SelectLanes(vm, fp.num_preds, &lanes);
-            for (int j = 0; j < nout; ++j) {
-              vm.AppendOutputLanes(fp.num_preds + j, lanes,
-                                   &(*piece)[static_cast<size_t>(j)]);
+            int64_t lanes[kSelectBlock] = {};
+            for (int64_t b = 0; b < vm.len(); b += kSelectBlock) {
+              std::span<const int64_t> kept =
+                  SelectLanes(vm, fp.num_preds, b,
+                              std::min(kSelectBlock, vm.len() - b), lanes);
+              for (int j = 0; j < nout; ++j) {
+                vm.AppendOutputLanes(fp.num_preds + j, kept,
+                                     &(*piece)[static_cast<size_t>(j)]);
+              }
             }
           }));
   std::vector<Column> cols;

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <limits>
 
+#include "common/parallel.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "expr/builder.h"
 #include "expr/bytecode.h"
 #include "expr/eval.h"
@@ -462,6 +464,152 @@ TEST(BytecodeTest, ProgramCacheReturnsSameProgram) {
   ExprPtr bad = Cast(DataType::kInt64, Col("s"));
   EXPECT_TRUE(GetOrCompileProgram(*bad, *s).status().IsUnsupported());
   EXPECT_TRUE(GetOrCompileProgram(*bad, *s).status().IsUnsupported());
+}
+
+// ---------------------------------------------------------------------------
+// Comparison identity: the VM's branch-free compares and selection against
+// the boxed row interpreter, on the values where a compare could go wrong.
+// ---------------------------------------------------------------------------
+
+struct ThreadCountGuard {
+  ThreadCountGuard() : saved(GetThreadCount()) {}
+  ~ThreadCountGuard() { SetThreadCount(saved); }
+  int saved;
+};
+
+// Every ordered pair of `values` as the rows of a two-column (x, y) table.
+TablePtr PairTable(DataType type, const std::vector<Value>& values) {
+  SchemaPtr s = MakeSchema({Field::Attr("x", type), Field::Attr("y", type)});
+  std::vector<std::vector<Value>> rows;
+  for (const Value& x : values) {
+    for (const Value& y : values) rows.push_back({x, y});
+  }
+  return MakeTable(s, rows);
+}
+
+std::vector<ExprPtr> AllComparisons(const ExprPtr& l, const ExprPtr& r) {
+  return {Eq(l, r), Ne(l, r), Lt(l, r), Le(l, r), Gt(l, r), Ge(l, r)};
+}
+
+void ExpectVectorMatchesInterpreter(const ExprPtr& e, const Table& t) {
+  ASSERT_TRUE(GetOrCompileProgram(*e, *t.schema()).ok()) << e->ToString();
+  ASSERT_OK_AND_ASSIGN(Column vm, EvalExprVector(*e, t));
+  ASSERT_OK_AND_ASSIGN(Column interp, EvalExprInterpreted(*e, t));
+  EXPECT_TRUE(vm.Equals(interp)) << e->ToString();
+}
+
+TEST(CompareIdentityTest, EveryPredicateMatchesInterpreterOnEdgeValues) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    DataType type;
+    std::vector<Value> values;  // non-null
+  };
+  const std::vector<Case> cases = {
+      {DataType::kInt64, {I(kMin), I(kMin + 1), I(-1), I(0), I(1), I(kMax - 1),
+                          I(kMax)}},
+      {DataType::kFloat64, {F(nan), F(-0.0), F(0.0), F(-kInf), F(kInf),
+                            F(-1.5), F(1.5),
+                            F(std::numeric_limits<double>::max())}},
+      {DataType::kBool, {B(false), B(true)}},
+  };
+  for (const Case& c : cases) {
+    std::vector<Value> with_null = c.values;
+    with_null.push_back(N());
+    // Without nulls the compare runs its no-null loop; with them, the
+    // null-aware one (nulls on the left, the right, and both).
+    for (const TablePtr& t : {PairTable(c.type, c.values),
+                              PairTable(c.type, with_null)}) {
+      SCOPED_TRACE(StrCat(DataTypeName(c.type), " rows=", t->num_rows()));
+      for (const ExprPtr& e : AllComparisons(Col("x"), Col("y"))) {
+        ExpectVectorMatchesInterpreter(e, *t);
+      }
+      // A literal operand is a broadcast constant register.
+      for (const Value& v : c.values) {
+        for (const ExprPtr& e :
+             AllComparisons(Col("x"), Expr::Literal(v))) {
+          ExpectVectorMatchesInterpreter(e, *t);
+        }
+      }
+    }
+  }
+}
+
+TEST(CompareIdentityTest, AndOrMatchInterpreterOverNulls) {
+  const std::vector<Value> bools = {B(false), B(true)};
+  const std::vector<Value> with_null = {B(false), B(true), N()};
+  for (const TablePtr& t : {PairTable(DataType::kBool, bools),
+                            PairTable(DataType::kBool, with_null)}) {
+    ExpectVectorMatchesInterpreter(And(Col("x"), Col("y")), *t);
+    ExpectVectorMatchesInterpreter(Or(Col("x"), Col("y")), *t);
+    ExpectVectorMatchesInterpreter(
+        And(Eq(Col("x"), Col("y")), Or(Col("x"), Not(Col("y")))), *t);
+  }
+  // Conjunctions of comparisons over NaN, infinities and nulls.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  TablePtr d = PairTable(DataType::kFloat64,
+                         {F(nan), F(-inf), F(-0.0), F(0.0), F(2.0), N()});
+  ExpectVectorMatchesInterpreter(
+      And(Ge(Col("x"), Lit(0.0)), Lt(Col("y"), Lit(inf))), *d);
+  ExpectVectorMatchesInterpreter(
+      Or(Eq(Col("x"), Col("y")), Gt(Col("x"), Lit(-inf))), *d);
+}
+
+// A table of `rows` random rows with nulls, NaNs, infinities and the int64
+// extremes sprinkled in.
+TablePtr RandomPredicateTable(int64_t rows) {
+  SchemaPtr s = MakeSchema({Field::Attr("x", DataType::kInt64),
+                            Field::Attr("d", DataType::kFloat64),
+                            Field::Attr("flag", DataType::kBool)});
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), -0.0};
+  Rng rng(static_cast<uint64_t>(rows) + 5);
+  TableBuilder b(s);
+  for (int64_t r = 0; r < rows; ++r) {
+    Value x = rng.NextBool(0.02)
+                  ? I(rng.NextBool() ? std::numeric_limits<int64_t>::min()
+                                     : std::numeric_limits<int64_t>::max())
+                  : I(rng.NextInt(-5, 5));
+    Value d = rng.NextBool(0.05) ? F(special[rng.NextBounded(4)])
+                                 : F(rng.NextDouble(-2.0, 2.0));
+    std::vector<Value> row = {x, d, B(rng.NextBool())};
+    if (rng.NextBool(0.1)) row[rng.NextBounded(3)] = N();
+    EXPECT_OK(b.AppendRow(row));
+  }
+  return b.Finish().ValueOrDie();
+}
+
+TEST(CompareIdentityTest, PredicateSelectionMatchesRowInterpreter) {
+  ThreadCountGuard guard;
+  const std::vector<ExprPtr> preds = {
+      Ge(Col("x"), Lit(0)),
+      And(And(Ge(Col("x"), Lit(-2)), Lt(Col("d"), Lit(1.0))), Col("flag")),
+      Or(Eq(Col("d"), Col("d")), Ne(Col("x"), Lit(3))),
+      Le(Col("flag"), Gt(Col("d"), Lit(0.0))),
+      // Refused by the compiler (mixed-type min): the boxed mask path.
+      Gt(Func("min", {Col("x"), Col("d")}), Lit(0.0)),
+  };
+  for (int64_t rows : {int64_t{0}, int64_t{1}, kMorselRows - 1, kMorselRows,
+                       kMorselRows + 1, 3 * kMorselRows + 7}) {
+    TablePtr t = RandomPredicateTable(rows);
+    for (const ExprPtr& p : preds) {
+      std::vector<int64_t> want;
+      for (int64_t r = 0; r < rows; ++r) {
+        ASSERT_OK_AND_ASSIGN(Value v, EvalExprRow(*p, *t->schema(), t->Row(r)));
+        if (!v.is_null() && v.AsBool()) want.push_back(r);
+      }
+      for (int threads : {1, 4}) {
+        SetThreadCount(threads);
+        ASSERT_OK_AND_ASSIGN(std::vector<int64_t> got, EvalPredicate(*p, *t));
+        EXPECT_EQ(got, want) << p->ToString() << " rows=" << rows
+                             << " threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

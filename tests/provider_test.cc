@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "common/parallel.h"
@@ -19,6 +20,7 @@
 #include "expr/bytecode.h"
 #include "provider/provider.h"
 #include "relational/engine.h"
+#include "telemetry/explain.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "tests/test_util.h"
@@ -602,6 +604,73 @@ TEST(ExprProgramCacheTest, RefusedChainRunsUnfusedAndMatchesReference) {
     SetThreadCount(n);
     Status st = relstore->Execute(*bad).status();
     EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+  }
+}
+
+// Sort → Limit on relstore sorts only the offset + limit rows the slice
+// reads (top-k). The result must equal the full sort sliced and the
+// reference executor, byte for byte, at any thread count, and EXPLAIN
+// ANALYZE must still show the sort node.
+TEST(TopKTest, SortLimitMatchesFullSortAndReference) {
+  constexpr int64_t kRows = 3000;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  ProviderPtr relstore = MakeRelationalProvider();
+  SchemaPtr s = MakeSchema({Field::Attr("same", DataType::kInt64),
+                            Field::Attr("a", DataType::kInt64),
+                            Field::Attr("d", DataType::kFloat64),
+                            Field::Attr("s", DataType::kString),
+                            Field::Attr("flag", DataType::kBool),
+                            Field::Attr("dn", DataType::kFloat64)});
+  TableBuilder b(s);
+  Rng rng(42);
+  for (int64_t i = 0; i < kRows; ++i) {
+    // Few distinct values per key, so ties reach past every key.
+    std::vector<Value> row = {
+        I(7), I(rng.NextInt(0, 3)),
+        F(static_cast<double>(rng.NextInt(-2, 2)) / 2.0),
+        S(StrCat("k", rng.NextInt(0, 2))), testing::B(rng.NextBool()),
+        rng.NextBool(0.05) ? F(std::numeric_limits<double>::quiet_NaN())
+                           : F(static_cast<double>(rng.NextInt(0, 9)))};
+    if (rng.NextBool(0.1)) row[1 + rng.NextBounded(5)] = N();
+    ASSERT_OK(b.AppendRow(row));
+  }
+  TablePtr t = b.Finish().ValueOrDie();
+  ASSERT_OK(relstore->catalog()->Put("t", Dataset(t)));
+  ReferenceExecutor ref(relstore->catalog());
+
+  const std::vector<std::vector<SortKey>> key_sets = {
+      {{"same", true}},  // every row ties: input order
+      {{"a", true}, {"d", false}, {"s", true}},
+      {{"flag", false}, {"s", false}, {"a", true}},
+      {{"d", true}, {"same", false}},
+      {{"dn", false}, {"a", true}},  // NaN keys take the full sort
+  };
+  // (limit, offset): empty, small, offset, all rows, past the end, and
+  // INT64_MAX limits whose offset + limit saturates.
+  const std::vector<std::pair<int64_t, int64_t>> slices = {
+      {0, 0},     {10, 0},         {25, 40},         {kRows, 0},
+      {kRows + 5, 0}, {7, kRows + 3}, {kMax, 0},    {kMax, 11},
+      {5, kRows - 2}, {-1, 3},       {4, -2}};
+  ThreadGuard threads;
+  for (const std::vector<SortKey>& keys : key_sets) {
+    ASSERT_OK_AND_ASSIGN(TablePtr sorted, relational::Sort(t, keys));
+    for (const auto& [limit, offset] : slices) {
+      PlanPtr plan = Plan::Limit(Plan::Sort(Plan::Scan("t"), keys), limit, offset);
+      ASSERT_OK_AND_ASSIGN(TablePtr full,
+                           relational::Limit(sorted, limit, offset));
+      ASSERT_OK_AND_ASSIGN(Dataset want, ref.Execute(*plan));
+      ASSERT_TRUE(full->Equals(*want.table())) << plan->ToString();
+      for (int n : {1, 4}) {
+        SetThreadCount(n);
+        TraceGuard trace;
+        ASSERT_OK_AND_ASSIGN(Dataset got, relstore->Execute(*plan));
+        EXPECT_TRUE(got.table()->Equals(*full))
+            << plan->ToString() << " threads=" << n;
+        EXPECT_TRUE(SawSpan("rel.Sort")) << "threads=" << n;
+        std::string explain = telemetry::ExplainAnalyze(telemetry::Spans());
+        EXPECT_NE(explain.find("sort["), std::string::npos) << explain;
+      }
+    }
   }
 }
 

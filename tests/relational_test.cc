@@ -435,6 +435,18 @@ TEST(FusedPipelineTest, ChainEndingInAggregateMatchesUnfused) {
   ExpectFusedMatchesUnfused(root, t, 3);
 }
 
+// Two filters: the first selects each block's lanes, the second narrows
+// them, with null predicate lanes on both and blocks spanning morsels.
+TEST(FusedPipelineTest, SecondFilterNarrowsTheSelection) {
+  TablePtr t = SalesTable(40000);
+  PlanPtr root = Plan::Project(
+      Plan::Select(
+          Plan::Select(Plan::Values(Dataset(t)), Gt(Col("k"), Lit(300))),
+          Lt(Col("v"), Lit(20.0))),
+      {"k", "v", "tag"});
+  ExpectFusedMatchesUnfused(root, t, 3);
+}
+
 TEST(FusedPipelineTest, ExtendChainsSeeEarlierDefinitions) {
   TablePtr t = SalesTable(5000);
   // The second Extend references the first's output; lowering must inline

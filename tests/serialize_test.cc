@@ -2,6 +2,8 @@
 // and full plans (including nested Iterate bodies and inline Values data).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string_view>
 
@@ -56,6 +58,26 @@ TEST(ExprSerializeTest, FloatPrecisionSurvives) {
   double tricky = 0.1 + 0.2;  // not representable as a short decimal
   ASSERT_OK_AND_ASSIGN(ExprPtr back, ParseExpr(SerializeExpr(*Lit(tricky))));
   EXPECT_EQ(back->literal().AsFloat64(), tricky);
+}
+
+// Non-finite doubles carry a sign on the text wire (+inf, -inf, +nan), so
+// the reader takes them for numbers rather than symbols.
+TEST(ExprSerializeTest, NonFiniteLiteralsRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(SerializeExpr(*Lit(inf)), "(f64 +inf)");
+  EXPECT_EQ(SerializeExpr(*Lit(-inf)), "(f64 -inf)");
+  EXPECT_EQ(SerializeExpr(*Lit(std::nan(""))), "(f64 +nan)");
+  for (double v : {inf, -inf, std::nan("")}) {
+    std::string wire = SerializeExpr(*Lit(v));
+    ASSERT_OK_AND_ASSIGN(ExprPtr back, ParseExpr(wire));
+    ASSERT_TRUE(back->literal().is_float64()) << wire;
+    double got = back->literal().AsFloat64();
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(got)) << wire;
+    } else {
+      EXPECT_EQ(got, v) << wire;
+    }
+  }
 }
 
 TEST(ExprSerializeTest, ParseErrors) {
@@ -177,6 +199,52 @@ TEST(PlanSerializeTest, IterateWithNestedPlans) {
   no_measure.body = Plan::Select(Plan::LoopVar(), Gt(Col("v"), Lit(0)));
   no_measure.max_iters = 3;
   ExpectPlanRoundTrip(Plan::Iterate(Plan::Scan("s"), no_measure));
+}
+
+TEST(PlanSerializeTest, NonFiniteOperatorFieldsRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto same = [](double got, double want) {
+    return std::isnan(want) ? std::isnan(got) : got == want;
+  };
+  for (double v : {inf, -inf, std::nan("")}) {
+    PageRankOp pr;
+    pr.epsilon = v;
+    IterateOp it;
+    it.body = Plan::LoopVar();
+    it.epsilon = v;
+    for (WireFormat format : {WireFormat::kText, WireFormat::kBinary}) {
+      std::string wire =
+          SerializePlanWire(*Plan::PageRank(Plan::Scan("edges"), pr), format);
+      ASSERT_OK_AND_ASSIGN(PlanPtr back, ParsePlan(wire));
+      EXPECT_TRUE(same(back->As<PageRankOp>().epsilon, v)) << wire;
+      wire = SerializePlanWire(*Plan::Iterate(Plan::Scan("s"), it), format);
+      ASSERT_OK_AND_ASSIGN(back, ParsePlan(wire));
+      EXPECT_TRUE(same(back->As<IterateOp>().epsilon, v)) << wire;
+    }
+  }
+}
+
+// Join key lists of unequal length: the label marks the missing partner and
+// the wire carries the unpaired key alone, which the reader refuses, so such
+// a plan is never read past the end of either list nor shipped.
+TEST(PlanSerializeTest, UnequalJoinKeyListsNeverShip) {
+  struct Case {
+    std::vector<std::string> left, right;
+    const char* label;
+  };
+  for (const Case& c : {Case{{"x", "y"}, {"x"}, "join[inner, x=x, y=?]"},
+                        Case{{"x"}, {"x", "y"}, "join[inner, x=x, ?=y]"},
+                        Case{{}, {"z"}, "join[inner, ?=z]"}}) {
+    PlanPtr p = Plan::Join(Plan::Scan("a"), Plan::Scan("b"), JoinType::kInner,
+                           c.left, c.right);
+    EXPECT_EQ(p->NodeLabel(), c.label);
+    for (WireFormat format : {WireFormat::kText, WireFormat::kBinary}) {
+      std::string wire = SerializePlanWire(*p, format);
+      auto parsed = ParsePlan(wire);
+      ASSERT_FALSE(parsed.ok()) << wire;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kSerializationError) << wire;
+    }
+  }
 }
 
 TEST(PlanSerializeTest, Exchange) {
