@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -14,7 +14,9 @@
 #include "expr/eval.h"
 #include "optimizer/incremental.h"
 #include "relational/engine.h"
+#include "relational/hash_index.h"
 #include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace nexus {
 namespace incremental {
@@ -28,17 +30,15 @@ namespace {
 // operator as a lexicographic int64 vector. Widths are fixed per node
 // (scan/const = 1, join = left + right, union = 1 + max(children), padded
 // with kKeyPad), so keys of one node always compare component-wise and a
-// sort by key reproduces the full-recompute row order exactly.
+// sort by key reproduces the full-recompute row order exactly. A node's
+// keys live in one flat array, `width` entries per row.
 // ---------------------------------------------------------------------------
-
-using Key = std::vector<int64_t>;
 
 constexpr int64_t kKeyPad = std::numeric_limits<int64_t>::min();
 
-// Hidden key-column prefixes carried through relational::HashJoin so the
-// join's gather recovers each output pair's (left, right) keys.
-constexpr const char* kLeftKeyPrefix = "__nxlk";
-constexpr const char* kRightKeyPrefix = "__nxrk";
+bool KeyLess(const int64_t* a, const int64_t* b, int width) {
+  return std::lexicographical_compare(a, a + width, b, b + width);
+}
 
 constexpr const char* kRefuseMarker = "ivm-refuse: ";
 
@@ -61,84 +61,148 @@ telemetry::Gauge* StateBytesGauge() {
   return g;
 }
 
-/// A batch of delta rows sorted by scratch-order key (keys parallel rows).
+/// Rows of one node in key order, with their keys (`width` per row).
 struct DeltaBatch {
   TablePtr rows;
-  std::vector<Key> keys;
+  std::vector<int64_t> keys;
+  int width = 1;
   int64_t num_rows() const { return rows == nullptr ? 0 : rows->num_rows(); }
+  const int64_t* key(int64_t r) const { return keys.data() + r * width; }
 };
 
-Result<TablePtr> AugmentKeys(const TablePtr& t, const std::vector<Key>& keys,
-                             int width, const char* prefix) {
-  std::vector<Field> fields = t->schema()->fields();
-  std::vector<Column> cols = t->columns();
-  for (int k = 0; k < width; ++k) {
-    std::vector<int64_t> comp(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      comp[i] = keys[i][static_cast<size_t>(k)];
-    }
-    fields.push_back(
-        Field::Attr(StrCat(prefix, static_cast<int64_t>(k)), DataType::kInt64));
-    cols.push_back(Column::FromInt64(std::move(comp)));
+/// Merges two key-ordered batches of one node: a concatenation when `b`
+/// follows all of `a`, a two-way merge otherwise.
+Result<DeltaBatch> MergeBatches(DeltaBatch a, DeltaBatch b) {
+  if (b.num_rows() == 0) return a;
+  if (a.num_rows() == 0) return b;
+  NEXUS_ASSIGN_OR_RETURN(TablePtr both, relational::Union(a.rows, b.rows));
+  const int w = a.width;
+  const int64_t na = a.num_rows(), nb = b.num_rows();
+  if (KeyLess(a.key(na - 1), b.key(0), w)) {
+    a.keys.insert(a.keys.end(), b.keys.begin(), b.keys.end());
+    return DeltaBatch{std::move(both), std::move(a.keys), w};
   }
-  NEXUS_ASSIGN_OR_RETURN(SchemaPtr schema, Schema::Make(std::move(fields)));
-  return Table::Make(std::move(schema), std::move(cols));
+  std::vector<int64_t> order, keys;
+  order.reserve(static_cast<size_t>(na + nb));
+  keys.reserve(a.keys.size() + b.keys.size());
+  for (int64_t i = 0, j = 0; i < na || j < nb;) {
+    const bool from_a = j >= nb || (i < na && KeyLess(a.key(i), b.key(j), w));
+    const int64_t* k = from_a ? a.key(i) : b.key(j);
+    keys.insert(keys.end(), k, k + w);
+    order.push_back(from_a ? i++ : na + j++);
+  }
+  return DeltaBatch{both->TakeRows(order), std::move(keys), w};
 }
 
 // ---------------------------------------------------------------------------
 // Runtime state tree.
 // ---------------------------------------------------------------------------
 
-/// One join side's retained build state: the child's full output to date,
-/// augmented with its key columns and kept in key order. May be parked in a
-/// spill file between refreshes (exec/spill policy).
-struct SideState {
-  // Retained rows live as a materialized prefix plus in-key-order tail
-  // chunks, so the hot path — one more append-only delta — is O(|Δ|): the
-  // chunk is pushed, nothing is copied. Chunks collapse into the prefix
-  // only when the whole side is needed as a join input (the other side
-  // produced a delta) or when parking to scratch.
-  TablePtr rows;  // augmented: child columns + key columns; sorted by key
-  std::vector<TablePtr> tail_chunks;
-  std::vector<Key> keys;  // prefix + chunk rows, sorted
-  int key_width = 0;
+/// Rows of one node retained in key order: a join side's build state, or a
+/// non-aggregate root's output. The hot path, a batch that follows every
+/// retained row, pushes the batch as a tail chunk and copies nothing; the
+/// chunks collapse into `all.rows` only when the whole store is read. A
+/// join side may be parked in a spill file between refreshes, its keys
+/// riding along as hidden columns of the spill frame.
+struct RowStore {
+  DeltaBatch all;  // rows: the materialized prefix; keys: prefix + chunks
+  std::vector<TablePtr> chunks;
   std::unique_ptr<spill::SpillFile> parked;
-  SchemaPtr parked_schema;
-  int64_t parked_rows = 0;
+  SchemaPtr parked_schema;  // the rows' fields, then the key columns
 
   int64_t num_rows() const {
-    int64_t n = rows == nullptr ? 0 : rows->num_rows();
-    for (const TablePtr& c : tail_chunks) n += c->num_rows();
-    return n;
+    return static_cast<int64_t>(all.keys.size()) / all.width;
   }
 
   int64_t bytes() const {
-    int64_t b = rows == nullptr ? 0 : rows->ByteSize();
-    for (const TablePtr& c : tail_chunks) b += c->ByteSize();
-    if (b == 0) return 0;
-    return b + static_cast<int64_t>(keys.size()) * (key_width + 2) * 8;
+    int64_t b = all.rows == nullptr ? 0 : all.rows->ByteSize();
+    for (const TablePtr& c : chunks) b += c->ByteSize();
+    return b + static_cast<int64_t>(all.keys.size() * sizeof(int64_t));
+  }
+
+  Status Materialize() {
+    if (chunks.empty()) return Status::OK();
+    std::vector<Column> cols = all.rows->columns();
+    for (const TablePtr& chunk : chunks) {
+      for (size_t c = 0; c < cols.size(); ++c) {
+        NEXUS_RETURN_NOT_OK(
+            cols[c].AppendColumn(chunk->column(static_cast<int>(c))));
+      }
+    }
+    NEXUS_ASSIGN_OR_RETURN(all.rows,
+                           Table::Make(all.rows->schema(), std::move(cols)));
+    chunks.clear();
+    return Status::OK();
+  }
+
+  Status Merge(DeltaBatch batch) {
+    if (all.rows != nullptr && batch.num_rows() == 0) return Status::OK();
+    if (num_rows() == 0) {
+      all = std::move(batch);
+      return Status::OK();
+    }
+    if (KeyLess(all.keys.data() + all.keys.size() - all.width, batch.key(0),
+                all.width)) {
+      chunks.push_back(std::move(batch.rows));
+      all.keys.insert(all.keys.end(), batch.keys.begin(), batch.keys.end());
+      return Status::OK();
+    }
+    NEXUS_RETURN_NOT_OK(Materialize());
+    NEXUS_ASSIGN_OR_RETURN(all, MergeBatches(std::move(all), std::move(batch)));
+    return Status::OK();
+  }
+
+  Status Park() {
+    if (parked != nullptr || num_rows() == 0) return Status::OK();
+    NEXUS_RETURN_NOT_OK(Materialize());
+    std::vector<Field> fields = all.rows->schema()->fields();
+    std::vector<Column> cols = all.rows->columns();
+    const size_t w = static_cast<size_t>(all.width);
+    for (size_t k = 0; k < w; ++k) {
+      std::vector<int64_t> comp(static_cast<size_t>(num_rows()));
+      for (size_t r = 0; r < comp.size(); ++r) comp[r] = all.keys[r * w + k];
+      fields.push_back(Field::Attr(StrCat("__nxkey", static_cast<int64_t>(k)),
+                                   DataType::kInt64));
+      cols.push_back(Column::FromInt64(std::move(comp)));
+    }
+    NEXUS_ASSIGN_OR_RETURN(SchemaPtr schema, Schema::Make(std::move(fields)));
+    NEXUS_ASSIGN_OR_RETURN(TablePtr frame,
+                           Table::Make(schema, std::move(cols)));
+    NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<spill::SpillFile> file,
+                           spill::SpillManager::Global().Create("ivm-state"));
+    NEXUS_RETURN_NOT_OK(file->Append(frame));
+    spill::ReleaseTable(all.rows);
+    all.rows.reset();
+    all.keys = {};
+    parked = std::move(file);
+    parked_schema = std::move(schema);
+    return Status::OK();
+  }
+
+  Status Load() {
+    if (parked == nullptr) return Status::OK();
+    NEXUS_ASSIGN_OR_RETURN(TablePtr frame, parked->ReadAll(parked_schema));
+    const size_t w = static_cast<size_t>(all.width);
+    const int nreal = frame->num_columns() - all.width;
+    all.keys.resize(static_cast<size_t>(frame->num_rows()) * w);
+    for (size_t k = 0; k < w; ++k) {
+      const auto& comp = frame->column(nreal + static_cast<int>(k)).ints();
+      for (size_t r = 0; r < comp.size(); ++r) all.keys[r * w + k] = comp[r];
+    }
+    const auto& fields = parked_schema->fields();
+    NEXUS_ASSIGN_OR_RETURN(SchemaPtr schema,
+                           Schema::Make(std::vector<Field>(
+                               fields.begin(), fields.begin() + nreal)));
+    NEXUS_ASSIGN_OR_RETURN(
+        all.rows, Table::Make(std::move(schema),
+                              std::vector<Column>(frame->columns().begin(),
+                                                  frame->columns().begin() +
+                                                      nreal)));
+    parked.reset();  // unlinks the scratch file
+    parked_schema.reset();
+    return Status::OK();
   }
 };
-
-/// Collapses tail chunks into the materialized prefix (one concatenation
-/// pass). After this, `rows` holds every retained row of the side.
-Status MaterializeSide(SideState* side) {
-  if (side->tail_chunks.empty()) return Status::OK();
-  TablePtr base = side->rows != nullptr ? side->rows : side->tail_chunks[0];
-  std::vector<Column> cols = base->columns();
-  for (size_t i = side->rows != nullptr ? 0 : 1; i < side->tail_chunks.size();
-       ++i) {
-    const TablePtr& chunk = side->tail_chunks[i];
-    for (size_t c = 0; c < cols.size(); ++c) {
-      NEXUS_RETURN_NOT_OK(
-          cols[c].AppendColumn(chunk->column(static_cast<int>(c))));
-    }
-  }
-  NEXUS_ASSIGN_OR_RETURN(side->rows,
-                         Table::Make(base->schema(), std::move(cols)));
-  side->tail_chunks.clear();
-  return Status::OK();
-}
 
 struct RtNode {
   DeltaKind kind = DeltaKind::kScan;
@@ -155,8 +219,8 @@ struct RtNode {
   // kConst: the inline table is emitted once, at the initial build.
   bool const_emitted = false;
 
-  // kJoin.
-  SideState left, right;
+  // kJoin: each side's child output to date.
+  RowStore left, right;
 };
 
 std::unique_ptr<RtNode> BuildRt(const DeltaNode& d) {
@@ -177,9 +241,9 @@ std::unique_ptr<RtNode> BuildRt(const DeltaNode& d) {
       node->key_width = node->children[0]->key_width;
       break;
     case DeltaKind::kJoin:
-      node->left.key_width = node->children[0]->key_width;
-      node->right.key_width = node->children[1]->key_width;
-      node->key_width = node->left.key_width + node->right.key_width;
+      node->left.all.width = node->children[0]->key_width;
+      node->right.all.width = node->children[1]->key_width;
+      node->key_width = node->left.all.width + node->right.all.width;
       break;
     case DeltaKind::kUnion:
       node->key_width =
@@ -196,7 +260,7 @@ int64_t NodeStateBytes(const RtNode& node) {
   return bytes;
 }
 
-void CollectSides(RtNode* node, std::vector<SideState*>* out) {
+void CollectSides(RtNode* node, std::vector<RowStore*>* out) {
   if (node->kind == DeltaKind::kJoin) {
     out->push_back(&node->left);
     out->push_back(&node->right);
@@ -204,119 +268,20 @@ void CollectSides(RtNode* node, std::vector<SideState*>* out) {
   for (auto& c : node->children) CollectSides(c.get(), out);
 }
 
-Status ParkSide(SideState* side) {
-  if (side->parked != nullptr || side->num_rows() == 0) {
-    return Status::OK();
-  }
-  NEXUS_RETURN_NOT_OK(MaterializeSide(side));
-  NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<spill::SpillFile> file,
-                         spill::SpillManager::Global().Create("ivm-state"));
-  NEXUS_RETURN_NOT_OK(file->Append(side->rows));
-  side->parked_schema = side->rows->schema();
-  side->parked_rows = side->rows->num_rows();
-  spill::ReleaseTable(side->rows);
-  side->rows.reset();
-  side->keys.clear();
-  side->keys.shrink_to_fit();
-  side->parked = std::move(file);
-  return Status::OK();
-}
-
-Status EnsureLoaded(SideState* side) {
-  if (side->parked == nullptr) return Status::OK();
-  NEXUS_ASSIGN_OR_RETURN(TablePtr t, side->parked->ReadAll(side->parked_schema));
-  const int width = side->key_width;
-  const int first_key_col = t->num_columns() - width;
-  std::vector<Key> keys(static_cast<size_t>(t->num_rows()),
-                        Key(static_cast<size_t>(width)));
-  for (int k = 0; k < width; ++k) {
-    const auto& v = t->column(first_key_col + k).ints();
-    for (size_t r = 0; r < keys.size(); ++r) keys[r][static_cast<size_t>(k)] = v[r];
-  }
-  side->rows = std::move(t);
-  side->keys = std::move(keys);
-  side->parked.reset();  // unlinks the scratch file
-  side->parked_schema.reset();
-  side->parked_rows = 0;
-  return Status::OK();
-}
-
-/// Merges an augmented, key-sorted delta into a side accumulator, keeping it
-/// sorted. The steady-state path — all delta keys beyond the last retained
-/// key — is a plain column append.
-Status MergeSide(SideState* side, const TablePtr& aug,
-                 const std::vector<Key>& keys) {
-  if (side->num_rows() == 0) {
-    if (side->rows != nullptr && keys.empty()) return Status::OK();
-    side->rows = aug;
-    side->tail_chunks.clear();
-    side->keys = keys;
-    return Status::OK();
-  }
-  if (keys.empty()) return Status::OK();
-  if (side->keys.back() < keys.front()) {
-    // The hot path: the delta strictly follows everything retained, so it
-    // rides along as a chunk — no copy of the retained rows.
-    side->tail_chunks.push_back(aug);
-    side->keys.insert(side->keys.end(), keys.begin(), keys.end());
-    return Status::OK();
-  }
-  // Mid-stream insert: concatenate, then gather in merged key order.
-  NEXUS_RETURN_NOT_OK(MaterializeSide(side));
-  const int64_t n1 = side->rows->num_rows();
-  const int64_t n2 = aug->num_rows();
-  std::vector<Column> cols = side->rows->columns();
-  for (size_t c = 0; c < cols.size(); ++c) {
-    NEXUS_RETURN_NOT_OK(cols[c].AppendColumn(aug->column(static_cast<int>(c))));
-  }
-  NEXUS_ASSIGN_OR_RETURN(TablePtr combined,
-                         Table::Make(side->rows->schema(), std::move(cols)));
-  std::vector<int64_t> order;
-  std::vector<Key> merged_keys;
-  order.reserve(static_cast<size_t>(n1 + n2));
-  merged_keys.reserve(static_cast<size_t>(n1 + n2));
-  int64_t i = 0, j = 0;
-  while (i < n1 || j < n2) {
-    bool take_left =
-        j >= n2 || (i < n1 && side->keys[static_cast<size_t>(i)] <
-                                  keys[static_cast<size_t>(j)]);
-    if (take_left) {
-      order.push_back(i);
-      merged_keys.push_back(side->keys[static_cast<size_t>(i)]);
-      ++i;
-    } else {
-      order.push_back(n1 + j);
-      merged_keys.push_back(keys[static_cast<size_t>(j)]);
-      ++j;
-    }
-  }
-  side->rows = combined->TakeRows(order);
-  side->keys = std::move(merged_keys);
-  return Status::OK();
-}
-
-Result<SchemaPtr> JoinOutputSchema(const SchemaPtr& left, const SchemaPtr& right,
-                                   const JoinOp& spec) {
-  std::vector<Field> fields = left->fields();
-  for (int c = 0; c < right->num_fields(); ++c) {
-    const Field& f = right->field(c);
-    if (std::find(spec.right_keys.begin(), spec.right_keys.end(), f.name) !=
-        spec.right_keys.end()) {
-      continue;
-    }
-    Field out = f;
-    out.is_dimension = false;
-    fields.push_back(std::move(out));
-  }
-  return Schema::Make(std::move(fields));
-}
-
 // ---------------------------------------------------------------------------
 // Delta pull: one refresh's walk of the runtime tree. Each call returns the
-// node's delta rows sorted by key and advances retained state.
+// node's delta rows in key order and advances retained state.
 // ---------------------------------------------------------------------------
 
 Result<DeltaBatch> Pull(RtNode* node, const InMemoryCatalog& catalog);
+
+/// `rows` keyed by position: row r's key is first + r.
+DeltaBatch Positional(TablePtr rows, int64_t first) {
+  DeltaBatch batch{std::move(rows), {}, 1};
+  batch.keys.resize(static_cast<size_t>(batch.num_rows()));
+  std::iota(batch.keys.begin(), batch.keys.end(), first);
+  return batch;
+}
 
 Result<DeltaBatch> PullScan(RtNode* node, const InMemoryCatalog& catalog) {
   const auto& op = node->plan->As<ScanOp>();
@@ -346,145 +311,92 @@ Result<DeltaBatch> PullScan(RtNode* node, const InMemoryCatalog& catalog) {
   // the consumed watermark stays consistent (the rest arrives next refresh).
   int64_t take = tail.row_count - node->consumed_rows;
   if (delta->num_rows() > take) delta = delta->Slice(0, take);
-  DeltaBatch batch;
-  batch.keys.reserve(static_cast<size_t>(delta->num_rows()));
-  for (int64_t r = 0; r < delta->num_rows(); ++r) {
-    batch.keys.push_back(Key{node->consumed_rows + r});
-  }
+  DeltaBatch batch = Positional(std::move(delta), node->consumed_rows);
   node->consumed_epoch = tail.epoch;
-  node->consumed_rows += delta->num_rows();
-  batch.rows = std::move(delta);
+  node->consumed_rows += batch.num_rows();
   return batch;
 }
 
 Result<DeltaBatch> PullConst(RtNode* node) {
   const TablePtr& t = node->plan->As<ValuesOp>().data.table();
-  DeltaBatch batch;
-  if (node->const_emitted) {
-    batch.rows = Table::Empty(t->schema());
-    return batch;
-  }
+  if (node->const_emitted) return Positional(Table::Empty(t->schema()), 0);
   node->const_emitted = true;
-  batch.rows = t;
-  batch.keys.reserve(static_cast<size_t>(t->num_rows()));
-  for (int64_t r = 0; r < t->num_rows(); ++r) batch.keys.push_back(Key{r});
-  return batch;
+  return Positional(t, 0);
+}
+
+/// One delta term of a join: the pairs the engine's join keeps (key lookup,
+/// HashJoinPairs, residual), gathered from the rows of `l` and `r`; a
+/// pair's key is its left key then its right key. Both inputs are in key
+/// order and the pairs come out left-major, so the term is in key order.
+Result<DeltaBatch> JoinTerm(const DeltaBatch& l, const DeltaBatch& r,
+                            const JoinOp& spec) {
+  telemetry::SpanGuard span(telemetry::kCategoryEngine, "rel.HashJoin");
+  span.AddCounter("rows_left", l.num_rows());
+  span.AddCounter("rows_right", r.num_rows());
+  ScopedCharge working_set;
+  std::vector<int64_t> li, ri;
+  NEXUS_RETURN_NOT_OK(relational::JoinPairs(l.rows, r.rows, spec,
+                                            &working_set, &span, &li, &ri));
+  DeltaBatch out;
+  out.width = l.width + r.width;
+  NEXUS_ASSIGN_OR_RETURN(out.rows,
+                         relational::GatherJoin(l.rows, r.rows, spec, li, ri));
+  out.keys.reserve(li.size() * static_cast<size_t>(out.width));
+  for (size_t p = 0; p < li.size(); ++p) {
+    out.keys.insert(out.keys.end(), l.key(li[p]), l.key(li[p]) + l.width);
+    out.keys.insert(out.keys.end(), r.key(ri[p]), r.key(ri[p]) + r.width);
+  }
+  return out;
 }
 
 Result<DeltaBatch> PullJoin(RtNode* node, const InMemoryCatalog& catalog) {
   NEXUS_ASSIGN_OR_RETURN(DeltaBatch dl, Pull(node->children[0].get(), catalog));
   NEXUS_ASSIGN_OR_RETURN(DeltaBatch dr, Pull(node->children[1].get(), catalog));
   const auto& spec = node->plan->As<JoinOp>();
-  NEXUS_RETURN_NOT_OK(EnsureLoaded(&node->left));
-  NEXUS_RETURN_NOT_OK(EnsureLoaded(&node->right));
-  const int wl = node->left.key_width;
-  const int wr = node->right.key_width;
-  NEXUS_ASSIGN_OR_RETURN(TablePtr adl,
-                         AugmentKeys(dl.rows, dl.keys, wl, kLeftKeyPrefix));
-  NEXUS_ASSIGN_OR_RETURN(TablePtr adr,
-                         AugmentKeys(dr.rows, dr.keys, wr, kRightKeyPrefix));
+  RowStore& left = node->left;
+  RowStore& right = node->right;
+  NEXUS_RETURN_NOT_OK(left.Load());
+  NEXUS_RETURN_NOT_OK(right.Load());
+  // No pairs yet: the output schema, for a refresh that finds none.
+  DeltaBatch out;
+  out.width = node->key_width;
   NEXUS_ASSIGN_OR_RETURN(
-      SchemaPtr out_schema,
-      JoinOutputSchema(dl.rows->schema(), dr.rows->schema(), spec));
-  const int lreal = dl.rows->schema()->num_fields();
-  const int rout_real = out_schema->num_fields() - lreal;
-
-  // Collect new pairs from both delta terms; the augmented join output lays
-  // columns out as [left real][left keys][right real non-key][right keys].
-  std::vector<Column> all_cols;
-  std::vector<Key> all_keys;
-  auto add_pairs = [&](const TablePtr& jo) -> Status {
-    const int64_t n = jo->num_rows();
-    size_t base = all_keys.size();
-    all_keys.resize(base + static_cast<size_t>(n),
-                    Key(static_cast<size_t>(wl + wr)));
-    for (int k = 0; k < wl; ++k) {
-      const auto& v = jo->column(lreal + k).ints();
-      for (int64_t r = 0; r < n; ++r) {
-        all_keys[base + static_cast<size_t>(r)][static_cast<size_t>(k)] =
-            v[static_cast<size_t>(r)];
-      }
-    }
-    for (int k = 0; k < wr; ++k) {
-      const auto& v = jo->column(lreal + wl + rout_real + k).ints();
-      for (int64_t r = 0; r < n; ++r) {
-        all_keys[base + static_cast<size_t>(r)][static_cast<size_t>(wl + k)] =
-            v[static_cast<size_t>(r)];
-      }
-    }
-    if (all_cols.empty()) {
-      for (int c = 0; c < lreal; ++c) all_cols.push_back(jo->column(c));
-      for (int c = 0; c < rout_real; ++c) {
-        all_cols.push_back(jo->column(lreal + wl + c));
-      }
-    } else {
-      for (int c = 0; c < lreal; ++c) {
-        NEXUS_RETURN_NOT_OK(
-            all_cols[static_cast<size_t>(c)].AppendColumn(jo->column(c)));
-      }
-      for (int c = 0; c < rout_real; ++c) {
-        NEXUS_RETURN_NOT_OK(all_cols[static_cast<size_t>(lreal + c)].AppendColumn(
-            jo->column(lreal + wl + c)));
-      }
-    }
-    return Status::OK();
-  };
-
+      out.rows, relational::GatherJoin(dl.rows, dr.rows, spec, {}, {}));
   // Δ(L ⋈ R) = ΔL ⋈ R_old ∪ L_new ⋈ ΔR — the two terms partition the new
   // pairs (term 1's right rows predate ΔR, term 2's are exactly ΔR).
-  if (dl.num_rows() > 0 && node->right.num_rows() > 0) {
-    NEXUS_RETURN_NOT_OK(MaterializeSide(&node->right));
-    NEXUS_ASSIGN_OR_RETURN(TablePtr jo,
-                           relational::HashJoin(adl, node->right.rows, spec));
-    NEXUS_RETURN_NOT_OK(add_pairs(jo));
+  if (dl.num_rows() > 0 && right.num_rows() > 0) {
+    NEXUS_RETURN_NOT_OK(right.Materialize());
+    NEXUS_ASSIGN_OR_RETURN(out, JoinTerm(dl, right.all, spec));
   }
-  NEXUS_RETURN_NOT_OK(MergeSide(&node->left, adl, dl.keys));
-  if (dr.num_rows() > 0 && node->left.num_rows() > 0) {
-    NEXUS_RETURN_NOT_OK(MaterializeSide(&node->left));
-    NEXUS_ASSIGN_OR_RETURN(TablePtr jo,
-                           relational::HashJoin(node->left.rows, adr, spec));
-    NEXUS_RETURN_NOT_OK(add_pairs(jo));
+  NEXUS_RETURN_NOT_OK(left.Merge(std::move(dl)));
+  if (dr.num_rows() > 0 && left.num_rows() > 0) {
+    NEXUS_RETURN_NOT_OK(left.Materialize());
+    NEXUS_ASSIGN_OR_RETURN(DeltaBatch term, JoinTerm(left.all, dr, spec));
+    NEXUS_ASSIGN_OR_RETURN(out, MergeBatches(std::move(out), std::move(term)));
   }
-  NEXUS_RETURN_NOT_OK(MergeSide(&node->right, adr, dr.keys));
-
-  DeltaBatch batch;
-  if (all_keys.empty()) {
-    batch.rows = Table::Empty(out_schema);
-    return batch;
-  }
-  NEXUS_ASSIGN_OR_RETURN(TablePtr combined,
-                         Table::Make(out_schema, std::move(all_cols)));
-  // Pair keys are unique (one per (left row, right row)), so a plain sort
-  // restores the engine's lexicographic (left, right) emission order.
-  std::vector<int64_t> order(all_keys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    return all_keys[static_cast<size_t>(a)] < all_keys[static_cast<size_t>(b)];
-  });
-  batch.rows = combined->TakeRows(order);
-  batch.keys.reserve(order.size());
-  for (int64_t idx : order) {
-    batch.keys.push_back(std::move(all_keys[static_cast<size_t>(idx)]));
-  }
-  return batch;
+  NEXUS_RETURN_NOT_OK(right.Merge(std::move(dr)));
+  return out;
 }
 
 Result<DeltaBatch> PullUnion(RtNode* node, const InMemoryCatalog& catalog) {
   NEXUS_ASSIGN_OR_RETURN(DeltaBatch l, Pull(node->children[0].get(), catalog));
   NEXUS_ASSIGN_OR_RETURN(DeltaBatch r, Pull(node->children[1].get(), catalog));
-  const size_t width = static_cast<size_t>(node->key_width);
   DeltaBatch batch;
-  batch.keys.reserve(l.keys.size() + r.keys.size());
-  auto tag = [&](int64_t branch, const Key& k) {
-    Key out;
-    out.reserve(width);
-    out.push_back(branch);
-    out.insert(out.end(), k.begin(), k.end());
-    out.resize(width, kKeyPad);
-    batch.keys.push_back(std::move(out));
+  batch.width = node->key_width;
+  batch.keys.reserve(static_cast<size_t>((l.num_rows() + r.num_rows()) *
+                                         batch.width));
+  // Key: [branch] ++ child key, padded to the union's width.
+  auto tag = [&](int64_t branch, const DeltaBatch& d) {
+    for (int64_t i = 0; i < d.num_rows(); ++i) {
+      batch.keys.push_back(branch);
+      batch.keys.insert(batch.keys.end(), d.key(i), d.key(i) + d.width);
+      batch.keys.insert(batch.keys.end(),
+                        static_cast<size_t>(batch.width - 1 - d.width),
+                        kKeyPad);
+    }
   };
-  for (const Key& k : l.keys) tag(0, k);
-  for (const Key& k : r.keys) tag(1, k);
+  tag(0, l);
+  tag(1, r);
   if (r.num_rows() == 0) {
     batch.rows = l.rows;
   } else if (l.num_rows() == 0) {
@@ -501,53 +413,57 @@ Result<DeltaBatch> Pull(RtNode* node, const InMemoryCatalog& catalog) {
       return PullScan(node, catalog);
     case DeltaKind::kConst:
       return PullConst(node);
-    case DeltaKind::kFilter: {
-      NEXUS_ASSIGN_OR_RETURN(DeltaBatch c, Pull(node->children[0].get(), catalog));
-      const auto& op = node->plan->As<SelectOp>();
-      NEXUS_ASSIGN_OR_RETURN(std::vector<int64_t> sel,
-                             EvalPredicate(*op.predicate, *c.rows));
-      DeltaBatch batch;
-      batch.rows = c.rows->TakeRows(sel);
-      batch.keys.reserve(sel.size());
-      for (int64_t s : sel) {
-        batch.keys.push_back(std::move(c.keys[static_cast<size_t>(s)]));
-      }
-      return batch;
-    }
-    case DeltaKind::kProject: {
-      NEXUS_ASSIGN_OR_RETURN(DeltaBatch c, Pull(node->children[0].get(), catalog));
-      NEXUS_ASSIGN_OR_RETURN(
-          TablePtr rows,
-          relational::Project(c.rows, node->plan->As<ProjectOp>().columns));
-      return DeltaBatch{std::move(rows), std::move(c.keys)};
-    }
-    case DeltaKind::kExtend: {
-      NEXUS_ASSIGN_OR_RETURN(DeltaBatch c, Pull(node->children[0].get(), catalog));
-      NEXUS_ASSIGN_OR_RETURN(
-          TablePtr rows,
-          relational::Extend(c.rows, node->plan->As<ExtendOp>().defs));
-      return DeltaBatch{std::move(rows), std::move(c.keys)};
-    }
-    case DeltaKind::kRename: {
-      NEXUS_ASSIGN_OR_RETURN(DeltaBatch c, Pull(node->children[0].get(), catalog));
-      NEXUS_ASSIGN_OR_RETURN(
-          TablePtr rows,
-          relational::Rename(c.rows, node->plan->As<RenameOp>().mapping));
-      return DeltaBatch{std::move(rows), std::move(c.keys)};
-    }
     case DeltaKind::kJoin:
       return PullJoin(node, catalog);
     case DeltaKind::kUnion:
       return PullUnion(node, catalog);
     case DeltaKind::kAggregate:
+      return Status::Internal("aggregate must be pulled through its view root");
+    default:
       break;
   }
-  return Status::Internal("aggregate must be pulled through its view root");
+  // Row-wise operators: each output row keeps its input row's key.
+  NEXUS_ASSIGN_OR_RETURN(DeltaBatch c, Pull(node->children[0].get(), catalog));
+  const Plan& plan = *node->plan;
+  switch (node->kind) {
+    case DeltaKind::kFilter: {
+      NEXUS_ASSIGN_OR_RETURN(
+          std::vector<int64_t> sel,
+          EvalPredicate(*plan.As<SelectOp>().predicate, *c.rows));
+      std::vector<int64_t> keys;
+      keys.reserve(sel.size() * static_cast<size_t>(c.width));
+      for (int64_t s : sel) {
+        keys.insert(keys.end(), c.key(s), c.key(s) + c.width);
+      }
+      c.rows = c.rows->TakeRows(sel);
+      c.keys = std::move(keys);
+      break;
+    }
+    case DeltaKind::kProject: {
+      NEXUS_ASSIGN_OR_RETURN(
+          c.rows, relational::Project(c.rows, plan.As<ProjectOp>().columns));
+      break;
+    }
+    case DeltaKind::kExtend: {
+      NEXUS_ASSIGN_OR_RETURN(
+          c.rows, relational::Extend(c.rows, plan.As<ExtendOp>().defs));
+      break;
+    }
+    case DeltaKind::kRename: {
+      NEXUS_ASSIGN_OR_RETURN(
+          c.rows, relational::Rename(c.rows, plan.As<RenameOp>().mapping));
+      break;
+    }
+    default:
+      break;
+  }
+  return c;
 }
 
 // ---------------------------------------------------------------------------
-// Root Reduce⊕ state: per-group fold states of the one grouped fold
-// (algebra::FoldRow / FinishAgg, the same arithmetic as LowerAggregate),
+// Root Reduce⊕ state: the grouped fold of algebra::LowerAggregate (a
+// relational::GroupIndex over the group keys, a flat MonoidState array of
+// groups × folds, algebra::FoldRow / FinishAgg), carried across refreshes,
 // plus the scratch-order bookkeeping (first_key for group output order,
 // max_key for the order-sensitivity guard). Float SUM/MIN/MAX and AVG of
 // any input type are order-sensitive — fp addition is non-associative and
@@ -555,66 +471,45 @@ Result<DeltaBatch> Pull(RtNode* node, const InMemoryCatalog& catalog) {
 // out-of-order delta rows refuse below.
 // ---------------------------------------------------------------------------
 
-struct Group {
-  std::vector<Value> rep;  // group-by values of the group's first row
-  Key first_key;           // output order = ascending first_key
-  Key max_key;             // guard: order-sensitive folds refuse below this
-  std::vector<algebra::MonoidState> states;
-};
-
 struct AggState {
   bool init = false;
   std::vector<int> group_cols;
   std::vector<algebra::FoldSpec> folds;
   std::vector<DataType> agg_types;
   bool order_sensitive = false;
-  SchemaPtr child_schema;
+  int width = 1;  // of the child's keys
   SchemaPtr out_schema;
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  std::vector<Group> groups;
+  relational::GroupIndex index;
+  TablePtr reps;                   // row g: group g's group-by values
+  std::vector<int64_t> first_key;  // per group; output order is ascending
+  std::vector<int64_t> max_key;    // per group; the order-sensitive guard
+  std::vector<algebra::MonoidState> states;  // group g, fold a: g * nf + a
 
-  int64_t bytes() const {
-    int64_t per_group = static_cast<int64_t>(
-        folds.size() * sizeof(algebra::MonoidState) + group_cols.size() * 32 +
-        96);
-    return static_cast<int64_t>(groups.size()) * per_group;
+  int64_t num_groups() const {
+    return static_cast<int64_t>(first_key.size()) / width;
   }
 
-  void Reset() {
-    init = false;
-    group_cols.clear();
-    folds.clear();
-    agg_types.clear();
-    order_sensitive = false;
-    child_schema.reset();
-    out_schema.reset();
-    buckets.clear();
-    groups.clear();
+  int64_t bytes() const {
+    if (!init) return 0;
+    return index.ByteSize() + reps->ByteSize() +
+           static_cast<int64_t>((first_key.size() + max_key.size()) *
+                                    sizeof(int64_t) +
+                                states.size() * sizeof(algebra::MonoidState));
   }
 };
 
-// relational::GroupKeysEqual against a stored representative row.
-bool RepEquals(const std::vector<Value>& rep, const Table& t, int64_t r,
-               const std::vector<int>& cols) {
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const Column& c = t.column(cols[i]);
-    bool row_null = c.IsNull(r);
-    if (rep[i].is_null() != row_null) return false;
-    if (row_null) continue;
-    if (rep[i] != c.GetValue(r)) return false;
-  }
-  return true;
-}
-
 Status InitAgg(AggState* agg, const AggregateOp& spec,
-               const SchemaPtr& child_schema) {
-  agg->child_schema = child_schema;
+               const DeltaBatch& batch) {
+  const SchemaPtr& child_schema = batch.rows->schema();
+  agg->width = batch.width;
+  std::vector<Field> fields;
   for (const std::string& g : spec.group_by) {
     NEXUS_ASSIGN_OR_RETURN(int i, child_schema->FindFieldOrError(g));
     agg->group_cols.push_back(i);
+    fields.push_back(child_schema->field(i));
   }
-  std::vector<Field> fields;
-  for (int c : agg->group_cols) fields.push_back(child_schema->field(c));
+  NEXUS_ASSIGN_OR_RETURN(SchemaPtr rep_schema, Schema::Make(fields));
+  agg->reps = Table::Empty(std::move(rep_schema));
   for (const AggSpec& a : spec.aggs) {
     NEXUS_ASSIGN_OR_RETURN(algebra::FoldSpec f, algebra::AggFold(a));
     agg->folds.push_back(f);
@@ -635,10 +530,9 @@ Status InitAgg(AggState* agg, const AggregateOp& spec,
   return Status::OK();
 }
 
-Status FoldAgg(AggState* agg, const AggregateOp& spec, const DeltaBatch& batch) {
-  if (!agg->init) {
-    NEXUS_RETURN_NOT_OK(InitAgg(agg, spec, batch.rows->schema()));
-  }
+Status FoldAgg(AggState* agg, const AggregateOp& spec,
+               const DeltaBatch& batch) {
+  if (!agg->init) NEXUS_RETURN_NOT_OK(InitAgg(agg, spec, batch));
   const Table& input = *batch.rows;
   const int64_t n = input.num_rows();
   if (n == 0) return Status::OK();
@@ -653,78 +547,94 @@ Status FoldAgg(AggState* agg, const AggregateOp& spec, const DeltaBatch& batch) 
   }
   NEXUS_ASSIGN_OR_RETURN(std::vector<uint64_t> hashes,
                          relational::HashRows(input, agg->group_cols));
+  const int w = agg->width;
+  const size_t nf = agg->folds.size();
+  const int64_t old_groups = agg->num_groups();
+  std::vector<int> rep_cols(agg->group_cols.size());
+  std::iota(rep_cols.begin(), rep_cols.end(), 0);
+  // Batch rows that become representatives: one per group this batch adds,
+  // and one per older group whose first row now comes earlier (it is bit
+  // exact for -0.0 / NaN payloads). A batch is in key order, so no group
+  // added by this batch moves its first row.
+  std::vector<int64_t> new_reps;
+  std::vector<std::pair<int64_t, int64_t>> moved_reps;
   for (int64_t r = 0; r < n; ++r) {
-    const Key& key = batch.keys[static_cast<size_t>(r)];
-    std::vector<size_t>& bucket = agg->buckets[hashes[static_cast<size_t>(r)]];
-    size_t gi = SIZE_MAX;
-    for (size_t g : bucket) {
-      if (RepEquals(agg->groups[g].rep, input, r, agg->group_cols)) {
-        gi = g;
-        break;
-      }
-    }
-    if (gi == SIZE_MAX) {
-      gi = agg->groups.size();
-      bucket.push_back(gi);
-      Group ng;
-      ng.rep.reserve(agg->group_cols.size());
-      for (int c : agg->group_cols) ng.rep.push_back(input.column(c).GetValue(r));
-      ng.first_key = key;
-      ng.max_key = key;
-      ng.states.resize(spec.aggs.size());
-      agg->groups.push_back(std::move(ng));
+    const int64_t* key = batch.key(r);
+    bool inserted = false;
+    const int64_t g = agg->index.FindOrInsert(
+        hashes[static_cast<size_t>(r)],
+        [&](int64_t c) {
+          return c < old_groups
+                     ? relational::GroupKeysEqual(*agg->reps, c, rep_cols,
+                                                  input, r, agg->group_cols)
+                     : relational::GroupKeysEqual(
+                           input, new_reps[static_cast<size_t>(c - old_groups)],
+                           r, agg->group_cols);
+        },
+        &inserted);
+    if (inserted) {
+      new_reps.push_back(r);
+      agg->first_key.insert(agg->first_key.end(), key, key + w);
+      agg->max_key.insert(agg->max_key.end(), key, key + w);
+      agg->states.resize(agg->states.size() + nf);
     } else {
-      Group& gr = agg->groups[gi];
-      if (agg->order_sensitive && key < gr.max_key) {
+      int64_t* first = agg->first_key.data() + g * w;
+      int64_t* last = agg->max_key.data() + g * w;
+      if (agg->order_sensitive && KeyLess(key, last, w)) {
         return Refuse(
             "order-sensitive ⊕-fold received an out-of-order delta row");
       }
-      if (key < gr.first_key) {
-        // This row is now the group's first in full-recompute order: it
-        // becomes the representative (bit-exact for -0.0 / NaN payloads).
-        gr.first_key = key;
-        gr.rep.clear();
-        for (int c : agg->group_cols) gr.rep.push_back(input.column(c).GetValue(r));
+      if (KeyLess(key, first, w)) {
+        std::copy(key, key + w, first);
+        moved_reps.emplace_back(g, r);
       }
-      if (gr.max_key < key) gr.max_key = key;
+      if (KeyLess(last, key, w)) std::copy(key, key + w, last);
     }
-    std::vector<algebra::MonoidState>& gs = agg->groups[gi].states;
-    for (size_t a = 0; a < agg->folds.size(); ++a) {
+    algebra::MonoidState* gs =
+        agg->states.data() + static_cast<size_t>(g) * nf;
+    for (size_t a = 0; a < nf; ++a) {
       NEXUS_RETURN_NOT_OK(
           algebra::FoldRow(agg->folds[a], agg_inputs[a], r, &gs[a]));
     }
   }
+  if (new_reps.empty() && moved_reps.empty()) return Status::OK();
+  std::vector<Column> cols = agg->reps->columns();
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const Column& src = input.column(agg->group_cols[i]);
+    cols[i].AppendRows(src, new_reps);
+    for (const auto& [g, r] : moved_reps) cols[i].SetFrom(g, src, r);
+  }
+  NEXUS_ASSIGN_OR_RETURN(agg->reps,
+                         Table::Make(agg->reps->schema(), std::move(cols)));
   return Status::OK();
 }
 
 Result<TablePtr> BuildAggOutput(const AggState& agg, const AggregateOp& spec) {
-  std::vector<size_t> order(agg.groups.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return agg.groups[a].first_key < agg.groups[b].first_key;
+  const int w = agg.width;
+  std::vector<int64_t> order(static_cast<size_t>(agg.num_groups()));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return KeyLess(agg.first_key.data() + a * w, agg.first_key.data() + b * w,
+                   w);
   });
-  // SQL semantics: a global aggregate over empty input yields one row.
-  const bool synth_empty = agg.group_cols.empty() && agg.groups.empty();
   std::vector<Column> cols;
-  for (size_t i = 0; i < agg.group_cols.size(); ++i) {
-    Column col(agg.child_schema->field(agg.group_cols[i]).type);
-    col.Reserve(static_cast<int64_t>(order.size()));
-    for (size_t g : order) {
-      NEXUS_RETURN_NOT_OK(col.Append(agg.groups[g].rep[i]));
-    }
-    cols.push_back(std::move(col));
-  }
-  for (size_t a = 0; a < spec.aggs.size(); ++a) {
-    Column col(
-        agg.out_schema->field(static_cast<int>(agg.group_cols.size() + a)).type);
+  for (const Column& rep : agg.reps->columns()) cols.push_back(rep.Take(order));
+  // SQL semantics: a global aggregate over empty input yields one row.
+  const algebra::MonoidState empty;
+  const bool synth_empty = agg.group_cols.empty() && order.empty();
+  const size_t nf = agg.folds.size();
+  for (size_t a = 0; a < nf; ++a) {
+    const int field = static_cast<int>(agg.group_cols.size() + a);
+    Column col(agg.out_schema->field(field).type);
     col.Reserve(static_cast<int64_t>(order.size()) + (synth_empty ? 1 : 0));
-    for (size_t g : order) {
-      NEXUS_RETURN_NOT_OK(col.Append(algebra::FinishAgg(
-          agg.groups[g].states[a], spec.aggs[a].func, agg.agg_types[a])));
+    for (int64_t g : order) {
+      NEXUS_RETURN_NOT_OK(col.Append(
+          algebra::FinishAgg(agg.states[static_cast<size_t>(g) * nf + a],
+                             spec.aggs[a].func, agg.agg_types[a])));
     }
     if (synth_empty) {
-      NEXUS_RETURN_NOT_OK(col.Append(algebra::FinishAgg(
-          algebra::MonoidState{}, spec.aggs[a].func, agg.agg_types[a])));
+      NEXUS_RETURN_NOT_OK(col.Append(
+          algebra::FinishAgg(empty, spec.aggs[a].func, agg.agg_types[a])));
     }
     cols.push_back(std::move(col));
   }
@@ -814,80 +724,22 @@ struct ViewRegistry::ViewImpl {
   std::unique_ptr<RtNode> root;  // null when statically refused
   bool agg_root = false;
   AggState agg;
-  TablePtr out_rows;  // non-aggregate roots: retained output in key order
-  std::vector<Key> out_keys;
+  RowStore out;  // non-aggregate roots: the retained output
   TablePtr result;
   int64_t charged_bytes = 0;
 
   int64_t StateBytes() const {
-    int64_t bytes = 0;
+    int64_t bytes = agg.bytes() + out.bytes();
     if (root != nullptr) bytes += NodeStateBytes(*root);
-    bytes += agg.bytes();
-    if (out_rows != nullptr) {
-      bytes += out_rows->ByteSize() +
-               static_cast<int64_t>(out_keys.size()) *
-                   (root == nullptr ? 2 : root->key_width + 2) * 8;
-    }
     return bytes;
   }
 
   void ResetState() {
     if (form.supported()) root = BuildRt(*form.root);
-    agg.Reset();
-    out_rows.reset();
-    out_keys.clear();
+    agg = AggState{};
+    out = RowStore{};
+    if (root != nullptr) out.all.width = root->key_width;
     result.reset();
-  }
-
-  Status MergeOut(DeltaBatch batch) {
-    if (out_rows == nullptr || out_rows->num_rows() == 0) {
-      if (out_rows != nullptr && batch.num_rows() == 0) return Status::OK();
-      out_rows = std::move(batch.rows);
-      out_keys = std::move(batch.keys);
-      return Status::OK();
-    }
-    if (batch.num_rows() == 0) return Status::OK();
-    if (out_keys.back() < batch.keys.front()) {
-      std::vector<Column> cols = out_rows->columns();
-      for (size_t c = 0; c < cols.size(); ++c) {
-        NEXUS_RETURN_NOT_OK(
-            cols[c].AppendColumn(batch.rows->column(static_cast<int>(c))));
-      }
-      NEXUS_ASSIGN_OR_RETURN(out_rows,
-                             Table::Make(out_rows->schema(), std::move(cols)));
-      out_keys.insert(out_keys.end(), batch.keys.begin(), batch.keys.end());
-      return Status::OK();
-    }
-    const int64_t n1 = out_rows->num_rows();
-    const int64_t n2 = batch.rows->num_rows();
-    std::vector<Column> cols = out_rows->columns();
-    for (size_t c = 0; c < cols.size(); ++c) {
-      NEXUS_RETURN_NOT_OK(
-          cols[c].AppendColumn(batch.rows->column(static_cast<int>(c))));
-    }
-    NEXUS_ASSIGN_OR_RETURN(TablePtr combined,
-                           Table::Make(out_rows->schema(), std::move(cols)));
-    std::vector<int64_t> order;
-    std::vector<Key> merged;
-    order.reserve(static_cast<size_t>(n1 + n2));
-    merged.reserve(static_cast<size_t>(n1 + n2));
-    int64_t i = 0, j = 0;
-    while (i < n1 || j < n2) {
-      bool take_left = j >= n2 || (i < n1 && out_keys[static_cast<size_t>(i)] <
-                                                 batch.keys[static_cast<size_t>(j)]);
-      if (take_left) {
-        order.push_back(i);
-        merged.push_back(std::move(out_keys[static_cast<size_t>(i)]));
-        ++i;
-      } else {
-        order.push_back(n1 + j);
-        merged.push_back(std::move(batch.keys[static_cast<size_t>(j)]));
-        ++j;
-      }
-    }
-    out_rows = combined->TakeRows(order);
-    out_keys = std::move(merged);
-    return Status::OK();
   }
 
   /// One incremental pass: pull deltas, fold the root, refresh `result`.
@@ -896,18 +748,16 @@ struct ViewRegistry::ViewImpl {
       NEXUS_ASSIGN_OR_RETURN(DeltaBatch batch,
                              Pull(root->children[0].get(), catalog));
       info->delta_rows += batch.num_rows();
-      NEXUS_RETURN_NOT_OK(
-          FoldAgg(&agg, root->plan->As<AggregateOp>(), batch));
-      NEXUS_ASSIGN_OR_RETURN(result,
-                             BuildAggOutput(agg, root->plan->As<AggregateOp>()));
+      const auto& spec = root->plan->As<AggregateOp>();
+      NEXUS_RETURN_NOT_OK(FoldAgg(&agg, spec, batch));
+      NEXUS_ASSIGN_OR_RETURN(result, BuildAggOutput(agg, spec));
       return Status::OK();
     }
     NEXUS_ASSIGN_OR_RETURN(DeltaBatch batch, Pull(root.get(), catalog));
     info->delta_rows += batch.num_rows();
-    TablePtr empty_schema_holder = batch.rows;
-    NEXUS_RETURN_NOT_OK(MergeOut(std::move(batch)));
-    result = out_rows != nullptr ? out_rows
-                                 : Table::Empty(empty_schema_holder->schema());
+    NEXUS_RETURN_NOT_OK(out.Merge(std::move(batch)));
+    NEXUS_RETURN_NOT_OK(out.Materialize());
+    result = out.all.rows;
     return Status::OK();
   }
 
@@ -946,6 +796,7 @@ Status ViewRegistry::Register(const std::string& name, PlanPtr plan) {
   if (bytes > 0) ChargeAllocation(bytes);
   v->charged_bytes = bytes;
   views_[name] = std::move(v);
+  PublishStateBytesLocked();
   return Status::OK();
 }
 
@@ -959,6 +810,7 @@ Status ViewRegistry::Unregister(const std::string& name) {
     ReleaseAllocation(it->second->charged_bytes);
   }
   views_.erase(it);
+  PublishStateBytesLocked();
   return Status::OK();
 }
 
@@ -1003,11 +855,8 @@ Result<TablePtr> ViewRegistry::RefreshLocked(const std::string& name,
   if (bytes > 0) ChargeAllocation(bytes);
   if (v->charged_bytes > 0) ReleaseAllocation(v->charged_bytes);
   v->charged_bytes = bytes;
-  int64_t total = 0;
-  for (const auto& [n, view] : views_) total += view->StateBytes();
-  StateBytesGauge()->Set(static_cast<double>(total));
-  if (spill::ShouldSpill(total)) {
-    NEXUS_RETURN_NOT_OK(ShedState(spill::SpillBudgetBytes()));
+  if (spill::ShouldSpill(PublishStateBytesLocked())) {
+    NEXUS_RETURN_NOT_OK(ShedStateLocked(spill::SpillBudgetBytes()));
   }
   info->state_bytes = v->StateBytes();
   return v->result;
@@ -1033,31 +882,41 @@ Result<std::string> ViewRegistry::Describe(const std::string& name) const {
 
 int64_t ViewRegistry::state_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return StateBytesLocked();
+}
+
+int64_t ViewRegistry::StateBytesLocked() const {
   int64_t total = 0;
   for (const auto& [name, v] : views_) total += v->StateBytes();
   return total;
 }
 
+int64_t ViewRegistry::PublishStateBytesLocked() const {
+  const int64_t total = StateBytesLocked();
+  StateBytesGauge()->Set(static_cast<double>(total));
+  return total;
+}
+
 Status ViewRegistry::ShedState(int64_t budget_bytes) {
-  // Caller may or may not hold mu_ (Refresh calls this internally); the
-  // public entry point is only safe because std::mutex is not recursive —
-  // so collect under a try-lock-free design: this method requires external
-  // serialization with Refresh, which the registry's single-writer contract
-  // provides (Refresh itself is the only internal caller, already locked).
-  std::vector<SideState*> sides;
+  std::lock_guard<std::mutex> lock(mu_);
+  return ShedStateLocked(budget_bytes);
+}
+
+Status ViewRegistry::ShedStateLocked(int64_t budget_bytes) {
+  std::vector<RowStore*> sides;
   for (const auto& [name, v] : views_) {
     if (v->root != nullptr) CollectSides(v->root.get(), &sides);
   }
-  std::sort(sides.begin(), sides.end(), [](SideState* a, SideState* b) {
+  std::sort(sides.begin(), sides.end(), [](RowStore* a, RowStore* b) {
     return a->bytes() > b->bytes();
   });
   int64_t resident = 0;
-  for (SideState* s : sides) resident += s->bytes();
-  for (SideState* s : sides) {
+  for (RowStore* s : sides) resident += s->bytes();
+  for (RowStore* s : sides) {
     if (budget_bytes > 0 && resident <= budget_bytes) break;
     int64_t freed = s->bytes();
     if (freed == 0) continue;
-    NEXUS_RETURN_NOT_OK(ParkSide(s));
+    NEXUS_RETURN_NOT_OK(s->Park());
     resident -= freed;
   }
   return Status::OK();

@@ -148,6 +148,18 @@ Result<TablePtr> RunGroupedAggregate(const Table& input,
   return builder.Finish();
 }
 
+// Sort order: Value::Compare (nulls first), except that a float64 NaN
+// follows every number and ties with NaN — relational::Sort's total order.
+int SortCompare(const Value& a, const Value& b) {
+  const bool an = a.is_float64() && std::isnan(a.AsDouble());
+  const bool bn = b.is_float64() && std::isnan(b.AsDouble());
+  if (an || bn) {
+    if (a.is_null() || b.is_null()) return a.is_null() ? -1 : 1;
+    return static_cast<int>(an) - static_cast<int>(bn);
+  }
+  return a.Compare(b);
+}
+
 }  // namespace
 
 Result<Dataset> ReferenceExecutor::Execute(const Plan& plan) {
@@ -387,7 +399,7 @@ Result<Dataset> ReferenceExecutor::ExecNode(const Plan& plan) {
       for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
       std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
         for (size_t k = 0; k < keys.size(); ++k) {
-          int cmp = in->At(a, key_cols[k]).Compare(in->At(b, key_cols[k]));
+          int cmp = SortCompare(in->At(a, key_cols[k]), in->At(b, key_cols[k]));
           if (cmp != 0) return keys[k].ascending ? cmp < 0 : cmp > 0;
         }
         return false;

@@ -1,6 +1,7 @@
 #include "federation/coordinator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -831,6 +832,34 @@ PlanPtr BindLoopVars(const PlanPtr& plan, const std::string& curr_name,
   return plan->WithChildren(std::move(children));
 }
 
+// True when `cur` starts with exactly the rows of `base`. Float64 cells
+// compare by bit pattern (Column::Equals takes NaN for any number and -0.0
+// for +0.0), together with validity; a delta binding must reproduce the
+// prefix the provider holds bit for bit.
+bool ExtendsBitwise(const Table& cur, const Table& base) {
+  const int64_t n = base.num_rows();
+  if (n > cur.num_rows() || !cur.schema()->Equals(*base.schema())) {
+    return false;
+  }
+  for (int c = 0; c < base.num_columns(); ++c) {
+    const Column& a = cur.column(c);
+    const Column& b = base.column(c);
+    if (a.type() != DataType::kFloat64) {
+      if (!a.Slice(0, n).Equals(b)) return false;
+      continue;
+    }
+    for (int64_t r = 0; r < n; ++r) {
+      if (a.IsNull(r) != b.IsNull(r)) return false;
+      const size_t i = static_cast<size_t>(r);
+      if (!a.IsNull(r) && std::bit_cast<uint64_t>(a.doubles()[i]) !=
+                              std::bit_cast<uint64_t>(b.doubles()[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void Coordinator::ProbeLoopShip(const IterateOp& op, const Dataset& state,
@@ -909,8 +938,7 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
         const TablePtr& base = it->second.table;
         const int64_t brows = base->num_rows();
         const TablePtr& cur = data.table();
-        if (brows <= cur->num_rows() &&
-            cur->Slice(0, brows)->Equals(*base)) {
+        if (ExtendsBitwise(*cur, *base)) {
           TablePtr tail = cur->Slice(brows, cur->num_rows() - brows);
           std::string tail_wire =
               SerializeDatasetWire(Dataset(tail), ship->format);

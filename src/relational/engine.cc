@@ -354,11 +354,10 @@ Result<TablePtr> Extend(
   return working;
 }
 
-Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
-                          const JoinOp& spec) {
-  telemetry::SpanGuard span(telemetry::kCategoryEngine, "rel.HashJoin");
-  span.AddCounter("rows_left", left->num_rows());
-  span.AddCounter("rows_right", right->num_rows());
+Status JoinPairs(const TablePtr& left, const TablePtr& right,
+                 const JoinOp& spec, ScopedCharge* working_set,
+                 telemetry::SpanGuard* span, std::vector<int64_t>* li,
+                 std::vector<int64_t>* ri) {
   std::vector<int> lk, rk;
   for (const std::string& k : spec.left_keys) {
     NEXUS_ASSIGN_OR_RETURN(int i, left->schema()->FindFieldOrError(k));
@@ -370,71 +369,59 @@ Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
   }
   const int64_t nl = left->num_rows();
   const int64_t nr = right->num_rows();
-
-  std::vector<int64_t> li, ri;
-  ScopedCharge working_set;  // released when the join returns
   if (lk.empty()) {
     // Keys-free join (residual-only): cross product. Pair (l, r) owns slot
     // l*nr + r: exact-size allocation up front, and each left-row morsel
     // fills disjoint slots.
-    li.resize(static_cast<size_t>(nl * nr));
-    ri.resize(static_cast<size_t>(nl * nr));
+    li->resize(static_cast<size_t>(nl * nr));
+    ri->resize(static_cast<size_t>(nl * nr));
     int64_t rows_per_morsel =
         std::max<int64_t>(1, kMorselRows / std::max<int64_t>(1, nr));
     ParallelFor(nl, rows_per_morsel, [&](int64_t b, int64_t e) {
       for (int64_t l = b; l < e; ++l) {
         size_t base = static_cast<size_t>(l * nr);
         for (int64_t r = 0; r < nr; ++r) {
-          li[base + static_cast<size_t>(r)] = l;
-          ri[base + static_cast<size_t>(r)] = r;
+          (*li)[base + static_cast<size_t>(r)] = l;
+          (*ri)[base + static_cast<size_t>(r)] = r;
         }
       }
     });
   } else {
     NEXUS_RETURN_NOT_OK(
-        HashJoinPairs(left, right, lk, rk, &working_set, &span, &li, &ri)
-            .status());
+        HashJoinPairs(left, right, lk, rk, working_set, span, li, ri).status());
   }
+  if (spec.residual == nullptr || li->empty()) return Status::OK();
 
   // Residual filtering over the candidate pairs (vectorized).
-  if (spec.residual != nullptr && !li.empty()) {
-    std::vector<Field> combined_fields = left->schema()->fields();
-    std::vector<Column> combined_cols;
-    for (const Column& c : left->columns()) combined_cols.push_back(c.Take(li));
-    for (int c = 0; c < right->num_columns(); ++c) {
-      const Field& f = right->schema()->field(c);
-      if (left->schema()->FindField(f.name) >= 0) continue;
-      combined_fields.push_back(f);
-      combined_cols.push_back(right->column(c).Take(ri));
-    }
-    NEXUS_ASSIGN_OR_RETURN(SchemaPtr cs, Schema::Make(std::move(combined_fields)));
-    NEXUS_ASSIGN_OR_RETURN(TablePtr candidates,
-                           Table::Make(cs, std::move(combined_cols)));
-    NEXUS_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
-                           EvalPredicate(*spec.residual, *candidates));
-    std::vector<int64_t> li2, ri2;
-    li2.reserve(keep.size());
-    ri2.reserve(keep.size());
-    for (int64_t k : keep) {
-      li2.push_back(li[static_cast<size_t>(k)]);
-      ri2.push_back(ri[static_cast<size_t>(k)]);
-    }
-    li.swap(li2);
-    ri.swap(ri2);
+  std::vector<Field> combined_fields = left->schema()->fields();
+  std::vector<Column> combined_cols;
+  for (const Column& c : left->columns()) combined_cols.push_back(c.Take(*li));
+  for (int c = 0; c < right->num_columns(); ++c) {
+    const Field& f = right->schema()->field(c);
+    if (left->schema()->FindField(f.name) >= 0) continue;
+    combined_fields.push_back(f);
+    combined_cols.push_back(right->column(c).Take(*ri));
   }
-
-  if (spec.type == JoinType::kSemi || spec.type == JoinType::kAnti) {
-    std::vector<uint8_t> matched(static_cast<size_t>(nl), 0);
-    for (int64_t l : li) matched[static_cast<size_t>(l)] = 1;
-    std::vector<int64_t> keep;
-    keep.reserve(static_cast<size_t>(nl));
-    bool want = spec.type == JoinType::kSemi;
-    for (int64_t l = 0; l < nl; ++l) {
-      if ((matched[static_cast<size_t>(l)] != 0) == want) keep.push_back(l);
-    }
-    return GatherRows(left, keep);
+  NEXUS_ASSIGN_OR_RETURN(SchemaPtr cs, Schema::Make(std::move(combined_fields)));
+  NEXUS_ASSIGN_OR_RETURN(TablePtr candidates,
+                         Table::Make(cs, std::move(combined_cols)));
+  NEXUS_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
+                         EvalPredicate(*spec.residual, *candidates));
+  std::vector<int64_t> li2, ri2;
+  li2.reserve(keep.size());
+  ri2.reserve(keep.size());
+  for (int64_t k : keep) {
+    li2.push_back((*li)[static_cast<size_t>(k)]);
+    ri2.push_back((*ri)[static_cast<size_t>(k)]);
   }
+  li->swap(li2);
+  ri->swap(ri2);
+  return Status::OK();
+}
 
+Result<TablePtr> GatherJoin(const TablePtr& left, const TablePtr& right,
+                            const JoinOp& spec, const std::vector<int64_t>& li,
+                            const std::vector<int64_t>& ri) {
   // Output schema: left fields + right non-key fields (dimension tags drop).
   std::vector<Field> fields = left->schema()->fields();
   std::vector<int> right_out;
@@ -454,47 +441,57 @@ Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
   // Gather output columns in parallel (inline below one morsel of pairs):
   // every task writes one pre-assigned slot of out_cols, so completion
   // order cannot reorder the result.
-  const size_t ncols =
-      static_cast<size_t>(left->num_columns()) + right_out.size();
+  const int nleft = left->num_columns();
   std::vector<Column> out_cols;
-  out_cols.reserve(ncols);
+  out_cols.reserve(static_cast<size_t>(nleft) + right_out.size());
   for (const Column& c : left->columns()) out_cols.emplace_back(c.type());
   for (int c : right_out) out_cols.emplace_back(right->column(c).type());
   std::vector<std::function<void()>> gathers;
-  gathers.reserve(ncols);
-  for (int c = 0; c < left->num_columns(); ++c) {
+  gathers.reserve(out_cols.size());
+  for (int c = 0; c < nleft; ++c) {
     gathers.push_back(
         [&, c] { out_cols[static_cast<size_t>(c)] = left->column(c).Take(li); });
   }
   for (size_t j = 0; j < right_out.size(); ++j) {
     gathers.push_back([&, j] {
-      out_cols[static_cast<size_t>(left->num_columns()) + j] =
-          right->column(right_out[j]).Take(ri);
+      Column& col = out_cols[static_cast<size_t>(nleft) + j];
+      col = right->column(right_out[j]).Take(ri);
+      for (size_t i = ri.size(); i < li.size(); ++i) col.AppendNull();
     });
   }
   ParallelRun(gathers, static_cast<int64_t>(li.size()) < kMorselRows ? 1 : 0);
-
-  if (spec.type == JoinType::kLeft) {
-    std::vector<uint8_t> matched(static_cast<size_t>(nl), 0);
-    for (int64_t l : li) matched[static_cast<size_t>(l)] = 1;
-    std::vector<int64_t> unmatched;
-    unmatched.reserve(static_cast<size_t>(nl));
-    for (int64_t l = 0; l < nl; ++l) {
-      if (!matched[static_cast<size_t>(l)]) unmatched.push_back(l);
-    }
-    if (!unmatched.empty()) {
-      for (int c = 0; c < left->num_columns(); ++c) {
-        NEXUS_RETURN_NOT_OK(
-            out_cols[static_cast<size_t>(c)].AppendColumn(left->column(c).Take(unmatched)));
-      }
-      for (size_t c = 0; c < right_out.size(); ++c) {
-        Column& col = out_cols[static_cast<size_t>(left->num_columns()) + c];
-        col.Reserve(col.size() + static_cast<int64_t>(unmatched.size()));
-        for (size_t i = 0; i < unmatched.size(); ++i) col.AppendNull();
-      }
-    }
-  }
   return Table::Make(schema, std::move(out_cols));
+}
+
+Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
+                          const JoinOp& spec) {
+  telemetry::SpanGuard span(telemetry::kCategoryEngine, "rel.HashJoin");
+  span.AddCounter("rows_left", left->num_rows());
+  span.AddCounter("rows_right", right->num_rows());
+  ScopedCharge working_set;  // released when the join returns
+  std::vector<int64_t> li, ri;
+  NEXUS_RETURN_NOT_OK(
+      JoinPairs(left, right, spec, &working_set, &span, &li, &ri));
+  if (spec.type == JoinType::kInner) {
+    return GatherJoin(left, right, spec, li, ri);
+  }
+  const int64_t nl = left->num_rows();
+  std::vector<uint8_t> matched(static_cast<size_t>(nl), 0);
+  for (int64_t l : li) matched[static_cast<size_t>(l)] = 1;
+  if (spec.type == JoinType::kSemi || spec.type == JoinType::kAnti) {
+    std::vector<int64_t> keep;
+    keep.reserve(static_cast<size_t>(nl));
+    bool want = spec.type == JoinType::kSemi;
+    for (int64_t l = 0; l < nl; ++l) {
+      if ((matched[static_cast<size_t>(l)] != 0) == want) keep.push_back(l);
+    }
+    return GatherRows(left, keep);
+  }
+  // Left join: the unmatched left rows follow the pairs, null on the right.
+  for (int64_t l = 0; l < nl; ++l) {
+    if (!matched[static_cast<size_t>(l)]) li.push_back(l);
+  }
+  return GatherJoin(left, right, spec, li, ri);
 }
 
 Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys,
@@ -509,8 +506,9 @@ Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys,
   const int64_t n = input->num_rows();
   std::vector<int64_t> order(static_cast<size_t>(n));
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  // Typed three-way compare over the keys (nulls first, matching
-  // Value::Compare): negative when row a sorts before row b.
+  // Typed three-way compare over the keys: negative when row a sorts before
+  // row b. Nulls come first (as in Value::Compare); float64 keys take a
+  // total order in which NaN follows every number and ties with NaN.
   auto compare = [&](int64_t a, int64_t b) {
     for (size_t k = 0; k < keys.size(); ++k) {
       const Column& c = input->column(key_cols[k]);
@@ -529,7 +527,9 @@ Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys,
           case DataType::kFloat64: {
             double va = c.doubles()[static_cast<size_t>(a)];
             double vb = c.doubles()[static_cast<size_t>(b)];
-            cmp = va < vb ? -1 : (va > vb ? 1 : 0);
+            bool an = std::isnan(va), bn = std::isnan(vb);
+            cmp = an || bn ? static_cast<int>(an) - static_cast<int>(bn)
+                           : (va < vb ? -1 : (va > vb ? 1 : 0));
             break;
           }
           case DataType::kBool:
@@ -547,23 +547,8 @@ Result<TablePtr> Sort(const TablePtr& input, const std::vector<SortKey>& keys,
     }
     return 0;
   };
-  // NaN compares equal to everything, so the keys order a NaN column only
-  // as the stable sort's merge happens to place it; such a column takes the
-  // full sort even under a row bound.
-  auto has_nan_key = [&] {
-    for (int c : key_cols) {
-      const Column& col = input->column(c);
-      if (col.type() != DataType::kFloat64) continue;
-      for (int64_t r = 0; r < n; ++r) {
-        if (std::isnan(col.doubles()[static_cast<size_t>(r)]) && !col.IsNull(r)) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
   const int64_t keep = std::clamp<int64_t>(max_rows, 0, n);
-  if (keep < n && !has_nan_key()) {
+  if (keep < n) {
     // Top-k: (keys..., row index) is a strict total order, and its first
     // `keep` rows are the stable sort's first `keep` rows.
     std::partial_sort(order.begin(), order.begin() + keep, order.end(),

@@ -38,9 +38,29 @@ Result<TablePtr> Extend(
     const std::vector<std::pair<std::string, ExprPtr>>& defs);
 
 /// Hash equi-join with optional residual predicate. Output layout matches
-/// the algebra's join rule: left fields then right non-key fields.
+/// the algebra's join rule: left fields then right non-key fields. It is
+/// JoinPairs followed by GatherJoin (semi/anti joins gather left rows only).
 Result<TablePtr> HashJoin(const TablePtr& left, const TablePtr& right,
                           const JoinOp& spec);
+
+/// The (left row, right row) pairs an inner join of `left` and `right`
+/// under `spec` keeps, appended to `li`/`ri` in lexicographic order: the
+/// key columns' HashJoinPairs (the cross product when `spec` has no keys),
+/// then the residual predicate. Working memory is charged to `working_set`
+/// and `span` gets the spill counters. HashJoin and the incremental view's
+/// delta join share it.
+Status JoinPairs(const TablePtr& left, const TablePtr& right,
+                 const JoinOp& spec, ScopedCharge* working_set,
+                 telemetry::SpanGuard* span, std::vector<int64_t>* li,
+                 std::vector<int64_t>* ri);
+
+/// The joined rows of the pairs (li[p], ri[p]): left fields, then right
+/// non-key fields (dimension tags drop), gathered one column per task. Left
+/// rows past the end of `ri` (a left join's unmatched rows) take nulls on
+/// the right.
+Result<TablePtr> GatherJoin(const TablePtr& left, const TablePtr& right,
+                            const JoinOp& spec, const std::vector<int64_t>& li,
+                            const std::vector<int64_t>& ri);
 
 /// Candidate pairs of a hash equi-join of `left` and `right` on the key
 /// columns `lk`/`rk` (non-empty, same length; null keys never match).
@@ -86,37 +106,47 @@ Result<TablePtr> Rename(
 Result<std::vector<uint64_t>> HashRows(const Table& input,
                                        const std::vector<int>& key_cols);
 
-/// Group-key equality of rows `ar` and `br` on `cols`, with SQL GROUP BY's
-/// null handling: nulls equal each other. Distinct and the grouped fold
-/// (algebra::LowerAggregate) group by it; inline, for their per-row loops.
-/// Compares the typed values with Value::Compare's semantics, so floats are
-/// equal unless x < y or x > y (NaN equals everything, -0.0 equals +0.0).
-inline bool GroupKeysEqual(const Table& t, int64_t ar, int64_t br,
-                           const std::vector<int>& cols) {
-  const size_t a = static_cast<size_t>(ar), b = static_cast<size_t>(br);
-  for (int c : cols) {
-    const Column& col = t.column(c);
-    bool na = col.IsNull(ar), nb = col.IsNull(br);
+/// Group-key equality of row `ar` of `a` on `acols` and row `br` of `b` on
+/// `bcols` (paired, same types), with SQL GROUP BY's null handling: nulls
+/// equal each other. Distinct, the grouped fold (algebra::LowerAggregate)
+/// and the incremental view's fold group by it; inline, for their per-row
+/// loops. Compares the typed values with Value::Compare's semantics, so
+/// floats are equal unless x < y or x > y (NaN equals everything, -0.0
+/// equals +0.0).
+inline bool GroupKeysEqual(const Table& a, int64_t ar,
+                           const std::vector<int>& acols, const Table& b,
+                           int64_t br, const std::vector<int>& bcols) {
+  const size_t ai = static_cast<size_t>(ar), bi = static_cast<size_t>(br);
+  for (size_t k = 0; k < acols.size(); ++k) {
+    const Column& ca = a.column(acols[k]);
+    const Column& cb = b.column(bcols[k]);
+    bool na = ca.IsNull(ar), nb = cb.IsNull(br);
     if (na != nb) return false;
     if (na) continue;
-    switch (col.type()) {
+    switch (ca.type()) {
       case DataType::kInt64:
-        if (col.ints()[a] != col.ints()[b]) return false;
+        if (ca.ints()[ai] != cb.ints()[bi]) return false;
         break;
       case DataType::kFloat64: {
-        double x = col.doubles()[a], y = col.doubles()[b];
+        double x = ca.doubles()[ai], y = cb.doubles()[bi];
         if (x < y || x > y) return false;
         break;
       }
       case DataType::kBool:
-        if ((col.bools()[a] != 0) != (col.bools()[b] != 0)) return false;
+        if ((ca.bools()[ai] != 0) != (cb.bools()[bi] != 0)) return false;
         break;
       case DataType::kString:
-        if (col.strings()[a] != col.strings()[b]) return false;
+        if (ca.strings()[ai] != cb.strings()[bi]) return false;
         break;
     }
   }
   return true;
+}
+
+/// GroupKeysEqual of rows `ar` and `br` of one table on `cols`.
+inline bool GroupKeysEqual(const Table& t, int64_t ar, int64_t br,
+                           const std::vector<int>& cols) {
+  return GroupKeysEqual(t, ar, cols, t, br, cols);
 }
 
 }  // namespace relational

@@ -4,7 +4,14 @@
 // shipping (%NXB1-DELTA bindings).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <thread>
+
 #include "common/memory.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "common/str_util.h"
 #include "core/serialize.h"
@@ -432,6 +439,163 @@ TEST(ViewRegistryTest, StateIsChargedAndSheddable) {
   EXPECT_EQ(reg.state_bytes(), 0);
 }
 
+/// Table::Equals takes NaN for any number and -0.0 for +0.0; this also
+/// holds every float64 cell to its bit pattern.
+void ExpectSameBits(const Table& got, const Table& want) {
+  ASSERT_TRUE(got.Equals(want)) << "got:\n"
+                                << got.ToString() << "want:\n"
+                                << want.ToString();
+  for (int c = 0; c < got.num_columns(); ++c) {
+    const Column& g = got.column(c);
+    if (g.type() != DataType::kFloat64) continue;
+    for (int64_t r = 0; r < got.num_rows(); ++r) {
+      if (g.IsNull(r)) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(g.doubles()[static_cast<size_t>(r)]),
+                std::bit_cast<uint64_t>(
+                    want.column(c).doubles()[static_cast<size_t>(r)]))
+          << "column " << c << " row " << r;
+    }
+  }
+}
+
+SchemaPtr HardSchema() {
+  return MakeSchema({Field::Attr("f", DataType::kFloat64),
+                     Field::Attr("s", DataType::kString),
+                     Field::Attr("b", DataType::kBool),
+                     Field::Attr("k", DataType::kInt64),
+                     Field::Attr("v", DataType::kInt64)});
+}
+
+/// Rows over hard group keys: float keys among NaN, -0.0 and +0.0, strings
+/// with an empty one, bools, and int64 keys that are sometimes null.
+TablePtr HardRows(Rng* rng, int64_t n) {
+  const double kFloats[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                            0.0, 1.5, -2.0};
+  const char* kStrings[] = {"", "a", "bb"};
+  TableBuilder b(HardSchema());
+  for (int64_t i = 0; i < n; ++i) {
+    EXPECT_OK(b.AppendRow(
+        {F(kFloats[rng->NextBounded(5)]), S(kStrings[rng->NextBounded(3)]),
+         testing::B(rng->NextBool()),
+         rng->NextBool(0.2) ? N() : I(rng->NextInt(0, 3)),
+         I(rng->NextInt(-5, 5))}));
+  }
+  return b.Finish().ValueOrDie();
+}
+
+TEST(ViewRegistryTest, HardKeysAndShapesMatchFullRecompute) {
+  const int saved_threads = GetThreadCount();
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    Rng rng(23);
+    InMemoryCatalog cat;
+    ASSERT_OK(cat.Put("a", Dataset(HardRows(&rng, 12))));
+    ASSERT_OK(cat.Put("b", Dataset(HardRows(&rng, 12))));
+    SchemaPtr side = MakeSchema({Field::Attr("k", DataType::kInt64),
+                                 Field::Attr("w", DataType::kInt64)});
+    ASSERT_OK(cat.Put("side", Dataset(Rows(side, {{I(1), I(0)},
+                                                  {N(), I(9)},
+                                                  {I(2), I(-3)},
+                                                  {I(1), I(4)}}))));
+    const std::vector<AggSpec> aggs = {
+        {AggFunc::kSum, Col("v"), "sv"},   {AggFunc::kMin, Col("v"), "lo"},
+        {AggFunc::kMax, Col("v"), "hi"},   {AggFunc::kAvg, Col("v"), "av"},
+        {AggFunc::kCount, nullptr, "n"},   {AggFunc::kSum, Col("f"), "sf"},
+        {AggFunc::kMin, Col("s"), "ls"}};
+    // Int-only folds: a left-branch append lands before existing groups
+    // without a refusal, so the representative swap runs.
+    const std::vector<AggSpec> int_aggs = {
+        {AggFunc::kSum, Col("v"), "sv"},
+        {AggFunc::kMin, Col("v"), "lo"},
+        {AggFunc::kCount, nullptr, "n"}};
+    std::vector<std::pair<std::string, PlanPtr>> views;
+    for (const char* key : {"f", "s", "b", "k"}) {
+      views.emplace_back(StrCat("by_", key),
+                         Plan::Aggregate(Plan::Scan("a"), {key}, aggs));
+    }
+    views.emplace_back("by_f_s_k",
+                       Plan::Aggregate(Plan::Scan("a"), {"f", "s", "k"}, aggs));
+    views.emplace_back(
+        "union", Plan::Aggregate(Plan::Union(Plan::Scan("a"), Plan::Scan("b")),
+                                 {"f"}, int_aggs));
+    views.emplace_back(
+        "join", Plan::Join(Plan::Scan("a"), Plan::Scan("side"),
+                           JoinType::kInner, {"k"}, {"k"},
+                           Gt(Col("v"), Col("w"))));
+    ViewRegistry reg(&cat);
+    for (const auto& [name, plan] : views) ASSERT_OK(reg.Register(name, plan));
+
+    for (int round = 0; round < 6; ++round) {
+      ASSERT_OK(cat.Append("a", Dataset(HardRows(&rng, rng.NextInt(1, 8)))));
+      if (round % 2 == 0) {
+        ASSERT_OK(cat.Append("b", Dataset(HardRows(&rng, rng.NextInt(1, 8)))));
+      }
+      if (round == 3) {
+        ASSERT_OK(cat.Append("side", Dataset(Rows(side, {{I(3), I(-9)},
+                                                         {N(), I(-9)}}))));
+      }
+      for (const auto& [name, plan] : views) {
+        SCOPED_TRACE(StrCat(name, " round ", round, " threads ", threads));
+        RefreshInfo info;
+        ASSERT_OK_AND_ASSIGN(TablePtr got, reg.Refresh(name, &info));
+        ASSERT_OK_AND_ASSIGN(TablePtr want,
+                             incremental::ExecuteViewPlan(*plan, cat));
+        ExpectSameBits(*got, *want);
+        EXPECT_TRUE(info.incremental);
+      }
+    }
+
+    // A -0.0 appended to the left branch precedes the right branch's +0.0
+    // in full-recompute order, so it takes over as the group's
+    // representative.
+    SchemaPtr s = BaseSchema();
+    ASSERT_OK(cat.Put("l", Dataset(Rows(s, {{I(1), I(0), F(1.0)}}))));
+    ASSERT_OK(cat.Put("r", Dataset(Rows(s, {{I(2), I(0), F(0.0)}}))));
+    PlanPtr zeros = Plan::Aggregate(
+        Plan::Union(Plan::Scan("l"), Plan::Scan("r")), {"v"},
+        {AggSpec{AggFunc::kSum, Col("k"), "sk"}});
+    ASSERT_OK(reg.Register("zeros", zeros));
+    ASSERT_OK(cat.Append("l", Dataset(Rows(s, {{I(3), I(0), F(-0.0)}}))));
+    RefreshInfo info;
+    ASSERT_OK_AND_ASSIGN(TablePtr got, reg.Refresh("zeros", &info));
+    EXPECT_TRUE(info.incremental);
+    ASSERT_OK_AND_ASSIGN(TablePtr want,
+                         incremental::ExecuteViewPlan(*zeros, cat));
+    ExpectSameBits(*got, *want);
+    ASSERT_EQ(got->num_rows(), 2);
+    EXPECT_TRUE(std::signbit(got->column(0).doubles()[1]));
+    EXPECT_EQ(got->At(1, 1), I(5));
+  }
+  SetThreadCount(saved_threads);
+}
+
+TEST(ViewRegistryTest, ShedStateWhileRefreshing) {
+  InMemoryCatalog cat;
+  SchemaPtr s = BaseSchema();
+  SchemaPtr side = MakeSchema({Field::Attr("k", DataType::kInt64),
+                               Field::Attr("name", DataType::kString)});
+  ASSERT_OK(cat.Put("base", Dataset(Rows(s, {{I(1), I(0), F(1.0)}}))));
+  ASSERT_OK(cat.Put("side", Dataset(Rows(side, {{I(1), S("a")},
+                                                {I(2), S("b")}}))));
+  PlanPtr plan = Plan::Join(Plan::Scan("base"), Plan::Scan("side"),
+                            JoinType::kInner, {"k"}, {"k"});
+  ViewRegistry reg(&cat);
+  ASSERT_OK(reg.Register("j", plan));
+  std::atomic<bool> stop{false};
+  std::thread shedder([&] {
+    while (!stop.load()) EXPECT_OK(reg.ShedState(0));
+  });
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_OK(cat.Append("base", Dataset(Rows(s, {{I(i % 3), I(i), F(2.0)}}))));
+    if (i % 4 == 0) {
+      ASSERT_OK(cat.Append("side", Dataset(Rows(side, {{I(i % 3), S("c")}}))));
+    }
+    ExpectRefreshMatchesFull(&reg, "j", *plan, cat);
+  }
+  stop.store(true);
+  shedder.join();
+}
+
 // ---------------------------------------------------------------------------
 // Delta binding wire + provider sticky bindings.
 // ---------------------------------------------------------------------------
@@ -543,6 +707,38 @@ TEST_F(DeltaIterateTest, ShipsOnlyPerRoundDeltas) {
             m.profile[QueryStat::kClientLoopIterations] + 1);
   EXPECT_EQ(m.profile[QueryStat::kMessages],
             2 * (m.profile[QueryStat::kClientLoopIterations] + 1));
+}
+
+TEST_F(DeltaIterateTest, PrefixBitChangesShipInFull) {
+  // Each round negates every float cell of the loop state and appends a
+  // +0.0, so the old rows change only in the sign of a zero: equal under
+  // Value::Compare, but not the same bits. No round may ship as a tail.
+  SchemaPtr fs = MakeSchema({Field::Attr("v", DataType::kFloat64)});
+  ASSERT_OK(cluster_->PutData("relstore", "fstate0",
+                              Dataset(MakeTable(fs, {{F(0.0)}}))));
+  IterateOp op;
+  PlanPtr negated = Plan::Project(
+      Plan::Extend(Plan::LoopVar(), {{"nv", Mul(Col("v"), Lit(-1.0))}}),
+      {"nv"});
+  op.body = Plan::Union(Plan::Rename(negated, {{"nv", "v"}}),
+                        Plan::Values(Dataset(MakeTable(fs, {{F(0.0)}}))));
+  op.max_iters = 5;
+  PlanPtr loop = Plan::Iterate(Plan::Scan("fstate0"), op);
+
+  CoordinatorOptions opts;
+  opts.provider_side_iteration = false;
+  Coordinator coord(cluster_.get(), opts);
+  ExecutionMetrics m;
+  ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(loop, &m));
+  EXPECT_EQ(m.profile[QueryStat::kDeltaBindings], 0);
+  // After round r the state is r+1 zeros, row i carrying the sign (-1)^(r-i).
+  const TablePtr& t = got.table();
+  ASSERT_EQ(t->num_rows(), 6);
+  for (int64_t i = 0; i < t->num_rows(); ++i) {
+    EXPECT_EQ(std::signbit(t->column(0).doubles()[static_cast<size_t>(i)]),
+              (5 - i) % 2 == 1)
+        << "row " << i;
+  }
 }
 
 TEST_F(DeltaIterateTest, ExplainAnalyzeReportsIncrementalLine) {

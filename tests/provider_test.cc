@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "core/schema_inference.h"
 #include "core/serialize.h"
 #include "core/wire_format.h"
+#include "exec/incremental/view.h"
 #include "exec/reference_executor.h"
 #include "expr/builder.h"
 #include "expr/bytecode.h"
@@ -643,7 +645,7 @@ TEST(TopKTest, SortLimitMatchesFullSortAndReference) {
       {{"a", true}, {"d", false}, {"s", true}},
       {{"flag", false}, {"s", false}, {"a", true}},
       {{"d", true}, {"same", false}},
-      {{"dn", false}, {"a", true}},  // NaN keys take the full sort
+      {{"dn", false}, {"a", true}},  // NaN keys: NaN follows every number
   };
   // (limit, offset): empty, small, offset, all rows, past the end, and
   // INT64_MAX limits whose offset + limit saturates.
@@ -671,6 +673,47 @@ TEST(TopKTest, SortLimitMatchesFullSortAndReference) {
         EXPECT_NE(explain.find("sort["), std::string::npos) << explain;
       }
     }
+  }
+}
+
+// Sorts order float64 keys totally: NaN follows every number (first when
+// descending), in relstore (full sort and top-k), the reference executor and
+// a view's full recompute. Table::Equals takes NaN for any number, so the
+// cells are checked with std::isnan.
+TEST(SortTest, NaNSortsAfterEveryNumber) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ProviderPtr relstore = MakeRelationalProvider();
+  SchemaPtr s = MakeSchema({Field::Attr("d", DataType::kFloat64)});
+  ASSERT_OK(relstore->catalog()->Put(
+      "t", Dataset(MakeTable(s, {{F(3.0)}, {F(nan)}, {F(1.0)}}))));
+  ReferenceExecutor ref(relstore->catalog());
+  auto expect_order = [](const Table& t, std::vector<double> want) {
+    ASSERT_EQ(t.num_rows(), static_cast<int64_t>(want.size()));
+    for (size_t i = 0; i < want.size(); ++i) {
+      double got = t.column(0).doubles()[i];
+      if (std::isnan(want[i])) {
+        EXPECT_TRUE(std::isnan(got)) << "row " << i << " is " << got;
+      } else {
+        EXPECT_EQ(got, want[i]) << "row " << i;
+      }
+    }
+  };
+  for (bool ascending : {true, false}) {
+    SCOPED_TRACE(ascending ? "ascending" : "descending");
+    std::vector<double> want =
+        ascending ? std::vector<double>{1.0, 3.0, nan}
+                  : std::vector<double>{nan, 3.0, 1.0};
+    PlanPtr sort = Plan::Sort(Plan::Scan("t"), {{"d", ascending}});
+    ASSERT_OK_AND_ASSIGN(Dataset rel, relstore->Execute(*sort));
+    expect_order(*rel.table(), want);
+    ASSERT_OK_AND_ASSIGN(Dataset reference, ref.Execute(*sort));
+    expect_order(*reference.table(), want);
+    ASSERT_OK_AND_ASSIGN(TablePtr view, incremental::ExecuteViewPlan(
+                                            *sort, *relstore->catalog()));
+    expect_order(*view, want);
+    ASSERT_OK_AND_ASSIGN(Dataset top,
+                         relstore->Execute(*Plan::Limit(sort, 2)));
+    expect_order(*top.table(), {want[0], want[1]});
   }
 }
 
