@@ -1,7 +1,7 @@
 // E19 — Streaming appends + incremental view maintenance: the hot refresh
 // path recomputes O(|Δ|), not O(|table|). A filter→join→aggregate view is
 // registered over a 200k-row base table; each round appends a 1% delta and
-// refreshes both arms:
+// refreshes both arms, alternating which one runs first:
 //
 //   incremental — ViewRegistry::Refresh folds only the delta through the
 //                 retained join/aggregate state
@@ -14,11 +14,12 @@
 // The loop's result is checked against the same loop iterated provider-side.
 //
 // Gates (bench exits nonzero; CI's JSON gate re-checks the numbers): every
-// refresh byte-identical to the full recompute, median speedup >= 5x at a
-// 1% delta, retained state bounded (it may not grow faster than the data),
-// and the delta-Iterate arm ships fewer bytes than the full-ship arm for a
-// byte-identical result.
+// refresh bit-identical to the full recompute (float cells compared by bit
+// pattern), median speedup >= 5x at a 1% delta, retained state bounded (it
+// may not grow faster than the data), and the delta-Iterate arm ships fewer
+// bytes than the full-ship arm for a bit-identical result.
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <vector>
 
@@ -77,6 +78,24 @@ TablePtr SideTable() {
   return b.Finish().ValueOrDie();
 }
 
+// Table::Equals plus every non-null float64 cell's bit pattern (Equals
+// takes NaN for any number and -0.0 for +0.0).
+bool SameBits(const Table& got, const Table& want) {
+  if (!got.Equals(want)) return false;
+  for (int c = 0; c < got.num_columns(); ++c) {
+    const Column& g = got.column(c);
+    if (g.type() != DataType::kFloat64) continue;
+    for (int64_t r = 0; r < got.num_rows(); ++r) {
+      const size_t i = static_cast<size_t>(r);
+      if (!g.IsNull(r) && std::bit_cast<uint64_t>(g.doubles()[i]) !=
+                              std::bit_cast<uint64_t>(want.column(c).doubles()[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -112,13 +131,27 @@ int main() {
     NEXUS_CHECK(
         catalog.Append("base", Dataset(RandomBatch(&rng, kDeltaRows))).ok());
     incremental::RefreshInfo info;
-    WallTimer ti;
-    TablePtr got = reg.Refresh("hot", &info).ValueOrDie();
-    inc_ms.push_back(ti.ElapsedMillis());
-    WallTimer tf;
-    TablePtr want = incremental::ExecuteViewPlan(*view, catalog).ValueOrDie();
-    full_ms.push_back(tf.ElapsedMillis());
-    identical = identical && got->Equals(*want) && info.incremental;
+    TablePtr got, want;
+    auto refresh = [&] {
+      WallTimer t;
+      got = reg.Refresh("hot", &info).ValueOrDie();
+      inc_ms.push_back(t.ElapsedMillis());
+    };
+    auto full = [&] {
+      WallTimer t;
+      want = incremental::ExecuteViewPlan(*view, catalog).ValueOrDie();
+      full_ms.push_back(t.ElapsedMillis());
+    };
+    // Alternate which arm runs first, so neither always inherits the other's
+    // warm caches.
+    if (round % 2 == 0) {
+      refresh();
+      full();
+    } else {
+      full();
+      refresh();
+    }
+    identical = identical && SameBits(*got, *want) && info.incremental;
     delta_rows_total += info.delta_rows;
   }
   const int64_t state_after = reg.state_bytes();
@@ -183,7 +216,7 @@ int main() {
   const QueryProfile& p = m.profile;
   const int64_t full_bytes =
       p[QueryStat::kBytes] + p[QueryStat::kDeltaBytesSaved];
-  const bool loop_identical = delta_out->Equals(*want_out);
+  const bool loop_identical = SameBits(*delta_out, *want_out);
   const bool loop_fewer_bytes = p[QueryStat::kBytes] < full_bytes;
 
   // The full-ship arm has the delta run's conversation (deltas change bytes,

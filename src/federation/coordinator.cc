@@ -1020,6 +1020,7 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
   NEXUS_ASSIGN_OR_RETURN(Dataset next,
                          SendData(ship->server, kClientNode, produced));
   telemetry::Count(QueryStat::kClientLoopIterations);
+  bool converged = false;
   if (op.measure != nullptr) {
     NEXUS_ASSIGN_OR_RETURN(
         Dataset measured_remote,
@@ -1027,16 +1028,10 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
                    ship->measure_prev, next, *state));
     NEXUS_ASSIGN_OR_RETURN(Dataset measured,
                            SendData(ship->server, kClientNode, measured_remote));
-    NEXUS_ASSIGN_OR_RETURN(TablePtr mt, measured.AsTable());
-    if (mt->num_rows() != 1 || mt->num_columns() != 1) {
-      return Status::PlanError("iterate measure must yield one cell");
-    }
-    Value v = mt->At(0, 0);
-    *state = std::move(next);
-    return !v.is_null() && v.AsDouble() < op.epsilon;
+    NEXUS_ASSIGN_OR_RETURN(converged, MeasureConverged(measured, op.epsilon));
   }
   *state = std::move(next);
-  return false;
+  return converged;
 }
 
 Result<bool> Coordinator::RunLoopStep(const IterateOp& op, Dataset* state,
@@ -1054,6 +1049,7 @@ Result<bool> Coordinator::RunLoopStep(const IterateOp& op, Dataset* state,
   NEXUS_ASSIGN_OR_RETURN(Dataset next,
                          FetchToClient(body_loc.first, body_loc.second));
   telemetry::Count(QueryStat::kClientLoopIterations);
+  bool converged = false;
   if (op.measure != nullptr) {
     PlanPtr measure = ReplaceLoopVars(op.measure, next, *state);
     Placement m_placement;
@@ -1061,16 +1057,10 @@ Result<bool> Coordinator::RunLoopStep(const IterateOp& op, Dataset* state,
     NEXUS_ASSIGN_OR_RETURN(auto m_loc, ExecToTemp(measure.get(), &m_placement));
     NEXUS_ASSIGN_OR_RETURN(Dataset measured,
                            FetchToClient(m_loc.first, m_loc.second));
-    NEXUS_ASSIGN_OR_RETURN(TablePtr mt, measured.AsTable());
-    if (mt->num_rows() != 1 || mt->num_columns() != 1) {
-      return Status::PlanError("iterate measure must yield one cell");
-    }
-    Value v = mt->At(0, 0);
-    *state = std::move(next);
-    return !v.is_null() && v.AsDouble() < op.epsilon;
+    NEXUS_ASSIGN_OR_RETURN(converged, MeasureConverged(measured, op.epsilon));
   }
   *state = std::move(next);
-  return false;
+  return converged;
 }
 
 Result<Dataset> Coordinator::RunClientLoop(const Plan& iterate,

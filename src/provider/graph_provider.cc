@@ -1,22 +1,16 @@
 // The graph provider ("graphd"): claims PageRank natively via the CSR
 // analytics engine — the provider with a "direct implementation" that
 // Intent Preservation (desideratum 3) exists to reach.
-#include "algebra/kernels.h"
 #include "graph/graph.h"
 #include "provider/provider.h"
-#include "telemetry/telemetry.h"
 
 namespace nexus {
 
 namespace {
 
-class GraphProvider : public Provider {
+class GraphProvider : public EngineProvider {
  public:
   std::string name() const override { return "graphd"; }
-
-  // graphd speaks NXB1 natively: its operands live in the same
-  // columnar vectors the wire blocks are lifted from.
-  bool AcceptsBinaryWire() const override { return true; }
 
   bool Claims(OpKind kind) const override {
     switch (kind) {
@@ -31,44 +25,14 @@ class GraphProvider : public Provider {
     }
   }
 
-  Result<Dataset> Execute(const Plan& plan) override { return Exec(plan); }
-
-  /// Iterations the last PageRank execution needed (bench instrumentation).
-  int64_t last_iterations() const { return last_iterations_; }
-
- private:
-  /// Per-operator tracing shim around ExecNode; recursion re-enters here,
-  /// so every plan node gets a span when tracing is on.
-  Result<Dataset> Exec(const Plan& plan) {
-    if (!telemetry::Enabled()) return ExecNode(plan);
-    telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
-    auto result = ExecNode(plan);
-    if (result.ok() && span.active()) {
-      span.AddCounter("rows", result.ValueOrDie().num_rows());
-      span.AddCounter("bytes", result.ValueOrDie().ByteSize());
-    }
-    return result;
-  }
-
-  Result<Dataset> ExecNode(const Plan& plan) {
+ protected:
+  Result<Dataset> ExecOp(ExecFrame& frame, const Plan& plan,
+                         int64_t /*max_rows*/) const override {
     switch (plan.kind()) {
-      case OpKind::kScan:
-        return catalog_.Get(plan.As<ScanOp>().table);
-      case OpKind::kValues:
-        return plan.As<ValuesOp>().data;
-      case OpKind::kExchange:
-        return Exec(*plan.child(0));
-      case OpKind::kAggregate: {
-        NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
-        NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
-        const auto& spec = plan.As<AggregateOp>();
-        NEXUS_ASSIGN_OR_RETURN(TablePtr out,
-                               algebra::LowerAggregate(in, spec));
-        return Dataset(out);
-      }
+      case OpKind::kAggregate:
+        return frame.Fold(plan);
       case OpKind::kPageRank: {
-        NEXUS_ASSIGN_OR_RETURN(Dataset edges_ds, Exec(*plan.child(0)));
-        NEXUS_ASSIGN_OR_RETURN(TablePtr edges, edges_ds.AsTable());
+        NEXUS_ASSIGN_OR_RETURN(TablePtr edges, frame.ExecTable(*plan.child(0)));
         const auto& op = plan.As<PageRankOp>();
         NEXUS_ASSIGN_OR_RETURN(
             graph::CsrGraph g,
@@ -78,7 +42,6 @@ class GraphProvider : public Provider {
         opts.max_iters = op.max_iters;
         opts.epsilon = op.epsilon;
         graph::PageRankResult r = graph::PageRank(g, opts);
-        last_iterations_ = r.iterations;
         NEXUS_ASSIGN_OR_RETURN(
             SchemaPtr schema,
             Schema::Make({Field::Dim("node"),
@@ -94,12 +57,9 @@ class GraphProvider : public Provider {
         return Dataset(out);
       }
       default:
-        return Status::Unsupported(
-            std::string("graphd does not implement ") + OpKindName(plan.kind()));
+        return NoKernel(plan);
     }
   }
-
-  int64_t last_iterations_ = 0;
 };
 
 }  // namespace

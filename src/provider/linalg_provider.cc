@@ -1,23 +1,17 @@
 // The linear-algebra provider ("linalg"): claims MatMul, ElemWise, and 2-d
 // Transpose natively. MatMul picks a dense blocked GEMM or a sparse SpGEMM
 // by occupancy — the choice a numeric package would make internally.
-#include "algebra/kernels.h"
 #include "linalg/dense.h"
 #include "linalg/sparse.h"
 #include "provider/provider.h"
-#include "telemetry/telemetry.h"
 
 namespace nexus {
 
 namespace {
 
-class LinalgProvider : public Provider {
+class LinalgProvider : public EngineProvider {
  public:
   std::string name() const override { return "linalg"; }
-
-  // linalg speaks NXB1 natively: its operands live in the same
-  // columnar vectors the wire blocks are lifted from.
-  bool AcceptsBinaryWire() const override { return true; }
 
   bool Claims(OpKind kind) const override {
     switch (kind) {
@@ -34,26 +28,9 @@ class LinalgProvider : public Provider {
     }
   }
 
-  Result<Dataset> Execute(const Plan& plan) override { return Exec(plan); }
-
- private:
-  /// Per-operator tracing shim around ExecNode; recursion re-enters here,
-  /// so every plan node gets a span when tracing is on.
-  Result<Dataset> Exec(const Plan& plan) {
-    if (!telemetry::Enabled()) return ExecNode(plan);
-    telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
-    auto result = ExecNode(plan);
-    if (result.ok() && span.active()) {
-      span.AddCounter("rows", result.ValueOrDie().num_rows());
-      span.AddCounter("bytes", result.ValueOrDie().ByteSize());
-    }
-    return result;
-  }
-  Result<Dataset> ExecNode(const Plan& plan);
-  Result<NDArrayPtr> ExecA(const Plan& plan) {
-    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan));
-    return d.AsArray();
-  }
+ protected:
+  Result<Dataset> ExecOp(ExecFrame& frame, const Plan& plan,
+                         int64_t max_rows) const override;
 };
 
 // Density of an array's occupied cells.
@@ -112,16 +89,11 @@ Status PutTriplets(const std::vector<linalg::Triplet>& triplets, NDArray* out) {
   return flush();
 }
 
-Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
+Result<Dataset> LinalgProvider::ExecOp(ExecFrame& frame, const Plan& plan,
+                                       int64_t /*max_rows*/) const {
   switch (plan.kind()) {
-    case OpKind::kScan:
-      return catalog_.Get(plan.As<ScanOp>().table);
-    case OpKind::kValues:
-      return plan.As<ValuesOp>().data;
-    case OpKind::kExchange:
-      return Exec(*plan.child(0));
     case OpKind::kTranspose: {
-      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr in, ExecA(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr in, frame.ExecArray(*plan.child(0)));
       if (in->num_dims() != 2) {
         return Status::Unsupported("linalg transpose requires a 2-d array");
       }
@@ -143,8 +115,8 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
       return Dataset(NDArrayPtr(std::move(out)));
     }
     case OpKind::kMatMul: {
-      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr a, ExecA(*plan.child(0)));
-      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr b, ExecA(*plan.child(1)));
+      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr a, frame.ExecArray(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr b, frame.ExecArray(*plan.child(1)));
       if (a->num_dims() != 2 || b->num_dims() != 2 ||
           a->attr_schema()->num_fields() != 1 || b->attr_schema()->num_fields() != 1) {
         return Status::Unsupported("linalg matmul requires 2-d single-attr arrays");
@@ -197,16 +169,11 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
       NEXUS_RETURN_NOT_OK(PutTriplets(sc.ToTriplets(), out.get()));
       return Dataset(NDArrayPtr(std::move(out)));
     }
-    case OpKind::kAggregate: {
-      NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
-      const auto& spec = plan.As<AggregateOp>();
-      NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
-      return Dataset(out);
-    }
+    case OpKind::kAggregate:
+      return frame.Fold(plan);
     case OpKind::kElemWise: {
-      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr a, ExecA(*plan.child(0)));
-      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr b, ExecA(*plan.child(1)));
+      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr a, frame.ExecArray(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(NDArrayPtr b, frame.ExecArray(*plan.child(1)));
       BinaryOp op = plan.As<ElemWiseOpSpec>().op;
       if (a->num_dims() != 2 || b->num_dims() != 2) {
         return Status::Unsupported("linalg elemwise requires 2-d arrays");
@@ -258,8 +225,7 @@ Result<Dataset> LinalgProvider::ExecNode(const Plan& plan) {
       return Dataset(NDArrayPtr(std::move(out)));
     }
     default:
-      return Status::Unsupported(
-          std::string("linalg does not implement ") + OpKindName(plan.kind()));
+      return NoKernel(plan);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "provider/provider.h"
 
+#include "algebra/kernels.h"
 #include "common/str_util.h"
 #include "core/serialize.h"
 #include "telemetry/metrics.h"
@@ -203,6 +204,102 @@ bool Provider::ClaimsTree(const Plan& plan) const {
     if (op.measure != nullptr && !ClaimsTree(*op.measure)) return false;
   }
   return true;
+}
+
+Result<Dataset> EngineProvider::Execute(const Plan& plan) {
+  return ExecFrame(*this).Exec(plan);
+}
+
+Status EngineProvider::NoKernel(const Plan& plan) const {
+  return Status::Internal(
+      StrCat(name(), " claims ", OpKindName(plan.kind()), " but has no kernel"));
+}
+
+Result<Dataset> ExecFrame::Exec(const Plan& plan, int64_t max_rows) {
+  if (!telemetry::Enabled()) return ExecNode(plan, max_rows);
+  telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
+  auto result = ExecNode(plan, max_rows);
+  if (result.ok() && span.active()) {
+    span.AddCounter("rows", result.ValueOrDie().num_rows());
+    span.AddCounter("bytes", result.ValueOrDie().ByteSize());
+  }
+  return result;
+}
+
+Result<TablePtr> ExecFrame::ExecTable(const Plan& plan, int64_t max_rows) {
+  NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan, max_rows));
+  return d.AsTable();
+}
+
+Result<NDArrayPtr> ExecFrame::ExecArray(const Plan& plan) {
+  NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan));
+  return d.AsArray();
+}
+
+Result<Dataset> ExecFrame::Fold(const Plan& aggregate) {
+  NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecTable(*aggregate.child(0)));
+  NEXUS_ASSIGN_OR_RETURN(
+      TablePtr out, algebra::LowerAggregate(in, aggregate.As<AggregateOp>()));
+  return Dataset(out);
+}
+
+Result<Dataset> ExecFrame::ExecNode(const Plan& plan, int64_t max_rows) {
+  if (!engine_.Claims(plan.kind())) {
+    return Status::Unsupported(StrCat(engine_.name(), " does not implement ",
+                                      OpKindName(plan.kind())));
+  }
+  switch (plan.kind()) {
+    case OpKind::kScan:
+      return catalog_.Get(plan.As<ScanOp>().table);
+    case OpKind::kValues:
+      return plan.As<ValuesOp>().data;
+    case OpKind::kLoopVar:
+      if (loop_stack_.empty()) {
+        return Status::PlanError("loopvar outside iterate");
+      }
+      return plan.As<LoopVarOp>().previous ? loop_stack_.back().previous
+                                           : loop_stack_.back().current;
+    case OpKind::kExchange:
+      return Exec(*plan.child(0));
+    case OpKind::kIterate:
+      return Iterate(plan);
+    default:
+      return engine_.ExecOp(*this, plan, max_rows);
+  }
+}
+
+Result<Dataset> ExecFrame::Iterate(const Plan& plan) {
+  const auto& op = plan.As<IterateOp>();
+  NEXUS_ASSIGN_OR_RETURN(Dataset state, Exec(*plan.child(0)));
+  for (int64_t iter = 0; iter < op.max_iters; ++iter) {
+    NEXUS_ASSIGN_OR_RETURN(Dataset next, InLoop({state, state}, *op.body));
+    bool converged = false;
+    if (op.measure != nullptr) {
+      NEXUS_ASSIGN_OR_RETURN(Dataset measured,
+                             InLoop({next, state}, *op.measure));
+      NEXUS_ASSIGN_OR_RETURN(converged,
+                             MeasureConverged(measured, op.epsilon));
+    }
+    state = std::move(next);
+    if (converged) break;
+  }
+  return state;
+}
+
+Result<Dataset> ExecFrame::InLoop(ExecLoopFrame loop, const Plan& plan) {
+  loop_stack_.push_back(std::move(loop));
+  auto result = Exec(plan);
+  loop_stack_.pop_back();
+  return result;
+}
+
+Result<bool> MeasureConverged(const Dataset& measured, double epsilon) {
+  NEXUS_ASSIGN_OR_RETURN(TablePtr mt, measured.AsTable());
+  if (mt->num_rows() != 1 || mt->num_columns() != 1) {
+    return Status::PlanError("iterate measure must yield one cell");
+  }
+  Value v = mt->At(0, 0);
+  return !v.is_null() && v.AsDouble() < epsilon;
 }
 
 }  // namespace nexus

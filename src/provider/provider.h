@@ -9,11 +9,20 @@
 //   arraydb     — chunked array engine (dimension-aware operators)
 //   linalg      — dense/sparse linear algebra (MatMul, ElemWise, Transpose)
 //   graphd      — graph analytics (PageRank)
+//
+// The four engines are EngineProviders: each Execute runs in a fresh
+// ExecFrame, which owns everything that does not depend on the engine —
+// the catalog reference, the Iterate loop stack, the per-operator span, the
+// Scan/Values/LoopVar/Exchange/Iterate cases, the ⊕-fold helper and the
+// refusal of unclaimed kinds. An engine supplies only ExecOp: its own
+// operators. The reference provider keeps its own interpreter, the oracle
+// the engines are tested against.
 #ifndef NEXUS_PROVIDER_PROVIDER_H_
 #define NEXUS_PROVIDER_PROVIDER_H_
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +33,7 @@
 
 #include "core/catalog.h"
 #include "core/plan.h"
+#include "exec/reference_executor.h"
 
 namespace nexus {
 
@@ -110,6 +120,67 @@ class Provider {
 };
 
 using ProviderPtr = std::shared_ptr<Provider>;
+
+class ExecFrame;
+
+/// A provider backed by a native engine. Execute runs the plan in a fresh
+/// ExecFrame, so concurrent Executes on one server never share state; the
+/// engine itself only supplies ExecOp.
+class EngineProvider : public Provider {
+ public:
+  Result<Dataset> Execute(const Plan& plan) override;
+
+ protected:
+  friend class ExecFrame;
+
+  /// Executes one node of a kind this provider claims and the frame does not
+  /// own, recursing into children through `frame`. `max_rows` is how many
+  /// leading rows the parent reads (relstore's top-k bound); an engine may
+  /// ignore it.
+  virtual Result<Dataset> ExecOp(ExecFrame& frame, const Plan& plan,
+                                 int64_t max_rows) const = 0;
+
+  /// ExecOp's answer for a kind it has no case for. Unreachable unless
+  /// Claims and ExecOp disagree: the frame refuses unclaimed kinds and runs
+  /// the ones it owns itself.
+  Status NoKernel(const Plan& plan) const;
+};
+
+/// One execution of a plan on an EngineProvider: per-call state and the
+/// cases whose meaning does not depend on the engine.
+class ExecFrame {
+ public:
+  /// No bound on the rows a parent reads.
+  static constexpr int64_t kAllRows = std::numeric_limits<int64_t>::max();
+
+  explicit ExecFrame(const EngineProvider& engine)
+      : engine_(engine), catalog_(engine.catalog()) {}
+
+  /// Executes `plan`; recursion re-enters here, so every plan node gets an
+  /// operator span (rows and bytes counters) while tracing is on.
+  Result<Dataset> Exec(const Plan& plan, int64_t max_rows = kAllRows);
+  Result<TablePtr> ExecTable(const Plan& plan, int64_t max_rows = kAllRows);
+  Result<NDArrayPtr> ExecArray(const Plan& plan);
+
+  /// An Aggregate as a ⊕-fold: executes the child, then lowers the
+  /// aggregate onto the algebra kernels.
+  Result<Dataset> Fold(const Plan& aggregate);
+
+ private:
+  Result<Dataset> ExecNode(const Plan& plan, int64_t max_rows);
+  Result<Dataset> Iterate(const Plan& plan);
+  /// Executes `plan` with `loop` bound to its LoopVars.
+  Result<Dataset> InLoop(ExecLoopFrame loop, const Plan& plan);
+
+  const EngineProvider& engine_;
+  const InMemoryCatalog& catalog_;
+  std::vector<ExecLoopFrame> loop_stack_;
+};
+
+/// The Iterate stop rule, shared by every engine and the coordinator's
+/// client-driven loop: the measure must be one cell (PlanError otherwise), a
+/// null never converges, and the loop stops once the value is < epsilon.
+Result<bool> MeasureConverged(const Dataset& measured, double epsilon);
 
 /// Factory helpers. `text_only` makes the reference provider behave like a
 /// legacy peer that never learned NXB1 (negotiation-fallback tests).

@@ -5,18 +5,15 @@
 // claimed via their relational expansions — the "combination of systems"
 // half of desideratum 2.
 #include <algorithm>
-#include <limits>
 
 #include "algebra/kernels.h"
 #include "common/str_util.h"
 #include "core/expansion.h"
-#include "exec/reference_executor.h"
 #include "expr/builder.h"
 #include "optimizer/fusion.h"
 #include "provider/provider.h"
 #include "relational/engine.h"
 #include "relational/fused.h"
-#include "telemetry/telemetry.h"
 
 namespace nexus {
 
@@ -24,50 +21,9 @@ namespace {
 
 using namespace nexus::exprs;  // NOLINT
 
-// No bound on the rows a parent reads.
-constexpr int64_t kAllRows = std::numeric_limits<int64_t>::max();
-
-// One execution of a plan on relstore. Per-call state (the Iterate loop
-// stack) lives here, not on the provider, so concurrent Executes on one
-// server never see each other's loop frames.
-class RelationalExec {
- public:
-  explicit RelationalExec(const InMemoryCatalog& catalog) : catalog_(catalog) {}
-
-  /// Per-operator tracing shim around ExecNode; recursion re-enters here,
-  /// so every plan node gets a span when tracing is on. `max_rows` is how
-  /// many leading rows the parent reads: a Limit passes its offset + limit,
-  /// and a Sort given fewer than all its rows sorts only those (top-k).
-  /// Every other operator ignores it.
-  Result<Dataset> Exec(const Plan& plan, int64_t max_rows = kAllRows) {
-    if (!telemetry::Enabled()) return ExecNode(plan, max_rows);
-    telemetry::SpanGuard span(telemetry::kCategoryOperator, plan.NodeLabel());
-    auto result = ExecNode(plan, max_rows);
-    if (result.ok() && span.active()) {
-      span.AddCounter("rows", result.ValueOrDie().num_rows());
-      span.AddCounter("bytes", result.ValueOrDie().ByteSize());
-    }
-    return result;
-  }
-
- private:
-  Result<Dataset> ExecNode(const Plan& plan, int64_t max_rows);
-  Result<TablePtr> ExecT(const Plan& plan, int64_t max_rows = kAllRows) {
-    NEXUS_ASSIGN_OR_RETURN(Dataset d, Exec(plan, max_rows));
-    return d.AsTable();
-  }
-
-  const InMemoryCatalog& catalog_;
-  std::vector<ExecLoopFrame> loop_stack_;
-};
-
-class RelationalProvider : public Provider {
+class RelationalProvider : public EngineProvider {
  public:
   std::string name() const override { return "relstore"; }
-
-  // relstore speaks NXB1 natively: its operands live in the same
-  // columnar vectors the wire blocks are lifted from.
-  bool AcceptsBinaryWire() const override { return true; }
 
   bool Claims(OpKind kind) const override {
     // Window would need per-cell range self-joins; left to array providers
@@ -79,8 +35,15 @@ class RelationalProvider : public Provider {
     // Non-owning alias: expansion only reads the tree.
     PlanPtr alias(&plan, [](const Plan*) {});
     NEXUS_ASSIGN_OR_RETURN(PlanPtr expanded, ExpandIntentOps(alias, catalog_));
-    return RelationalExec(catalog_).Exec(*expanded);
+    return ExecFrame(*this).Exec(*expanded);
   }
+
+ protected:
+  /// A Limit passes its offset + limit as `max_rows`, and a Sort given
+  /// fewer than all its rows sorts only those (top-k). Every other operator
+  /// ignores it.
+  Result<Dataset> ExecOp(ExecFrame& frame, const Plan& plan,
+                         int64_t max_rows) const override;
 };
 
 /// Applies a matched-but-refused chain with the per-operator kernels against
@@ -134,7 +97,8 @@ Result<TablePtr> Retag(const TablePtr& t, const std::vector<std::string>& dims) 
   return Table::Make(schema, t->columns());
 }
 
-Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
+Result<Dataset> RelationalProvider::ExecOp(ExecFrame& frame, const Plan& plan,
+                                           int64_t max_rows) const {
   // Operator fusion: a Filter→Extend/Project(→Aggregate) chain rooted here
   // executes as one compiled morsel loop over the chain's source instead of
   // materializing a table per operator. Lowering refuses (kUnsupported)
@@ -142,7 +106,7 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
   // regular per-operator kernels below on the already-executed source.
   std::optional<FusedChain> chain = MatchFusedChain(plan);
   if (chain.has_value()) {
-    NEXUS_ASSIGN_OR_RETURN(TablePtr src, ExecT(*chain->source));
+    NEXUS_ASSIGN_OR_RETURN(TablePtr src, frame.ExecTable(*chain->source));
     Result<relational::FusedPipeline> fp =
         relational::CompileFusedPipeline(chain->ops, src->schema());
     if (fp.ok()) {
@@ -156,50 +120,35 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
     return Dataset(out);
   }
   switch (plan.kind()) {
-    case OpKind::kScan:
-      return catalog_.Get(plan.As<ScanOp>().table);
-    case OpKind::kValues:
-      return plan.As<ValuesOp>().data;
-    case OpKind::kLoopVar: {
-      if (loop_stack_.empty()) {
-        return Status::PlanError("loopvar outside iterate");
-      }
-      return plan.As<LoopVarOp>().previous ? loop_stack_.back().previous
-                                           : loop_stack_.back().current;
-    }
     case OpKind::kSelect: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(
           TablePtr out, relational::Filter(in, *plan.As<SelectOp>().predicate));
       return Dataset(out);
     }
     case OpKind::kProject: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                              relational::Project(in, plan.As<ProjectOp>().columns));
       return Dataset(out);
     }
     case OpKind::kExtend: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                              relational::Extend(in, plan.As<ExtendOp>().defs));
       return Dataset(out);
     }
     case OpKind::kJoin: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr l, ExecT(*plan.child(0)));
-      NEXUS_ASSIGN_OR_RETURN(TablePtr r, ExecT(*plan.child(1)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr l, frame.ExecTable(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr r, frame.ExecTable(*plan.child(1)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                              relational::HashJoin(l, r, plan.As<JoinOp>()));
       return Dataset(out);
     }
-    case OpKind::kAggregate: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
-      const auto& spec = plan.As<AggregateOp>();
-      NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
-      return Dataset(out);
-    }
+    case OpKind::kAggregate:
+      return frame.Fold(plan);
     case OpKind::kSort: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(
           TablePtr out,
           relational::Sort(in, plan.As<SortOp>().keys, max_rows));
@@ -211,44 +160,44 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
       const auto& op = plan.As<LimitOp>();
       const int64_t offset = std::max<int64_t>(op.offset, 0);
       const int64_t limit = std::max<int64_t>(op.limit, 0);
-      NEXUS_ASSIGN_OR_RETURN(
-          TablePtr in,
-          ExecT(*plan.child(0),
-                limit > kAllRows - offset ? kAllRows : offset + limit));
+      const int64_t reads = limit > ExecFrame::kAllRows - offset
+                                ? ExecFrame::kAllRows
+                                : offset + limit;
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0), reads));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                              relational::Limit(in, op.limit, op.offset));
       return Dataset(out);
     }
     case OpKind::kDistinct: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out, relational::Distinct(in));
       return Dataset(out);
     }
     case OpKind::kUnion: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr l, ExecT(*plan.child(0)));
-      NEXUS_ASSIGN_OR_RETURN(TablePtr r, ExecT(*plan.child(1)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr l, frame.ExecTable(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr r, frame.ExecTable(*plan.child(1)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out, relational::Union(l, r));
       return Dataset(out);
     }
     case OpKind::kRename: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                              relational::Rename(in, plan.As<RenameOp>().mapping));
       return Dataset(out);
     }
     case OpKind::kRebox: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out, Retag(in, plan.As<ReboxOp>().dims));
       return Dataset(out);
     }
     case OpKind::kUnbox: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr out, Retag(in, {}));
       return Dataset(out);
     }
     case OpKind::kSlice: {
       // slice → conjunctive range filter on the dimension columns.
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       std::vector<ExprPtr> preds;
       for (const DimRange& r : plan.As<SliceOp>().ranges) {
         preds.push_back(Ge(Col(r.dim), Lit(r.lo)));
@@ -259,7 +208,7 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
       return Dataset(out);
     }
     case OpKind::kShift: {
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       std::vector<Column> cols = in->columns();
       for (const auto& [dim, delta] : plan.As<ShiftOp>().offsets) {
         NEXUS_ASSIGN_OR_RETURN(int i, in->schema()->FindFieldOrError(dim));
@@ -273,7 +222,7 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
     }
     case OpKind::kRegrid: {
       // regrid → extend(binned dims) + group-by + rename + rebox.
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       const auto& op = plan.As<RegridOp>();
       std::vector<int> dim_cols = in->schema()->DimensionIndices();
       // Bin every dimension column (factor 1 when unlisted) via floor
@@ -313,7 +262,7 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
     }
     case OpKind::kTranspose: {
       // transpose → column reorder.
-      NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr in, frame.ExecTable(*plan.child(0)));
       std::vector<std::string> order = plan.As<TransposeOp>().dim_order;
       for (int c : in->schema()->AttributeIndices()) {
         order.push_back(in->schema()->field(c).name);
@@ -323,8 +272,8 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
     }
     case OpKind::kElemWise: {
       // elemwise → rename + equi-join on dimensions + extend + project.
-      NEXUS_ASSIGN_OR_RETURN(TablePtr l, ExecT(*plan.child(0)));
-      NEXUS_ASSIGN_OR_RETURN(TablePtr r, ExecT(*plan.child(1)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr l, frame.ExecTable(*plan.child(0)));
+      NEXUS_ASSIGN_OR_RETURN(TablePtr r, frame.ExecTable(*plan.child(1)));
       BinaryOp op = plan.As<ElemWiseOpSpec>().op;
       std::vector<int> ld = l->schema()->DimensionIndices();
       std::vector<int> rd = r->schema()->DimensionIndices();
@@ -359,41 +308,10 @@ Result<Dataset> RelationalExec::ExecNode(const Plan& plan, int64_t max_rows) {
       NEXUS_ASSIGN_OR_RETURN(TablePtr out, Retag(named, lkeys));
       return Dataset(out);
     }
-    case OpKind::kIterate: {
-      const auto& op = plan.As<IterateOp>();
-      NEXUS_ASSIGN_OR_RETURN(Dataset state, Exec(*plan.child(0)));
-      for (int64_t iter = 0; iter < op.max_iters; ++iter) {
-        loop_stack_.push_back(ExecLoopFrame{state, state});
-        auto next = Exec(*op.body);
-        loop_stack_.pop_back();
-        NEXUS_RETURN_NOT_OK(next.status());
-        if (op.measure != nullptr) {
-          loop_stack_.push_back(ExecLoopFrame{next.ValueOrDie(), state});
-          auto measured = Exec(*op.measure);
-          loop_stack_.pop_back();
-          NEXUS_RETURN_NOT_OK(measured.status());
-          NEXUS_ASSIGN_OR_RETURN(TablePtr mt, measured.ValueOrDie().AsTable());
-          if (mt->num_rows() != 1 || mt->num_columns() != 1) {
-            return Status::PlanError("iterate measure must yield one cell");
-          }
-          Value v = mt->At(0, 0);
-          state = next.MoveValue();
-          if (!v.is_null() && v.AsDouble() < op.epsilon) break;
-        } else {
-          state = next.MoveValue();
-        }
-      }
-      return state;
-    }
-    case OpKind::kExchange:
-      return Exec(*plan.child(0));
-    case OpKind::kMatMul:
-    case OpKind::kPageRank:
-      return Status::Internal("intent op survived expansion in relstore");
-    case OpKind::kWindow:
-      return Status::Unsupported("relstore does not implement window");
+    default:
+      // MatMul and PageRank, which Execute expands away.
+      return NoKernel(plan);
   }
-  return Status::Internal("unhandled operator in relstore");
 }
 
 }  // namespace

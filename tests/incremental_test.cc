@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -30,6 +29,7 @@ using namespace nexus::exprs;  // NOLINT
 using incremental::RefreshInfo;
 using incremental::RewriteToDelta;
 using incremental::ViewRegistry;
+using testing::ExpectSameBits;
 using testing::F;
 using testing::I;
 using testing::MakeSchema;
@@ -180,16 +180,14 @@ TEST(DeltaFormTest, RefusalTable) {
 // ViewRegistry byte-identity.
 // ---------------------------------------------------------------------------
 
-/// Refreshes the view and asserts the result is byte-identical to a full
+/// Refreshes the view and asserts the result is bit-identical to a full
 /// recompute of `plan` against the current catalog.
 void ExpectRefreshMatchesFull(ViewRegistry* reg, const std::string& name,
                               const Plan& plan, const InMemoryCatalog& cat,
                               RefreshInfo* info = nullptr) {
   ASSERT_OK_AND_ASSIGN(TablePtr got, reg->Refresh(name, info));
   ASSERT_OK_AND_ASSIGN(TablePtr want, incremental::ExecuteViewPlan(plan, cat));
-  EXPECT_TRUE(got->Equals(*want)) << "got:\n"
-                                  << got->ToString() << "want:\n"
-                                  << want->ToString();
+  ExpectSameBits(*got, *want);
 }
 
 TEST(ViewRegistryTest, FilterViewFoldsOnlyTheDelta) {
@@ -437,25 +435,6 @@ TEST(ViewRegistryTest, StateIsChargedAndSheddable) {
   EXPECT_TRUE(info.incremental);
   ASSERT_OK(reg.Unregister("j"));
   EXPECT_EQ(reg.state_bytes(), 0);
-}
-
-/// Table::Equals takes NaN for any number and -0.0 for +0.0; this also
-/// holds every float64 cell to its bit pattern.
-void ExpectSameBits(const Table& got, const Table& want) {
-  ASSERT_TRUE(got.Equals(want)) << "got:\n"
-                                << got.ToString() << "want:\n"
-                                << want.ToString();
-  for (int c = 0; c < got.num_columns(); ++c) {
-    const Column& g = got.column(c);
-    if (g.type() != DataType::kFloat64) continue;
-    for (int64_t r = 0; r < got.num_rows(); ++r) {
-      if (g.IsNull(r)) continue;
-      EXPECT_EQ(std::bit_cast<uint64_t>(g.doubles()[static_cast<size_t>(r)]),
-                std::bit_cast<uint64_t>(
-                    want.column(c).doubles()[static_cast<size_t>(r)]))
-          << "column " << c << " row " << r;
-    }
-  }
 }
 
 SchemaPtr HardSchema() {

@@ -777,10 +777,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpillIdentityPropTest, ::testing::Range(0, 8));
 // ---------------------------------------------------------------------------
 // P10: incremental identity. Views registered over random relational plans,
 // refreshed across random append batches to both base and join-side tables,
-// must be byte-identical (Table::Equals) to a full recompute of the same
-// plan against the grown catalog — at 1 and 4 threads. The generated plans
-// deliberately include shapes the delta rewrite refuses (Sort, Distinct,
-// Limit, nested aggregates): refuse-and-fallback is part of the contract.
+// must be bit-identical (Table::Equals, then float64 cells by bit pattern)
+// to a full recompute of the same plan against the grown catalog — at 1 and
+// 4 threads. The generated plans deliberately include shapes the delta
+// rewrite refuses (Sort, Distinct, Limit, nested aggregates):
+// refuse-and-fallback is part of the contract.
 // Each seed also draws the registry's meter budget from {none, 4 KiB, 1 B},
 // so retained join state is shed to scratch and reloaded mid-refresh.
 // ---------------------------------------------------------------------------
@@ -861,6 +862,7 @@ TEST_P(IncrementalIdentityPropTest, RefreshMatchesFullRecomputeUnderAppends) {
             << plan->ToString() << "got:\n"
             << got->ToString() << "want:\n"
             << want->ToString();
+        testing::ExpectSameBits(*got, *want);
       }
     }
   }

@@ -20,6 +20,8 @@
 #include "exec/reference_executor.h"
 #include "expr/builder.h"
 #include "expr/bytecode.h"
+#include "federation/cluster.h"
+#include "federation/coordinator.h"
 #include "provider/provider.h"
 #include "relational/engine.h"
 #include "telemetry/explain.h"
@@ -332,6 +334,108 @@ TEST_F(ProviderTest, UnclaimedPlanFailsCleanly) {
   auto st = graphd_->Execute(*join);
   EXPECT_FALSE(st.ok());
   EXPECT_TRUE(st.status().IsUnsupported()) << st.status();
+
+  // Every engine refuses a kind it does not claim with the same message,
+  // also when Execute is called on it directly with an Iterate.
+  IterateOp loop;
+  loop.body = Plan::LoopVar();
+  loop.max_iters = 2;
+  const std::vector<std::pair<ProviderPtr, PlanPtr>> unclaimed = {
+      {relstore_, Plan::Window(Plan::Scan("grid"), {{"x", 1}}, AggFunc::kSum)},
+      {arraydb_, join},
+      {linalg_, Plan::Select(Plan::Scan("A"), Gt(Col("v"), Lit(1.0)))},
+      {graphd_, Plan::Iterate(Plan::Scan("edges"), loop)},
+  };
+  for (const auto& [p, plan] : unclaimed) {
+    EXPECT_FALSE(p->ClaimsTree(*plan)) << p->name();
+    auto r = p->Execute(*plan);
+    ASSERT_FALSE(r.ok()) << p->name();
+    EXPECT_TRUE(r.status().IsUnsupported()) << r.status();
+    EXPECT_EQ(r.status().message(),
+              StrCat(p->name(), " does not implement ", OpKindName(plan->kind())));
+  }
+}
+
+// The Iterate stop rule needs a one-cell measure. A measure yielding two
+// rows is a PlanError wherever the loop runs: inside relstore, inside
+// arraydb, and in the coordinator's client-driven loop.
+TEST_F(ProviderTest, TwoRowMeasureIsAPlanErrorEverywhere) {
+  SchemaPtr s = MakeSchema({Field::Attr("v", DataType::kFloat64)});
+  TablePtr state0 = MakeTable(s, {{F(4.0)}, {F(2.0)}});
+  IterateOp op;
+  op.body = Plan::LoopVar();
+  op.measure = Plan::LoopVar(true);
+  op.max_iters = 5;
+  PlanPtr it = Plan::Iterate(Plan::Scan("state0"), op);
+  for (const ProviderPtr& p : {relstore_, arraydb_}) {
+    ASSERT_OK(p->catalog()->Put("state0", Dataset(state0)));
+    ASSERT_TRUE(p->ClaimsTree(*it)) << p->name();
+    auto r = p->Execute(*it);
+    ASSERT_FALSE(r.ok()) << p->name();
+    EXPECT_TRUE(r.status().IsPlanError()) << p->name() << ": " << r.status();
+  }
+
+  // With the plan cache the client-driven loop ships its body once and
+  // rebinds the state each round; without it, it re-plans every round.
+  op.body = Plan::Select(Plan::LoopVar(), Ge(Col("v"), Lit(0.0)));
+  op.measure = Plan::Select(Plan::LoopVar(true), Ge(Col("v"), Lit(0.0)));
+  it = Plan::Iterate(Plan::Scan("state0"), op);
+  Cluster cluster;
+  ASSERT_OK(cluster.AddServer("relstore", MakeRelationalProvider()));
+  ASSERT_OK(cluster.PutData("relstore", "state0", Dataset(state0)));
+  for (bool plan_cache : {true, false}) {
+    CoordinatorOptions client_side;
+    client_side.provider_side_iteration = false;
+    client_side.plan_cache = plan_cache;
+    Coordinator coord(&cluster, client_side);
+    ExecutionMetrics m;
+    auto r = coord.Execute(it, &m);
+    ASSERT_FALSE(r.ok()) << "plan_cache=" << plan_cache;
+    EXPECT_TRUE(r.status().IsPlanError()) << r.status();
+    EXPECT_EQ(m.profile[QueryStat::kClientLoopIterations], 1);
+  }
+}
+
+// Two sessions each on one graphd (PageRank) and one linalg (MatMul), all
+// four at once: the engines keep no per-call state on the provider, so every
+// result is bit-identical to the single-threaded run.
+TEST_F(ProviderTest, ConcurrentGraphAndLinalgSessionsMatchSerialRuns) {
+  PageRankOp pr;
+  pr.max_iters = 30;
+  pr.epsilon = 1e-9;
+  const std::vector<std::pair<ProviderPtr, PlanPtr>> work = {
+      {graphd_, Plan::PageRank(Plan::Scan("edges"), pr)},
+      {linalg_, Plan::MatMul(Plan::Scan("A"), Plan::Scan("B"), "prod")},
+  };
+  std::vector<TablePtr> want;
+  for (const auto& [p, plan] : work) {
+    ASSERT_OK_AND_ASSIGN(Dataset d, p->Execute(*plan));
+    ASSERT_OK_AND_ASSIGN(TablePtr t, d.AsTable());
+    want.push_back(t);
+  }
+  constexpr int kSessions = 2, kReps = 20;
+  std::vector<std::vector<Result<TablePtr>>> got(work.size() * kSessions);
+  std::vector<std::thread> sessions;
+  for (size_t w = 0; w < work.size(); ++w) {
+    for (int q = 0; q < kSessions; ++q) {
+      sessions.emplace_back([&, w, slot = w * kSessions + q] {
+        for (int rep = 0; rep < kReps; ++rep) {
+          Result<Dataset> d = work[w].first->Execute(*work[w].second);
+          got[slot].push_back(d.ok() ? d.ValueOrDie().AsTable()
+                                     : Result<TablePtr>(d.status()));
+        }
+      });
+    }
+  }
+  for (std::thread& t : sessions) t.join();
+  for (size_t slot = 0; slot < got.size(); ++slot) {
+    const size_t w = slot / kSessions;
+    ASSERT_EQ(got[slot].size(), static_cast<size_t>(kReps));
+    for (const Result<TablePtr>& t : got[slot]) {
+      ASSERT_OK(t.status());
+      testing::ExpectSameBits(*t.ValueOrDie(), *want[w]);
+    }
+  }
 }
 
 // --- Plan-cache envelope protocol -----------------------------------------

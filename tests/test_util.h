@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -82,6 +83,25 @@ class ScopedBudget {
   TaskContext ctx_;
   ScopedTaskContext scope_;
 };
+
+/// Table::Equals takes NaN for any number and -0.0 for +0.0; this also
+/// holds every float64 cell to its bit pattern.
+inline void ExpectSameBits(const Table& got, const Table& want) {
+  ASSERT_TRUE(got.Equals(want)) << "got:\n"
+                                << got.ToString() << "want:\n"
+                                << want.ToString();
+  for (int c = 0; c < got.num_columns(); ++c) {
+    const Column& g = got.column(c);
+    if (g.type() != DataType::kFloat64) continue;
+    for (int64_t r = 0; r < got.num_rows(); ++r) {
+      if (g.IsNull(r)) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(g.doubles()[static_cast<size_t>(r)]),
+                std::bit_cast<uint64_t>(
+                    want.column(c).doubles()[static_cast<size_t>(r)]))
+          << "column " << c << " row " << r;
+    }
+  }
+}
 
 /// Shorthand value constructors.
 inline Value I(int64_t v) { return Value::Int64(v); }
