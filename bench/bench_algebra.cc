@@ -21,7 +21,7 @@
 //   e17_agg_threads_identical: the grouped fold (LowerAggregate) at 1 and
 //     at 4 threads on the same input, byte-identical (rows=1).
 //   e17_ops_lowered: a coordinator run; the lower_semiring pass must count
-//     the aggregate (last_optimizer_stats().ops_lowered > 0) and
+//     the aggregate (ExecutionMetrics::optimizer.ops_lowered > 0) and
 //     ExplainAnalyze must carry the "algebra:" summary line.
 #include <algorithm>
 #include <bit>
@@ -373,9 +373,10 @@ void RunEngineArms(benchjson::Recorder* json) {
   NEXUS_CHECK(cluster.AddServer("reference", MakeReferenceProvider()).ok());
   NEXUS_CHECK(cluster.PutData("relstore", "fact17", Dataset(fact)).ok());
   Coordinator coord(&cluster);
-  Dataset via_coord = coord.Execute(plan).ValueOrDie();
+  ExecutionMetrics m;
+  Dataset via_coord = coord.Execute(plan, &m).ValueOrDie();
   NEXUS_CHECK(via_coord.table()->Equals(*baseline));
-  OptimizerStats stats = coord.last_optimizer_stats();
+  const OptimizerStats& stats = m.optimizer;
   NEXUS_CHECK(stats.ops_lowered > 0);
   std::string explain = coord.ExplainAnalyze(plan).ValueOrDie();
   NEXUS_CHECK(explain.find("algebra:") != std::string::npos);

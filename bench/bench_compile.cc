@@ -26,6 +26,7 @@
 
 #include "algebra/kernels.h"
 #include "bench_json.h"
+#include "same_bits.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -93,7 +94,7 @@ void RunExprArm(benchjson::Recorder* json) {
   double ms_compiled =
       MinMillis([&] { EvalExprVector(*e, *t).ValueOrDie(); });
 
-  NEXUS_CHECK(compiled.Equals(interp));  // byte-identical, not just close
+  NEXUS_CHECK(SameBits(compiled, interp));  // byte-identical, not just close
   json->Record("e16_expr_interp", kExprRows, ms_interp);
   json->Record("e16_expr_compiled", kExprRows, ms_compiled);
   std::printf("expression-heavy scan over %lld rows\n",
@@ -166,8 +167,8 @@ void RunPipelineArm(benchjson::Recorder* json) {
   auto [ms_fused, t_fused] = run_arm(
       [&] { return relstore->Execute(*plan).ValueOrDie().table(); });
 
-  NEXUS_CHECK(t_compiled->Equals(*t_interp));
-  NEXUS_CHECK(t_fused->Equals(*t_interp));
+  NEXUS_CHECK(SameBits(*t_compiled, *t_interp));
+  NEXUS_CHECK(SameBits(*t_fused, *t_interp));
   json->Record("e16_pipe_interp", kPipeRows, ms_interp);
   json->Record("e16_pipe_compiled", kPipeRows, ms_compiled);
   json->Record("e16_pipe_fused", kPipeRows, ms_fused);

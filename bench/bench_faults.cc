@@ -109,10 +109,10 @@ CellResult RunCell(double drop_probability, bool with_down_window,
     cell.timeouts += m.profile[QueryStat::kTimeouts];
     cell.fragments += m.profile[QueryStat::kFragments];
     cell.messages += m.profile[QueryStat::kMessages];
+    cell.opt = m.optimizer;
   }
   cell.wasted_bytes = cluster.transport()->failed_bytes();
   cell.sim_seconds = cluster.transport()->simulated_seconds();
-  cell.opt = coord.last_optimizer_stats();
   return cell;
 }
 

@@ -19,11 +19,11 @@
 // may not grow faster than the data), and the delta-Iterate arm ships fewer
 // bytes than the full-ship arm for a bit-identical result.
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <vector>
 
 #include "bench_json.h"
+#include "same_bits.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/str_util.h"
@@ -76,24 +76,6 @@ TablePtr SideTable() {
                     .ok());
   }
   return b.Finish().ValueOrDie();
-}
-
-// Table::Equals plus every non-null float64 cell's bit pattern (Equals
-// takes NaN for any number and -0.0 for +0.0).
-bool SameBits(const Table& got, const Table& want) {
-  if (!got.Equals(want)) return false;
-  for (int c = 0; c < got.num_columns(); ++c) {
-    const Column& g = got.column(c);
-    if (g.type() != DataType::kFloat64) continue;
-    for (int64_t r = 0; r < got.num_rows(); ++r) {
-      const size_t i = static_cast<size_t>(r);
-      if (!g.IsNull(r) && std::bit_cast<uint64_t>(g.doubles()[i]) !=
-                              std::bit_cast<uint64_t>(want.column(c).doubles()[i])) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 double Median(std::vector<double> v) {

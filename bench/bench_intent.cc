@@ -79,29 +79,30 @@ int main() {
     CoordinatorOptions off;
     off.optimizer.recognize_intent = false;
     Coordinator coord_off(&cluster, off);
+    ExecutionMetrics m_off, m_on, m_direct;
     WallTimer t1;
-    Dataset as_written = coord_off.Execute(pipeline).ValueOrDie();
+    Dataset as_written = coord_off.Execute(pipeline, &m_off).ValueOrDie();
     double ms_off = t1.ElapsedMillis();
 
     CoordinatorOptions on;
     on.optimizer.recognize_intent = true;
     Coordinator coord_on(&cluster, on);
     WallTimer t2;
-    Dataset recognized = coord_on.Execute(pipeline).ValueOrDie();
+    Dataset recognized = coord_on.Execute(pipeline, &m_on).ValueOrDie();
     double ms_on = t2.ElapsedMillis();
 
     // The intent op written directly, for reference.
     PlanPtr direct = Plan::MatMul(Plan::Scan("A"), Plan::Scan("B"), "c");
     WallTimer t3;
-    Dataset intent = coord_on.Execute(direct).ValueOrDie();
+    Dataset intent = coord_on.Execute(direct, &m_direct).ValueOrDie();
     double ms_direct = t3.ElapsedMillis();
 
     json.Record("as_written", n * n, ms_off);
-    json.AnnotateOptimizer(coord_off.last_optimizer_stats());
+    json.AnnotateOptimizer(m_off.optimizer);
     json.Record("recognized", n * n, ms_on);
-    json.AnnotateOptimizer(coord_on.last_optimizer_stats());
+    json.AnnotateOptimizer(m_on.optimizer);
     json.Record("intent_op", n * n, ms_direct);
-    json.AnnotateOptimizer(coord_on.last_optimizer_stats());
+    json.AnnotateOptimizer(m_direct.optimizer);
     NEXUS_CHECK(as_written.LogicallyEquals(recognized)) << "n=" << n;
     std::printf("%6lld  %14.2f  %14.2f  %8.2fx  %14.2f\n",
                 static_cast<long long>(n), ms_off, ms_on, ms_off / ms_on,

@@ -78,9 +78,9 @@ int main() {
 
     NEXUS_CHECK(r1.LogicallyEquals(r2));
     json.Record("direct_sim", n * n, dm.profile.simulated_seconds() * 1e3);
-    json.AnnotateOptimizer(dc.last_optimizer_stats());
+    json.AnnotateOptimizer(dm.optimizer);
     json.Record("relay_sim", n * n, rm.profile.simulated_seconds() * 1e3);
-    json.AnnotateOptimizer(rc.last_optimizer_stats());
+    json.AnnotateOptimizer(rm.optimizer);
     const QueryProfile& dp = dm.profile;
     const QueryProfile& rp = rm.profile;
     int64_t intermediate = dp[QueryStat::kDataBytes] - r1.ByteSize();

@@ -93,13 +93,13 @@ int main() {
     const QueryProfile& cp = cm.profile;
     const QueryProfile& np = nm.profile;
     json.Record("provider_side_sim", nodes, sp.simulated_seconds() * 1e3);
-    json.AnnotateOptimizer(sc.last_optimizer_stats());
+    json.AnnotateOptimizer(sm.optimizer);
     json.RecordWire("client_driven_sim", nodes, cp.simulated_seconds() * 1e3,
                     cp);
-    json.AnnotateOptimizer(cc.last_optimizer_stats());
+    json.AnnotateOptimizer(cm.optimizer);
     json.RecordWire("client_nocache_sim", nodes, np.simulated_seconds() * 1e3,
                     np);
-    json.AnnotateOptimizer(nc.last_optimizer_stats());
+    json.AnnotateOptimizer(nm.optimizer);
     cache_rows.push_back({nodes, cp[QueryStat::kPlanBytes],
                           np[QueryStat::kPlanBytes],
                           cp[QueryStat::kPlanCacheHits],

@@ -96,12 +96,13 @@ void RunJoinOrderArms(benchjson::Recorder* json) {
     NEXUS_CHECK(coord.Execute(p).ok());  // warm-up
     double ms = 1e30;
     Dataset r;
+    ExecutionMetrics m;
     for (int rep = 0; rep < 3; ++rep) {
       WallTimer t;
-      r = coord.Execute(p).ValueOrDie();
+      r = coord.Execute(p, &m).ValueOrDie();
       ms = std::min(ms, t.ElapsedMillis());
     }
-    return std::make_tuple(ms, r, coord.last_optimizer_stats());
+    return std::make_tuple(ms, r, m.optimizer);
   };
   auto [ms_written, r_written, opt_written] = run(false);
   auto [ms_reordered, r_reordered, opt_reordered] = run(true);
@@ -181,7 +182,7 @@ void RunPlacementArms(benchjson::Recorder* json) {
     WallTimer t;
     Dataset r = coord.Execute(p, &m).ValueOrDie();
     double ms = t.ElapsedMillis();
-    return std::make_tuple(ms, r, m, coord.last_optimizer_stats());
+    return std::make_tuple(ms, r, m, m.optimizer);
   };
   auto [ms_h, r_h, m_h, opt_h] = run(false);
   auto [ms_c, r_c, m_c, opt_c] = run(true);
@@ -266,12 +267,13 @@ int main() {
       NEXUS_CHECK(coord.Execute(p).ok());
       double ms = 1e30;
       Dataset r;
+      ExecutionMetrics m;
       for (int rep = 0; rep < 3; ++rep) {
         WallTimer t;
-        r = coord.Execute(p).ValueOrDie();
+        r = coord.Execute(p, &m).ValueOrDie();
         ms = std::min(ms, t.ElapsedMillis());
       }
-      return std::make_tuple(ms, r, coord.last_optimizer_stats());
+      return std::make_tuple(ms, r, m.optimizer);
     };
     auto [ms_none, r_none, opt_none] = run(false, false, false);
     auto [ms_push, r_push, opt_push] = run(true, false, false);

@@ -13,6 +13,7 @@
 
 #include "algebra/kernels.h"
 #include "bench_json.h"
+#include "same_bits.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -94,7 +95,7 @@ int main() {
   };
 
   auto table_same = [](const TablePtr& a, const TablePtr& b) {
-    return a->Equals(*b);
+    return SameBits(*a, *b);
   };
 
   {
@@ -128,7 +129,7 @@ int main() {
     sweep("matmul", n * n,
           [&] { return linalg::MatMulBlocked(a, b, 64).ValueOrDie(); },
           [](const linalg::DenseMatrix& x, const linalg::DenseMatrix& y) {
-            return x.data() == y.data();
+            return SameBits(x.data(), y.data());
           });
   }
 

@@ -166,10 +166,10 @@ int main() {
       NEXUS_CHECK(cluster.PutData(provider_name, "GB", std::move(db)).ok());
       Coordinator coord(&cluster);
       NEXUS_CHECK(coord.Execute(combine).ok());  // warm-up
+      ExecutionMetrics m;
       WallTimer t;
-      Dataset r = coord.Execute(combine).ValueOrDie();
-      return std::make_tuple(t.ElapsedMillis(), r,
-                             coord.last_optimizer_stats());
+      Dataset r = coord.Execute(combine, &m).ValueOrDie();
+      return std::make_tuple(t.ElapsedMillis(), r, m.optimizer);
     };
     auto [array_ms, r1, opt1] = run_on("arraydb", MakeArrayProvider());
     auto [rel_ms, r2, opt2] = run_on("relstore", MakeRelationalProvider());

@@ -180,7 +180,7 @@ int main() {
       ExecutionMetrics qm;
       NEXUS_CHECK(coord.Execute(mm, &qm).ok());
       if (qm.profile[QueryStat::kRetries] > 0) {
-        trace = coord.last_trace_id();
+        trace = qm.trace_id;
         m = qm;
       }
     }
@@ -200,7 +200,7 @@ int main() {
         static_cast<long long>(m.profile[QueryStat::kRetries]));
     json.RecordFederated("traced_query_sim", spans,
                          m.profile.simulated_seconds() * 1e3, m.profile, 1);
-    json.AnnotateOptimizer(coord.last_optimizer_stats());
+    json.AnnotateOptimizer(m.optimizer);
     telemetry::ClearSpans();
   }
 

@@ -8,7 +8,9 @@
 
 #include "common/parallel.h"
 #include "common/query_profile.h"
+#include "common/random.h"
 #include "common/str_util.h"
+#include "common/timer.h"
 #include "core/schema_inference.h"
 #include "core/serialize.h"
 #include "optimizer/cardinality.h"
@@ -36,27 +38,194 @@ Coordinator::Instruments Coordinator::Instruments::Resolve() {
   };
 }
 
-Coordinator::CallScope::CallScope(Coordinator* c, const char* span_name)
-    : threads_(c->EffectiveThreads()),
+/// One Execute / ExecutePerOp call: its profile, whose spans are stamped
+/// with this cluster's simulated clock; the query span; the thread budget;
+/// the fault-recovery state; and every temp the call registers. When the run
+/// ends it drops those temps, so failed or aborted executions never leak
+/// server-side state, and then fills `metrics`, when given.
+class Coordinator::QueryRun {
+ public:
+  QueryRun(Coordinator* c, const char* span_name, ExecutionMetrics* metrics);
+  ~QueryRun();
+  QueryRun(const QueryRun&) = delete;
+  QueryRun& operator=(const QueryRun&) = delete;
+
+  Result<Dataset> Execute(const PlanPtr& plan);
+  Result<Dataset> ExecutePerOp(const PlanPtr& plan);
+
+ private:
+  /// Serialize-once state for one client-driven loop: when the body (and
+  /// measure) place whole on a single server, the loop variables are
+  /// rewritten into Scans of per-loop binding names, the template wires and
+  /// fingerprints are computed once, and every round ships only a cache
+  /// reference plus the bindings that actually changed.
+  struct LoopShip {
+    bool probed = false;
+    bool usable = false;
+    std::string server;
+    WireFormat format = WireFormat::kText;
+    std::string curr_name, prev_name;
+    std::string body_wire;
+    uint64_t body_fp = 0;
+    bool body_curr = false, body_prev = false;
+    std::string measure_wire;
+    uint64_t measure_fp = 0;
+    bool measure_curr = false, measure_prev = false;
+    /// What the provider's sticky binding cache holds per binding name (the
+    /// last full value this loop successfully shipped, with its fingerprint
+    /// chain) — the base a later round's prefix-extending value extends as a
+    /// %NXB1-DELTA tail. `full_wire_bytes` tracks the size a full re-ship
+    /// would have cost, for the delta_bytes_saved accounting.
+    struct BoundBase {
+      TablePtr table;
+      uint64_t chain_fp = 0;
+      int64_t full_wire_bytes = 0;
+    };
+    std::map<std::string, BoundBase> bound;
+  };
+
+  /// Plans `plan` around the servers failed over away from.
+  Status Assign(const PlanPtr& plan, std::string temp_prefix,
+                Placement* placement) {
+    std::set<std::string> excluded;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      excluded = excluded_;
+    }
+    placement->temp_prefix = std::move(temp_prefix);
+    return c_->AssignServers(plan, excluded, placement).status();
+  }
+  Result<Dataset> Run(const PlanPtr& plan, Placement* placement);
+  Result<std::pair<std::string, std::string>> ExecToTemp(const Plan* node,
+                                                         Placement* placement);
+  Result<PlanPtr> BuildFragment(const Plan* node, const std::string& server,
+                                Placement* placement);
+  Result<Dataset> ShipAndRun(const std::string& server, const PlanPtr& fragment);
+  /// Ships an already-serialized plan wire (plus optional dataset bindings)
+  /// to `server`, going through the plan-cache envelope when enabled: a
+  /// fingerprint the coordinator already shipped there travels as a
+  /// %NXB1-EXEC reference, and a provider-side eviction (NotFound carrying
+  /// kPlanCacheMissMarker) falls back to re-shipping the full plan.
+  Result<Dataset> ShipWire(
+      const std::string& server, const std::string& plan_wire, uint64_t fp,
+      const std::vector<std::pair<std::string, std::string>>& bindings,
+      int64_t est_rows = -1);
+  /// Sends `data` over the negotiated wire for (from, to): serialized once,
+  /// metered at its actual encoded size, decoded on arrival.
+  Result<Dataset> SendData(const std::string& from, const std::string& to,
+                           const Dataset& data);
+  /// ExecToTemp, then fetches the temp to the client.
+  Result<Dataset> ExecToClient(const Plan* node, Placement* placement) {
+    NEXUS_ASSIGN_OR_RETURN(auto loc, ExecToTemp(node, placement));
+    NEXUS_ASSIGN_OR_RETURN(
+        Dataset d, cluster_->provider(loc.first)->catalog()->Get(loc.second));
+    return SendData(loc.first, kClientNode, d);
+  }
+  Status RegisterTemp(const std::string& server, const std::string& name,
+                      Dataset data) {
+    std::lock_guard<std::mutex> lock(mu_);
+    NEXUS_RETURN_NOT_OK(
+        cluster_->provider(server)->catalog()->Put(name, std::move(data)));
+    temps_.emplace_back(server, name);
+    return Status::OK();
+  }
+  Status TransferTemp(const std::string& from, const std::string& to,
+                      const std::string& temp);
+
+  /// Drives a client-side Iterate; body temps add the round to its name.
+  Result<Dataset> RunClientLoop(const Plan& iterate, Placement* placement);
+  /// One body(+measure) round of a client-driven loop; updates *state.
+  /// Returns true when the loop's convergence measure says stop.
+  Result<bool> RunLoopStep(const IterateOp& op, const std::string& round,
+                           Dataset* state, LoopShip* ship);
+  /// Detects the single-server case and builds the reusable templates.
+  void ProbeLoopShip(const IterateOp& op, const Dataset& state, LoopShip* ship);
+  Result<bool> RunLoopStepShipped(const IterateOp& op, Dataset* state,
+                                  LoopShip* ship);
+
+  /// Retry/backoff wrapper around Transport::TrySend, implementing
+  /// options_.retry. On giving up, records the presumed-dead server in
+  /// last_failed_server_ so Execute's failover loop can route around it.
+  /// `*retries`, when given, is incremented once per resend.
+  Status SendWithRetry(const std::string& from, const std::string& to,
+                       int64_t bytes, MessageKind kind,
+                       int64_t* retries = nullptr);
+  /// Excludes last_failed_server_ from planning (failover) and invalidates
+  /// memoized temps on it. Returns false when nothing can be excluded.
+  bool ExcludeFailedServer();
+  /// First registered server not excluded by failover.
+  Result<std::string> AnyAvailableServer() {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::string& s : cluster_->ServerNames()) {
+      if (excluded_.count(s) == 0) return s;
+    }
+    return Status::Unavailable("no server available");
+  }
+  /// Cooperative cancellation checkpoint: OK unless options_.cancel fired
+  /// (returns its status) or the simulated clock crossed
+  /// options_.deadline_simulated_seconds (fires the token with kTimeout and
+  /// returns that). Called at fragment, message, and loop boundaries.
+  Status CheckCancelled();
+
+  Coordinator* const c_;
+  Cluster* const cluster_;
+  const CoordinatorOptions& options_;
+  ExecutionMetrics* const metrics_;
+  WallTimer timer_;
+  const int threads_;
+  ScopedQuery query_;
+  telemetry::SpanGuard span_;
+  OptimizerStats optimizer_stats_;
+
+  /// Guards the bookkeeping below and serializes this call's transport
+  /// traffic when sibling fragments execute concurrently. Held only around
+  /// that bookkeeping — never across Provider::ExecuteWire, so fragment
+  /// compute genuinely overlaps — and never nested.
+  std::mutex mu_;
+  std::vector<std::pair<std::string, std::string>> temps_;  // (server, name)
+  Rng retry_rng_;
+  std::set<std::string> excluded_;  // servers failed over away from
+  std::string last_failed_server_;  // set when retries run out
+  // Fragment results that survived a failed attempt: plan node -> (server,
+  // temp). Only populated for the root placement, whose nodes stay alive
+  // for the whole call; replanning resumes from these instead of
+  // recomputing.
+  std::map<const Plan*, std::pair<std::string, std::string>> done_;
+  const Placement* root_placement_ = nullptr;
+  // Per-loop sequence for binding names, so re-running the same plan
+  // regenerates identical template wires (and cache hits).
+  int64_t loop_seq_ = 0;
+};
+
+Coordinator::QueryRun::QueryRun(Coordinator* c, const char* span_name,
+                                ExecutionMetrics* metrics)
+    : c_(c),
+      cluster_(c->cluster_),
+      options_(c->options_),
+      metrics_(metrics),
+      threads_(c->options_.thread_count <= 0
+                   ? GetThreadCount()
+                   : std::min(c->options_.thread_count, kMaxThreads)),
       query_(/*trace=*/false,
              [t = c->cluster_->transport()] {
                return t->simulated_seconds();
              }),
-      span_(telemetry::kCategoryCoordinator, span_name) {
+      span_(telemetry::kCategoryCoordinator, span_name),
+      retry_rng_(c->options_.retry.jitter_seed) {
   c->ins_.threads->Set(static_cast<double>(threads_));
-  c->retry_rng_ = Rng(c->options_.retry.jitter_seed);
-  c->excluded_.clear();
-  c->last_failed_server_.clear();
-  c->done_.clear();
-  c->loop_seq_ = 0;  // re-running a plan regenerates identical binding names
-  if (span_.active()) c->last_trace_id_ = span_.trace();
+  if (metrics_ != nullptr) *metrics_ = ExecutionMetrics();  // this call only
 }
 
-void Coordinator::CallScope::Report(ExecutionMetrics* metrics) const {
-  if (metrics == nullptr) return;
-  metrics->wall_seconds = timer_.ElapsedSeconds();
-  metrics->threads_used = threads_;
-  metrics->profile = query_.profile();
+Coordinator::QueryRun::~QueryRun() {
+  for (const auto& [server, name] : temps_) {
+    if (Provider* p = cluster_->provider(server)) (void)p->catalog()->Drop(name);
+  }
+  if (metrics_ == nullptr) return;
+  metrics_->wall_seconds = timer_.ElapsedSeconds();
+  metrics_->threads_used = threads_;
+  metrics_->profile = query_.profile();
+  metrics_->trace_id = span_.active() ? span_.trace() : 0;
+  metrics_->optimizer = optimizer_stats_;
 }
 
 Result<SchemaPtr> FederatedCatalog::GetSchema(const std::string& name) const {
@@ -201,20 +370,20 @@ int64_t Coordinator::EstimateBytes(const Plan& plan) const {
   }
 }
 
-Result<std::string> Coordinator::AssignServers(const PlanPtr& plan,
-                                               Placement* placement) {
-  // Planning reads failover state (excluded_) and may run inside a fragment
-  // task (client-driven loops); it never executes fragments, so holding the
-  // coordinator lock throughout serializes it without stalling compute.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+Result<std::string> Coordinator::AssignServers(
+    const PlanPtr& plan, const std::set<std::string>& excluded,
+    Placement* placement) const {
   InferContext ctx;
   ctx.catalog = &fed_catalog_;
   // Stats-based wire-byte estimates for cost-based placement. One memoizing
   // estimator per planning pass: sibling candidates share subtrees.
   CardinalityEstimator wire_est(&fed_catalog_);
 
+  int64_t next_position = 0;
   std::function<Result<std::string>(const PlanPtr&)> assign =
       [&](const PlanPtr& node) -> Result<std::string> {
+    placement->temp_name.emplace(
+        node.get(), StrCat(placement->temp_prefix, next_position++));
     // Leaves.
     if (node->kind() == OpKind::kScan) {
       const std::string& table = node->As<ScanOp>().table;
@@ -225,7 +394,7 @@ Result<std::string> Coordinator::AssignServers(const PlanPtr& plan,
       // First holder not failed over away from; replicas (Cluster::
       // Replicate) make this the redundancy failover routes through.
       for (const std::string& h : holders) {
-        if (excluded_.count(h) != 0) continue;
+        if (excluded.count(h) != 0) continue;
         placement->assign[node.get()] = h;
         return h;
       }
@@ -257,7 +426,7 @@ Result<std::string> Coordinator::AssignServers(const PlanPtr& plan,
         std::string best;
         int best_rank = 1000;
         for (const std::string& s : cluster_->ServerNames()) {
-          if (excluded_.count(s) != 0) continue;
+          if (excluded.count(s) != 0) continue;
           if (!cluster_->provider(s)->ClaimsTree(*node)) continue;
           int rank = SpecRank(OpKind::kIterate, s) - (s == preferred ? 100 : 0);
           if (rank < best_rank) {
@@ -302,7 +471,7 @@ Result<std::string> Coordinator::AssignServers(const PlanPtr& plan,
     std::string best;
     int64_t best_score = std::numeric_limits<int64_t>::max();
     for (const std::string& s : cluster_->ServerNames()) {
-      if (excluded_.count(s) != 0) continue;
+      if (excluded.count(s) != 0) continue;
       if (!ServerSuits(s, *node, child_schemas)) continue;
       int64_t score = static_cast<int64_t>(SpecRank(node->kind(), s)) * 1000000;
       bool local = false;
@@ -346,21 +515,14 @@ Result<std::string> Coordinator::AssignServers(const PlanPtr& plan,
 // Execution.
 // ---------------------------------------------------------------------------
 
-Result<PlanPtr> Coordinator::Prepare(const PlanPtr& plan) {
-  // Type-check against the federated catalog, then optimize.
+Result<PlanPtr> Coordinator::Prepare(const PlanPtr& plan,
+                                     OptimizerStats* stats) const {
   NEXUS_RETURN_NOT_OK(InferSchema(*plan, fed_catalog_).status());
-  last_optimizer_stats_ = OptimizerStats{};
   if (!options_.optimize) return plan;
-  return Optimize(plan, fed_catalog_, options_.optimizer,
-                  &last_optimizer_stats_);
+  return Optimize(plan, fed_catalog_, options_.optimizer, stats);
 }
 
-int Coordinator::EffectiveThreads() const {
-  if (options_.thread_count <= 0) return GetThreadCount();
-  return std::min(options_.thread_count, kMaxThreads);
-}
-
-Status Coordinator::CheckCancelled() {
+Status Coordinator::QueryRun::CheckCancelled() {
   const CancelToken* token = options_.cancel.get();
   if (token != nullptr && token->cancelled()) return token->status();
   if (options_.deadline_simulated_seconds > 0.0 &&
@@ -382,37 +544,15 @@ Status Coordinator::CheckCancelled() {
   return Status::OK();
 }
 
-Result<std::string> Coordinator::RegisterTemp(const std::string& server,
-                                              Dataset data) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  std::string name =
-      options_.temp_namespace.empty()
-          ? StrCat("__frag_", temp_counter_++)
-          : StrCat("__frag_", options_.temp_namespace, "_", temp_counter_++);
-  NEXUS_RETURN_NOT_OK(cluster_->provider(server)->catalog()->Put(name, std::move(data)));
-  temps_.emplace_back(server, name);
-  return name;
-}
-
-void Coordinator::DropTemps() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  for (const auto& [server, name] : temps_) {
-    Provider* p = cluster_->provider(server);
-    if (p != nullptr) {
-      (void)p->catalog()->Drop(name);
-    }
-  }
-  temps_.clear();
-}
-
-Status Coordinator::SendWithRetry(const std::string& from, const std::string& to,
-                                  int64_t bytes, MessageKind kind,
-                                  int64_t* retries) {
+Status Coordinator::QueryRun::SendWithRetry(const std::string& from,
+                                            const std::string& to,
+                                            int64_t bytes, MessageKind kind,
+                                            int64_t* retries) {
   NEXUS_RETURN_NOT_OK(CheckCancelled());
   // The transport is a single-client simulation (clock, counters, fault
   // schedule): all traffic is serialized here even when sibling fragments
   // execute concurrently. Compute (ExecuteWire) stays outside this lock.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   Transport* t = cluster_->transport();
   const RetryPolicy& rp = options_.retry;
   const int attempts = std::max(1, rp.max_attempts);
@@ -440,7 +580,7 @@ Status Coordinator::SendWithRetry(const std::string& from, const std::string& to
       spent += pause;
       telemetry::Count(QueryStat::kRetries);
       if (retries != nullptr) ++*retries;
-      ins_.backoff_seconds->Record(pause);
+      c_->ins_.backoff_seconds->Record(pause);
       if (telemetry::Enabled()) {
         telemetry::RecordComplete(telemetry::kCategoryCoordinator,
                                   StrCat("retry ", from, "->", to), "",
@@ -463,8 +603,8 @@ Status Coordinator::SendWithRetry(const std::string& from, const std::string& to
   return last;
 }
 
-bool Coordinator::ExcludeFailedServer() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+bool Coordinator::QueryRun::ExcludeFailedServer() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (last_failed_server_.empty()) return false;
   // Never exclude the last surviving server.
   if (excluded_.size() + 1 >= cluster_->ServerNames().size()) return false;
@@ -493,41 +633,35 @@ bool Coordinator::ExcludeFailedServer() {
   return true;
 }
 
-Result<std::string> Coordinator::AnyAvailableServer() const {
-  for (const std::string& s : cluster_->ServerNames()) {
-    if (excluded_.count(s) == 0) return s;
-  }
-  return Status::Unavailable("no server available");
-}
-
-Result<Dataset> Coordinator::ShipAndRun(const std::string& server,
-                                        const PlanPtr& fragment) {
+Result<Dataset> Coordinator::QueryRun::ShipAndRun(const std::string& server,
+                                                  const PlanPtr& fragment) {
   // Serialize the whole expression tree and ship it — the LINQ property.
   // The encoding is negotiated per link: NXB1 blobs for embedded datasets
   // when both ends speak it, the legacy textual form otherwise.
   WireFormat fmt =
       cluster_->transport()->NegotiatedFormat(kClientNode, server);
   std::string wire = SerializePlanWire(*fragment, fmt);
-  int64_t est_rows = telemetry::Enabled() ? EstimateFragmentRows(*fragment) : -1;
+  // While tracing, fragment spans carry the estimated output rows against
+  // the federated catalog (which sees temp stats, i.e. observed actuals),
+  // and thus a q-error; -1 when the estimator cannot resolve a leaf.
+  int64_t est_rows = -1;
+  if (telemetry::Enabled()) {
+    auto est = EstimateCardinality(*fragment, c_->fed_catalog_);
+    if (est.ok()) est_rows = std::llround(est.ValueOrDie());
+  }
   return ShipWire(server, wire, FingerprintWire(wire), {}, est_rows);
 }
 
-int64_t Coordinator::EstimateFragmentRows(const Plan& fragment) const {
-  auto est = EstimateCardinality(fragment, fed_catalog_);
-  if (!est.ok()) return -1;
-  return static_cast<int64_t>(std::llround(est.ValueOrDie()));
-}
-
-Result<Dataset> Coordinator::ShipWire(
+Result<Dataset> Coordinator::QueryRun::ShipWire(
     const std::string& server, const std::string& plan_wire, uint64_t fp,
     const std::vector<std::pair<std::string, std::string>>& bindings,
     int64_t est_rows) {
   const bool cache = options_.plan_cache && fp != 0;
   bool have = false;
   if (cache) {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    auto it = shipped_.find(server);
-    have = it != shipped_.end() && it->second.fps.count(fp) != 0;
+    std::lock_guard<std::mutex> lock(c_->shipped_mu_);
+    auto it = c_->shipped_.find(server);
+    have = it != c_->shipped_.end() && it->second.fps.count(fp) != 0;
   }
   telemetry::SpanGuard span(telemetry::kCategoryCoordinator,
                             StrCat("fragment -> ", server), server);
@@ -554,7 +688,7 @@ Result<Dataset> Coordinator::ShipWire(
       // payload.
       wire.insert(0, telemetry::WireHeader(span.trace(), span.id(), server));
     }
-    ins_.fragment_plan_bytes->Record(static_cast<double>(wire.size()));
+    c_->ins_.fragment_plan_bytes->Record(static_cast<double>(wire.size()));
     int64_t retries = 0;
     NEXUS_RETURN_NOT_OK(SendWithRetry(kClientNode, server,
                                       static_cast<int64_t>(wire.size()),
@@ -578,8 +712,8 @@ Result<Dataset> Coordinator::ShipWire(
             std::string::npos) {
       // The provider evicted this fingerprint: forget it here too and send
       // the whole plan again (one extra round trip, never a wrong answer).
-      std::lock_guard<std::recursive_mutex> lock(mu_);
-      ShippedSet& s = shipped_[server];
+      std::lock_guard<std::mutex> lock(c_->shipped_mu_);
+      ShippedSet& s = c_->shipped_[server];
       s.fps.erase(fp);
       for (auto it = s.order.begin(); it != s.order.end(); ++it) {
         if (*it == fp) {
@@ -600,8 +734,8 @@ Result<Dataset> Coordinator::ShipWire(
   if (cache && !have && result.ok()) {
     // The provider parsed and cached this fingerprint; reference it from
     // now on. FIFO-bounded exactly like the provider side.
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    ShippedSet& s = shipped_[server];
+    std::lock_guard<std::mutex> lock(c_->shipped_mu_);
+    ShippedSet& s = c_->shipped_[server];
     if (s.fps.insert(fp).second) {
       s.order.push_back(fp);
       if (s.order.size() > Provider::kPlanCacheCapacity) {
@@ -616,9 +750,9 @@ Result<Dataset> Coordinator::ShipWire(
   return result;
 }
 
-Result<Dataset> Coordinator::SendData(const std::string& from,
-                                      const std::string& to,
-                                      const Dataset& data) {
+Result<Dataset> Coordinator::QueryRun::SendData(const std::string& from,
+                                                const std::string& to,
+                                                const Dataset& data) {
   // Real serialization end to end: encoded once in the link's negotiated
   // format, metered at the actual encoded size, decoded on arrival. Evicted
   // chunks page in first, so a failed page-in is an error, not a short
@@ -631,14 +765,9 @@ Result<Dataset> Coordinator::SendData(const std::string& from,
   return ParseDatasetWire(wire);
 }
 
-Result<Dataset> Coordinator::FetchToClient(const std::string& server,
+Status Coordinator::QueryRun::TransferTemp(const std::string& from,
+                                           const std::string& to,
                                            const std::string& temp) {
-  NEXUS_ASSIGN_OR_RETURN(Dataset d, cluster_->provider(server)->catalog()->Get(temp));
-  return SendData(server, kClientNode, d);
-}
-
-Status Coordinator::TransferTemp(const std::string& from, const std::string& to,
-                                 const std::string& temp) {
   NEXUS_ASSIGN_OR_RETURN(Dataset d, cluster_->provider(from)->catalog()->Get(temp));
   // One encode at the source; the relay forwards the same bytes, so both
   // hops meter the identical payload size.
@@ -656,16 +785,16 @@ Status Coordinator::TransferTemp(const std::string& from, const std::string& to,
         SendWithRetry(kClientNode, to, bytes, MessageKind::kData));
   }
   {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     temps_.emplace_back(to, temp);  // the copy needs cleanup too
   }
   NEXUS_ASSIGN_OR_RETURN(Dataset arrived, ParseDatasetWire(wire));
   return cluster_->provider(to)->catalog()->Put(temp, std::move(arrived));
 }
 
-Result<PlanPtr> Coordinator::BuildFragment(const Plan* node,
-                                           const std::string& server,
-                                           Placement* placement) {
+Result<PlanPtr> Coordinator::QueryRun::BuildFragment(const Plan* node,
+                                                     const std::string& server,
+                                                     Placement* placement) {
   // A client-driven loop nested under a fragment: run it now, upload the
   // result to the fragment's server.
   if (placement->client_loops.count(node) != 0) {
@@ -673,26 +802,21 @@ Result<PlanPtr> Coordinator::BuildFragment(const Plan* node,
     NEXUS_ASSIGN_OR_RETURN(Dataset state, RunClientLoop(*alias, placement));
     NEXUS_ASSIGN_OR_RETURN(Dataset arrived,
                            SendData(kClientNode, server, state));
-    NEXUS_ASSIGN_OR_RETURN(std::string temp,
-                           RegisterTemp(server, std::move(arrived)));
+    const std::string temp = placement->temp_name.at(node);
+    NEXUS_RETURN_NOT_OK(RegisterTemp(server, temp, std::move(arrived)));
     return Plan::Scan(temp);
   }
   const size_t nc = node->children().size();
-  std::vector<std::string> child_servers(nc);
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    for (size_t i = 0; i < nc; ++i) {
-      child_servers[i] = placement->assign[node->children()[i].get()];
-    }
-  }
-  const int threads = EffectiveThreads();
+  auto child_server = [&](size_t i) -> const std::string& {
+    return placement->assign.at(node->children()[i].get());
+  };
   std::vector<PlanPtr> children(nc);
-  if (threads == 1) {
+  if (threads_ == 1) {
     // Exact legacy dispatch: children in order, one at a time. This is the
     // path the seeded-chaos trace invariant is promised on.
     for (size_t i = 0; i < nc; ++i) {
       const Plan* c = node->children()[i].get();
-      const std::string& cs = child_servers[i];
+      const std::string& cs = child_server(i);
       if (cs.empty() || cs == server) {
         NEXUS_ASSIGN_OR_RETURN(children[i], BuildFragment(c, server, placement));
       } else {
@@ -711,7 +835,7 @@ Result<PlanPtr> Coordinator::BuildFragment(const Plan* node,
   std::vector<std::function<void()>> tasks;
   std::vector<Status> statuses(nc, Status::OK());
   for (size_t i = 0; i < nc; ++i) {
-    const std::string& cs = child_servers[i];
+    const std::string& cs = child_server(i);
     if (cs.empty() || cs == server) continue;
     const Plan* c = node->children()[i].get();
     tasks.push_back([this, i, c, server, placement, &children, &statuses] {
@@ -727,12 +851,12 @@ Result<PlanPtr> Coordinator::BuildFragment(const Plan* node,
     telemetry::Count(QueryStat::kParallelFragments,
                      static_cast<int64_t>(tasks.size()));
   }
-  ParallelRun(tasks, threads);
+  ParallelRun(tasks, threads_);
   for (const Status& s : statuses) NEXUS_RETURN_NOT_OK(s);
   // Same-server children fold into this fragment on the caller's thread
   // (they may fan out recursively themselves).
   for (size_t i = 0; i < nc; ++i) {
-    const std::string& cs = child_servers[i];
+    const std::string& cs = child_server(i);
     if (!cs.empty() && cs != server) continue;
     NEXUS_ASSIGN_OR_RETURN(
         children[i], BuildFragment(node->children()[i].get(), server, placement));
@@ -740,23 +864,21 @@ Result<PlanPtr> Coordinator::BuildFragment(const Plan* node,
   return node->WithChildren(std::move(children));
 }
 
-Result<std::pair<std::string, std::string>> Coordinator::ExecToTemp(
-    const Plan* node, Placement* placement) {
+Result<std::pair<std::string, std::string>>
+Coordinator::QueryRun::ExecToTemp(const Plan* node, Placement* placement) {
   // Failover resume: fragments already materialized on a surviving server
   // are reused instead of recomputed. Only the root placement memoizes —
-  // its nodes stay alive for the whole Execute, while client-loop body
-  // trees are rebuilt (and freed) every iteration.
+  // its nodes stay alive for the whole call, while client-loop body trees
+  // are rebuilt (and freed) every iteration.
   const bool memoize = placement == root_placement_;
   NEXUS_RETURN_NOT_OK(CheckCancelled());
-  std::string server;
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    if (memoize) {
-      auto it = done_.find(node);
-      if (it != done_.end()) return it->second;
-    }
-    server = placement->assign[node];
+  if (memoize) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = done_.find(node);
+    if (it != done_.end()) return it->second;
   }
+  std::string server = placement->assign.at(node);
+  const std::string temp = placement->temp_name.at(node);
   if (server.empty()) {
     NEXUS_ASSIGN_OR_RETURN(server, AnyAvailableServer());
   }
@@ -768,24 +890,19 @@ Result<std::pair<std::string, std::string>> Coordinator::ExecToTemp(
     // path covers the root case.)
     PlanPtr alias(node, [](const Plan*) {});
     NEXUS_ASSIGN_OR_RETURN(Dataset state, RunClientLoop(*alias, placement));
-    NEXUS_ASSIGN_OR_RETURN(std::string target, AnyAvailableServer());
+    NEXUS_ASSIGN_OR_RETURN(server, AnyAvailableServer());
     NEXUS_ASSIGN_OR_RETURN(Dataset arrived,
-                           SendData(kClientNode, target, state));
-    NEXUS_ASSIGN_OR_RETURN(std::string temp,
-                           RegisterTemp(target, std::move(arrived)));
-    auto loc = std::make_pair(target, temp);
-    if (memoize) {
-      std::lock_guard<std::recursive_mutex> lock(mu_);
-      done_[node] = loc;
-    }
-    return loc;
+                           SendData(kClientNode, server, state));
+    NEXUS_RETURN_NOT_OK(RegisterTemp(server, temp, std::move(arrived)));
+  } else {
+    NEXUS_ASSIGN_OR_RETURN(PlanPtr fragment,
+                           BuildFragment(node, server, placement));
+    NEXUS_ASSIGN_OR_RETURN(Dataset result, ShipAndRun(server, fragment));
+    NEXUS_RETURN_NOT_OK(RegisterTemp(server, temp, std::move(result)));
   }
-  NEXUS_ASSIGN_OR_RETURN(PlanPtr fragment, BuildFragment(node, server, placement));
-  NEXUS_ASSIGN_OR_RETURN(Dataset result, ShipAndRun(server, fragment));
-  NEXUS_ASSIGN_OR_RETURN(std::string temp, RegisterTemp(server, std::move(result)));
   auto loc = std::make_pair(server, temp);
   if (memoize) {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     done_[node] = loc;
   }
   return loc;
@@ -862,8 +979,9 @@ bool ExtendsBitwise(const Table& cur, const Table& base) {
 
 }  // namespace
 
-void Coordinator::ProbeLoopShip(const IterateOp& op, const Dataset& state,
-                                LoopShip* ship) {
+void Coordinator::QueryRun::ProbeLoopShip(const IterateOp& op,
+                                          const Dataset& state,
+                                          LoopShip* ship) {
   ship->probed = true;
   ship->usable = false;
   if (!options_.plan_cache) return;
@@ -874,7 +992,7 @@ void Coordinator::ProbeLoopShip(const IterateOp& op, const Dataset& state,
   auto single_server = [&](const PlanPtr& tree) -> std::string {
     PlanPtr probe = ReplaceLoopVars(tree, state, state);
     Placement p;
-    if (!AssignServers(probe, &p).ok()) return std::string();
+    if (!Assign(probe, std::string(), &p).ok()) return std::string();
     if (!p.client_loops.empty()) return std::string();
     std::string server;
     for (const auto& [node, s] : p.assign) {
@@ -890,7 +1008,7 @@ void Coordinator::ProbeLoopShip(const IterateOp& op, const Dataset& state,
   if (op.measure != nullptr && single_server(op.measure) != server) return;
   int64_t id;
   {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     id = loop_seq_++;
   }
   ship->curr_name = StrCat("__nxbind_", id, "_curr");
@@ -911,8 +1029,9 @@ void Coordinator::ProbeLoopShip(const IterateOp& op, const Dataset& state,
   ship->usable = true;
 }
 
-Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
-                                             Dataset* state, LoopShip* ship) {
+Result<bool> Coordinator::QueryRun::RunLoopStepShipped(const IterateOp& op,
+                                                       Dataset* state,
+                                                       LoopShip* ship) {
   // Same message shape as the general path — one plan message out, one data
   // message back, per body and per measure — so seeded chaos schedules see
   // an identical decision sequence; only the byte counts shrink.
@@ -1034,8 +1153,10 @@ Result<bool> Coordinator::RunLoopStepShipped(const IterateOp& op,
   return converged;
 }
 
-Result<bool> Coordinator::RunLoopStep(const IterateOp& op, Dataset* state,
-                                      LoopShip* ship) {
+Result<bool> Coordinator::QueryRun::RunLoopStep(const IterateOp& op,
+                                                const std::string& round,
+                                                Dataset* state,
+                                                LoopShip* ship) {
   if (!ship->probed) ProbeLoopShip(op, *state, ship);
   if (ship->usable) return RunLoopStepShipped(op, state, ship);
   // General path: each round trip re-plans and re-ships the body with the
@@ -1044,33 +1165,30 @@ Result<bool> Coordinator::RunLoopStep(const IterateOp& op, Dataset* state,
   // cache is off).
   PlanPtr body = ReplaceLoopVars(op.body, *state, *state);
   Placement body_placement;
-  NEXUS_RETURN_NOT_OK(AssignServers(body, &body_placement).status());
-  NEXUS_ASSIGN_OR_RETURN(auto body_loc, ExecToTemp(body.get(), &body_placement));
+  NEXUS_RETURN_NOT_OK(Assign(body, StrCat(round, "b_"), &body_placement));
   NEXUS_ASSIGN_OR_RETURN(Dataset next,
-                         FetchToClient(body_loc.first, body_loc.second));
+                         ExecToClient(body.get(), &body_placement));
   telemetry::Count(QueryStat::kClientLoopIterations);
   bool converged = false;
   if (op.measure != nullptr) {
     PlanPtr measure = ReplaceLoopVars(op.measure, next, *state);
     Placement m_placement;
-    NEXUS_RETURN_NOT_OK(AssignServers(measure, &m_placement).status());
-    NEXUS_ASSIGN_OR_RETURN(auto m_loc, ExecToTemp(measure.get(), &m_placement));
+    NEXUS_RETURN_NOT_OK(Assign(measure, StrCat(round, "m_"), &m_placement));
     NEXUS_ASSIGN_OR_RETURN(Dataset measured,
-                           FetchToClient(m_loc.first, m_loc.second));
+                           ExecToClient(measure.get(), &m_placement));
     NEXUS_ASSIGN_OR_RETURN(converged, MeasureConverged(measured, op.epsilon));
   }
   *state = std::move(next);
   return converged;
 }
 
-Result<Dataset> Coordinator::RunClientLoop(const Plan& iterate,
-                                           Placement* placement) {
+Result<Dataset> Coordinator::QueryRun::RunClientLoop(const Plan& iterate,
+                                                     Placement* placement) {
   const auto& op = iterate.As<IterateOp>();
+  const std::string loop = placement->temp_name.at(&iterate);
   // Init: execute wherever it was placed, fetch to the client.
-  NEXUS_ASSIGN_OR_RETURN(auto init_loc,
-                         ExecToTemp(iterate.child(0).get(), placement));
   NEXUS_ASSIGN_OR_RETURN(Dataset state,
-                         FetchToClient(init_loc.first, init_loc.second));
+                         ExecToClient(iterate.child(0).get(), placement));
   // The loop variable is checkpointed at the client every K iterations; a
   // mid-loop server failure rewinds to the last checkpoint (not iteration
   // 0), fails over away from the dead server, and resumes.
@@ -1087,7 +1205,7 @@ Result<Dataset> Coordinator::RunClientLoop(const Plan& iterate,
       checkpoint = state;
       checkpoint_iter = iter;
     }
-    auto stepped = RunLoopStep(op, &state, &ship);
+    auto stepped = RunLoopStep(op, StrCat(loop, "_", iter), &state, &ship);
     if (!stepped.ok()) {
       if (IsRetryable(stepped.status()) && recoveries < max_recoveries &&
           ExcludeFailedServer()) {
@@ -1114,26 +1232,24 @@ Result<Dataset> Coordinator::RunClientLoop(const Plan& iterate,
   return state;
 }
 
-Result<Dataset> Coordinator::Run(const PlanPtr& plan, Placement* placement) {
-  const std::string& root = placement->assign[plan.get()];
-  if (root == kClientNode) {
+Result<Dataset> Coordinator::QueryRun::Run(const PlanPtr& plan,
+                                           Placement* placement) {
+  if (placement->assign.at(plan.get()) == kClientNode) {
     return RunClientLoop(*plan, placement);
   }
-  NEXUS_ASSIGN_OR_RETURN(auto loc, ExecToTemp(plan.get(), placement));
-  return FetchToClient(loc.first, loc.second);
+  return ExecToClient(plan.get(), placement);
 }
 
-Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
-                                     ExecutionMetrics* metrics) {
-  // Everything this call does — sends, fragments, morsels on pool workers —
-  // counts into the call's profile; the metrics below carry it.
-  CallScope call(this, "query");
-  NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared, Prepare(plan));
-  TempGuard temp_guard(this);
+Result<Dataset> Coordinator::QueryRun::Execute(const PlanPtr& plan) {
+  NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared,
+                         c_->Prepare(plan, &optimizer_stats_));
+  const std::string temp_prefix =
+      StrCat("__frag_", options_.temp_namespace,
+             options_.temp_namespace.empty() ? "" : "_");
   Placement placement;
   {
     telemetry::SpanGuard plan_span(telemetry::kCategoryCoordinator, "plan");
-    NEXUS_RETURN_NOT_OK(AssignServers(prepared, &placement).status());
+    NEXUS_RETURN_NOT_OK(Assign(prepared, temp_prefix, &placement));
   }
   root_placement_ = &placement;
   auto result = Run(prepared, &placement);
@@ -1148,35 +1264,31 @@ Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
     {
       telemetry::SpanGuard replan_span(telemetry::kCategoryCoordinator,
                                        "replan");
-      if (!AssignServers(prepared, &replanned).ok()) break;  // nowhere to go
+      // Nowhere to go when no server can take the plan.
+      if (!Assign(prepared, temp_prefix, &replanned).ok()) break;
     }
     telemetry::Count(QueryStat::kReplans);
     placement = std::move(replanned);
     result = Run(prepared, &placement);
   }
   root_placement_ = nullptr;
-  if (call.span().active() && result.ok()) {
-    call.span().AddCounter("rows", result.ValueOrDie().num_rows());
-    call.span().AddCounter("bytes", result.ValueOrDie().ByteSize());
+  if (span_.active() && result.ok()) {
+    span_.AddCounter("rows", result.ValueOrDie().num_rows());
+    span_.AddCounter("bytes", result.ValueOrDie().ByteSize());
   }
-
-  call.Report(metrics);
-  if (metrics != nullptr) {
-    for (const auto& [node, server] : placement.assign) {
-      if (!server.empty()) ++metrics->nodes_per_server[server];
+  for (const auto& [node, server] : placement.assign) {
+    if (metrics_ != nullptr && !server.empty()) {
+      ++metrics_->nodes_per_server[server];
     }
   }
-  NEXUS_RETURN_NOT_OK(result.status());
   return result;
 }
 
-Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
-                                          ExecutionMetrics* metrics) {
-  CallScope call(this, "query (per-op)");
-  NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared, Prepare(plan));
-  TempGuard temp_guard(this);
+Result<Dataset> Coordinator::QueryRun::ExecutePerOp(const PlanPtr& plan) {
+  NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared,
+                         c_->Prepare(plan, &optimizer_stats_));
   Placement placement;
-  NEXUS_RETURN_NOT_OK(AssignServers(prepared, &placement).status());
+  NEXUS_RETURN_NOT_OK(Assign(prepared, std::string(), &placement));
 
   // Per-op: every operator is its own remote call; each intermediate comes
   // back to the client and is embedded (as Values) in the next call.
@@ -1188,7 +1300,7 @@ Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
       NEXUS_ASSIGN_OR_RETURN(Dataset d, step(c));
       inline_children.push_back(Plan::Values(std::move(d)));
     }
-    std::string server = placement.assign[node.get()];
+    std::string server = placement.assign.at(node.get());
     if (server.empty() || server == kClientNode) {
       NEXUS_ASSIGN_OR_RETURN(server, AnyAvailableServer());
     }
@@ -1196,17 +1308,25 @@ Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
     NEXUS_ASSIGN_OR_RETURN(Dataset result, ShipAndRun(server, call));
     return SendData(server, kClientNode, result);
   };
-  auto result = step(prepared);
+  return step(prepared);
+}
 
-  call.Report(metrics);
-  NEXUS_RETURN_NOT_OK(result.status());
-  return result;
+Result<Dataset> Coordinator::Execute(const PlanPtr& plan,
+                                     ExecutionMetrics* metrics) {
+  // Everything this call does — sends, fragments, morsels on pool workers —
+  // counts into the run's profile; the metrics carry it.
+  return QueryRun(this, "query", metrics).Execute(plan);
+}
+
+Result<Dataset> Coordinator::ExecutePerOp(const PlanPtr& plan,
+                                          ExecutionMetrics* metrics) {
+  return QueryRun(this, "query (per-op)", metrics).ExecutePerOp(plan);
 }
 
 Result<std::string> Coordinator::ExplainPlacement(const PlanPtr& plan) {
-  NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared, Prepare(plan));
+  NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared, Prepare(plan, nullptr));
   Placement placement;
-  NEXUS_RETURN_NOT_OK(AssignServers(prepared, &placement).status());
+  NEXUS_RETURN_NOT_OK(AssignServers(prepared, {}, &placement).status());
   std::string out;
   CardinalityEstimator est(&fed_catalog_);
   std::function<void(const PlanPtr&, int)> print = [&](const PlanPtr& node,
@@ -1237,9 +1357,11 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
   // fire, retries happen, and the report shows them. Tracing rides on this
   // thread's context, and the trailer lines render this call's profile.
   ScopedQuery query(/*trace=*/true);
+  ExecutionMetrics local;
+  if (metrics == nullptr) metrics = &local;
   auto result = Execute(plan, metrics);
   std::string report = telemetry::ExplainAnalyze(telemetry::Spans(),
-                                                 last_trace_id_);
+                                                 metrics->trace_id);
   NEXUS_RETURN_NOT_OK(result.status());
   // The call's counts — plan cache, expression programs, semi-ring
   // lowering, spilling, delta bindings, view refreshes — one line per group.

@@ -32,8 +32,6 @@
 
 #include "common/cancel.h"
 #include "common/query_profile.h"
-#include "common/random.h"
-#include "common/timer.h"
 #include "core/wire_format.h"
 #include "federation/cluster.h"
 #include "optimizer/optimizer.h"
@@ -95,16 +93,17 @@ struct CoordinatorOptions {
   bool plan_cache = true;
   /// Cooperative cancellation (the multi-tenant service's kill switch).
   /// Checked at every fragment/message/loop boundary; when the token fires
-  /// mid-execution, Execute unwinds with the token's status and the
-  /// TempGuard releases all registered temps. Null = never cancelled.
+  /// mid-execution, Execute unwinds with the token's status and the call
+  /// drops every temp it registered. Null = never cancelled.
   CancelTokenPtr cancel;
   /// Absolute deadline on the transport's simulated clock (seconds);
   /// crossing it cancels the token (kTimeout) at the next check. 0 = none.
   double deadline_simulated_seconds = 0.0;
-  /// Disambiguates temp names when several coordinators share one cluster:
-  /// temps become "__frag_<ns>_<n>". Empty (default) keeps the legacy
-  /// "__frag_<n>" names — and the byte-identical wire traces the seeded
-  /// chaos tests assert on.
+  /// Temps are named "__frag_[<ns>_]<position>" by their node's pre-order
+  /// position in the prepared plan (loop bodies add the loop and the round),
+  /// so a template's plan wires repeat and hit the plan cache. The namespace
+  /// keeps coordinators that share a cluster and run at once apart
+  /// (service::Server gives slot i "s<i>").
   std::string temp_namespace;
 };
 
@@ -120,6 +119,8 @@ struct ExecutionMetrics {
   int64_t threads_used = 0;  // effective thread budget for this call
   std::map<std::string, int64_t> nodes_per_server;
   QueryProfile profile;
+  uint64_t trace_id = 0;     // this call's spans; 0 when untraced
+  OptimizerStats optimizer;  // what the optimizer did for this call
 
   /// "wall=…ms  sim=…ms  threads=N" and then the profile's nonzero stats,
   /// one group per prefix ("coordinator: fragments=3 retries=1").
@@ -142,6 +143,12 @@ class FederatedCatalog : public Catalog {
   const Cluster* cluster_;
 };
 
+/// One Coordinator runs one call at a time: each Execute, ExecutePerOp and
+/// ExplainAnalyze builds a QueryRun that owns all of the call's state, and
+/// the coordinator keeps only what outlives a call (options, catalog,
+/// instruments, plan-cache mirror). Temp names are unique only within a
+/// call, so queries that run at once need one coordinator each, with
+/// distinct temp_namespace values.
 class Coordinator {
  public:
   explicit Coordinator(Cluster* cluster, CoordinatorOptions options = {})
@@ -170,39 +177,28 @@ class Coordinator {
   Result<std::string> ExplainAnalyze(const PlanPtr& plan,
                                      ExecutionMetrics* metrics = nullptr);
 
-  /// Trace id of the most recent (traced) Execute on this coordinator;
-  /// 0 when tracing was disabled. Pass to telemetry::ToChromeTraceJson /
-  /// ExplainAnalyze to select exactly that query's spans.
-  uint64_t last_trace_id() const { return last_trace_id_; }
-
   const CoordinatorOptions& options() const { return options_; }
   void set_options(const CoordinatorOptions& o) { options_ = o; }
 
-  /// What the optimizer did during the most recent Prepare (Execute /
-  /// ExecutePerOp / Explain*): pass counters plus the estimated root
-  /// cardinality. Zeroed when options().optimize is false.
-  const OptimizerStats& last_optimizer_stats() const {
-    return last_optimizer_stats_;
-  }
-
  private:
+  /// One call's execution state (coordinator.cc).
+  class QueryRun;
+
   struct Placement {
     std::map<const Plan*, std::string> assign;  // "" = flexible
     std::set<const Plan*> client_loops;         // Iterates driven client-side
+    /// Each node's temp name: temp_prefix + its pre-order position.
+    std::map<const Plan*, std::string> temp_name;
+    std::string temp_prefix;
   };
 
-  /// Drops all registered temps when an execution scope exits, so failed or
-  /// aborted executions never leak server-side state.
-  struct TempGuard {
-    explicit TempGuard(Coordinator* c) : coordinator(c) {}
-    ~TempGuard() { coordinator->DropTemps(); }
-    TempGuard(const TempGuard&) = delete;
-    TempGuard& operator=(const TempGuard&) = delete;
-    Coordinator* coordinator;
-  };
-
-  Result<PlanPtr> Prepare(const PlanPtr& plan);
-  Result<std::string> AssignServers(const PlanPtr& plan, Placement* placement);
+  /// Type-checks against the federated catalog, then optimizes; `stats`
+  /// receives what the optimizer did.
+  Result<PlanPtr> Prepare(const PlanPtr& plan, OptimizerStats* stats) const;
+  /// Places every node of `plan` on a server outside `excluded`.
+  Result<std::string> AssignServers(const PlanPtr& plan,
+                                    const std::set<std::string>& excluded,
+                                    Placement* placement) const;
   /// Rough output-size estimate (bytes) used as the ship-less tiebreak in
   /// placement when cost_based_placement is off: prefer hosting an operator
   /// where its bulkier input lives.
@@ -210,117 +206,6 @@ class Coordinator {
   bool ServerSuits(const std::string& server, const Plan& node,
                    const std::vector<SchemaPtr>& child_schemas) const;
   int SpecRank(OpKind kind, const std::string& server) const;
-
-  // Execution machinery (all counters flow through the transport).
-  Result<Dataset> Run(const PlanPtr& plan, Placement* placement);
-  Result<std::pair<std::string, std::string>> ExecToTemp(const Plan* node,
-                                                         Placement* placement);
-  Result<PlanPtr> BuildFragment(const Plan* node, const std::string& server,
-                                Placement* placement);
-  Result<Dataset> ShipAndRun(const std::string& server, const PlanPtr& fragment);
-  /// Estimated output rows of `fragment` against the federated catalog
-  /// (which sees temp stats, i.e. observed actuals), or -1 when the
-  /// estimator cannot resolve a leaf. Only evaluated while tracing, to
-  /// stamp est_rows (and thus q-error) onto fragment spans.
-  int64_t EstimateFragmentRows(const Plan& fragment) const;
-  /// Ships an already-serialized plan wire (plus optional dataset bindings)
-  /// to `server`, going through the plan-cache envelope when enabled: a
-  /// fingerprint this coordinator already shipped there travels as a
-  /// %NXB1-EXEC reference, and a provider-side eviction (NotFound carrying
-  /// kPlanCacheMissMarker) falls back to re-shipping the full plan.
-  Result<Dataset> ShipWire(
-      const std::string& server, const std::string& plan_wire, uint64_t fp,
-      const std::vector<std::pair<std::string, std::string>>& bindings,
-      int64_t est_rows = -1);
-  /// Sends `data` over the negotiated wire for (from, to): serialized once,
-  /// metered at its actual encoded size, decoded on arrival.
-  Result<Dataset> SendData(const std::string& from, const std::string& to,
-                           const Dataset& data);
-  Result<Dataset> FetchToClient(const std::string& server, const std::string& temp);
-  Result<std::string> RegisterTemp(const std::string& server, Dataset data);
-  Status TransferTemp(const std::string& from, const std::string& to,
-                      const std::string& temp);
-
-  /// Serialize-once state for one client-driven loop: when the body (and
-  /// measure) place whole on a single server, the loop variables are
-  /// rewritten into Scans of per-loop binding names, the template wires and
-  /// fingerprints are computed once, and every round ships only a cache
-  /// reference plus the bindings that actually changed.
-  struct LoopShip {
-    bool probed = false;
-    bool usable = false;
-    std::string server;
-    WireFormat format = WireFormat::kText;
-    std::string curr_name, prev_name;
-    std::string body_wire;
-    uint64_t body_fp = 0;
-    bool body_curr = false, body_prev = false;
-    std::string measure_wire;
-    uint64_t measure_fp = 0;
-    bool measure_curr = false, measure_prev = false;
-    /// What the provider's sticky binding cache holds per binding name (the
-    /// last full value this loop successfully shipped, with its fingerprint
-    /// chain) — the base a later round's prefix-extending value extends as a
-    /// %NXB1-DELTA tail. `full_wire_bytes` tracks the size a full re-ship
-    /// would have cost, for the delta_bytes_saved accounting.
-    struct BoundBase {
-      TablePtr table;
-      uint64_t chain_fp = 0;
-      int64_t full_wire_bytes = 0;
-    };
-    std::map<std::string, BoundBase> bound;
-  };
-  Result<Dataset> RunClientLoop(const Plan& iterate, Placement* placement);
-  /// One body(+measure) round of a client-driven loop; updates *state.
-  /// Returns true when the loop's convergence measure says stop.
-  Result<bool> RunLoopStep(const IterateOp& op, Dataset* state, LoopShip* ship);
-  /// Detects the single-server case and builds the reusable templates.
-  void ProbeLoopShip(const IterateOp& op, const Dataset& state, LoopShip* ship);
-  Result<bool> RunLoopStepShipped(const IterateOp& op, Dataset* state,
-                                  LoopShip* ship);
-  void DropTemps();
-
-  /// Retry/backoff wrapper around Transport::TrySend, implementing
-  /// options_.retry. On giving up, records the presumed-dead server in
-  /// last_failed_server_ so Execute's failover loop can route around it.
-  /// `*retries`, when given, is incremented once per resend.
-  Status SendWithRetry(const std::string& from, const std::string& to,
-                       int64_t bytes, MessageKind kind,
-                       int64_t* retries = nullptr);
-  /// Excludes last_failed_server_ from planning (failover) and invalidates
-  /// memoized temps on it. Returns false when nothing can be excluded.
-  bool ExcludeFailedServer();
-  /// First registered server not excluded by failover.
-  Result<std::string> AnyAvailableServer() const;
-  /// Resolved thread budget: options_.thread_count, or the process-wide
-  /// budget when 0.
-  int EffectiveThreads() const;
-  /// Cooperative cancellation checkpoint: OK unless options_.cancel fired
-  /// (returns its status) or the simulated clock crossed
-  /// options_.deadline_simulated_seconds (fires the token with kTimeout and
-  /// returns that). Called at fragment, message, and loop boundaries.
-  Status CheckCancelled();
-
-  /// One Execute/ExecutePerOp call: its profile, whose spans are stamped
-  /// with this cluster's simulated clock; the thread-budget gauge; fresh
-  /// fault-recovery state; and the query span.
-  class CallScope {
-   public:
-    CallScope(Coordinator* coordinator, const char* span_name);
-    CallScope(const CallScope&) = delete;
-    CallScope& operator=(const CallScope&) = delete;
-
-    telemetry::SpanGuard& span() { return span_; }
-    /// Fills `metrics`, when given, with the call's wall time, thread
-    /// budget and profile.
-    void Report(ExecutionMetrics* metrics) const;
-
-   private:
-    WallTimer timer_;
-    int threads_;
-    ScopedQuery query_;
-    telemetry::SpanGuard span_;
-  };
 
   /// Instruments that are not per-query stats (those go through
   /// telemetry::Count). Resolved once.
@@ -334,42 +219,20 @@ class Coordinator {
   Cluster* cluster_;
   CoordinatorOptions options_;
   FederatedCatalog fed_catalog_;
-  OptimizerStats last_optimizer_stats_;
   Instruments ins_ = Instruments::Resolve();
-  uint64_t last_trace_id_ = 0;
-  int64_t temp_counter_ = 0;
-  std::vector<std::pair<std::string, std::string>> temps_;  // (server, name)
-  /// Serializes coordinator bookkeeping (temps, memo, counters, retry RNG)
-  /// and all transport traffic when sibling fragments execute concurrently.
-  /// Held only around that bookkeeping — never across Provider::ExecuteWire,
-  /// so fragment compute genuinely overlaps. Recursive because dispatch
-  /// nests (a fragment's child may itself fan out on the caller's thread).
-  mutable std::recursive_mutex mu_;
-
-  // Fault-recovery state, reset per Execute.
-  Rng retry_rng_{17};
-  std::set<std::string> excluded_;       // servers failed over away from
-  std::string last_failed_server_;       // set when retries run out
-  // Fragment results that survived a failed attempt: plan node -> (server,
-  // temp). Only populated for the root placement, whose nodes stay alive
-  // for the whole Execute; replanning resumes from these instead of
-  // recomputing.
-  std::map<const Plan*, std::pair<std::string, std::string>> done_;
-  const Placement* root_placement_ = nullptr;
 
   // Plan-cache bookkeeping: which fingerprints this coordinator has already
   // shipped to each server. Mirrors the provider's FIFO capacity so the two
   // sides agree in steady state; divergence (a provider eviction we missed)
   // is repaired by the kPlanCacheMissMarker re-ship fallback. Kept across
-  // Execute calls — that is where repeated-query hits come from.
+  // calls — that is where repeated-query hits come from — and guarded by
+  // shipped_mu_, since sibling fragments ship concurrently.
   struct ShippedSet {
     std::set<uint64_t> fps;
     std::deque<uint64_t> order;
   };
+  std::mutex shipped_mu_;
   std::map<std::string, ShippedSet> shipped_;
-  // Per-loop sequence for binding names; reset each Execute so re-running
-  // the same plan regenerates identical template wires (and cache hits).
-  int64_t loop_seq_ = 0;
 };
 
 }  // namespace nexus

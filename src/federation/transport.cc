@@ -108,7 +108,12 @@ void Transport::Meter(const std::string& from, const std::string& to,
 
 double Transport::Send(const std::string& from, const std::string& to,
                        int64_t bytes, MessageKind kind) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  return SendLocked(from, to, bytes, kind);
+}
+
+double Transport::SendLocked(const std::string& from, const std::string& to,
+                             int64_t bytes, MessageKind kind) {
   double seconds = options_.latency_seconds +
                    static_cast<double>(bytes) / options_.bandwidth_bytes_per_second;
   double start = Charge(seconds);
@@ -119,9 +124,9 @@ double Transport::Send(const std::string& from, const std::string& to,
 
 Status Transport::TrySend(const std::string& from, const std::string& to,
                           int64_t bytes, MessageKind kind, double* seconds) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (!faults_.enabled) {
-    double s = Send(from, to, bytes, kind);
+    double s = SendLocked(from, to, bytes, kind);
     if (seconds != nullptr) *seconds = s;
     return Status::OK();
   }
@@ -143,18 +148,18 @@ Status Transport::TrySend(const std::string& from, const std::string& to,
     return status;
   };
 
-  if (IsPartitioned(from, to)) {
+  if (partitions_.count(NormalizedLink(from, to)) != 0) {
     return fail("partition",
                 Status::Unavailable(
                     StrCat("link ", from, " -> ", to, " is partitioned")),
                 options_.latency_seconds);
   }
-  if (IsDown(from)) {
+  if (IsDownLocked(from)) {
     return fail(StrCat("down:", from),
                 Status::Unavailable(StrCat("server '", from, "' is down")),
                 options_.latency_seconds);
   }
-  if (IsDown(to)) {
+  if (IsDownLocked(to)) {
     return fail(StrCat("down:", to),
                 Status::Unavailable(StrCat("server '", to, "' is down")),
                 options_.latency_seconds);
@@ -176,7 +181,7 @@ Status Transport::TrySend(const std::string& from, const std::string& to,
     in.faults->Increment();
     spike = faults_.latency_spike_seconds;
   }
-  double s = Send(from, to, bytes, kind) + spike;
+  double s = SendLocked(from, to, bytes, kind) + spike;
   Charge(spike);
   if (seconds != nullptr) *seconds = s;
   return Status::OK();
@@ -184,13 +189,13 @@ Status Transport::TrySend(const std::string& from, const std::string& to,
 
 void Transport::SetNodeBinaryCapable(const std::string& node,
                                      bool accepts_binary) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   binary_capable_[node] = accepts_binary;
 }
 
 WireFormat Transport::NegotiatedFormat(const std::string& a,
                                        const std::string& b) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto capable = [this](const std::string& n) {
     auto it = binary_capable_.find(n);
     return it == binary_capable_.end() || it->second;
@@ -199,7 +204,7 @@ WireFormat Transport::NegotiatedFormat(const std::string& a,
 }
 
 void Transport::SetFaultOptions(FaultOptions faults) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   faults_ = std::move(faults);
   fault_rng_ = Rng(faults_.seed);
   partitions_.clear();
@@ -209,7 +214,11 @@ void Transport::SetFaultOptions(FaultOptions faults) {
 }
 
 bool Transport::IsDown(const std::string& server) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  return IsDownLocked(server);
+}
+
+bool Transport::IsDownLocked(const std::string& server) const {
   if (!faults_.enabled || server == kClientNode) return false;
   for (const DownWindow& w : faults_.down_windows) {
     if (w.server == server && simulated_seconds_ >= w.start_seconds &&
@@ -226,23 +235,23 @@ std::pair<std::string, std::string> Transport::NormalizedLink(
 }
 
 bool Transport::IsPartitioned(const std::string& a, const std::string& b) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (!faults_.enabled) return false;
   return partitions_.count(NormalizedLink(a, b)) != 0;
 }
 
 void Transport::PartitionLink(const std::string& a, const std::string& b) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   partitions_.insert(NormalizedLink(a, b));
 }
 
 void Transport::HealLink(const std::string& a, const std::string& b) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   partitions_.erase(NormalizedLink(a, b));
 }
 
 LinkStats Transport::Through(const std::string& node) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = endpoint_ids_.find(node);
   return it == endpoint_ids_.end()
              ? LinkStats{}
@@ -251,7 +260,7 @@ LinkStats Transport::Through(const std::string& node) const {
 
 std::map<std::pair<std::string, std::string>, LinkStats> Transport::PerLink()
     const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::pair<std::string, std::string>, LinkStats> out;
   for (const auto& [link, stats] : links_) {
     out[{endpoints_[static_cast<size_t>(link.first)].name,
@@ -261,7 +270,7 @@ std::map<std::pair<std::string, std::string>, LinkStats> Transport::PerLink()
 }
 
 void Transport::Reset() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   endpoints_.clear();
   endpoint_ids_.clear();
   links_.clear();

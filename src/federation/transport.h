@@ -98,7 +98,7 @@ struct LinkStats {
 ///
 /// Thread-safe: the multi-tenant service runs many coordinators against one
 /// shared transport, so every mutating or aggregating method takes an
-/// internal (recursive) lock. The simulated clock remains a single global
+/// internal lock. The simulated clock remains a single global
 /// sequence — concurrent sends serialize on the lock in arrival order,
 /// which models one shared wire.
 ///
@@ -140,7 +140,7 @@ class Transport {
   /// Advances the simulated clock without sending anything — retry backoff
   /// pauses charge their wait here so scripted down windows eventually pass.
   void AdvanceTime(double seconds) {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     Charge(seconds);
   }
 
@@ -179,7 +179,7 @@ class Transport {
 
   /// Total simulated seconds across all messages (serialized link model).
   double simulated_seconds() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     return simulated_seconds_;
   }
 
@@ -189,7 +189,7 @@ class Transport {
   /// Every fault injected so far, in firing order (the chaos trace).
   const std::vector<FaultEvent>& fault_log() const { return fault_log_; }
   int64_t faults_injected() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     return static_cast<int64_t>(fault_log_.size());
   }
 
@@ -209,7 +209,7 @@ class Transport {
       const std::string& a, const std::string& b);
 
   LinkStats Read(const LinkStats& stats) const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     return stats;
   }
   LinkStats Through(const std::string& node) const;
@@ -224,9 +224,13 @@ class Transport {
   void Meter(const std::string& from, const std::string& to, int64_t bytes,
              MessageKind kind, bool failed);
 
-  /// Recursive: TrySend holds the lock across its internal Send / IsDown /
-  /// IsPartitioned calls so one logical attempt is atomic on the wire.
-  mutable std::recursive_mutex mu_;
+  /// Send and IsDown without taking mu_: TrySend holds it across them so
+  /// one logical attempt is atomic on the wire. Caller holds mu_.
+  double SendLocked(const std::string& from, const std::string& to,
+                    int64_t bytes, MessageKind kind);
+  bool IsDownLocked(const std::string& server) const;
+
+  mutable std::mutex mu_;
   TransportOptions options_;
   FaultOptions faults_;
   std::map<std::string, bool> binary_capable_;

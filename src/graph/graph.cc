@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <set>
 #include <unordered_map>
 
 #include "algebra/kernels.h"
@@ -19,23 +18,30 @@ CsrGraph CsrGraph::FromEdges(const std::vector<int64_t>& src,
                              const std::vector<int64_t>& dst) {
   CsrGraph g;
   // Compact ids: sort distinct originals so compact order is deterministic.
-  std::set<int64_t> ids(src.begin(), src.end());
-  ids.insert(dst.begin(), dst.end());
-  g.original_id_.assign(ids.begin(), ids.end());
+  std::vector<int64_t> ids;
+  ids.reserve(src.size() + dst.size());
+  ids.insert(ids.end(), src.begin(), src.end());
+  ids.insert(ids.end(), dst.begin(), dst.end());
+  std::sort(ids.begin(), ids.end());
+  g.original_id_.assign(ids.begin(), std::unique(ids.begin(), ids.end()));
   std::unordered_map<int64_t, int64_t> compact;
   compact.reserve(g.original_id_.size());
   for (size_t i = 0; i < g.original_id_.size(); ++i) {
-    compact[g.original_id_[i]] = static_cast<int64_t>(i);
+    compact.emplace(g.original_id_[i], static_cast<int64_t>(i));
   }
-  int64_t n = g.num_nodes();
-  g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  for (int64_t s : src) g.offsets_[static_cast<size_t>(compact[s]) + 1]++;
+  // Each endpoint is mapped once: sources here, destinations on placement.
+  std::vector<int64_t> from(src.size());
+  g.offsets_.assign(static_cast<size_t>(g.num_nodes()) + 1, 0);
+  for (size_t e = 0; e < src.size(); ++e) {
+    from[e] = compact.find(src[e])->second;
+    g.offsets_[static_cast<size_t>(from[e]) + 1]++;
+  }
   for (size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
   g.adj_.resize(src.size());
   std::vector<int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (size_t e = 0; e < src.size(); ++e) {
-    int64_t u = compact[src[e]];
-    g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = compact[dst[e]];
+    g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(from[e])]++)] =
+        compact.find(dst[e])->second;
   }
   return g;
 }

@@ -1,7 +1,7 @@
 #include "optimizer/stats.h"
 
 #include <algorithm>
-#include <set>
+#include <iterator>
 
 #include "common/hash.h"
 #include "common/str_util.h"
@@ -10,26 +10,29 @@
 namespace nexus {
 
 void KmvSketch::Add(uint64_t hash) {
-  if (keep_.size() < kK) {
-    keep_.insert(hash);
-    return;
-  }
-  auto largest = std::prev(keep_.end());
-  if (hash < *largest && keep_.insert(hash).second) keep_.erase(largest);
+  if (keep_.size() == kK && hash >= keep_.back()) return;
+  auto it = std::lower_bound(keep_.begin(), keep_.end(), hash);
+  if (it != keep_.end() && *it == hash) return;
+  keep_.insert(it, hash);
+  if (keep_.size() > kK) keep_.pop_back();
 }
 
 void KmvSketch::Merge(const KmvSketch& other) {
   // Union the kept sets, then trim back to the k smallest. Identical to
   // having Add-ed other's whole stream: any hash small enough to survive in
   // the union's bottom k was kept by whichever sketch saw it.
-  for (uint64_t h : other.keep_) keep_.insert(h);
-  while (keep_.size() > kK) keep_.erase(std::prev(keep_.end()));
+  std::vector<uint64_t> merged;
+  merged.reserve(keep_.size() + other.keep_.size());
+  std::set_union(keep_.begin(), keep_.end(), other.keep_.begin(),
+                 other.keep_.end(), std::back_inserter(merged));
+  if (merged.size() > kK) merged.resize(kK);
+  keep_ = std::move(merged);
 }
 
 double KmvSketch::Estimate() const {
   if (keep_.size() < kK) return static_cast<double>(keep_.size());
   // kth minimum at normalized position p estimates (k-1)/p values.
-  double kth = static_cast<double>(*std::prev(keep_.end()));
+  double kth = static_cast<double>(keep_.back());
   double p = kth / 18446744073709551616.0;  // 2^64
   if (p <= 0.0) return static_cast<double>(kK);
   return static_cast<double>(kK - 1) / p;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,7 @@ class KmvSketch {
   size_t kept() const { return keep_.size(); }
 
  private:
-  std::set<uint64_t> keep_;  // ordered: the k smallest distinct hashes
+  std::vector<uint64_t> keep_;  // sorted: the k smallest distinct hashes
 };
 
 /// Per-column summary: enough to estimate range/equality selectivity and

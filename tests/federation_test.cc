@@ -385,10 +385,9 @@ TEST_F(FederationTest, ZeroOverheadWhenFaultsAreOff) {
   EXPECT_TRUE(r1.LogicallyEquals(r2));
   EXPECT_EQ(pm.ToString(), gm.ToString());
 
-  // Default budget: the two scan fragments go out concurrently, so fragment
-  // temps may be named in a different order and the plan bytes that carry
-  // those names may differ by a byte or two (DESIGN.md's determinism
-  // contract). Every other stat is equal, and no recovery stat counts.
+  // Default budget: the two scan fragments go out concurrently, but temps
+  // are named by plan position, so every stat — byte counts included — is
+  // equal, and no recovery stat counts.
   ExecutionMetrics cpm, cgm;
   Dataset c1 = run(CoordinatorOptions{}, false, &cpm);
   Dataset c2 = run(CoordinatorOptions{}, true, &cgm);
@@ -396,10 +395,6 @@ TEST_F(FederationTest, ZeroOverheadWhenFaultsAreOff) {
   EXPECT_TRUE(r1.LogicallyEquals(c1));
   for (int i = 0; i < static_cast<int>(QueryStat::kCount_); ++i) {
     const QueryStat stat = static_cast<QueryStat>(i);
-    if (stat == QueryStat::kBytes || stat == QueryStat::kPlanBytes ||
-        stat == QueryStat::kClientBytes) {
-      continue;
-    }
     EXPECT_EQ(cpm.profile[stat], cgm.profile[stat]) << QueryStatName(stat);
   }
   for (const ExecutionMetrics* m : {&gm, &cgm}) {
@@ -410,6 +405,42 @@ TEST_F(FederationTest, ZeroOverheadWhenFaultsAreOff) {
     }
   }
   EXPECT_EQ(cluster_->transport()->faults_injected(), 0);
+}
+
+TEST_F(FederationTest, RepeatedCrossServerJoinHitsThePlanCache) {
+  // Temps are named by plan position, so the second run ships the same
+  // fragment wires — every fragment travels as a cache reference — and the
+  // plan bytes do not depend on the thread budget.
+  PlanPtr join = Plan::Join(
+      Plan::Scan("orders"),
+      Plan::Unbox(Plan::Regrid(Plan::Scan("M"), {{"i", 4}, {"k", 16}},
+                               AggFunc::kSum)),
+      JoinType::kInner, {"sensor"}, {"i"});
+  int64_t plan_bytes[2][2];
+  for (int t = 0; t < 2; ++t) {
+    CoordinatorOptions opts;
+    opts.thread_count = t == 0 ? 1 : 4;
+    Coordinator coord(cluster_.get(), opts);
+    ExecutionMetrics m;  // reused: every field covers the latest call only
+    std::map<std::string, int64_t> placed;
+    for (int run = 0; run < 2; ++run) {
+      ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(join, &m));
+      EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(join)));
+      ASSERT_GT(m.profile[QueryStat::kFragments], 1);
+      plan_bytes[t][run] = m.profile[QueryStat::kPlanBytes];
+      if (run == 0) {
+        placed = m.nodes_per_server;
+      } else {
+        EXPECT_EQ(m.nodes_per_server, placed);
+        EXPECT_EQ(m.profile[QueryStat::kPlanCacheMisses], 0);
+        EXPECT_EQ(m.profile[QueryStat::kPlanCacheHits],
+                  m.profile[QueryStat::kFragments]);
+      }
+    }
+  }
+  EXPECT_LT(plan_bytes[0][1], plan_bytes[0][0]);
+  EXPECT_EQ(plan_bytes[0][0], plan_bytes[1][0]);
+  EXPECT_EQ(plan_bytes[0][1], plan_bytes[1][1]);
 }
 
 TEST_F(FederationTest, RetriesRideOutMessageDrops) {
@@ -470,6 +501,33 @@ TEST_F(FederationTest, FailoverReplansToReplicaHolder) {
   // and the plan re-placed on the replica
   EXPECT_GE(m.profile[QueryStat::kReplans], 1);
   EXPECT_EQ(m.profile[QueryStat::kCheckpointRestores], 0);
+}
+
+TEST_F(FederationTest, FailoverRerunOnSecondServerLeavesNoTemps) {
+  // relstore goes down just after the plan message reaches it: the fragment
+  // runs there and registers its temp, the fetch back fails, and the re-run
+  // executes the same node on the replica under the same positional name.
+  ASSERT_OK(cluster_->Replicate("orders", "reference"));
+  const double now = cluster_->transport()->simulated_seconds();
+  FaultOptions f;
+  f.enabled = true;
+  f.down_windows = {{"relstore", now + 1e-9, now + 30.0}};
+  cluster_->transport()->SetFaultOptions(f);
+  Coordinator coord(cluster_.get());
+  PlanPtr p = Plan::Aggregate(
+      Plan::Select(Plan::Scan("orders"), Gt(Col("amount"), Lit(50.0))),
+      {"sensor"}, {AggSpec{AggFunc::kSum, Col("amount"), "total"}});
+  ExecutionMetrics m;
+  ASSERT_OK_AND_ASSIGN(Dataset got, coord.Execute(p, &m));
+  EXPECT_TRUE(got.LogicallyEquals(ReferenceResult(p)));
+  EXPECT_GE(m.profile[QueryStat::kFailovers], 1);
+  EXPECT_EQ(m.profile[QueryStat::kFragments], 2);  // once on each server
+  for (const std::string& s : cluster_->ServerNames()) {
+    for (const std::string& name : cluster_->provider(s)->catalog()->Names()) {
+      EXPECT_TRUE(name.find("__frag_") == std::string::npos)
+          << "leftover temp " << name << " on " << s;
+    }
+  }
 }
 
 TEST_F(FederationTest, FailoverImpossibleWithoutReplicaFailsRetryably) {

@@ -309,7 +309,7 @@ TEST(FederatedTraceTest, FaultyMultiServerQueryExportsOneStitchedTrace) {
   for (int q = 0; q < 4 && trace == 0; ++q) {
     ExecutionMetrics m;
     ASSERT_OK(coord.Execute(mm, &m).status());
-    if (m.profile[QueryStat::kRetries] > 0) trace = coord.last_trace_id();
+    if (m.profile[QueryStat::kRetries] > 0) trace = m.trace_id;
   }
   ASSERT_NE(trace, 0u) << "no query hit a fault + retry";
 
@@ -428,8 +428,9 @@ TEST(FederatedTraceTest, ExplainAnalyzeLeavesConcurrentQueriesUntraced) {
     opts.temp_namespace = "explain";
     Coordinator coord(&cluster, opts);
     for (int q = 0; q < 20; ++q) {
-      ASSERT_OK(coord.ExplainAnalyze(mm).status());
-      explained.insert(coord.last_trace_id());
+      ExecutionMetrics m;
+      ASSERT_OK(coord.ExplainAnalyze(mm, &m).status());
+      explained.insert(m.trace_id);
     }
     done.store(true);
   }
@@ -477,11 +478,9 @@ TEST(MetricsDeltaTest, RepeatedExecutesOnOneCoordinatorDoNotAccumulate) {
               first.profile[QueryStat::kFragments]) << "call " << q;
     EXPECT_EQ(again.profile[QueryStat::kMessages],
               first.profile[QueryStat::kMessages]) << "call " << q;
-    // Bytes may drift by a few: fragment temp names (__frag_N) embed a
-    // monotonic counter that eventually gains a digit. Double-counting
-    // would show up as a ~2x jump, not single bytes.
-    EXPECT_NEAR(static_cast<double>(again.profile[QueryStat::kBytes]),
-                static_cast<double>(first.profile[QueryStat::kBytes]), 8.0)
+    // Temps are named by plan position, so the bytes repeat exactly.
+    EXPECT_EQ(again.profile[QueryStat::kBytes],
+              first.profile[QueryStat::kBytes])
         << "call " << q;
     EXPECT_EQ(again.profile[QueryStat::kRetries], 0) << "call " << q;
   }
@@ -605,8 +604,9 @@ TEST(SimClockTest, ConcurrentTracedQueriesStampTheirOwnClusterClock) {
       // Enough rounds that the two threads' queries overlap in time.
       for (int q = 0; q < 100; ++q) {
         ScopedQuery traced(/*trace=*/true);
-        EXPECT_OK(coord.Execute(mm).status());
-        runs[i].traces.insert(coord.last_trace_id());
+        ExecutionMetrics m;
+        EXPECT_OK(coord.Execute(mm, &m).status());
+        runs[i].traces.insert(m.trace_id);
       }
       runs[i].sim_end_us = t->simulated_seconds() * 1e6;
     });
