@@ -67,9 +67,9 @@ int main() {
   auto run = [&](TransferMode mode, const char* label) {
     CoordinatorOptions opts;
     opts.transfer_mode = mode;
-    coord.set_options(opts);
     ExecutionMetrics m;
-    Dataset result = coord.Execute(q.plan(), &m).ValueOrDie();
+    Dataset result =
+        Coordinator(&cluster, opts).Execute(q.plan(), &m).ValueOrDie();
     std::cout << label << ":\n  " << m.ToString() << "\n";
     return result;
   };

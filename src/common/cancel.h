@@ -1,12 +1,14 @@
 // CancelToken: the cooperative-cancellation currency of the query service.
 //
 // A token is shared between the party that may cancel (the service's
-// memory governor, a deadline watchdog, the client) and the code doing the
-// work (coordinator fragment loops, engine morsel loops via the parallel
-// pool's TaskContext). Work checks `cancelled()` — one relaxed atomic load
-// — at natural yield points and unwinds with `status()` when it fires; the
-// existing RAII cleanup (Coordinator::TempGuard, slot guards) then releases
-// temps and pool slots promptly.
+// memory governor, the client, a coordinator call whose simulated deadline
+// passed) and the code doing the work. It reaches that code through the
+// caller's TaskContext (common/parallel.h): coordinator calls read it at
+// fragment, message and loop boundaries, engine morsel loops through the
+// parallel pool. Work checks `cancelled()` — one relaxed atomic load — at
+// natural yield points and unwinds with `status()` when it fires; the
+// coordinator call's run object then drops the call's temps and returns its
+// temp namespace, and the service releases the admission slot.
 //
 // The first Cancel wins: a token records exactly one (code, reason) pair,
 // so a query killed by the governor reports kResourceExhausted even if a

@@ -118,6 +118,9 @@ void ParallelRun(const std::vector<std::function<void()>>& tasks,
 ///   - `cancel`: morsel loops are cooperatively cancellable — once the token
 ///     fires, remaining morsels of the region are claimed-and-skipped (the
 ///     region still completes, fast, and the caller observes the token);
+///   - `deadline_simulated_seconds`: the query's absolute deadline on its
+///     simulated clock; the coordinator fires `cancel` with kTimeout once
+///     the clock crosses it;
 ///   - `weight`: when several regions are in flight, idle workers pick the
 ///     region with the lowest claimed-morsels/weight ratio, a deficit
 ///     discipline that keeps one heavy tenant from starving light ones;
@@ -134,10 +137,11 @@ void ParallelRun(const std::vector<std::function<void()>>& tasks,
 /// With no context installed (all single-query uses) behavior is exactly
 /// the legacy pool: FIFO region pick, weight 1, no cancellation, no meter.
 struct TaskContext {
-  const CancelToken* cancel = nullptr;  ///< not owned; may be null
-  int weight = 1;                       ///< scheduling-class weight (>= 1)
-  MemoryMeter* meter = nullptr;         ///< not owned; may be null
-  QueryProfile* profile = nullptr;      ///< not owned; may be null
+  CancelToken* cancel = nullptr;            ///< not owned; may be null
+  double deadline_simulated_seconds = 0.0;  ///< 0 = no deadline
+  int weight = 1;                           ///< scheduling-class weight (>= 1)
+  MemoryMeter* meter = nullptr;             ///< not owned; may be null
+  QueryProfile* profile = nullptr;          ///< not owned; may be null
   bool trace = false;
   /// Not owned; may be null.
   const std::function<double()>* sim_clock = nullptr;

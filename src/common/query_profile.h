@@ -138,11 +138,12 @@ inline void CountForQuery(QueryStat stat, int64_t n = 1) {
 }
 
 /// Runs the scope as one query: installs a copy of the calling thread's
-/// TaskContext (cancel token, weight, meter, trace flag and simulated clock
-/// inherited) with a fresh profile nested under the caller's. `trace`
-/// additionally traces everything the scope runs (telemetry::Enabled),
-/// whatever the process-wide switch says. `sim_clock`, when set, is the
-/// simulated clock (seconds) the scope's spans are stamped with.
+/// TaskContext (cancel token, deadline, weight, meter, trace flag and
+/// simulated clock inherited) with a fresh profile nested under the
+/// caller's. `trace` additionally traces everything the scope runs
+/// (telemetry::Enabled), whatever the process-wide switch says.
+/// `sim_clock`, when set, is the simulated clock (seconds) the scope's
+/// spans are stamped with.
 class ScopedQuery {
  public:
   explicit ScopedQuery(bool trace = false,
@@ -151,6 +152,7 @@ class ScopedQuery {
   ScopedQuery& operator=(const ScopedQuery&) = delete;
 
   const QueryProfile& profile() const { return profile_; }
+  const TaskContext& context() const { return ctx_; }
 
  private:
   QueryProfile profile_;

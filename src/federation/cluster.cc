@@ -1,5 +1,7 @@
 #include "federation/cluster.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 #include "core/serialize.h"
 
@@ -84,6 +86,19 @@ std::vector<std::string> Cluster::HoldersOf(const std::string& table) const {
     if (s.provider->catalog()->Contains(table)) out.push_back(s.name);
   }
   return out;
+}
+
+int Cluster::LeaseNamespace() {
+  std::lock_guard<std::mutex> lock(lease_mu_);
+  auto free = std::find(leased_.begin(), leased_.end(), false);
+  if (free == leased_.end()) free = leased_.insert(free, false);
+  *free = true;
+  return static_cast<int>(free - leased_.begin());
+}
+
+void Cluster::ReleaseNamespace(int index) {
+  std::lock_guard<std::mutex> lock(lease_mu_);
+  leased_[static_cast<size_t>(index)] = false;
 }
 
 }  // namespace nexus

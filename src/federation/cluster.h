@@ -5,6 +5,7 @@
 #define NEXUS_FEDERATION_CLUSTER_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,9 +50,18 @@ class Cluster {
   Transport* transport() { return &transport_; }
   const Transport& transport() const { return transport_; }
 
+  /// Leases the lowest temp namespace index no running coordinator call
+  /// holds. Calls that run at once hold distinct indices, so the temps and
+  /// loop bindings they name on shared servers never collide; a call hands
+  /// its index back with ReleaseNamespace once its temps are dropped.
+  int LeaseNamespace();
+  void ReleaseNamespace(int index);
+
  private:
   std::vector<Server> servers_;
   Transport transport_;
+  std::mutex lease_mu_;
+  std::vector<bool> leased_;  // by namespace index
 };
 
 }  // namespace nexus

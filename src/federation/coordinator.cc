@@ -38,11 +38,13 @@ Coordinator::Instruments Coordinator::Instruments::Resolve() {
   };
 }
 
-/// One Execute / ExecutePerOp call: its profile, whose spans are stamped
-/// with this cluster's simulated clock; the query span; the thread budget;
-/// the fault-recovery state; and every temp the call registers. When the run
-/// ends it drops those temps, so failed or aborted executions never leak
-/// server-side state, and then fills `metrics`, when given.
+/// One Execute / ExecutePerOp call: the cancel token and deadline of the
+/// caller's TaskContext; the temp namespace leased from the cluster; its
+/// profile, whose spans are stamped with this cluster's simulated clock; the
+/// query span; the thread budget; the fault-recovery state; and every temp
+/// the call registers. When the run ends it drops those temps, so failed or
+/// aborted executions never leak server-side state, returns the namespace,
+/// and then fills `metrics`, when given.
 class Coordinator::QueryRun {
  public:
   QueryRun(Coordinator* c, const char* span_name, ExecutionMetrics* metrics);
@@ -161,11 +163,12 @@ class Coordinator::QueryRun {
     }
     return Status::Unavailable("no server available");
   }
-  /// Cooperative cancellation checkpoint: OK unless options_.cancel fired
-  /// (returns its status) or the simulated clock crossed
-  /// options_.deadline_simulated_seconds (fires the token with kTimeout and
-  /// returns that). Called at fragment, message, and loop boundaries.
+  /// Cooperative cancellation checkpoint: OK unless cancel_ fired (returns
+  /// its status) or the simulated clock crossed deadline_ (fires the token
+  /// with kTimeout and returns that). Called at fragment, message, and loop
+  /// boundaries.
   Status CheckCancelled();
+  bool Cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
 
   Coordinator* const c_;
   Cluster* const cluster_;
@@ -173,8 +176,17 @@ class Coordinator::QueryRun {
   ExecutionMetrics* const metrics_;
   WallTimer timer_;
   const int threads_;
-  ScopedQuery query_;
+  /// The leased namespace index and the name prefix it stands for: "" for
+  /// index 0, "s<k>_" for index k.
+  const int ns_;
+  const std::string ns_prefix_;
+  ScopedQuery query_;  // inherits the caller's TaskContext
   telemetry::SpanGuard span_;
+  CancelToken* const cancel_;  // the caller's; may be null
+  const double deadline_;      // absolute simulated seconds; 0 = none
+  /// options_.retry.fragment_timeout_seconds, or the time left before the
+  /// deadline when that is 0.
+  const double fragment_timeout_;
   OptimizerStats optimizer_stats_;
 
   /// Guards the bookkeeping below and serializes this call's transport
@@ -206,11 +218,20 @@ Coordinator::QueryRun::QueryRun(Coordinator* c, const char* span_name,
       threads_(c->options_.thread_count <= 0
                    ? GetThreadCount()
                    : std::min(c->options_.thread_count, kMaxThreads)),
+      ns_(cluster_->LeaseNamespace()),
+      ns_prefix_(ns_ == 0 ? std::string() : StrCat("s", ns_, "_")),
       query_(/*trace=*/false,
              [t = c->cluster_->transport()] {
                return t->simulated_seconds();
              }),
       span_(telemetry::kCategoryCoordinator, span_name),
+      cancel_(query_.context().cancel),
+      deadline_(query_.context().deadline_simulated_seconds),
+      fragment_timeout_(
+          options_.retry.fragment_timeout_seconds > 0.0 || deadline_ <= 0.0
+              ? options_.retry.fragment_timeout_seconds
+              : std::max(0.0, deadline_ -
+                                  cluster_->transport()->simulated_seconds())),
       retry_rng_(c->options_.retry.jitter_seed) {
   c->ins_.threads->Set(static_cast<double>(threads_));
   if (metrics_ != nullptr) *metrics_ = ExecutionMetrics();  // this call only
@@ -220,6 +241,7 @@ Coordinator::QueryRun::~QueryRun() {
   for (const auto& [server, name] : temps_) {
     if (Provider* p = cluster_->provider(server)) (void)p->catalog()->Drop(name);
   }
+  cluster_->ReleaseNamespace(ns_);
   if (metrics_ == nullptr) return;
   metrics_->wall_seconds = timer_.ElapsedSeconds();
   metrics_->threads_used = threads_;
@@ -523,21 +545,17 @@ Result<PlanPtr> Coordinator::Prepare(const PlanPtr& plan,
 }
 
 Status Coordinator::QueryRun::CheckCancelled() {
-  const CancelToken* token = options_.cancel.get();
-  if (token != nullptr && token->cancelled()) return token->status();
-  if (options_.deadline_simulated_seconds > 0.0 &&
-      cluster_->transport()->simulated_seconds() >
-          options_.deadline_simulated_seconds) {
-    Status timeout = Status::Timeout(
-        StrCat("deadline of ",
-               FormatDouble(options_.deadline_simulated_seconds, 3),
-               "s (simulated) exceeded"));
-    if (options_.cancel != nullptr) {
+  if (Cancelled()) return cancel_->status();
+  if (deadline_ > 0.0 &&
+      cluster_->transport()->simulated_seconds() > deadline_) {
+    Status timeout = Status::Timeout(StrCat(
+        "deadline of ", FormatDouble(deadline_, 3), "s (simulated) exceeded"));
+    if (cancel_ != nullptr) {
       // Fire the token so engine morsel loops drain too, then report
       // whatever the token holds (a concurrent governor kill wins the race
       // and its status is the one the client should see).
-      options_.cancel->Cancel(StatusCode::kTimeout, timeout.ToString());
-      return options_.cancel->status();
+      cancel_->Cancel(StatusCode::kTimeout, timeout.ToString());
+      return cancel_->status();
     }
     return timeout;
   }
@@ -565,13 +583,11 @@ Status Coordinator::QueryRun::SendWithRetry(const std::string& from,
           1.0 + rp.jitter_fraction * (2.0 * retry_rng_.NextDouble() - 1.0);
       double pause = backoff * jitter;
       backoff *= rp.backoff_multiplier;
-      if (rp.fragment_timeout_seconds > 0.0 &&
-          spent + pause > rp.fragment_timeout_seconds) {
+      if (fragment_timeout_ > 0.0 && spent + pause > fragment_timeout_) {
         telemetry::Count(QueryStat::kTimeouts);
         last_failed_server_ = to != kClientNode ? to : from;
         return Status::Timeout(
-            StrCat("fragment budget of ",
-                   FormatDouble(rp.fragment_timeout_seconds, 3),
+            StrCat("fragment budget of ", FormatDouble(fragment_timeout_, 3),
                    "s exhausted after ", attempt, " attempts ", from, " -> ",
                    to));
       }
@@ -1011,8 +1027,8 @@ void Coordinator::QueryRun::ProbeLoopShip(const IterateOp& op,
     std::lock_guard<std::mutex> lock(mu_);
     id = loop_seq_++;
   }
-  ship->curr_name = StrCat("__nxbind_", id, "_curr");
-  ship->prev_name = StrCat("__nxbind_", id, "_prev");
+  ship->curr_name = StrCat("__nxbind_", ns_prefix_, id, "_curr");
+  ship->prev_name = StrCat("__nxbind_", ns_prefix_, id, "_prev");
   ship->format = cluster_->transport()->NegotiatedFormat(kClientNode, server);
   PlanPtr body = BindLoopVars(op.body, ship->curr_name, ship->prev_name,
                               &ship->body_curr, &ship->body_prev);
@@ -1243,9 +1259,7 @@ Result<Dataset> Coordinator::QueryRun::Run(const PlanPtr& plan,
 Result<Dataset> Coordinator::QueryRun::Execute(const PlanPtr& plan) {
   NEXUS_ASSIGN_OR_RETURN(PlanPtr prepared,
                          c_->Prepare(plan, &optimizer_stats_));
-  const std::string temp_prefix =
-      StrCat("__frag_", options_.temp_namespace,
-             options_.temp_namespace.empty() ? "" : "_");
+  const std::string temp_prefix = StrCat("__frag_", ns_prefix_);
   Placement placement;
   {
     telemetry::SpanGuard plan_span(telemetry::kCategoryCoordinator, "plan");
@@ -1257,8 +1271,7 @@ Result<Dataset> Coordinator::QueryRun::Execute(const PlanPtr& plan) {
   // exclude it, replan, and resume from memoized temps on the survivors.
   // A cancelled query never fails over: kResourceExhausted/kTimeout from
   // the token mean "stop", not "the server is sick".
-  while (!result.ok() && IsRetryable(result.status()) &&
-         !(options_.cancel != nullptr && options_.cancel->cancelled()) &&
+  while (!result.ok() && IsRetryable(result.status()) && !Cancelled() &&
          ExcludeFailedServer()) {
     Placement replanned;
     {

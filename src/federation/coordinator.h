@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/query_profile.h"
 #include "core/wire_format.h"
 #include "federation/cluster.h"
@@ -55,7 +54,9 @@ struct RetryPolicy {
   double jitter_fraction = 0.2;
   uint64_t jitter_seed = 17;
   /// Simulated-time budget per message including its retries and backoff
-  /// pauses; exceeding it fails the fragment with kTimeout. 0 = unlimited.
+  /// pauses; exceeding it fails the fragment with kTimeout. 0 = the time
+  /// left before the caller's deadline (TaskContext) when the call starts,
+  /// or unlimited without one.
   double fragment_timeout_seconds = 0.0;
   /// Client-driven Iterate loops snapshot the loop variable at the client
   /// every K iterations; a mid-loop server failure rewinds to the last
@@ -91,20 +92,6 @@ struct CoordinatorOptions {
   /// Also enables the serialize-once fast path for client-driven loops,
   /// where only the changed loop-variable bindings travel per round.
   bool plan_cache = true;
-  /// Cooperative cancellation (the multi-tenant service's kill switch).
-  /// Checked at every fragment/message/loop boundary; when the token fires
-  /// mid-execution, Execute unwinds with the token's status and the call
-  /// drops every temp it registered. Null = never cancelled.
-  CancelTokenPtr cancel;
-  /// Absolute deadline on the transport's simulated clock (seconds);
-  /// crossing it cancels the token (kTimeout) at the next check. 0 = none.
-  double deadline_simulated_seconds = 0.0;
-  /// Temps are named "__frag_[<ns>_]<position>" by their node's pre-order
-  /// position in the prepared plan (loop bodies add the loop and the round),
-  /// so a template's plan wires repeat and hit the plan cache. The namespace
-  /// keeps coordinators that share a cluster and run at once apart
-  /// (service::Server gives slot i "s<i>").
-  std::string temp_namespace;
 };
 
 /// Per-execution accounting. `profile` is the QueryProfile (common/
@@ -143,12 +130,19 @@ class FederatedCatalog : public Catalog {
   const Cluster* cluster_;
 };
 
-/// One Coordinator runs one call at a time: each Execute, ExecutePerOp and
-/// ExplainAnalyze builds a QueryRun that owns all of the call's state, and
-/// the coordinator keeps only what outlives a call (options, catalog,
-/// instruments, plan-cache mirror). Temp names are unique only within a
-/// call, so queries that run at once need one coordinator each, with
-/// distinct temp_namespace values.
+/// A Coordinator is fixed at construction and serves any number of calls at
+/// once. Each Execute, ExecutePerOp and ExplainAnalyze builds a QueryRun
+/// that owns all of the call's state:
+///   - the cancel token and the absolute simulated deadline, read once from
+///     the calling thread's TaskContext (the service's RunAttempt fills it
+///     in; cancellation and deadlines travel nowhere else);
+///   - a temp namespace leased from the Cluster for the call's lifetime.
+///     Temps are "__frag_<position>" under index 0 and
+///     "__frag_s<k>_<position>" under index k, so calls that run at once —
+///     on this coordinator or on others sharing the cluster — never name
+///     the same temp, and a lone call's names repeat run after run.
+/// The coordinator keeps only what outlives a call: options, catalog,
+/// instruments and the plan-cache mirror.
 class Coordinator {
  public:
   explicit Coordinator(Cluster* cluster, CoordinatorOptions options = {})
@@ -178,7 +172,6 @@ class Coordinator {
                                      ExecutionMetrics* metrics = nullptr);
 
   const CoordinatorOptions& options() const { return options_; }
-  void set_options(const CoordinatorOptions& o) { options_ = o; }
 
  private:
   /// One call's execution state (coordinator.cc).
@@ -216,8 +209,8 @@ class Coordinator {
     static Instruments Resolve();
   };
 
-  Cluster* cluster_;
-  CoordinatorOptions options_;
+  Cluster* const cluster_;
+  const CoordinatorOptions options_;
   FederatedCatalog fed_catalog_;
   Instruments ins_ = Instruments::Resolve();
 
@@ -226,7 +219,7 @@ class Coordinator {
   // sides agree in steady state; divergence (a provider eviction we missed)
   // is repaired by the kPlanCacheMissMarker re-ship fallback. Kept across
   // calls — that is where repeated-query hits come from — and guarded by
-  // shipped_mu_, since sibling fragments ship concurrently.
+  // shipped_mu_, since concurrent calls and sibling fragments ship at once.
   struct ShippedSet {
     std::set<uint64_t> fps;
     std::deque<uint64_t> order;

@@ -75,16 +75,8 @@ Server::Server(Cluster* cluster, ServerOptions options)
     : cluster_(cluster),
       options_(options),
       admission_(AdmissionOptions{std::max(1, options.max_concurrent),
-                                  std::max(0, options.queue_capacity)}) {
-  int n = std::max(1, options_.max_concurrent);
-  slots_.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    CoordinatorOptions co = options_.coordinator;
-    co.temp_namespace = StrCat("s", i);
-    slots_[static_cast<size_t>(i)].coordinator =
-        std::make_unique<Coordinator>(cluster_, co);
-  }
-}
+                                  std::max(0, options.queue_capacity)}),
+      coordinator_(cluster, options.coordinator) {}
 
 Server::~Server() {
   std::vector<std::thread> workers;
@@ -135,27 +127,6 @@ Status Server::CloseSession(int64_t session) {
     (void)Wait(id);  // join the worker; the result is discarded
   }
   return Status::OK();
-}
-
-int Server::AcquireSlot() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (!slots_[i].busy) {
-        slots_[i].busy = true;
-        return static_cast<int>(i);
-      }
-    }
-    slots_cv_.wait(lock);
-  }
-}
-
-void Server::ReleaseSlot(int i) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    slots_[static_cast<size_t>(i)].busy = false;
-  }
-  slots_cv_.notify_one();
 }
 
 Result<PlanPtr> Server::UploadBindings(
@@ -222,29 +193,13 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
   }
 
   WallTimer run_timer;
-  int slot = AcquireSlot();
-  Coordinator* coordinator = slots_[static_cast<size_t>(slot)].coordinator.get();
-
   auto meter_result = governor_.StartQuery(tenant, attempt_token);
   if (!meter_result.ok()) {
-    ReleaseSlot(slot);
     admission_.Release(run_timer.ElapsedSeconds() * 1e3);
     return meter_result.status();
   }
   std::unique_ptr<MemoryGovernor::QueryMeter> meter =
       std::move(meter_result).ValueOrDie();
-
-  CoordinatorOptions co = coordinator->options();
-  co.cancel = attempt_token;
-  co.deadline_simulated_seconds =
-      options.deadline_seconds > 0.0
-          ? cluster_->transport()->simulated_seconds() + options.deadline_seconds
-          : 0.0;
-  if (options.deadline_seconds > 0.0 &&
-      co.retry.fragment_timeout_seconds <= 0.0) {
-    co.retry.fragment_timeout_seconds = options.deadline_seconds;
-  }
-  coordinator->set_options(co);
 
   // The attempt's own profile (nested under the report's, which spans
   // every attempt) attributes its compiler and spill activity to the tenant
@@ -254,12 +209,16 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
   {
     TaskContext ctx;
     ctx.cancel = attempt_token.get();
+    if (options.deadline_seconds > 0.0) {
+      ctx.deadline_simulated_seconds =
+          cluster_->transport()->simulated_seconds() + options.deadline_seconds;
+    }
     ctx.weight = QueryClassWeight(options.query_class);
     ctx.meter = meter.get();
     ctx.profile = &profile;
     ScopedTaskContext scoped(&ctx);
     if (explain != nullptr) {
-      auto analyzed = coordinator->ExplainAnalyze(plan);
+      auto analyzed = coordinator_.ExplainAnalyze(plan);
       if (analyzed.ok()) {
         *explain = std::move(analyzed).ValueOrDie();
         result = Result<Dataset>(Dataset());
@@ -267,7 +226,7 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
         result = analyzed.status();
       }
     } else {
-      result = coordinator->Execute(plan);
+      result = coordinator_.Execute(plan);
     }
   }
   // A fired token outranks the downstream outcome — even a success. A query
@@ -277,12 +236,6 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
   if (attempt_token->cancelled()) {
     result = attempt_token->status();
   }
-
-  co.cancel = nullptr;
-  co.deadline_simulated_seconds = 0.0;
-  co.retry.fragment_timeout_seconds =
-      options_.coordinator.retry.fragment_timeout_seconds;
-  coordinator->set_options(co);
 
   const int64_t expr_compiles = profile[QueryStat::kExprCompiles];
   const int64_t expr_cache_hits = profile[QueryStat::kExprCacheHits];
@@ -300,7 +253,6 @@ Result<Dataset> Server::RunAttempt(const std::string& tenant,
   report->reserved_bytes += meter->charged();
   ins.reserved_bytes->Record(static_cast<double>(meter->charged()));
   governor_.FinishQuery(meter.get());
-  ReleaseSlot(slot);
   double run_ms = run_timer.ElapsedSeconds() * 1e3;
   admission_.Release(run_ms);
   admission_.Poke();  // FinishQuery may have made a held-back tenant eligible

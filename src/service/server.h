@@ -6,15 +6,17 @@
 //   client → AdmissionController (bounded queue, priority classes,
 //            deterministic rejection)
 //          → MemoryGovernor (per-tenant budgets, kill-or-queue)
-//          → a pooled Coordinator slot (cancel token + deadline + its own
-//            temp namespace) → the shared Cluster.
+//          → the server's one Coordinator (the query's cancel token and
+//            deadline ride in its TaskContext) → the shared Cluster.
 //
-// Concurrency model: each execution slot owns one Coordinator, so at most
-// max_concurrent queries run at a time over the shared cluster; the slots'
-// distinct temp namespaces keep their server-side temporaries disjoint.
-// Queries of all tenants and sessions may be submitted from any number of
-// threads; Submit() additionally runs the query on a service-owned thread
-// so a session can overlap queries and cancel them mid-flight.
+// Concurrency model: the admission controller lets at most max_concurrent
+// queries run at a time, and all of them share one Coordinator. Each call
+// leases its own temp namespace from the Cluster, which keeps concurrent
+// queries' server-side temporaries disjoint, and all calls share one
+// plan-cache mirror per server. Queries of all tenants and sessions may be
+// submitted from any number of threads; Submit() additionally runs the
+// query on a service-owned thread so a session can overlap queries and
+// cancel them mid-flight.
 //
 // Every failure mode is a Status, never a crash: overload rejects with
 // retryable kResourceExhausted (+ retry-after hint), budget kills unwind
@@ -45,7 +47,8 @@ namespace nexus {
 namespace service {
 
 struct ServerOptions {
-  /// Execution slots (each owns one Coordinator).
+  /// Execution slots: queries that run at once, all on one Coordinator
+  /// (the admission controller is the only cap).
   int max_concurrent = 4;
   /// Queries allowed to wait for a slot before rejection.
   int queue_capacity = 16;
@@ -53,8 +56,7 @@ struct ServerOptions {
   /// governor eligibility predicate, until its tenant is under budget
   /// again) instead of failing straight back to the client.
   bool requeue_on_kill = true;
-  /// Base options for the pooled Coordinators. cancel / deadline /
-  /// temp_namespace are overwritten per query and per slot.
+  /// Options of the Coordinator every query runs on.
   CoordinatorOptions coordinator;
 };
 
@@ -138,11 +140,6 @@ class Server {
   MemoryGovernor& governor() { return governor_; }
 
  private:
-  struct Slot {
-    std::unique_ptr<Coordinator> coordinator;
-    bool busy = false;
-  };
-
   struct Session {
     std::string tenant;
     bool open = false;
@@ -173,9 +170,6 @@ class Server {
                              const CancelTokenPtr& attempt_token,
                              QueryReport* report, std::string* explain);
 
-  int AcquireSlot();       // blocks on slots_cv_ (slots == admission slots)
-  void ReleaseSlot(int i);
-
   /// Uploads bindings under "__svc_q<id>_<name>" on the first server and
   /// returns the rewritten plan; names are recorded for DropBindings.
   Result<PlanPtr> UploadBindings(
@@ -189,10 +183,9 @@ class Server {
   ServerOptions options_;
   AdmissionController admission_;
   MemoryGovernor governor_;
+  Coordinator coordinator_;
 
   mutable std::mutex mu_;
-  std::condition_variable slots_cv_;
-  std::vector<Slot> slots_;
   std::map<int64_t, Session> sessions_;
   std::map<int64_t, std::unique_ptr<Query>> queries_;
   std::condition_variable queries_cv_;

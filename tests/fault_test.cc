@@ -386,10 +386,11 @@ bool AnyTempLeft(Cluster* cluster) {
 
 TEST(ConcurrentCoordinatorTest, ManyCoordinatorsOneSharedCatalog) {
   // Thread-safety soak: several client threads, each with its own
-  // Coordinator in its own temp namespace, hammer one shared cluster (one
-  // transport, one set of InMemoryCatalogs). Every execution must agree
-  // with the sequential baseline and no temp may leak — under TSan in CI
-  // this is also the data-race check for the shared-transport locking.
+  // Coordinator (the cluster leases each running call its own temp
+  // namespace), hammer one shared cluster (one transport, one set of
+  // InMemoryCatalogs). Every execution must agree with the sequential
+  // baseline and no temp may leak — under TSan in CI this is also the
+  // data-race check for the shared-transport locking.
   PlanPtr mm = Plan::MatMul(Plan::Scan("MA"), Plan::Scan("MB"), "c");
   Cluster shared;
   FillMatMulCluster(&shared, /*with_replicas=*/false);
@@ -407,7 +408,6 @@ TEST(ConcurrentCoordinatorTest, ManyCoordinatorsOneSharedCatalog) {
     clients.emplace_back([&, i] {
       CoordinatorOptions o;
       o.thread_count = 1;  // concurrency comes from the client threads
-      o.temp_namespace = StrCat("w", i);
       Coordinator coordinator(&shared, o);
       for (int q = 0; q < kQueriesEach; ++q) {
         auto r = coordinator.Execute(mm);

@@ -3,6 +3,9 @@
 // iteration — the executable form of desiderata 2 and 4.
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/serialize.h"
 #include "core/wire_format.h"
@@ -15,6 +18,7 @@ namespace nexus {
 namespace {
 
 using namespace nexus::exprs;  // NOLINT
+using testing::ExpectSameBits;
 using testing::F;
 using testing::I;
 using testing::MakeSchema;
@@ -93,6 +97,16 @@ class FederationTest : public ::testing::Test {
     auto r = exec.Execute(*plan);
     EXPECT_OK(r.status());
     return r.ValueOrDie();
+  }
+
+  void ExpectNoTemps() {
+    for (const std::string& s : cluster_->ServerNames()) {
+      for (const std::string& name :
+           cluster_->provider(s)->catalog()->Names()) {
+        EXPECT_EQ(name.find("__frag_"), std::string::npos)
+            << "leftover temp " << name << " on " << s;
+      }
+    }
   }
 
   std::unique_ptr<Cluster> cluster_;
@@ -528,6 +542,98 @@ TEST_F(FederationTest, FailoverRerunOnSecondServerLeavesNoTemps) {
           << "leftover temp " << name << " on " << s;
     }
   }
+}
+
+// One Coordinator serves calls from many threads at once with no namespace
+// set anywhere: each running call leases its own temp namespace from the
+// cluster, so concurrent calls' temps and loop bindings never collide.
+TEST_F(FederationTest, OneCoordinatorServesConcurrentCalls) {
+  SchemaPtr s = MakeSchema({Field::Attr("v", DataType::kFloat64)});
+  ASSERT_OK(cluster_->PutData("relstore", "state0",
+                              Dataset(MakeTable(s, {{F(1024.0)}}))));
+  IterateOp op;
+  op.body = Plan::Rename(
+      Plan::Project(
+          Plan::Extend(Plan::LoopVar(), {{"h", Div(Col("v"), Lit(2.0))}}),
+          {"h"}),
+      {{"h", "v"}});
+  op.max_iters = 8;
+  const std::vector<PlanPtr> queries = {
+      Plan::MatMul(Plan::Scan("M"), Plan::Scan("N"), "prod"),
+      Plan::Iterate(Plan::Scan("state0"), op)};
+  CoordinatorOptions opts;
+  // Client-driven: the loop makes temps and ships per-round bindings.
+  opts.provider_side_iteration = false;
+  Coordinator coord(cluster_.get(), opts);
+  std::vector<TablePtr> want;
+  for (const PlanPtr& q : queries) {
+    ASSERT_OK_AND_ASSIGN(Dataset d, coord.Execute(q));
+    ASSERT_OK_AND_ASSIGN(TablePtr t, d.AsTable());
+    want.push_back(std::move(t));
+  }
+
+  constexpr int kClients = 6;
+  constexpr int kRounds = 4;
+  std::vector<std::vector<Result<TablePtr>>> got(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (const PlanPtr& q : queries) {
+          Result<Dataset> d = coord.Execute(q);
+          got[c].push_back(d.ok() ? d.ValueOrDie().AsTable()
+                                  : Result<TablePtr>(d.status()));
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(got[c].size(), kRounds * queries.size());
+    for (size_t i = 0; i < got[c].size(); ++i) {
+      ASSERT_OK(got[c][i].status());
+      ExpectSameBits(*got[c][i].ValueOrDie(), *want[i % queries.size()]);
+    }
+  }
+  ExpectNoTemps();
+}
+
+// The caller's TaskContext carries the cancel token and the deadline into a
+// direct Execute, as the service's does.
+TEST_F(FederationTest, ExecuteStopsOnTheCallersCancelledToken) {
+  Coordinator coord(cluster_.get());
+  PlanPtr mm = Plan::MatMul(Plan::Scan("M"), Plan::Scan("N"), "prod");
+  CancelToken token;
+  token.Cancel(StatusCode::kCancelled, "cancelled before the call");
+  TaskContext ctx;
+  ctx.cancel = &token;
+  {
+    ScopedTaskContext scoped(&ctx);
+    Status st = coord.Execute(mm).status();
+    EXPECT_EQ(st.code(), StatusCode::kCancelled) << st;
+  }
+  ExpectNoTemps();
+  EXPECT_OK(coord.Execute(mm).status());  // outside the context it runs
+}
+
+TEST_F(FederationTest, ExecutePastTheCallersDeadlineTimesOutAndFiresToken) {
+  Coordinator coord(cluster_.get());
+  PlanPtr mm = Plan::MatMul(Plan::Scan("M"), Plan::Scan("N"), "prod");
+  cluster_->transport()->AdvanceTime(1.0);
+  CancelToken token;
+  TaskContext ctx;
+  ctx.cancel = &token;
+  ctx.deadline_simulated_seconds =
+      cluster_->transport()->simulated_seconds() - 0.5;
+  {
+    ScopedTaskContext scoped(&ctx);
+    Status st = coord.Execute(mm).status();
+    EXPECT_TRUE(st.IsTimeout()) << st;
+  }
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_TRUE(token.status().IsTimeout()) << token.status();
+  ExpectNoTemps();
+  EXPECT_OK(coord.Execute(mm).status());  // outside the context it runs
 }
 
 TEST_F(FederationTest, FailoverImpossibleWithoutReplicaFailsRetryably) {

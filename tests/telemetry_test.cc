@@ -362,7 +362,6 @@ TEST(FederatedTraceTest, ConcurrentSiblingDispatchUnderTracingCompletes) {
     clients.emplace_back([&, c] {
       CoordinatorOptions opts;
       opts.thread_count = 4;
-      opts.temp_namespace = "trace" + std::to_string(c);
       Coordinator coord(&cluster, opts);
       for (int q = 0; q < 300; ++q) {
         Result<Dataset> got = coord.Execute(mm);
@@ -415,7 +414,6 @@ TEST(FederatedTraceTest, ExplainAnalyzeLeavesConcurrentQueriesUntraced) {
   std::atomic<int> saw_tracing{0};
   std::thread dark([&] {
     CoordinatorOptions opts;
-    opts.temp_namespace = "dark";
     Coordinator coord(&cluster, opts);
     while (!done.load() || dark_runs.load() == 0) {
       if (telemetry::Enabled()) saw_tracing.fetch_add(1);
@@ -425,7 +423,6 @@ TEST(FederatedTraceTest, ExplainAnalyzeLeavesConcurrentQueriesUntraced) {
   });
   {
     CoordinatorOptions opts;
-    opts.temp_namespace = "explain";
     Coordinator coord(&cluster, opts);
     for (int q = 0; q < 20; ++q) {
       ExecutionMetrics m;
